@@ -49,11 +49,11 @@ experiments:
 	$(GO) run ./cmd/bench -markdown
 
 # chaos runs the fault-injection suite under the race detector: the chaos
-# server's determinism, the resilient fetch path, the site-health guard
+# server's determinism, the resilient access path, the site-health guard
 # (breakers, bulkheads, hedging, stale serving), and the end-to-end
 # degraded/retry acceptance scenarios.
 chaos:
-	$(GO) test -race ./internal/faults/ ./internal/site/ -run 'Chaos|Fault|Retry|Degraded|Stall|Singleflight|Backoff|NotFound'
+	$(GO) test -race ./internal/faults/ ./internal/site/ ./internal/pagecache/ -run 'Chaos|Fault|Retry|Degraded|Stall|Singleflight|Backoff|NotFound|Session|Resilience'
 	$(GO) test -race ./internal/guard/
 	$(GO) test -race ./internal/engine/ ./internal/pagecache/ ./internal/matview/ ./cmd/ulixesd/ -run 'Chaos|Breaker|Stale|Shed|Drain'
 	$(GO) run ./cmd/bench -only P3

@@ -189,13 +189,16 @@ func (s *server) drain() {
 	s.stopWatch()
 }
 
-// queryStats is the per-query accounting exposed to clients. Pages +
-// CacheHits + Revalidations + Stale is the paper's distinct-access cost
-// C(E), invariant across cold and warm stores; Pages alone is what this
-// query actually cost the network.
+// queryStats is the per-query accounting exposed to clients. Accesses is
+// the session's own count of distinct pages touched — the paper's C(E),
+// invariant across cold and warm stores — and a complete answer reconciles
+// it with Pages + CacheHits + Revalidations + Stale; Pages alone is what
+// this query cost the network, SharedFetches of them on a GET a concurrent
+// query issued.
 type queryStats struct {
 	Accesses         int     `json:"accesses"`
 	Pages            int     `json:"pages"`
+	SharedFetches    int     `json:"sharedFetches,omitempty"`
 	CacheHits        int     `json:"cacheHits"`
 	Revalidations    int     `json:"revalidations"`
 	LightConnections int     `json:"lightConnections"`
@@ -348,8 +351,9 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		EstimatedCost: planCost,
 		Columns:       ans.Result.Names(),
 		Stats: queryStats{
-			Accesses:         st.Pages + st.CacheHits + st.Revalidations + st.Stale,
+			Accesses:         st.Accesses,
 			Pages:            st.Pages,
+			SharedFetches:    st.SharedFetches,
 			CacheHits:        st.CacheHits,
 			Revalidations:    st.Revalidations,
 			LightConnections: st.LightConnections,
@@ -829,6 +833,7 @@ type matviewStats struct {
 type queryTotals struct {
 	Accesses         int     `json:"accesses"`
 	Pages            int     `json:"pages"`
+	SharedFetches    int     `json:"sharedFetches,omitempty"`
 	CacheHits        int     `json:"cacheHits"`
 	Revalidations    int     `json:"revalidations"`
 	LightConnections int     `json:"lightConnections"`
@@ -920,8 +925,9 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	if served := s.served.Load(); served > 0 {
 		out.Totals = &queryTotals{
-			Accesses:         tot.Pages + tot.CacheHits + tot.Revalidations + tot.Stale,
+			Accesses:         tot.Accesses,
 			Pages:            tot.Pages,
+			SharedFetches:    tot.SharedFetches,
 			CacheHits:        tot.CacheHits,
 			Revalidations:    tot.Revalidations,
 			LightConnections: tot.LightConnections,

@@ -162,6 +162,17 @@ func TestSharedStoreAcrossQueries(t *testing.T) {
 	if len(warm.Rows) != len(cold.Rows) {
 		t.Errorf("warm rows %d != cold rows %d", len(warm.Rows), len(cold.Rows))
 	}
+	// The workload totals are the sessions' own counters, and the peak is
+	// the shared store's transport's.
+	var st storeStats
+	if err := getTestJSON(t, ts, "/stats", &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Totals == nil || st.Totals.Accesses != cold.Stats.Accesses+warm.Stats.Accesses {
+		t.Errorf("queryTotals %+v, want accesses %d", st.Totals, cold.Stats.Accesses+warm.Stats.Accesses)
+	} else if st.Totals.PeakInFlight < 1 || st.Totals.SharedFetches != 0 {
+		t.Errorf("queryTotals %+v, want a peak in-flight of at least 1 and no shared fetches", st.Totals)
+	}
 }
 
 // TestAdmissionControl: with a single query slot, a second concurrent query

@@ -35,6 +35,7 @@ type ExecOptions struct {
 	// Retry configures resilient fetching: bounded retries with
 	// exponential backoff + deterministic jitter and per-attempt
 	// deadlines. The zero policy is the strict single-attempt behavior.
+	// With Cache set it is ignored — resilience is configured on the cache.
 	Retry site.RetryPolicy
 	// Degraded turns fetch failures into partial answers: unreachable
 	// pages are left out (like dangling links) instead of aborting the
@@ -42,43 +43,53 @@ type ExecOptions struct {
 	Degraded bool
 	// Sleeper overrides how backoffs and attempt deadlines wait (nil means
 	// real timers). Deterministic tests inject site.InstantSleeper so
-	// chaos runs never touch the wall clock.
+	// chaos runs never touch the wall clock. Ignored with Cache set.
 	Sleeper site.Sleeper
 	// Cache, when non-nil, serves the query from the shared cross-query
-	// page store instead of a fresh per-query fetcher: pages cached by
-	// earlier queries are hits or §8 revalidations (see ExecStats), and
-	// pages this query downloads are left behind for later queries. The
-	// Retry/Sleeper fields are ignored on this path — resilience is
-	// configured on the cache itself.
+	// page store instead of a private store that lives for this query
+	// only: pages cached by earlier queries are hits or §8 revalidations
+	// (see ExecStats), and pages this query downloads are left behind for
+	// later queries.
 	Cache *pagecache.Cache
-	// PageBudget caps the distinct pages one query may access through the
-	// shared store (0 = unlimited); exceeding it aborts the query with
-	// pagecache.ErrBudgetExceeded. It requires Cache.
+	// PageBudget caps the distinct pages one query may access (0 =
+	// unlimited); exceeding it aborts the query with
+	// pagecache.ErrBudgetExceeded.
 	PageBudget int
 }
 
-// ExecStats are the measured per-query execution counters.
+// ExecStats are the measured per-query execution counters, filled from the
+// query's pagecache.Session.
 //
-// With a private per-query fetcher (the default), Pages alone is the
-// paper's distinct-access cost. With a shared page store (ExecOptions.
-// Cache) the cost splits by how each access was resolved:
+// With a private per-query store (the default), Pages alone is the paper's
+// distinct-access cost. With a shared page store (ExecOptions.Cache) the
+// cost splits by how each access was resolved:
 //
-//	Pages + CacheHits + Revalidations + Stale = distinct page accesses (C(E))
+//	Accesses = Pages + CacheHits + Revalidations + Stale = C(E)
 //
 // — invariant across cold and warm stores, while Pages alone is what the
 // query actually cost the network.
 type ExecStats struct {
+	// Accesses is the number of distinct pages the query touched, as the
+	// session counted them.
+	Accesses int
 	// Pages is the number of distinct page downloads — physical GETs this
 	// query's accesses resolved to (the paper's cost on a cold store).
 	Pages int
+	// SharedFetches ⊆ Pages is the number of those GETs a concurrent query
+	// on the same shared store issued and this one joined (always 0 on a
+	// private store).
+	SharedFetches int
 	// Bytes is the total HTML bytes downloaded.
 	Bytes int64
 	// Wall is the elapsed execution time.
 	Wall time.Duration
-	// PeakInFlight is the maximum number of simultaneous downloads.
+	// PeakInFlight is the maximum number of simultaneous network accesses
+	// the store's transport has seen: this query's own peak on a private
+	// store, the store's lifetime high-water mark on a shared one.
 	PeakInFlight int
-	// Retries is the number of retry GETs the resilient fetcher issued —
-	// extra network accesses beyond the paper's distinct-page cost.
+	// Retries is the number of retry attempts spent on this query's
+	// accesses — extra network accesses beyond the paper's distinct-page
+	// cost.
 	Retries int
 	// FailedPages lists the URLs a degraded execution could not fetch and
 	// left out of the answer, in sorted order.
@@ -137,7 +148,9 @@ type ExecStats struct {
 // holds this method to mentioning every ExecStats field, so a new counter
 // cannot be silently dropped from aggregation.
 func (s *ExecStats) Add(o ExecStats) {
+	s.Accesses += o.Accesses
 	s.Pages += o.Pages
+	s.SharedFetches += o.SharedFetches
 	s.Bytes += o.Bytes
 	s.Wall += o.Wall
 	if o.PeakInFlight > s.PeakInFlight {
@@ -311,15 +324,15 @@ func (e *Engine) record(q *cq.Query, st ExecStats) {
 	}
 	e.Workload.Record(q, workload.Observed{
 		Pages:    st.Pages,
-		Accesses: st.Pages + st.CacheHits + st.Revalidations + st.Stale,
+		Accesses: st.Accesses,
 		Wall:     st.Wall,
 		FromView: st.AnsweredFromView,
 	})
 }
 
-// Execute evaluates a computable plan against the site with a fresh
-// per-query page cache, returning the result and the number of distinct
-// pages downloaded. It uses the engine's execution configuration.
+// Execute evaluates a computable plan against the site, returning the
+// result and the number of distinct pages downloaded. It uses the engine's
+// execution configuration.
 func (e *Engine) Execute(expr nalg.Expr) (*nested.Relation, int, error) {
 	rel, st, err := e.ExecuteOpts(expr, e.Exec)
 	if err != nil {
@@ -339,7 +352,10 @@ func (e *Engine) ExecuteOpts(expr nalg.Expr, opts ExecOptions) (*nested.Relation
 }
 
 // ExecuteOptsCtx is ExecuteOpts under the caller's context: the deadline
-// and cancellation propagate to every page access the plan performs.
+// and cancellation propagate to every page access the plan performs. Every
+// plan runs through one pagecache.Session — on the shared store when the
+// options carry one, on a private store otherwise — so physical fetches are
+// deduplicated and the session's ledger is the single source of ExecStats.
 func (e *Engine) ExecuteOptsCtx(ctx context.Context, expr nalg.Expr, opts ExecOptions) (*nested.Relation, ExecStats, error) {
 	if !nalg.Computable(expr) {
 		return nil, ExecStats{}, fmt.Errorf("engine: plan is not computable: %s", expr)
@@ -347,67 +363,53 @@ func (e *Engine) ExecuteOptsCtx(ctx context.Context, expr nalg.Expr, opts ExecOp
 	if diags := nalg.Check(expr, e.Views.Scheme); len(diags) > 0 {
 		return nil, ExecStats{}, fmt.Errorf("engine: plan is ill-typed (%d diagnostics): %s", len(diags), diags[0])
 	}
-	evalOpts := nalg.EvalOptions{
-		Pipelined:    opts.Pipelined,
-		Workers:      opts.Workers,
-		EstimateCard: e.cardEstimator(),
+	store := opts.Cache
+	if store == nil {
+		// No shared store: the query gets a private one — nothing expires,
+		// nothing is evicted, and the whole query shares one connection
+		// limit, so Pages alone is the paper's distinct-access cost.
+		workers := opts.Workers
+		if workers <= 0 {
+			workers = site.DefaultFetchWorkers
+		}
+		store = pagecache.New(e.Server, e.Views.Scheme, pagecache.Config{
+			DefaultTTL:  pagecache.Forever,
+			Retry:       opts.Retry,
+			Sleeper:     opts.Sleeper,
+			Workers:     workers,
+			MaxInFlight: workers,
+		})
 	}
-	if opts.Cache != nil {
-		return e.executeShared(ctx, expr, opts, evalOpts)
-	}
-	f := site.NewFetcher(e.Server, e.Views.Scheme)
-	if opts.Workers > 0 {
-		f.SetWorkers(opts.Workers)
-	}
-	f.SetPolicy(opts.Retry)
-	f.SetDegraded(opts.Degraded)
-	if opts.Sleeper != nil {
-		f.SetSleeper(opts.Sleeper)
-	}
-	start := time.Now()
-	rel, err := nalg.EvalWithOptions(expr, e.Views.Scheme, nalg.FetcherSource{F: f, Ctx: ctx}, evalOpts)
-	if err != nil {
-		return nil, ExecStats{}, err
-	}
-	failed := f.FailedURLs()
-	return rel, ExecStats{
-		Pages:            f.PagesFetched(),
-		Bytes:            f.BytesFetched(),
-		Wall:             time.Since(start),
-		PeakInFlight:     f.PeakInFlight(),
-		Retries:          f.Retries(),
-		FailedPages:      failed,
-		Failures:         f.Failures(),
-		Degraded:         opts.Degraded && len(failed) > 0,
-		Hedges:           f.Hedges(),
-		HedgeWins:        f.HedgeWins(),
-		BreakerFastFails: f.BreakerFastFails(),
-	}, nil
-}
-
-// executeShared evaluates a plan through a per-query session on the shared
-// page store: physical fetches are deduplicated across concurrent queries
-// and persist for later ones, while the session keeps this query's access
-// accounting exact (Pages + CacheHits + Revalidations = distinct accesses).
-func (e *Engine) executeShared(ctx context.Context, expr nalg.Expr, opts ExecOptions, evalOpts nalg.EvalOptions) (*nested.Relation, ExecStats, error) {
-	sess := opts.Cache.NewSession(pagecache.SessionOptions{
+	sess := store.NewSession(pagecache.SessionOptions{
 		PageBudget: opts.PageBudget,
 		Degraded:   opts.Degraded,
 		Workers:    opts.Workers,
 	})
 	start := time.Now()
-	rel, err := nalg.EvalWithOptions(expr, e.Views.Scheme, nalg.FetcherSource{F: sess, Ctx: ctx}, evalOpts)
+	rel, err := nalg.EvalWithOptions(expr, e.Views.Scheme, nalg.FetcherSource{F: sess, Ctx: ctx}, nalg.EvalOptions{
+		Pipelined:    opts.Pipelined,
+		Workers:      opts.Workers,
+		EstimateCard: e.cardEstimator(),
+	})
 	if err != nil {
 		return nil, ExecStats{}, err
 	}
 	st := sess.Stats()
-	failed := sess.FailedURLs()
+	failures := sess.Failures()
+	failed := make([]string, len(failures))
+	for i, f := range failures {
+		failed[i] = f.URL
+	}
 	return rel, ExecStats{
+		Accesses:         st.Accesses,
 		Pages:            st.Fetches,
+		SharedFetches:    st.SharedFetches,
 		Bytes:            st.Bytes,
 		Wall:             time.Since(start),
+		PeakInFlight:     store.Stats().PeakInFlight,
+		Retries:          st.Retries,
 		FailedPages:      failed,
-		Failures:         sess.Failures(),
+		Failures:         failures,
 		Degraded:         (opts.Degraded && len(failed) > 0) || st.Stale > 0,
 		CacheHits:        st.CacheHits,
 		Revalidations:    st.Revalidations,

@@ -5,6 +5,7 @@ import (
 
 	"ulixes/internal/nalg"
 	"ulixes/internal/nested"
+	"ulixes/internal/pagecache"
 	"ulixes/internal/site"
 	"ulixes/internal/sitegen"
 )
@@ -82,8 +83,8 @@ func E1(params sitegen.BibliographyParams) (*Table, error) {
 	var answers []int
 	for _, p := range paths {
 		ms.Counters().Reset()
-		f := site.NewFetcher(ms, ws)
-		rel, err := nalg.Eval(p.expr, ws, nalg.FetcherSource{F: f})
+		sess := pagecache.New(ms, ws, pagecache.Config{DefaultTTL: pagecache.Forever}).NewSession(pagecache.SessionOptions{})
+		rel, err := nalg.Eval(p.expr, ws, nalg.FetcherSource{F: sess})
 		if err != nil {
 			return nil, fmt.Errorf("E1 %s: %w", p.name, err)
 		}

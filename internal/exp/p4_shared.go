@@ -28,7 +28,7 @@ var p4Shapes = []string{
 const p4Reps = 4
 
 // P4 measures the shared cross-query page store on a repeating multi-query
-// workload. The baseline gives every query a cold private fetcher (the
+// workload. The baseline gives every query a cold private store (the
 // repo's default); the shared configurations run the same queries, in the
 // same order, through one pagecache.Cache under three TTL settings:
 //
@@ -61,7 +61,7 @@ func P4(params sitegen.UniversityParams) (*Table, error) {
 		}
 	}
 
-	// Baseline: every query pays its full cost against a private fetcher.
+	// Baseline: every query pays its full cost against a private store.
 	coldSite, err := site.NewMemSite(u.Instance, nil)
 	if err != nil {
 		return nil, err

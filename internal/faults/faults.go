@@ -32,7 +32,7 @@ import (
 )
 
 // ErrInjected marks a transient injected failure. It never wraps
-// site.ErrNotFound, so the fetcher classifies it as retryable.
+// site.ErrNotFound, so the transport classifies it as retryable.
 var ErrInjected = errors.New("faults: injected transient failure")
 
 // Kind enumerates the fault behaviors a rule can inject.
@@ -46,7 +46,7 @@ const (
 	Latency
 	// Stall blocks the GET until the caller's context is canceled — the
 	// "server accepts the connection and never answers" failure. It is only
-	// recoverable through the fetcher's per-attempt deadline.
+	// recoverable through the transport's per-attempt deadline.
 	Stall
 	// Truncate serves the page cut off mid-document, as a dropped
 	// connection would.
@@ -269,13 +269,13 @@ func (s *Server) decide(key, url string) (Rule, bool) {
 }
 
 // Get implements site.Server. Stall faults block forever under Get's
-// context-free signature; use GetContext (the resilient fetcher does) to
+// context-free signature; use GetContext (site.Transport does) to
 // make them recoverable.
 func (s *Server) Get(url string) (site.Page, error) {
 	return s.GetContext(context.Background(), url) //lint:allow noctxbg context-free site.Server compatibility
 }
 
-// GetContext is the context-aware download the resilient fetcher prefers:
+// GetContext is the context-aware download site.Transport prefers:
 // stall faults block until ctx is canceled instead of forever.
 func (s *Server) GetContext(ctx context.Context, url string) (site.Page, error) {
 	rule, fired := s.decide(url, url)
@@ -301,7 +301,7 @@ func (s *Server) GetContext(ctx context.Context, url string) (site.Page, error) 
 			}
 		}
 	}
-	p, err := s.inner.Get(url) //lint:allow fetchgate the fault layer sits under the counted fetcher
+	p, err := s.inner.Get(url) //lint:allow fetchgate the fault layer sits under the counted access path
 	if err != nil {
 		return site.Page{}, err
 	}
@@ -330,7 +330,7 @@ func (s *Server) Head(url string) (site.Meta, error) {
 			return site.Meta{}, fmt.Errorf("%w: %s (injected)", site.ErrNotFound, url)
 		}
 	}
-	return s.inner.Head(url) //lint:allow fetchgate the fault layer sits under the counted fetcher
+	return s.inner.Head(url) //lint:allow fetchgate the fault layer sits under the counted access path
 }
 
 // HeadContext implements site.ContextHeadServer: the context-aware light
@@ -359,7 +359,7 @@ func (s *Server) HeadContext(ctx context.Context, url string) (site.Meta, error)
 			}
 		}
 	}
-	return s.inner.Head(url) //lint:allow fetchgate the fault layer sits under the counted fetcher
+	return s.inner.Head(url) //lint:allow fetchgate the fault layer sits under the counted access path
 }
 
 // truncateHTML cuts the page off mid-document — everything past the first

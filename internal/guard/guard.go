@@ -175,7 +175,7 @@ type hostState struct {
 // Guard wraps a site.Server with per-host breakers, bulkheads and hedging.
 // It implements site.Server, site.ContextServer, site.ContextHeadServer and
 // site.OutcomeServer, so it can stand in for the origin anywhere in the
-// stack (fetcher, pagecache, matview live fallback) — wrapping the server
+// stack (under any site.Transport: page stores, matview) — wrapping the server
 // at construction time is all it takes to guard every downstream layer.
 type Guard struct {
 	inner site.Server

@@ -3,8 +3,9 @@
 // on the standard library's go/ast and go/types (the repository carries no
 // module dependencies). It ships ten analyzers:
 //
-//   - fetchgate: every page access must flow through the counted fetcher in
-//     internal/site, so ExecStats page counts stay sound;
+//   - fetchgate: every page access must flow through the one counted access
+//     path (pagecache.Session over site.Transport), so ExecStats page counts
+//     stay sound;
 //   - nowallclock: no ambient wall-clock reads in the cost-measured packages;
 //   - chanhygiene: no unbounded goroutine fan-out or unguarded channel sends
 //     in the concurrent evaluation packages;

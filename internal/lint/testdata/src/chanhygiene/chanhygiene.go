@@ -65,7 +65,7 @@ func unguardedSend(items []int) <-chan int {
 	return ch
 }
 
-// The select-guarded form the fetcher uses: clean.
+// The select-guarded form site.Batch uses: clean.
 func guardedSend(items []int, done <-chan struct{}) <-chan int {
 	ch := make(chan int)
 	go func() {

@@ -1,9 +1,10 @@
 // Package fetchgate is the fetchgate analyzer fixture: page accesses that
-// bypass the counted site.Fetcher, plus the sanctioned patterns that must
+// bypass the counted access path, plus the sanctioned patterns that must
 // stay clean.
 package fetchgate
 
 import (
+	"context"
 	"net/http"
 
 	"ulixes/internal/adm"
@@ -40,9 +41,16 @@ func rawWrap(ps *adm.PageScheme, url, html string) {
 	_, _ = hypertext.WrapPage(ps, url, html) // want `direct hypertext\.WrapPage call`
 }
 
-// counted is the sanctioned path: all reads flow through the fetcher.
-func counted(f *site.Fetcher, scheme, url string) error {
-	_, err := f.Fetch(scheme, url)
+// counted is the sanctioned path: reads flow through a page source, or
+// through the transport for code that keeps its own ledger of the traffic.
+func counted(ctx context.Context, src site.PageSource, tr *site.Transport, scheme, url string) error {
+	if _, err := src.FetchCtx(ctx, scheme, url); err != nil {
+		return err
+	}
+	if _, _, err := tr.Get(ctx, scheme, url); err != nil {
+		return err
+	}
+	_, _, err := tr.Head(ctx, url)
 	return err
 }
 

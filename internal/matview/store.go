@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"ulixes/internal/adm"
-	"ulixes/internal/hypertext"
 	"ulixes/internal/nested"
 	"ulixes/internal/site"
 )
@@ -100,9 +99,13 @@ const DefaultCheckWorkers = 8
 // per-URL singleflight keeps concurrent evaluation branches from issuing
 // duplicate checks — so the measured light connections and downloads are
 // identical whether a plan is evaluated sequentially or pipelined.
+//
+// The site is reached through a site.Transport with the zero policy (one
+// attempt, no deadline), so every GET and HEAD is exactly one network
+// operation and the §8 counters below stay what Algorithm 3 predicts.
 type Store struct {
-	ws     *adm.Scheme
-	server site.Server
+	ws  *adm.Scheme
+	net *site.Transport
 
 	mu       sync.Mutex
 	workers  int                      // guarded by mu
@@ -124,8 +127,8 @@ type Store struct {
 }
 
 // SetLiveSource routes the live fetches of non-materialized schemes through
-// a shared page source (a pagecache.Session or a Fetcher) instead of direct
-// server GETs. Accesses through the source are counted by the source — the
+// a shared page source (a pagecache.Session) instead of the store's own
+// transport. Accesses through the source are counted by the source — the
 // store's Downloads counter keeps covering only materialized-portion
 // maintenance traffic.
 func (s *Store) SetLiveSource(ps site.PageSource) {
@@ -167,7 +170,7 @@ func Materialize(server site.Server, ws *adm.Scheme) (*Store, error) {
 func MaterializeSchemes(server site.Server, ws *adm.Scheme, schemes []string) (*Store, error) {
 	s := &Store{
 		ws:       ws,
-		server:   server,
+		net:      site.NewTransport(server, ws, site.RetryPolicy{}, nil, 0),
 		workers:  DefaultCheckWorkers,
 		pages:    make(map[string]*StoredPage),
 		status:   make(map[string]Status),
@@ -306,18 +309,7 @@ func (s *Store) outlinks(scheme string, t nested.Tuple) map[string]string {
 // network GET and the wrap run outside the store lock; only the state
 // updates (counters, link diff, page map) take it.
 func (s *Store) download(url, scheme string) (nested.Tuple, error) {
-	p, err := s.server.Get(url) //lint:allow fetchgate matview counts its own Downloads (§8)
-	if err != nil {
-		return nested.Tuple{}, err
-	}
-	s.mu.Lock()
-	s.counters.Downloads++
-	s.mu.Unlock()
-	ps := s.ws.Page(scheme)
-	if ps == nil {
-		return nested.Tuple{}, fmt.Errorf("matview: unknown page-scheme %q", scheme)
-	}
-	t, err := hypertext.WrapPage(ps, url, p.HTML) //lint:allow fetchgate matview wraps outside the fetcher
+	t, modified, err := s.get(url, scheme)
 	if err != nil {
 		return nested.Tuple{}, err
 	}
@@ -325,7 +317,6 @@ func (s *Store) download(url, scheme string) (nested.Tuple, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if prev, ok := s.pages[url]; ok {
-
 		oldLinks := s.outlinks(scheme, prev.Tuple)
 		for u := range newLinks {
 			if _, had := oldLinks[u]; !had {
@@ -352,8 +343,27 @@ func (s *Store) download(url, scheme string) (nested.Tuple, error) {
 			}
 		}
 	}
-	s.pages[url] = &StoredPage{Scheme: scheme, Tuple: t, AccessDate: p.LastModified}
+	s.pages[url] = &StoredPage{Scheme: scheme, Tuple: t, AccessDate: modified}
 	return t, nil
+}
+
+// get downloads and wraps one page through the transport, counting the
+// download.
+func (s *Store) get(url, scheme string) (nested.Tuple, time.Time, error) {
+	p, _, err := s.net.Get(background(), scheme, url)
+	if err != nil {
+		return nested.Tuple{}, time.Time{}, err
+	}
+	s.mu.Lock()
+	s.counters.Downloads++
+	s.mu.Unlock()
+	return p.Tuple, p.LastModified, nil
+}
+
+// background is the context of the store's network traffic: its surface
+// (nalg.Source, Refresh, RefreshURL) is context-free.
+func background() context.Context {
+	return context.Background() //lint:allow noctxbg context-free Source surface of the store
 }
 
 // liveFetch downloads and wraps a page without storing it, for schemes
@@ -363,32 +373,17 @@ func (s *Store) liveFetch(url, scheme string) (nested.Tuple, bool, error) {
 	s.mu.Lock()
 	src := s.liveSrc
 	s.mu.Unlock()
+	var t nested.Tuple
+	var err error
 	if src != nil {
-		t, err := src.FetchCtx(context.Background(), scheme, url) //lint:allow noctxbg context-free Source surface of the store
-		if err != nil {
-			if isNotFound(err) {
-				return nested.Tuple{}, false, nil
-			}
-			return nested.Tuple{}, false, err
-		}
-		return t, true, nil
+		t, err = src.FetchCtx(background(), scheme, url)
+	} else {
+		t, _, err = s.get(url, scheme)
 	}
-	p, err := s.server.Get(url) //lint:allow fetchgate matview counts its own Downloads (§8)
 	if err != nil {
 		if isNotFound(err) {
 			return nested.Tuple{}, false, nil
 		}
-		return nested.Tuple{}, false, err
-	}
-	s.mu.Lock()
-	s.counters.Downloads++
-	s.mu.Unlock()
-	ps := s.ws.Page(scheme)
-	if ps == nil {
-		return nested.Tuple{}, false, fmt.Errorf("matview: unknown page-scheme %q", scheme)
-	}
-	t, err := hypertext.WrapPage(ps, url, p.HTML) //lint:allow fetchgate matview wraps outside the fetcher
-	if err != nil {
 		return nested.Tuple{}, false, err
 	}
 	return t, true, nil
@@ -461,14 +456,12 @@ func (s *Store) runCheck(url, scheme string, st Status) (nested.Tuple, bool, err
 	stored, have := s.pages[url]
 	s.mu.Unlock()
 	// Light connection: an error flag and the modification date (§8).
-	meta, err := s.server.Head(url) //lint:allow fetchgate light connection, counted below (§8)
-	if !errors.Is(err, site.ErrBreakerOpen) {
-		// A breaker fast-fail never reached the network, so it is not a
-		// light connection.
-		s.mu.Lock()
-		s.counters.LightConnections++
-		s.mu.Unlock()
-	}
+	meta, tr, err := s.net.Head(background(), url)
+	// A breaker fast-fail never reached the network, so it is not a light
+	// connection.
+	s.mu.Lock()
+	s.counters.LightConnections += tr.Heads
+	s.mu.Unlock()
 	if err != nil {
 		if isNotFound(err) {
 			s.mu.Lock()
@@ -553,20 +546,7 @@ func (s *Store) checkFollow(url, scheme string) (nested.Tuple, bool, error) {
 	}
 }
 
-func isNotFound(err error) bool {
-	for e := err; e != nil; {
-		if e == site.ErrNotFound {
-			return true
-		}
-		type unwrapper interface{ Unwrap() error }
-		u, ok := e.(unwrapper)
-		if !ok {
-			return false
-		}
-		e = u.Unwrap()
-	}
-	return false
-}
+func isNotFound(err error) bool { return errors.Is(err, site.ErrNotFound) }
 
 // EntryPage implements nalg.Source for Algorithm 3: entry points are
 // URL-checked before use (Algorithm 3 lines 3–5).
@@ -601,65 +581,20 @@ func (s *Store) EntryPage(scheme, url string) (nested.Tuple, error) {
 func (s *Store) FollowPages(scheme string, urls []string) ([]nested.Tuple, error) {
 	check := s.checkFollow
 	if !s.Materialized(scheme) {
-		check = func(u, sch string) (nested.Tuple, bool, error) {
-			return s.liveFetch(u, sch)
-		}
+		check = s.liveFetch
 	}
 	s.mu.Lock()
 	workers := s.workers
 	s.mu.Unlock()
-	if workers > len(urls) {
-		workers = len(urls)
-	}
-	if workers <= 1 {
-		var out []nested.Tuple
-		for _, u := range urls {
-			t, exists, err := check(u, scheme)
-			if err != nil {
-				return nil, err
-			}
-			if exists {
-				out = append(out, t)
-			}
-		}
-		return out, nil
-	}
 	results := make([]nested.Tuple, len(urls))
 	exists := make([]bool, len(urls))
-	jobs := make(chan int)
-	done := make(chan struct{})
-	var once sync.Once
-	var firstErr error
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				t, ok, err := check(urls[i], scheme)
-				if err != nil {
-					once.Do(func() {
-						firstErr = err
-						close(done)
-					})
-					return
-				}
-				results[i], exists[i] = t, ok
-			}
-		}()
-	}
-producing:
-	for i := range urls {
-		select {
-		case jobs <- i:
-		case <-done:
-			break producing
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err := site.Batch(len(urls), workers, func(i int) error {
+		t, ok, err := check(urls[i], scheme)
+		results[i], exists[i] = t, ok
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	var out []nested.Tuple
 	for i, ok := range exists {
@@ -678,8 +613,8 @@ func (s *Store) ProcessMissing() (int, error) {
 	defer s.mu.Unlock()
 	deleted := 0
 	for u := range s.missing {
-		_, err := s.server.Head(u) //lint:allow fetchgate light connection, counted below (§8)
-		s.counters.LightConnections++
+		_, tr, err := s.net.Head(background(), u)
+		s.counters.LightConnections += tr.Heads
 		if err == nil {
 			continue // still alive: some other page may still link to it
 		}

@@ -11,7 +11,7 @@ import (
 )
 
 // Source supplies pages during evaluation. The virtual-view engine backs it
-// with a network fetcher; the materialized-view engine backs it with the
+// with a page-store session; the materialized-view engine backs it with the
 // local store plus the URLCheck protocol of §8.
 //
 // The pipelined evaluator (EvalWithOptions) calls EntryPage and FollowPages
@@ -27,9 +27,9 @@ type Source interface {
 	FollowPages(scheme string, urls []string) ([]nested.Tuple, error)
 }
 
-// FetcherSource adapts a site.PageSource — a per-query site.Fetcher
-// downloading over the (simulated) network, or a pagecache.Session drawing
-// from the shared cross-query store — to the Source interface.
+// FetcherSource adapts a site.PageSource — a pagecache.Session, one query's
+// resolve-once view of a private or shared page store — to the Source
+// interface.
 type FetcherSource struct {
 	F site.PageSource
 	// Ctx, when non-nil, bounds every page access the source issues: the
@@ -138,9 +138,9 @@ func eval(e Expr, ws *adm.Scheme, src Source) (*nested.Relation, error) {
 }
 
 // degradedFollow reports whether a FollowPages error is a graceful partial
-// result (the fetcher's degraded mode): the reachable pages were returned
+// result (the session's degraded mode): the reachable pages were returned
 // and the unreachable URLs simply dangle, exactly like links to pages that
-// no longer exist. The fetcher has already recorded the failures for
+// no longer exist. The session has already recorded the failures for
 // ExecStats, so evaluation proceeds on what arrived.
 func degradedFollow(err error) bool {
 	var pe *site.PartialError

@@ -6,11 +6,23 @@ import (
 
 	"ulixes/internal/adm"
 	"ulixes/internal/nested"
+	"ulixes/internal/pagecache"
 	"ulixes/internal/site"
 	"ulixes/internal/sitegen"
 )
 
-// fixture builds the paper-sized university site with a fetcher source.
+// privateSession is one query's page source over a store of its own, as the
+// engine builds it when no shared store is configured.
+func privateSession(srv site.Server, ws *adm.Scheme, workers int) *pagecache.Session {
+	if workers <= 0 {
+		workers = site.DefaultFetchWorkers
+	}
+	return pagecache.New(srv, ws, pagecache.Config{
+		DefaultTTL: pagecache.Forever, Workers: workers, MaxInFlight: workers,
+	}).NewSession(pagecache.SessionOptions{})
+}
+
+// fixture builds the paper-sized university site with a page source.
 func fixture(t *testing.T) (*sitegen.University, *site.MemSite, Source) {
 	t.Helper()
 	u, err := sitegen.GenerateUniversity(sitegen.PaperUniversityParams())
@@ -21,7 +33,7 @@ func fixture(t *testing.T) (*sitegen.University, *site.MemSite, Source) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return u, ms, FetcherSource{F: site.NewFetcher(ms, u.Scheme)}
+	return u, ms, FetcherSource{F: privateSession(ms, u.Scheme, 0)}
 }
 
 func TestExprStrings(t *testing.T) {
@@ -349,7 +361,7 @@ func TestEvalFollowSkipsNullLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := From(ws, "A").Follow("Next").MustBuild()
-	rel, err := Eval(e, ws, FetcherSource{F: site.NewFetcher(ms, ws)})
+	rel, err := Eval(e, ws, FetcherSource{F: privateSession(ms, ws, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +448,7 @@ func TestEvalDeterministicAcrossRuns(t *testing.T) {
 			Unnest("SesList").Follow("ToSes").Unnest("CourseList").Follow("ToCourse").
 			Project("CoursePage.CName", "CoursePage.Type").
 			MustBuild()
-		return Eval(e, u.Scheme, FetcherSource{F: site.NewFetcher(ms, u.Scheme)})
+		return Eval(e, u.Scheme, FetcherSource{F: privateSession(ms, u.Scheme, 0)})
 	}
 	a, err := build()
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"ulixes/internal/site"
 	"ulixes/internal/sitegen"
 )
 
@@ -127,7 +126,7 @@ func TestParseNavExecutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, err := Eval(e, u.Scheme, FetcherSource{F: site.NewFetcher(ms, u.Scheme)})
+	rel, err := Eval(e, u.Scheme, FetcherSource{F: privateSession(ms, u.Scheme, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}

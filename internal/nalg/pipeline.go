@@ -28,7 +28,7 @@ type EvalOptions struct {
 	Pipelined bool
 	// Workers bounds the number of in-flight follow-link fetch tasks
 	// (0 means DefaultWorkers). The page-level connection bound lives in
-	// the fetcher; this knob only caps pipeline fan-out.
+	// the page store; this knob only caps pipeline fan-out.
 	Workers int
 	// BatchSize is the tuple-batch granularity (0 means DefaultBatchSize).
 	BatchSize int

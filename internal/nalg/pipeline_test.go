@@ -50,16 +50,15 @@ func pipelinePlans(t *testing.T, u *sitegen.University) map[string]Expr {
 func TestPipelinedMatchesSequential(t *testing.T) {
 	u, ms, _ := fixture(t)
 	for name, e := range pipelinePlans(t, u) {
-		f := site.NewFetcher(ms, u.Scheme)
+		f := privateSession(ms, u.Scheme, 0)
 		want, err := Eval(e, u.Scheme, FetcherSource{F: f})
 		if err != nil {
 			t.Fatalf("%s: sequential: %v", name, err)
 		}
-		wantPages := f.PagesFetched()
+		wantPages := f.Stats().Fetches
 		for _, workers := range []int{1, 4, 16} {
 			for _, batch := range []int{1, 3, 64} {
-				pf := site.NewFetcher(ms, u.Scheme)
-				pf.SetWorkers(workers)
+				pf := privateSession(ms, u.Scheme, workers)
 				got, err := EvalWithOptions(e, u.Scheme, FetcherSource{F: pf},
 					EvalOptions{Pipelined: true, Workers: workers, BatchSize: batch})
 				if err != nil {
@@ -69,9 +68,9 @@ func TestPipelinedMatchesSequential(t *testing.T) {
 					t.Errorf("%s w=%d b=%d: pipelined answer differs\ngot:  %s\nwant: %s",
 						name, workers, batch, got, want)
 				}
-				if pf.PagesFetched() != wantPages {
+				if pf.Stats().Fetches != wantPages {
 					t.Errorf("%s w=%d b=%d: pipelined fetched %d pages, sequential %d",
-						name, workers, batch, pf.PagesFetched(), wantPages)
+						name, workers, batch, pf.Stats().Fetches, wantPages)
 				}
 			}
 		}
@@ -101,7 +100,7 @@ func TestPipelinedRejectsExtScan(t *testing.T) {
 	u, ms, _ := fixture(t)
 	profs := From(u.Scheme, sitegen.ProfListPage).Unnest("ProfList").Follow("ToProf").MustBuild()
 	j := &Join{L: &ExtScan{Relation: "Professor"}, R: profs}
-	f := site.NewFetcher(ms, u.Scheme)
+	f := privateSession(ms, u.Scheme, 0)
 	_, err := EvalWithOptions(j, u.Scheme, FetcherSource{F: f},
 		EvalOptions{Pipelined: true})
 	if err == nil || !strings.Contains(err.Error(), "external") {
@@ -132,8 +131,7 @@ func TestPipelinedErrorPropagation(t *testing.T) {
 	u, ms, _ := fixture(t)
 	e := From(u.Scheme, sitegen.ProfListPage).Unnest("ProfList").Follow("ToProf").MustBuild()
 	srv := &brokenServer{MemSite: ms, badPrefix: "prof"}
-	f := site.NewFetcher(srv, u.Scheme)
-	f.SetWorkers(4)
+	f := privateSession(srv, u.Scheme, 4)
 	_, err := EvalWithOptions(e, u.Scheme, FetcherSource{F: f},
 		EvalOptions{Pipelined: true, Workers: 4, BatchSize: 2})
 	if !errors.Is(err, errBroken) {
@@ -149,7 +147,7 @@ func TestPipelinedDeterministicAcrossRuns(t *testing.T) {
 	e := pipelinePlans(t, u)["deep chain"]
 	var first string
 	for i := 0; i < 5; i++ {
-		f := site.NewFetcher(ms, u.Scheme)
+		f := privateSession(ms, u.Scheme, 0)
 		rel, err := EvalWithOptions(e, u.Scheme, FetcherSource{F: f},
 			EvalOptions{Pipelined: true, Workers: 8, BatchSize: 4})
 		if err != nil {

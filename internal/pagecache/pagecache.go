@@ -1,7 +1,11 @@
-// Package pagecache is the shared, cross-query page store: a concurrent
-// byte-bounded LRU of wrapped pages that many simultaneous queries draw
-// from, so a workload of repeated queries pays for each page once instead
-// of re-downloading hub pages per query.
+// Package pagecache is the page store every query navigates through: a
+// concurrent byte-bounded LRU of wrapped pages over one site.Transport.
+// Shared across queries (ulixesd), many simultaneous queries draw from it,
+// so a workload of repeated queries pays for each page once instead of
+// re-downloading hub pages per query; built privately for one query (the
+// engine's default), it is that query's download-once page set. Either way
+// the query's own view is a Session, the resolve-once ledger of its
+// accesses.
 //
 // Freshness follows §8 of the paper. Every entry carries the Last-Modified
 // date the site reported and a per-scheme TTL lease. Within the lease the
@@ -30,13 +34,11 @@ import (
 	"container/list"
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"sync"
 	"time"
 
 	"ulixes/internal/adm"
-	"ulixes/internal/hypertext"
 	"ulixes/internal/nested"
 	"ulixes/internal/site"
 )
@@ -69,14 +71,21 @@ type Config struct {
 	// logical clock advancing one second per reading; servers inject
 	// time.Now, tests a manual clock).
 	Clock site.Clock
-	// Retry configures bounded retries with backoff for physical fetches
-	// (the zero policy is single-attempt).
+	// Retry configures bounded retries with backoff and the per-attempt
+	// deadline for GETs and HEADs (the zero policy is single-attempt).
 	Retry site.RetryPolicy
-	// Sleeper overrides how retry backoffs wait (nil means real timers).
+	// Sleeper overrides how retry backoffs and attempt deadlines wait (nil
+	// means real timers).
 	Sleeper site.Sleeper
-	// Workers bounds the concurrent physical fetches a single FetchAll
-	// batch issues (0 means site.DefaultFetchWorkers).
+	// Workers bounds the concurrent accesses a single FetchAll batch issues
+	// (0 means site.DefaultFetchWorkers).
 	Workers int
+	// MaxInFlight bounds the simultaneous network accesses of the whole
+	// store, across batches (0 = no bound beyond each batch's Workers). A
+	// private per-query store sets it so parallel plan branches divide —
+	// never multiply — the query's connection limit; a shared store leaves
+	// it off, because one query's batch must not queue behind another's.
+	MaxInFlight int
 	// Meter, when non-nil, is charged the retained HTML bytes of every
 	// entry as it is inserted and refunded as it is removed (eviction,
 	// invalidation, replacement) — the store's row in a process-wide
@@ -137,11 +146,14 @@ type Stats struct {
 	// to a per-query fetch error, so one bad page fails one access instead
 	// of the process.
 	WrapPanics int
+	// PeakInFlight is the maximum number of simultaneous network accesses
+	// the store's transport has observed — a high-water mark, not a sum.
+	PeakInFlight int
 }
 
 // Add folds another store's counters into s, for aggregating statistics
-// across shards or over sampling intervals. The statsexhaustive analyzer
-// holds it to covering every field.
+// across shards or over sampling intervals (peaks take the maximum). The
+// statsexhaustive analyzer holds it to covering every field.
 func (s *Stats) Add(o Stats) {
 	s.Fetches += o.Fetches
 	s.Hits += o.Hits
@@ -157,6 +169,9 @@ func (s *Stats) Add(o Stats) {
 	s.Invalidations += o.Invalidations
 	s.PushStale += o.PushStale
 	s.WrapPanics += o.WrapPanics
+	if o.PeakInFlight > s.PeakInFlight {
+		s.PeakInFlight = o.PeakInFlight
+	}
 }
 
 // entry is one cached page.
@@ -178,28 +193,6 @@ type flight struct {
 	err  error
 }
 
-// netOutcome accumulates what the guard layer did over a retry loop: extra
-// (hedged) requests, hedge wins, breaker fast-fails, and whether a physical
-// HEAD was issued at all.
-type netOutcome struct {
-	hedges    int
-	hedgeWins int
-	fastFails int
-	// heads is 1 when at least one physical HEAD reached the network (a
-	// fast-failed light connection costs nothing and counts nothing).
-	heads int
-}
-
-func (n *netOutcome) add(out site.AccessOutcome) {
-	n.hedges += out.Hedges
-	if out.HedgeWon {
-		n.hedgeWins++
-	}
-	if out.FastFailed {
-		n.fastFails++
-	}
-}
-
 // access is the resolved outcome of one page access: the tuple plus which
 // network traffic resolving it cost. Sessions turn accesses into per-query
 // counters.
@@ -212,30 +205,28 @@ type access struct {
 	// stale reports the access was answered from an expired entry because
 	// the origin's breaker was open — a successful but degraded access.
 	stale bool
-	// heads is the number of HEADs issued (0 or 1).
-	heads int
+	// joined reports the access waited on a store fill another query led:
+	// its outcome and traffic are that fill's, attributed to both queries.
+	joined bool
 	// size is the HTML byte size of the page (only when fetched).
 	size int
-	// net is the guard-layer accounting for this access.
-	net netOutcome
+	// net is what resolving the access cost the network beyond the page.
+	net site.Traffic
 }
 
-// Cache is the shared page store. It is safe for concurrent use by many
-// queries at once.
+// Cache is the page store. It is safe for concurrent use by many queries at
+// once.
 type Cache struct {
-	server site.Server
-	scheme *adm.Scheme
-	clock  site.Clock
-	cfg    Config
+	net   *site.Transport
+	clock site.Clock
+	cfg   Config
 
 	mu      sync.Mutex
 	entries map[string]*entry  // guarded by mu
 	lru     *list.List         // front = most recently used; guarded by mu
 	bytes   int64              // guarded by mu
 	flights map[string]*flight // guarded by mu
-	perURL  map[string]int     // retry attempts per URL (diagnostics); guarded by mu
-	sleeper site.Sleeper
-	stats   Stats // guarded by mu
+	stats   Stats              // guarded by mu
 }
 
 // New creates a shared page store over a server and web scheme.
@@ -244,31 +235,26 @@ func New(server site.Server, scheme *adm.Scheme, cfg Config) *Cache {
 	if clk == nil {
 		clk = site.LogicalClock()
 	}
-	slp := cfg.Sleeper
-	if slp == nil {
-		slp = site.StdSleeper()
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = site.DefaultFetchWorkers
 	}
 	return &Cache{
-		server:  server,
-		scheme:  scheme,
+		net:     site.NewTransport(server, scheme, cfg.Retry, cfg.Sleeper, cfg.MaxInFlight),
 		clock:   clk,
 		cfg:     cfg,
 		entries: make(map[string]*entry),
 		lru:     list.New(),
 		flights: make(map[string]*flight),
-		perURL:  make(map[string]int),
-		sleeper: slp,
 	}
 }
 
 // Stats returns a snapshot of the cache-wide counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
+	st := c.stats
+	c.mu.Unlock()
+	st.PeakInFlight = c.net.PeakInFlight()
+	return st
 }
 
 // Len returns the number of cached pages.
@@ -287,11 +273,7 @@ func (c *Cache) Bytes() int64 {
 
 // RetriesFor returns the retry attempts spent on one URL across all
 // queries.
-func (c *Cache) RetriesFor(url string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.perURL[url]
-}
+func (c *Cache) RetriesFor(url string) int { return c.net.RetriesFor(url) }
 
 // Invalidate drops the entry for a URL — the targeted-eviction half of push
 // consistency: a change feed (or any out-of-band signal) reported the page
@@ -374,15 +356,17 @@ func (c *Cache) access(ctx context.Context, schemeName, url string) (access, err
 	if fl, ok := c.flights[url]; ok {
 		// Another query is filling this URL: wait and adopt its outcome —
 		// the access was not free for this query either, so the shared
-		// fetch is attributed to every query that needed it while the
-		// site still sees a single GET.
+		// fetch is attributed to every query that needed it (marked joined,
+		// so the leader alone accounts for the site's single GET).
 		c.mu.Unlock()
 		select {
 		case <-fl.done:
 		case <-ctx.Done():
 			return access{}, ctx.Err()
 		}
-		return fl.res, fl.err
+		res := fl.res
+		res.joined = true
+		return res, fl.err
 	}
 	fl := &flight{done: make(chan struct{})}
 	c.flights[url] = fl
@@ -409,93 +393,81 @@ func (c *Cache) access(ctx context.Context, schemeName, url string) (access, err
 // argued for web data in "Maintaining Consistency of Data on the Web")
 // beats failing the query.
 func (c *Cache) fill(ctx context.Context, schemeName, url string, stale *entry) (access, error) {
-	if stale != nil {
-		meta, n, err := c.headRetry(ctx, url)
-		c.mu.Lock()
-		c.stats.LightConnections += n.heads
-		c.mu.Unlock()
-		if err != nil {
-			if errors.Is(err, site.ErrNotFound) {
-				// The page is gone: drop the entry and report it like a
-				// dangling link.
-				c.mu.Lock()
-				if cur, ok := c.entries[url]; ok && cur == stale {
-					c.removeLocked(cur)
-				}
-				c.mu.Unlock()
-				return access{heads: n.heads, net: n}, err
-			}
-			if errors.Is(err, site.ErrBreakerOpen) {
-				// The breaker fast-failed the revalidation: serve the
-				// expired copy, marked stale.
-				return c.serveStale(url, stale, n), nil
-			}
-			// Transient failure: keep the stale entry for a later retry,
-			// fail this access.
-			return access{heads: n.heads, net: n}, err
-		}
-		if !meta.LastModified.After(stale.lastMod) {
-			// Unchanged on the site: extend the lease, serve the copy.
-			c.mu.Lock()
-			now := c.clock()
-			c.leaseLocked(stale, now)
-			c.lru.MoveToFront(stale.elem)
-			c.stats.Revalidations++
-			res := access{tuple: stale.tuple, revalidated: true, heads: n.heads, net: n}
-			c.mu.Unlock()
-			return res, nil
-		}
-		// Changed: fall through to a full download.
-		res, err := c.fetch(ctx, schemeName, url)
-		res.heads += n.heads
-		res.net.hedges += n.hedges
-		res.net.hedgeWins += n.hedgeWins
-		res.net.fastFails += n.fastFails
-		if err != nil && errors.Is(err, site.ErrBreakerOpen) {
-			// The page changed but the breaker opened before the re-GET:
-			// the old copy is the best available answer — serve it stale.
-			return c.serveStale(url, stale, res.net), nil
-		}
-		return res, err
+	if stale == nil {
+		return c.fetch(ctx, schemeName, url)
 	}
-	return c.fetch(ctx, schemeName, url)
+	meta, n, err := c.net.Head(ctx, url)
+	c.noteTraffic(n)
+	if err != nil {
+		if errors.Is(err, site.ErrNotFound) {
+			// The page is gone: drop the entry and report it like a
+			// dangling link.
+			c.mu.Lock()
+			if cur, ok := c.entries[url]; ok && cur == stale {
+				c.removeLocked(cur)
+			}
+			c.mu.Unlock()
+			return access{net: n}, err
+		}
+		if errors.Is(err, site.ErrBreakerOpen) {
+			// The breaker fast-failed the revalidation: serve the
+			// expired copy, marked stale.
+			return c.serveStale(url, stale, n), nil
+		}
+		// Transient failure: keep the stale entry for a later retry,
+		// fail this access.
+		return access{net: n}, err
+	}
+	if !meta.LastModified.After(stale.lastMod) {
+		// Unchanged on the site: extend the lease, serve the copy.
+		c.mu.Lock()
+		now := c.clock()
+		c.leaseLocked(stale, now)
+		c.lru.MoveToFront(stale.elem)
+		c.stats.Revalidations++
+		res := access{tuple: stale.tuple, revalidated: true, net: n}
+		c.mu.Unlock()
+		return res, nil
+	}
+	// Changed: a full download.
+	res, err := c.fetch(ctx, schemeName, url)
+	res.net.Add(n)
+	if errors.Is(err, site.ErrBreakerOpen) {
+		// The page changed but the breaker opened before the re-GET:
+		// the old copy is the best available answer — serve it stale.
+		return c.serveStale(url, stale, res.net), nil
+	}
+	return res, err
 }
 
 // serveStale answers an access from an expired entry whose origin the
 // breaker declared sick. The entry's lease is NOT extended — the next
 // access after the breaker closes revalidates for real — but it is touched
 // in the LRU so degradation does not evict the very copies serving it.
-func (c *Cache) serveStale(url string, stale *entry, n netOutcome) access {
+func (c *Cache) serveStale(url string, stale *entry, n site.Traffic) access {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if cur, ok := c.entries[url]; ok && cur == stale {
 		c.lru.MoveToFront(stale.elem)
 	}
 	c.stats.Stale++
-	return access{tuple: stale.tuple, stale: true, heads: n.heads, net: n}
+	return access{tuple: stale.tuple, stale: true, net: n}
 }
 
 // fetch downloads, wraps and stores the page at url.
 func (c *Cache) fetch(ctx context.Context, schemeName, url string) (access, error) {
-	ps := c.scheme.Page(schemeName)
-	if ps == nil {
-		return access{}, fmt.Errorf("pagecache: unknown page-scheme %q", schemeName)
-	}
-	page, n, err := c.getRetry(ctx, url)
+	page, n, err := c.net.Get(ctx, schemeName, url)
+	c.noteTraffic(n)
 	if err != nil {
 		// A changed-but-now-unfetchable page must not keep serving its old
 		// version as if verified: drop any entry for the URL. A breaker
 		// fast-fail says nothing about the page, so the entry survives it
-		// (fill may serve it stale).
+		// (fill may serve it stale). A malformed page (e.g. a chaos-truncated
+		// body that outlived the retries) is an error for the asking
+		// queries, never a cache entry.
 		if !errors.Is(err, site.ErrBreakerOpen) {
 			c.drop(url)
 		}
-		return access{net: n}, err
-	}
-	t, err := c.safeWrap(ps, url, page.HTML)
-	if err != nil {
-		// A malformed page (e.g. a chaos-truncated body) is an error for
-		// the asking queries, never a cache entry.
 		return access{net: n}, err
 	}
 	c.mu.Lock()
@@ -503,7 +475,7 @@ func (c *Cache) fetch(ctx context.Context, schemeName, url string) (access, erro
 	if old, ok := c.entries[url]; ok {
 		c.removeLocked(old) // replacement, not a capacity eviction
 	}
-	e := &entry{url: url, scheme: schemeName, tuple: t, size: len(page.HTML), lastMod: page.LastModified}
+	e := &entry{url: url, scheme: schemeName, tuple: page.Tuple, size: page.Size, lastMod: page.LastModified}
 	c.leaseLocked(e, now)
 	e.elem = c.lru.PushFront(e)
 	c.entries[url] = e
@@ -515,24 +487,23 @@ func (c *Cache) fetch(ctx context.Context, schemeName, url string) (access, erro
 	c.stats.BytesFetched += int64(e.size)
 	c.evictLocked()
 	c.mu.Unlock()
-	return access{tuple: t, fetched: true, size: e.size, net: n}, nil
+	return access{tuple: page.Tuple, fetched: true, size: e.size, net: n}, nil
 }
 
-// safeWrap wraps a fetched page, converting a wrapper panic on hostile or
-// pathological HTML into an ordinary fetch error: the asking query fails
-// that one access (or degrades past it) instead of the panic unwinding
-// through whatever goroutine — a pipelined evaluator worker, a singleflight
-// leader serving other queries — happened to fetch the page.
-func (c *Cache) safeWrap(ps *adm.PageScheme, url, html string) (t nested.Tuple, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			c.mu.Lock()
-			c.stats.WrapPanics++
-			c.mu.Unlock()
-			err = fmt.Errorf("pagecache: wrapper panic on %s: %v", url, p)
-		}
-	}()
-	return hypertext.WrapPage(ps, url, html)
+// noteTraffic folds one network operation's traffic into the cache-wide
+// stats.
+func (c *Cache) noteTraffic(n site.Traffic) {
+	if n == (site.Traffic{}) {
+		return
+	}
+	c.mu.Lock()
+	c.stats.LightConnections += n.Heads
+	c.stats.Retries += n.Retries
+	c.stats.Hedges += n.Hedges
+	c.stats.HedgeWins += n.HedgeWins
+	c.stats.BreakerFastFails += n.FastFails
+	c.stats.WrapPanics += n.WrapPanics
+	c.mu.Unlock()
 }
 
 // drop removes any entry for url.
@@ -564,107 +535,5 @@ func (c *Cache) evictLocked() {
 		back := c.lru.Back()
 		c.removeLocked(back.Value.(*entry))
 		c.stats.Evictions++
-	}
-}
-
-// retryable classifies a fetch error: a missing page is permanent, an open
-// breaker stays open for the whole retry window, everything else may
-// succeed on a later attempt. Terminating the retry loop on the first
-// fast-fail is what keeps degraded-mode access counts deterministic.
-func retryable(err error) bool {
-	return err != nil && !errors.Is(err, site.ErrNotFound) && !errors.Is(err, site.ErrBreakerOpen)
-}
-
-// noteOutcome folds one guard outcome into the cache-wide stats.
-func (c *Cache) noteOutcome(out site.AccessOutcome) {
-	if out == (site.AccessOutcome{}) {
-		return
-	}
-	c.mu.Lock()
-	c.stats.Hedges += out.Hedges
-	if out.HedgeWon {
-		c.stats.HedgeWins++
-	}
-	if out.FastFailed {
-		c.stats.BreakerFastFails++
-	}
-	c.mu.Unlock()
-}
-
-// getRetry issues one physical GET under the retry policy, preferring the
-// guard layer's outcome-reporting interface so hedges and fast-fails are
-// accounted per access.
-func (c *Cache) getRetry(ctx context.Context, url string) (site.Page, netOutcome, error) {
-	var n netOutcome
-	var last error
-	for attempt := 0; ; attempt++ {
-		var p site.Page
-		var err error
-		if os, ok := c.server.(site.OutcomeServer); ok {
-			var out site.AccessOutcome
-			p, out, err = os.GetOutcome(ctx, url)
-			n.add(out)
-			c.noteOutcome(out)
-		} else if cs, ok := c.server.(site.ContextServer); ok {
-			p, err = cs.GetContext(ctx, url)
-		} else {
-			p, err = c.server.Get(url)
-		}
-		if err == nil {
-			return p, n, nil
-		}
-		last = err
-		if !retryable(err) || attempt >= c.cfg.Retry.MaxRetries {
-			return site.Page{}, n, last
-		}
-		c.mu.Lock()
-		c.stats.Retries++
-		c.perURL[url]++
-		c.mu.Unlock()
-		if err := c.sleeper.Sleep(ctx, c.cfg.Retry.Backoff(url, attempt)); err != nil {
-			return site.Page{}, n, last
-		}
-	}
-}
-
-// headRetry opens one light connection under the retry policy. The returned
-// outcome's heads field reports whether any HEAD physically reached the
-// network (a breaker fast-fail costs no light connection).
-func (c *Cache) headRetry(ctx context.Context, url string) (site.Meta, netOutcome, error) {
-	var n netOutcome
-	var last error
-	for attempt := 0; ; attempt++ {
-		var m site.Meta
-		var err error
-		switch s := c.server.(type) {
-		case site.OutcomeServer:
-			var out site.AccessOutcome
-			m, out, err = s.HeadOutcome(ctx, url)
-			n.add(out)
-			c.noteOutcome(out)
-			if !out.FastFailed {
-				n.heads = 1
-			}
-		case site.ContextHeadServer:
-			m, err = s.HeadContext(ctx, url)
-			n.heads = 1
-		default:
-			m, err = c.server.Head(url)
-			n.heads = 1
-		}
-		if err == nil {
-			return m, n, nil
-		}
-		last = err
-		if !retryable(err) || attempt >= c.cfg.Retry.MaxRetries {
-			return site.Meta{}, n, last
-		}
-		c.mu.Lock()
-		c.stats.Retries++
-		c.perURL[url]++
-		c.mu.Unlock()
-		if err := c.sleeper.Sleep(ctx, c.cfg.Retry.Backoff(url, attempt)); err != nil {
-			return site.Meta{}, n, last
-		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -501,30 +500,6 @@ func TestStaleServeWhenBreakerOpen(t *testing.T) {
 	}
 	if gets := ms.Counters().Gets(); gets != 1 {
 		t.Fatalf("site saw %d GETs, want only the warmup fetch", gets)
-	}
-}
-
-// TestWrapPanicBecomesFetchError: a wrapper panic on pathological input is
-// contained by safeWrap — the caller sees an ordinary error, the counter
-// records it, and the store keeps serving other fetches normally.
-func TestWrapPanicBecomesFetchError(t *testing.T) {
-	ms, u := testSite(t)
-	c := New(ms, u.Scheme, Config{DefaultTTL: Forever, Clock: newManualClock().Now})
-	// A nil page-scheme makes the wrapper dereference panic — standing in
-	// for any extraction bug a hostile page might trip.
-	_, err := c.safeWrap(nil, "http://hostile/", "<p>x</p>")
-	if err == nil || !strings.Contains(err.Error(), "wrapper panic") {
-		t.Fatalf("err = %v, want a wrapper-panic fetch error", err)
-	}
-	if got := c.Stats().WrapPanics; got != 1 {
-		t.Fatalf("WrapPanics = %d, want 1", got)
-	}
-	// The store is unharmed: a normal fetch still works and nothing from
-	// the failed wrap was retained.
-	scheme, url := pageOf(t, ms, 0)
-	fetchOne(t, c, scheme, url)
-	if c.Len() != 1 {
-		t.Fatalf("entries = %d, want 1", c.Len())
 	}
 }
 

@@ -10,7 +10,9 @@ import (
 // TestConcurrentQueriesShareFetches hammers one shared store with many
 // concurrent sessions over overlapping URL subsets. The singleflight
 // admission must collapse every concurrent miss: the site sees exactly one
-// physical GET per distinct URL, no matter how many queries raced for it.
+// physical GET per distinct URL, no matter how many queries raced for it,
+// and the queries' ledgers say who paid: a GET is a Fetch for every query
+// that needed it and a SharedFetch for all of them but the one that led it.
 // Run under -race this also exercises the store's locking.
 func TestConcurrentQueriesShareFetches(t *testing.T) {
 	ms, u := testSite(t)
@@ -73,6 +75,7 @@ func TestConcurrentQueriesShareFetches(t *testing.T) {
 				mu.Lock()
 				totals.Accesses += st.Accesses
 				totals.Fetches += st.Fetches
+				totals.SharedFetches += st.SharedFetches
 				totals.CacheHits += st.CacheHits
 				totals.Revalidations += st.Revalidations
 				mu.Unlock()
@@ -98,8 +101,9 @@ func TestConcurrentQueriesShareFetches(t *testing.T) {
 	if totals.Accesses != totals.Fetches+totals.CacheHits+totals.Revalidations {
 		t.Fatalf("session accounting leak: %+v", totals)
 	}
-	if totals.Fetches != distinct {
-		t.Fatalf("queries attribute %d shared fetches, want %d (one per distinct URL)", totals.Fetches, distinct)
+	if led := totals.Fetches - totals.SharedFetches; led != distinct {
+		t.Fatalf("queries led %d fetches (%d resolved by a GET, %d of them joined), want %d (one per distinct URL)",
+			led, totals.Fetches, totals.SharedFetches, distinct)
 	}
 }
 

@@ -19,8 +19,8 @@ type SessionOptions struct {
 	// breadth, not network luck.
 	PageBudget int
 	// Degraded turns fetch failures in batches into partial results plus a
-	// *site.PartialError, like the fetcher's degraded mode. A budget
-	// overrun is never degraded away: it aborts the query.
+	// *site.PartialError. A budget overrun is never degraded away: it
+	// aborts the query.
 	Degraded bool
 	// Workers bounds the concurrent accesses one FetchAll batch issues
 	// (0 = the cache's configured bound).
@@ -35,12 +35,19 @@ type SessionOptions struct {
 //
 // and Accesses is the paper's distinct-page cost C(E) — invariant whether
 // the store was cold or warm — while Fetches is what the query actually
-// cost the network.
+// cost the network. (An access that failed is counted in Accesses alone:
+// the invariant is a property of complete answers.)
 type SessionStats struct {
 	// Accesses is the number of distinct pages the query touched.
 	Accesses int
-	// Fetches is the number of accesses resolved by a physical GET.
+	// Fetches is the number of accesses resolved by a physical GET, whether
+	// this query's store fill issued it or the query joined another query's
+	// fill of the same URL.
 	Fetches int
+	// SharedFetches ⊆ Fetches is the number of those GETs another query
+	// led: summed over the sessions of a store, Fetches − SharedFetches is
+	// exactly the GETs the site saw.
+	SharedFetches int
 	// CacheHits is the number of accesses served fresh from the store.
 	CacheHits int
 	// Revalidations is the number of accesses a light connection confirmed
@@ -54,6 +61,9 @@ type SessionStats struct {
 	// Stale is the number of accesses answered from an expired entry
 	// because the origin's breaker was open — successful but degraded.
 	Stale int
+	// Retries is the number of retry attempts spent on this query's
+	// accesses — network operations beyond the paper's distinct-page cost.
+	Retries int
 	// Hedges is the number of extra (hedged) requests the guard issued for
 	// this query's accesses; HedgeWins is how many answered first.
 	Hedges    int
@@ -63,25 +73,36 @@ type SessionStats struct {
 	BreakerFastFails int
 }
 
-// Session is one query's handle on the shared store. It implements
-// site.PageSource: the engine evaluates a plan through it exactly as it
-// would through a private fetcher, but pages come from (and land in) the
-// cross-query cache.
+// Session is one query's handle on a page store and the single resolve-once
+// layer of the access path. It implements site.PageSource: the engine
+// evaluates every plan through one, over the shared cross-query store or
+// over a private store built for the query.
 //
-// Within a session every URL is resolved at most once and the tuple is
-// pinned locally, so one query sees a consistent snapshot of each page even
-// if the shared entry is evicted or refreshed mid-query — the same
-// guarantee the per-query fetcher's private cache gave.
+// Within a session every URL is resolved at most once, however many
+// pipeline branches ask for it at the same time: the first asker accesses
+// the store, the others wait for its answer, and one access and one outcome
+// are counted. The tuple is pinned locally, so one query sees a consistent
+// snapshot of each page even if the shared entry is evicted or refreshed
+// mid-query, and a page found permanently missing is refused from then on
+// without touching the network again. A transient failure is handed to the
+// askers that shared it and not pinned: a later ask tries the store again.
 type Session struct {
 	c    *Cache
 	opts SessionOptions
 
 	mu     sync.Mutex
-	local  map[string]nested.Tuple // URL → pinned tuple (per-query snapshot); guarded by mu
-	seen   map[string]bool         // URLs already charged against the budget; guarded by mu
-	failed map[string]error        // URLs degraded batches left out; guarded by mu
-	stale  map[string]bool         // URLs answered from an expired entry; guarded by mu
-	stats  SessionStats            // guarded by mu
+	pages  map[string]*resolution // every URL the query asked for; guarded by mu
+	failed map[string]error       // URLs degraded batches left out; guarded by mu
+	stats  SessionStats           // guarded by mu
+}
+
+// resolution is one URL's answer within a session. The fields are written
+// once, under Session.mu, before done is closed.
+type resolution struct {
+	done  chan struct{}
+	tuple nested.Tuple
+	stale bool // answered from an expired entry
+	err   error
 }
 
 // NewSession opens a per-query view of the store.
@@ -92,10 +113,8 @@ func (c *Cache) NewSession(opts SessionOptions) *Session {
 	return &Session{
 		c:      c,
 		opts:   opts,
-		local:  make(map[string]nested.Tuple),
-		seen:   make(map[string]bool),
+		pages:  make(map[string]*resolution),
 		failed: make(map[string]error),
-		stale:  make(map[string]bool),
 	}
 }
 
@@ -120,74 +139,77 @@ func (s *Session) Failures() []site.FetchFailure {
 	return out
 }
 
-// FailedURLs returns the sorted URLs degraded batches left out.
-func (s *Session) FailedURLs() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.failed))
-	for u := range s.failed {
-		out = append(out, u)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // StaleURLs returns the sorted URLs this session answered from expired
 // cache entries because the origin's breaker was open.
 func (s *Session) StaleURLs() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.stale))
-	for u := range s.stale {
-		out = append(out, u)
+	var out []string
+	for u, r := range s.pages {
+		if r.stale {
+			out = append(out, u)
+		}
 	}
 	sort.Strings(out)
 	return out
 }
 
-// FetchCtx implements site.PageSource: one page access through the shared
-// store, budget-checked and pinned for the rest of the query.
+// FetchCtx implements site.PageSource: one page access through the store,
+// budget-checked, resolved once and pinned for the rest of the query.
 func (s *Session) FetchCtx(ctx context.Context, schemeName, url string) (nested.Tuple, error) {
 	s.mu.Lock()
-	if t, ok := s.local[url]; ok {
-		s.mu.Unlock()
-		return t, nil
-	}
-	if !s.seen[url] {
-		if s.opts.PageBudget > 0 && len(s.seen) >= s.opts.PageBudget {
+	r, asked := s.pages[url]
+	if !asked {
+		if s.opts.PageBudget > 0 && len(s.pages) >= s.opts.PageBudget {
 			s.mu.Unlock()
 			return nested.Tuple{}, fmt.Errorf("%w: budget %d, next page %s", ErrBudgetExceeded, s.opts.PageBudget, url)
 		}
-		s.seen[url] = true
 		s.stats.Accesses++
 	}
+	// Only a transient failure is asked of the store again.
+	again := asked && r.err != nil && !errors.Is(r.err, site.ErrNotFound)
+	if asked && !again {
+		// In flight, pinned, or permanently missing: share that answer.
+		s.mu.Unlock()
+		select {
+		case <-r.done:
+		case <-ctx.Done():
+			return nested.Tuple{}, ctx.Err()
+		}
+		return r.tuple, r.err
+	}
+	r = &resolution{done: make(chan struct{})}
+	s.pages[url] = r
 	s.mu.Unlock()
 
 	res, err := s.c.access(ctx, schemeName, url)
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats.LightConnections += res.heads
-	s.stats.Hedges += res.net.hedges
-	s.stats.HedgeWins += res.net.hedgeWins
-	s.stats.BreakerFastFails += res.net.fastFails
-	if err != nil {
-		return nested.Tuple{}, err
+	s.stats.LightConnections += res.net.Heads
+	s.stats.Retries += res.net.Retries
+	s.stats.Hedges += res.net.Hedges
+	s.stats.HedgeWins += res.net.HedgeWins
+	s.stats.BreakerFastFails += res.net.FastFails
+	if err == nil {
+		switch {
+		case res.stale:
+			s.stats.Stale++
+		case res.fetched:
+			s.stats.Fetches++
+			s.stats.Bytes += int64(res.size)
+			if res.joined {
+				s.stats.SharedFetches++
+			}
+		case res.revalidated:
+			s.stats.Revalidations++
+		default:
+			s.stats.CacheHits++
+		}
 	}
-	switch {
-	case res.stale:
-		s.stats.Stale++
-		s.stale[url] = true
-	case res.fetched:
-		s.stats.Fetches++
-		s.stats.Bytes += int64(res.size)
-	case res.revalidated:
-		s.stats.Revalidations++
-	default:
-		s.stats.CacheHits++
-	}
-	s.local[url] = res.tuple
-	return res.tuple, nil
+	r.tuple, r.stale, r.err = res.tuple, res.stale, err
+	s.mu.Unlock()
+	close(r.done)
+	return r.tuple, err
 }
 
 // FetchAllCtx implements site.PageSource: a batch of accesses through a
@@ -197,76 +219,33 @@ func (s *Session) FetchCtx(ctx context.Context, schemeName, url string) (nested.
 // always aborts.
 func (s *Session) FetchAllCtx(ctx context.Context, schemeName string, urls []string) ([]nested.Tuple, error) {
 	out := make([]nested.Tuple, len(urls))
-	oks := make([]bool, len(urls))
 	errs := make([]error, len(urls))
-	if len(urls) == 0 {
-		return nil, nil
-	}
-	workers := s.opts.Workers
-	if workers > len(urls) {
-		workers = len(urls)
-	}
-	jobs := make(chan int)
-	done := make(chan struct{}) // closed on the first aborting error
-	var once sync.Once
-	var firstErr error
-	abort := func(err error) {
-		once.Do(func() {
-			firstErr = err
-			close(done)
-		})
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				t, err := s.FetchCtx(ctx, schemeName, urls[i])
-				if err != nil {
-					if s.opts.Degraded && !errors.Is(err, ErrBudgetExceeded) {
-						errs[i] = err
-						continue
-					}
-					abort(err)
-					return
-				}
-				out[i], oks[i] = t, true
-			}
-		}()
-	}
-producing:
-	for i := range urls {
-		select {
-		case jobs <- i:
-		case <-done:
-			break producing
+	err := site.Batch(len(urls), s.opts.Workers, func(i int) error {
+		t, err := s.FetchCtx(ctx, schemeName, urls[i])
+		if err != nil && s.opts.Degraded && !errors.Is(err, ErrBudgetExceeded) {
+			// Leave the page out and keep going: the batch degrades
+			// instead of aborting.
+			errs[i] = err
+			return nil
 		}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		out[i] = t
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	kept := make([]nested.Tuple, 0, len(urls))
 	var failures []site.FetchFailure
-	for i := range urls {
-		if oks[i] {
-			kept = append(kept, out[i])
-			continue
-		}
-		if errs[i] == nil {
-			continue
-		}
-		s.mu.Lock()
-		s.failed[urls[i]] = errs[i]
-		s.mu.Unlock()
-		failures = append(failures, site.FetchFailure{URL: urls[i], Err: errs[i], Retries: s.c.RetriesFor(urls[i])})
-	}
 	var staleList []string
 	s.mu.Lock()
-	for _, u := range urls {
-		if s.stale[u] {
+	for i, u := range urls {
+		if errs[i] != nil {
+			s.failed[u] = errs[i]
+			failures = append(failures, site.FetchFailure{URL: u, Err: errs[i], Retries: s.c.RetriesFor(u)})
+			continue
+		}
+		kept = append(kept, out[i])
+		if s.pages[u].stale {
 			staleList = append(staleList, u)
 		}
 	}

@@ -10,15 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"ulixes/internal/adm"
-	"ulixes/internal/hypertext"
-	"ulixes/internal/nested"
 )
-
-func wrapHTML(ps *adm.PageScheme, pageURL, html string) (nested.Tuple, error) {
-	return hypertext.WrapPage(ps, pageURL, html)
-}
 
 // Handler serves a MemSite over real HTTP. Pages are addressed by their
 // full original URL passed in the "u" query parameter (the simulated site

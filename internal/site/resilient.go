@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -41,10 +40,10 @@ type ContextHeadServer interface {
 }
 
 // AccessOutcome reports what the per-host resilience layer (internal/guard)
-// did for one access, beyond the result itself. The counted access paths
-// (Fetcher, pagecache) surface these numbers per query so the paper's
-// distinct-page-access cost stays exact: hedges and fast-fails are reported
-// separately, never folded into the page count.
+// did for one attempt, beyond the result itself. The Transport sums these
+// into the access's Traffic so the paper's distinct-page-access cost stays
+// exact: hedges and fast-fails are reported separately, never folded into
+// the page count.
 type AccessOutcome struct {
 	// Hedges is the number of extra requests issued for the access.
 	Hedges int
@@ -56,8 +55,8 @@ type AccessOutcome struct {
 }
 
 // OutcomeServer is implemented by the guard layer: downloads and light
-// connections that also report the resilience machinery's actions. Counted
-// access paths type-assert for it, so wrapping a server with a guard
+// connections that also report the resilience machinery's actions. The
+// Transport type-asserts for it, so wrapping a server with a guard
 // transparently enables per-query hedge/fast-fail accounting.
 type OutcomeServer interface {
 	GetOutcome(ctx context.Context, url string) (Page, AccessOutcome, error)
@@ -72,10 +71,10 @@ type OutcomeServer interface {
 // stale instead (see pagecache).
 var ErrBreakerOpen = errors.New("site: circuit breaker open")
 
-// RetryPolicy configures the fetcher's resilience to a misbehaving site:
-// how many times a failed download is retried, how long to back off between
+// RetryPolicy configures the Transport's resilience to a misbehaving site:
+// how many times a failed access is retried, how long to back off between
 // attempts, and how long a single attempt may run. The zero value disables
-// retries and deadlines — the fetcher behaves exactly as before.
+// retries and deadlines.
 type RetryPolicy struct {
 	// MaxRetries is the number of extra attempts after the first (0 means
 	// a single attempt, no retries).
@@ -252,15 +251,5 @@ func (e *PartialError) Unwrap() []error {
 	for i, f := range e.Failures {
 		out[i] = f.Err
 	}
-	return out
-}
-
-// URLs returns the failed URLs in sorted order.
-func (e *PartialError) URLs() []string {
-	out := make([]string, len(e.Failures))
-	for i, f := range e.Failures {
-		out[i] = f.URL
-	}
-	sort.Strings(out)
 	return out
 }

@@ -3,13 +3,30 @@ package site
 import (
 	"context"
 	"errors"
-	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"ulixes/internal/adm"
 	"ulixes/internal/sitegen"
 )
+
+var errBadURL = errors.New("injected fetch failure")
+
+// profURLs collects the professor-page URLs of the generated university —
+// a convenient batch of many distinct pages of one scheme.
+func profURLs(t *testing.T, u *sitegen.University) []string {
+	t.Helper()
+	var urls []string
+	for _, tup := range u.Instance.Relation(sitegen.ProfPage).Tuples() {
+		urls = append(urls, tup.MustGet(adm.URLAttr).String())
+	}
+	if len(urls) < 10 {
+		t.Fatalf("want at least 10 professor pages, have %d", len(urls))
+	}
+	return urls
+}
 
 // failNServer fails the first N GETs of each URL with a transient error,
 // counting every server-side attempt.
@@ -65,280 +82,282 @@ func TestBackoffScheduleDeterministic(t *testing.T) {
 
 // TestRetryRecoversTransient: a URL that fails its first two GETs succeeds
 // with MaxRetries=3, the sleeper records exactly the policy's backoff
-// schedule, and the retry count is surfaced.
+// schedule, and the retry count is surfaced per access and per URL.
 func TestRetryRecoversTransient(t *testing.T) {
 	u, ms := testSite(t)
 	urls := profURLs(t, u)
 	srv := newFailNServer(ms, 2)
-	f := NewFetcher(srv, u.Scheme)
 	pol := RetryPolicy{MaxRetries: 3, Seed: 7}
-	f.SetPolicy(pol)
 	slp := &InstantSleeper{}
-	f.SetSleeper(slp)
+	tr := NewTransport(srv, u.Scheme, pol, slp, 0)
 
-	if _, err := f.Fetch(sitegen.ProfPage, urls[0]); err != nil {
+	_, traffic, err := tr.Get(context.Background(), sitegen.ProfPage, urls[0])
+	if err != nil {
 		t.Fatalf("fetch with retries should recover: %v", err)
 	}
 	if got := srv.count(urls[0]); got != 3 {
 		t.Errorf("server saw %d GETs, want 3 (two failures + success)", got)
 	}
-	if got := f.Retries(); got != 2 {
-		t.Errorf("Retries = %d, want 2", got)
+	if traffic.Retries != 2 || tr.RetriesFor(urls[0]) != 2 {
+		t.Errorf("Retries = %d, RetriesFor = %d, want 2 and 2", traffic.Retries, tr.RetriesFor(urls[0]))
 	}
 	want := []time.Duration{pol.Backoff(urls[0], 0), pol.Backoff(urls[0], 1)}
 	got := slp.Slept()
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
 		t.Errorf("backoff waits = %v, want %v", got, want)
 	}
-	if f.PagesFetched() != 1 {
-		t.Errorf("PagesFetched = %d, want 1 (retries are not distinct pages)", f.PagesFetched())
-	}
 }
 
 // TestRetryExhaustion: when the fault outlives the retry budget the final
-// transient error surfaces, and nothing is negatively cached — the URL can
-// be retried by a later fetch.
+// transient error surfaces.
 func TestRetryExhaustion(t *testing.T) {
 	u, ms := testSite(t)
 	urls := profURLs(t, u)
 	srv := newFailNServer(ms, 3)
-	f := NewFetcher(srv, u.Scheme)
-	f.SetPolicy(RetryPolicy{MaxRetries: 2})
-	f.SetSleeper(&InstantSleeper{})
+	tr := NewTransport(srv, u.Scheme, RetryPolicy{MaxRetries: 2}, &InstantSleeper{}, 0)
 
-	if _, err := f.Fetch(sitegen.ProfPage, urls[0]); !errors.Is(err, errBadURL) {
+	_, traffic, err := tr.Get(context.Background(), sitegen.ProfPage, urls[0])
+	if !errors.Is(err, errBadURL) {
 		t.Fatalf("err = %v, want errBadURL after exhausting retries", err)
 	}
-	if got := srv.count(urls[0]); got != 3 {
-		t.Errorf("server saw %d GETs, want 3 (1 + 2 retries)", got)
-	}
-	// The fourth server attempt succeeds: a fresh fetch must reach it.
-	if _, err := f.Fetch(sitegen.ProfPage, urls[0]); err != nil {
-		t.Fatalf("transient exhaustion must not poison the URL: %v", err)
+	if got := srv.count(urls[0]); got != 3 || traffic.Retries != 2 {
+		t.Errorf("server saw %d GETs with %d retries, want 3 (1 + 2 retries)", got, traffic.Retries)
 	}
 }
 
-// TestNotFoundNotRetriedAndNegativelyCached: a permanently-missing page is
-// fetched exactly once — no retries, and later fetches fail from the
-// negative cache without touching the network.
-func TestNotFoundNotRetriedAndNegativelyCached(t *testing.T) {
+// TestNotFoundNotRetried: a permanently-missing page costs exactly one
+// network operation, GET or HEAD, whatever the retry budget.
+func TestNotFoundNotRetried(t *testing.T) {
 	u, ms := testSite(t)
 	const gone = "http://univ.example.edu/no-such-page.html"
 	cs := newFailNServer(ms, 0) // never fails, but counts server GETs
-	f := NewFetcher(cs, u.Scheme)
-	f.SetPolicy(RetryPolicy{MaxRetries: 5})
-	f.SetSleeper(&InstantSleeper{})
+	tr := NewTransport(cs, u.Scheme, RetryPolicy{MaxRetries: 5}, &InstantSleeper{}, 0)
 
-	if _, err := f.Fetch(sitegen.ProfPage, gone); !errors.Is(err, ErrNotFound) {
+	_, traffic, err := tr.Get(context.Background(), sitegen.ProfPage, gone)
+	if !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
-	if got := cs.count(gone); got != 1 {
-		t.Errorf("server saw %d GETs, want 1 (permanent errors are not retried)", got)
+	if got := cs.count(gone); got != 1 || traffic.Retries != 0 {
+		t.Errorf("server saw %d GETs with %d retries, want 1 and 0", got, traffic.Retries)
 	}
-	if f.Retries() != 0 {
-		t.Errorf("Retries = %d, want 0", f.Retries())
-	}
-	if _, err := f.Fetch(sitegen.ProfPage, gone); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("second fetch err = %v, want ErrNotFound", err)
-	}
-	if got := cs.count(gone); got != 1 {
-		t.Errorf("server saw %d GETs after second fetch, want still 1 (negative cache)", got)
-	}
-	f.ResetCache()
-	if _, err := f.Fetch(sitegen.ProfPage, gone); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("post-reset fetch err = %v, want ErrNotFound", err)
-	}
-	if got := cs.count(gone); got != 2 {
-		t.Errorf("ResetCache should clear the negative cache: %d GETs, want 2", got)
+	if _, traffic, err = tr.Head(context.Background(), gone); !errors.Is(err, ErrNotFound) || traffic.Retries != 0 {
+		t.Errorf("HEAD err = %v with %d retries, want ErrNotFound and 0", err, traffic.Retries)
 	}
 }
 
-// TestFetchAllDegradedPartial: in degraded mode a batch with unreachable
-// URLs returns every reachable page plus a structured PartialError naming
-// the missing ones.
-func TestFetchAllDegradedPartial(t *testing.T) {
+// truncOnceServer serves the first GET of each URL cut in half — a dropped
+// connection mid-body — and the full page afterwards.
+type truncOnceServer struct {
+	*MemSite
+	mu   sync.Mutex
+	seen map[string]bool
+}
+
+func (s *truncOnceServer) Get(url string) (Page, error) {
+	p, err := s.MemSite.Get(url)
+	s.mu.Lock()
+	first := !s.seen[url]
+	s.seen[url] = true
+	s.mu.Unlock()
+	if err == nil && first {
+		p.HTML = p.HTML[:len(p.HTML)/2]
+	}
+	return p, err
+}
+
+// TestTruncatedBodyRetried: the retry unit is GET plus wrap, so a body that
+// arrives but does not wrap is retried like any transient failure.
+func TestTruncatedBodyRetried(t *testing.T) {
 	u, ms := testSite(t)
 	urls := profURLs(t, u)
-	bad := urls[3]
-	f := NewFetcher(&faultyServer{MemSite: ms, bad: bad}, u.Scheme)
-	f.SetDegraded(true)
+	srv := &truncOnceServer{MemSite: ms, seen: make(map[string]bool)}
 
-	got, err := f.FetchAll(sitegen.ProfPage, urls)
-	if err == nil {
-		t.Fatal("degraded FetchAll over a bad URL should return a PartialError")
+	strict := NewTransport(srv, u.Scheme, RetryPolicy{}, nil, 0)
+	if _, _, err := strict.Get(context.Background(), sitegen.ProfPage, urls[0]); err == nil {
+		t.Fatal("a truncated body must not wrap")
 	}
-	var pe *PartialError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %T (%v), want *PartialError", err, err)
+	tr := NewTransport(srv, u.Scheme, RetryPolicy{MaxRetries: 1}, &InstantSleeper{}, 0)
+	got, traffic, err := tr.Get(context.Background(), sitegen.ProfPage, urls[1])
+	if err != nil {
+		t.Fatalf("retry after a truncated body should succeed: %v", err)
 	}
-	if us := pe.URLs(); len(us) != 1 || us[0] != bad {
-		t.Errorf("PartialError.URLs = %v, want [%s]", us, bad)
+	if traffic.Retries != 1 {
+		t.Errorf("Retries = %d, want 1", traffic.Retries)
 	}
-	if !errors.Is(err, errBadURL) {
-		t.Error("PartialError should unwrap to the underlying fetch error")
-	}
-	if len(got) != len(urls)-1 {
-		t.Errorf("degraded batch returned %d pages, want %d", len(got), len(urls)-1)
-	}
-	if fu := f.FailedURLs(); len(fu) != 1 || fu[0] != bad {
-		t.Errorf("FailedURLs = %v, want [%s]", fu, bad)
-	}
-	// A fully healthy batch in degraded mode reports no error at all.
-	f2 := NewFetcher(ms, u.Scheme)
-	f2.SetDegraded(true)
-	if _, err := f2.FetchAll(sitegen.ProfPage, urls); err != nil {
-		t.Errorf("degraded FetchAll over a healthy site: %v", err)
+	if want, _ := u.Instance.Page(sitegen.ProfPage, urls[1]); !got.Tuple.Equal(want) {
+		t.Error("the retried page should wrap to the instance tuple")
 	}
 }
 
-// stallOnceServer stalls the first GET of each URL until the download
-// context is canceled, then serves normally — the shape of a hung TCP
-// connection that a per-attempt deadline must break.
+// stallOnceServer stalls the first GET and the first HEAD of each URL until
+// the call's context is canceled, then serves normally — the shape of a
+// hung TCP connection that a per-attempt deadline must break.
 type stallOnceServer struct {
 	*MemSite
 	mu      sync.Mutex
 	stalled map[string]bool
 }
 
-func (s *stallOnceServer) GetContext(ctx context.Context, url string) (Page, error) {
+func (s *stallOnceServer) stall(ctx context.Context, key string) error {
 	s.mu.Lock()
-	stall := !s.stalled[url]
-	s.stalled[url] = true
+	stall := !s.stalled[key]
+	s.stalled[key] = true
 	s.mu.Unlock()
 	if stall {
 		<-ctx.Done()
-		return Page{}, ctx.Err()
+		return ctx.Err()
+	}
+	return nil
+}
+
+func (s *stallOnceServer) GetContext(ctx context.Context, url string) (Page, error) {
+	if err := s.stall(ctx, "GET "+url); err != nil {
+		return Page{}, err
+	}
+	return s.MemSite.Get(url)
+}
+
+func (s *stallOnceServer) HeadContext(ctx context.Context, url string) (Meta, error) {
+	if err := s.stall(ctx, "HEAD "+url); err != nil {
+		return Meta{}, err
+	}
+	return s.MemSite.Head(url)
+}
+
+// hangOnceServer is the same hang behind the plain, context-free Server
+// interface: the first GET of each URL blocks until the test releases it.
+type hangOnceServer struct {
+	*MemSite
+	mu      sync.Mutex
+	hung    map[string]bool
+	release chan struct{}
+}
+
+func (s *hangOnceServer) Get(url string) (Page, error) {
+	s.mu.Lock()
+	hang := !s.hung[url]
+	s.hung[url] = true
+	s.mu.Unlock()
+	if hang {
+		<-s.release
 	}
 	return s.MemSite.Get(url)
 }
 
 // TestAttemptTimeoutBreaksStall: the per-attempt deadline abandons a
-// stalled download and the retry succeeds — all without any wall-clock
-// wait, because the deadline timer is the injected sleeper.
+// stalled GET or HEAD and the retry succeeds — all without any wall-clock
+// wait, because the deadline timer is the injected sleeper. A context-aware
+// server is canceled; a plain one is abandoned in its goroutine.
 func TestAttemptTimeoutBreaksStall(t *testing.T) {
 	u, ms := testSite(t)
 	urls := profURLs(t, u)
+	ctx := context.Background()
 	srv := &stallOnceServer{MemSite: ms, stalled: make(map[string]bool)}
-	f := NewFetcher(srv, u.Scheme)
-	f.SetSleeper(&InstantSleeper{})
 
 	// Without retries the attempt deadline surfaces as ErrAttemptTimeout.
-	f.SetPolicy(RetryPolicy{AttemptTimeout: time.Second})
-	if _, err := f.Fetch(sitegen.ProfPage, urls[0]); !errors.Is(err, ErrAttemptTimeout) {
-		t.Fatalf("err = %v, want ErrAttemptTimeout", err)
+	strict := NewTransport(srv, u.Scheme, RetryPolicy{AttemptTimeout: time.Second}, &InstantSleeper{}, 0)
+	if _, _, err := strict.Get(ctx, sitegen.ProfPage, urls[0]); !errors.Is(err, ErrAttemptTimeout) {
+		t.Fatalf("GET err = %v, want ErrAttemptTimeout", err)
+	}
+	if _, _, err := strict.Head(ctx, urls[0]); !errors.Is(err, ErrAttemptTimeout) {
+		t.Fatalf("HEAD err = %v, want ErrAttemptTimeout", err)
 	}
 
 	// With one retry the second attempt finds the server healed.
-	f.SetPolicy(RetryPolicy{MaxRetries: 1, AttemptTimeout: time.Second})
-	if _, err := f.Fetch(sitegen.ProfPage, urls[1]); err != nil {
-		t.Fatalf("retry after a stalled attempt should succeed: %v", err)
+	tr := NewTransport(srv, u.Scheme, RetryPolicy{MaxRetries: 1, AttemptTimeout: time.Second}, &InstantSleeper{}, 0)
+	if _, traffic, err := tr.Get(ctx, sitegen.ProfPage, urls[1]); err != nil || traffic.Retries != 1 {
+		t.Fatalf("GET after a stalled attempt: err %v, %d retries; want success after 1", err, traffic.Retries)
 	}
-	if f.Retries() == 0 {
-		t.Error("Retries = 0, want > 0 after recovering from a stall")
+	if _, traffic, err := tr.Head(ctx, urls[1]); err != nil || traffic.Retries != 1 {
+		t.Fatalf("HEAD after a stalled attempt: err %v, %d retries; want success after 1", err, traffic.Retries)
+	}
+
+	// A plain server cannot be canceled, so an instantly-firing deadline
+	// would race the healed second attempt too: this one waits on a real,
+	// short timer and backs off instantly.
+	plain := &hangOnceServer{MemSite: ms, hung: make(map[string]bool), release: make(chan struct{})}
+	defer close(plain.release)
+	tr = NewTransport(plain, u.Scheme, RetryPolicy{MaxRetries: 1, AttemptTimeout: 50 * time.Millisecond, BaseBackoff: time.Nanosecond}, nil, 0)
+	if _, traffic, err := tr.Get(ctx, sitegen.ProfPage, urls[2]); err != nil || traffic.Retries != 1 {
+		t.Fatalf("GET on a plain server after a hung attempt: err %v, %d retries; want success after 1", err, traffic.Retries)
 	}
 }
 
-// gatedFailServer blocks each GET until released, then fails it — so a
-// test can pile concurrent fetchers onto one in-flight download and assert
-// they all share its error.
-type gatedFailServer struct {
-	*MemSite
-	mu      sync.Mutex
-	started chan struct{} // signaled once per GET start
-	release chan struct{} // closed to let GETs proceed
-	healed  bool
-	gets    int
-}
-
-func (s *gatedFailServer) Get(url string) (Page, error) {
-	s.mu.Lock()
-	s.gets++
-	healed := s.healed
-	s.mu.Unlock()
-	s.started <- struct{}{}
-	<-s.release
-	if healed {
-		return s.MemSite.Get(url)
+// TestWrapPanicBecomesFetchError: a wrapper panic on pathological input is
+// contained — the caller sees an ordinary error. A nil page-scheme makes the
+// wrapper dereference panic, standing in for any extraction bug a hostile
+// page might trip.
+func TestWrapPanicBecomesFetchError(t *testing.T) {
+	_, panicked, err := safeWrap(nil, "http://hostile/", "<p>x</p>")
+	if !panicked || err == nil || !strings.Contains(err.Error(), "wrapper panic") {
+		t.Fatalf("safeWrap = panicked %v, err %v; want a wrapper-panic fetch error", panicked, err)
 	}
-	return Page{}, errBadURL
 }
 
-func (s *gatedFailServer) count() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.gets
-}
-
-// TestSingleflightErrorPropagation: when many goroutines race on one URL
-// whose single underlying GET fails, every waiter receives the error, the
-// server sees exactly one GET, and the URL stays fetchable afterwards —
-// a failed flight neither poisons the cache nor breaks the singleflight.
-func TestSingleflightErrorPropagation(t *testing.T) {
+// TestInFlightBound: however many goroutines fetch at once, the server
+// never sees more simultaneous accesses than the transport's bound.
+func TestInFlightBound(t *testing.T) {
 	u, ms := testSite(t)
+	ms.SetLatency(200 * time.Microsecond)
 	urls := profURLs(t, u)
-	srv := &gatedFailServer{
-		MemSite: ms,
-		started: make(chan struct{}, 64),
-		release: make(chan struct{}),
-	}
-	f := NewFetcher(srv, u.Scheme)
+	tr := NewTransport(ms, u.Scheme, RetryPolicy{}, nil, 3)
 
-	const waiters = 15
-	errs := make(chan error, waiters+1)
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, err := f.Fetch(sitegen.ProfPage, urls[0])
-		errs <- err
-	}()
-	<-srv.started // the flight is registered and blocked in the server
-	for i := 0; i < waiters; i++ {
+	for g := 0; g < 6; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := f.Fetch(sitegen.ProfPage, urls[0])
-			errs <- err
+			for _, url := range urls {
+				if _, _, err := tr.Get(context.Background(), sitegen.ProfPage, url); err != nil {
+					t.Error(err)
+				}
+			}
 		}()
 	}
-	// Wait until every waiter has joined the in-progress flight; only then
-	// let the single GET fail, so all of them share its error.
-	for f.flightWaiters() < waiters {
-		runtime.Gosched()
-	}
-	close(srv.release)
 	wg.Wait()
-	close(errs)
-	n := 0
-	for err := range errs {
-		n++
-		if !errors.Is(err, errBadURL) {
-			t.Errorf("waiter error = %v, want errBadURL", err)
+	if peak := tr.PeakInFlight(); peak < 1 || peak > 3 {
+		t.Errorf("peak in-flight = %d, want within [1, 3]", peak)
+	}
+}
+
+// TestBatch covers the ordered bounded helper: every index runs once, any
+// worker count (including non-positive) works, and the first error stops
+// the batch without deadlocking the producer — with a single worker and an
+// error on the first index the lone worker exits immediately and the
+// producer must not block feeding the remaining jobs to nobody.
+func TestBatch(t *testing.T) {
+	for _, workers := range []int{-1, 0, 1, 4, 64} {
+		hits := make([]int, 40)
+		if err := Batch(len(hits), workers, func(i int) error { hits[i]++; return nil }); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i, n := range hits {
+			if n != 1 {
+				t.Fatalf("workers=%d: index %d ran %d times", workers, i, n)
+			}
+		}
+		for _, bad := range []int{0, 20} {
+			result := make(chan error, 1)
+			go func() {
+				result <- Batch(40, workers, func(i int) error {
+					if i == bad {
+						return errBadURL
+					}
+					return nil
+				})
+			}()
+			select {
+			case err := <-result:
+				if !errors.Is(err, errBadURL) {
+					t.Fatalf("workers=%d bad=%d: err = %v, want the injected failure", workers, bad, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("workers=%d bad=%d: Batch deadlocked after a worker error", workers, bad)
+			}
 		}
 	}
-	if n != waiters+1 {
-		t.Fatalf("collected %d errors, want %d", n, waiters+1)
-	}
-	if got := srv.count(); got != 1 {
-		t.Errorf("server saw %d GETs, want 1 (singleflight must coalesce)", got)
-	}
-
-	// The URL heals: the next fetch issues a fresh GET and succeeds, and the
-	// singleflight keeps coalescing.
-	srv.mu.Lock()
-	srv.healed = true
-	srv.mu.Unlock()
-	go func() {
-		<-srv.started
-	}()
-	if _, err := f.Fetch(sitegen.ProfPage, urls[0]); err != nil {
-		t.Fatalf("fetch after heal: %v", err)
-	}
-	if got := srv.count(); got != 2 {
-		t.Errorf("server saw %d GETs after heal, want 2", got)
-	}
-	if f.PagesFetched() != 1 {
-		t.Errorf("PagesFetched = %d, want 1", f.PagesFetched())
+	if err := Batch(0, 4, func(int) error { return errBadURL }); err != nil {
+		t.Fatalf("empty batch: %v", err)
 	}
 }
 
@@ -350,71 +369,4 @@ func TestDefaultHTTPClientHasTimeout(t *testing.T) {
 	if c.Timeout != DefaultHTTPTimeout {
 		t.Errorf("default client timeout = %v, want %v", c.Timeout, DefaultHTTPTimeout)
 	}
-}
-
-// TestNegativeCacheTTLExpiry is the regression test for the negative cache
-// treating every 404 as permanent forever: a page that vanishes is
-// negatively cached, but once the entry outlives its TTL (on the injectable
-// clock) the next fetch goes back to the network and finds the reappeared
-// page.
-func TestNegativeCacheTTLExpiry(t *testing.T) {
-	u, ms := testSite(t)
-	urls := profURLs(t, u)
-	gone := urls[0]
-	cs := newFailNServer(ms, 0)
-	f := NewFetcher(cs, u.Scheme)
-
-	now := time.Date(1998, time.March, 23, 0, 0, 0, 0, time.UTC)
-	var mu sync.Mutex
-	f.SetClock(func() time.Time {
-		mu.Lock()
-		defer mu.Unlock()
-		return now
-	})
-	f.SetNegativeTTL(time.Minute)
-
-	if !ms.RemovePage(gone) {
-		t.Fatalf("RemovePage(%s) found nothing", gone)
-	}
-	if _, err := f.Fetch(sitegen.ProfPage, gone); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v, want ErrNotFound", err)
-	}
-	if got := cs.count(gone); got != 1 {
-		t.Fatalf("server saw %d GETs, want 1", got)
-	}
-
-	// Inside the TTL the 404 is served from the negative cache.
-	mu.Lock()
-	now = now.Add(30 * time.Second)
-	mu.Unlock()
-	if _, err := f.Fetch(sitegen.ProfPage, gone); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("within TTL err = %v, want ErrNotFound", err)
-	}
-	if got := cs.count(gone); got != 1 {
-		t.Fatalf("within TTL the server saw %d GETs, want still 1", got)
-	}
-
-	// The site restores the page; past the TTL the fetcher must notice.
-	if err := restorePage(ms, u, gone); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	now = now.Add(31 * time.Second)
-	mu.Unlock()
-	if _, err := f.Fetch(sitegen.ProfPage, gone); err != nil {
-		t.Fatalf("past the TTL the reappeared page must be fetched: %v", err)
-	}
-	if got := cs.count(gone); got != 2 {
-		t.Fatalf("past the TTL the server saw %d GETs, want 2", got)
-	}
-}
-
-// restorePage re-renders the professor page at the URL into the site.
-func restorePage(ms *MemSite, u *sitegen.University, url string) error {
-	for _, tup := range u.Instance.Relation(sitegen.ProfPage).Tuples() {
-		if v, ok := tup.Get("URL"); ok && v.String() == url {
-			return ms.UpdatePage(sitegen.ProfPage, tup)
-		}
-	}
-	return errBadURL
 }

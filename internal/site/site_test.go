@@ -1,16 +1,15 @@
 package site
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"ulixes/internal/adm"
 	"ulixes/internal/nested"
 	"ulixes/internal/sitegen"
 )
@@ -151,142 +150,46 @@ func contains(s, sub string) bool {
 	})()
 }
 
-func TestFetcherWrapsPages(t *testing.T) {
+func TestTransportWrapsPages(t *testing.T) {
 	u, ms := testSite(t)
-	f := NewFetcher(ms, u.Scheme)
-	tup, err := f.Fetch(sitegen.ProfListPage, sitegen.UnivProfListURL)
+	tr := NewTransport(ms, u.Scheme, RetryPolicy{}, nil, 0)
+	got, traffic, err := tr.Get(context.Background(), sitegen.ProfListPage, sitegen.UnivProfListURL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, _ := u.Instance.Page(sitegen.ProfListPage, sitegen.UnivProfListURL)
-	if !tup.Equal(want) {
-		t.Errorf("fetched tuple differs from instance:\n got %v\nwant %v", tup, want)
+	if !got.Tuple.Equal(want) {
+		t.Errorf("fetched tuple differs from instance:\n got %v\nwant %v", got.Tuple, want)
+	}
+	raw, _ := ms.Get(sitegen.UnivProfListURL)
+	if got.Size != len(raw.HTML) || !got.LastModified.Equal(raw.LastModified) {
+		t.Errorf("Fetched size/date = %d/%v, want %d/%v", got.Size, got.LastModified, len(raw.HTML), raw.LastModified)
+	}
+	if traffic != (Traffic{}) {
+		t.Errorf("a clean GET reported traffic %+v", traffic)
+	}
+	m, traffic, err := tr.Head(context.Background(), sitegen.UnivProfListURL)
+	if err != nil || !m.LastModified.Equal(raw.LastModified) {
+		t.Errorf("Head = %v, %v; want %v", m.LastModified, err, raw.LastModified)
+	}
+	if traffic != (Traffic{Heads: 1}) {
+		t.Errorf("a clean HEAD reported traffic %+v, want one light connection", traffic)
 	}
 }
 
-func TestFetcherCaches(t *testing.T) {
+func TestTransportErrors(t *testing.T) {
 	u, ms := testSite(t)
-	f := NewFetcher(ms, u.Scheme)
-	for i := 0; i < 5; i++ {
-		if _, err := f.Fetch(sitegen.ProfListPage, sitegen.UnivProfListURL); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := ms.Counters().Gets(); got != 1 {
-		t.Errorf("server saw %d gets, want 1 (cache)", got)
-	}
-	if f.PagesFetched() != 1 {
-		t.Errorf("PagesFetched = %d", f.PagesFetched())
-	}
-	f.ResetCache()
-	if _, err := f.Fetch(sitegen.ProfListPage, sitegen.UnivProfListURL); err != nil {
-		t.Fatal(err)
-	}
-	if got := ms.Counters().Gets(); got != 2 {
-		t.Errorf("after reset, gets = %d, want 2", got)
-	}
-	if f.PagesFetched() != 1 {
-		t.Errorf("PagesFetched after reset = %d", f.PagesFetched())
-	}
-}
-
-func TestFetcherErrors(t *testing.T) {
-	u, ms := testSite(t)
-	f := NewFetcher(ms, u.Scheme)
-	if _, err := f.Fetch(sitegen.ProfPage, "http://ghost/"); !errors.Is(err, ErrNotFound) {
+	tr := NewTransport(ms, u.Scheme, RetryPolicy{}, nil, 0)
+	ctx := context.Background()
+	if _, _, err := tr.Get(ctx, sitegen.ProfPage, "http://ghost/"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("err = %v", err)
 	}
-	if _, err := f.Fetch("Nope", sitegen.UnivHomeURL); err == nil {
+	if _, _, err := tr.Get(ctx, "Nope", sitegen.UnivHomeURL); err == nil {
 		t.Error("unknown scheme should error")
 	}
 	// Wrapping under the wrong scheme fails (marker mismatch).
-	if _, err := f.Fetch(sitegen.ProfPage, sitegen.UnivHomeURL); err == nil {
+	if _, _, err := tr.Get(ctx, sitegen.ProfPage, sitegen.UnivHomeURL); err == nil {
 		t.Error("scheme mismatch should error")
-	}
-}
-
-func TestFetchAll(t *testing.T) {
-	u, ms := testSite(t)
-	f := NewFetcher(ms, u.Scheme)
-	urls := make([]string, 0, u.Params.Profs)
-	for _, tup := range u.Instance.Relation(sitegen.ProfPage).Tuples() {
-		v, _ := tup.Get(adm.URLAttr)
-		urls = append(urls, v.String())
-	}
-	tuples, err := f.FetchAll(sitegen.ProfPage, urls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tuples) != len(urls) {
-		t.Fatalf("got %d tuples", len(tuples))
-	}
-	for i, tup := range tuples {
-		v, _ := tup.Get(adm.URLAttr)
-		if v.String() != urls[i] {
-			t.Errorf("order not preserved at %d: %s != %s", i, v, urls[i])
-		}
-	}
-	if got := ms.Counters().Gets(); got != len(urls) {
-		t.Errorf("gets = %d, want %d", got, len(urls))
-	}
-	// Empty batch.
-	if out, err := f.FetchAll(sitegen.ProfPage, nil); err != nil || len(out) != 0 {
-		t.Errorf("empty batch: %v %v", out, err)
-	}
-}
-
-func TestFetchAllDuplicatesCountOnce(t *testing.T) {
-	u, ms := testSite(t)
-	f := NewFetcher(ms, u.Scheme)
-	urls := []string{sitegen.UnivHomeURL, sitegen.UnivHomeURL, sitegen.UnivHomeURL}
-	if _, err := f.FetchAll(sitegen.HomePage, urls); err != nil {
-		t.Fatal(err)
-	}
-	if got := f.PagesFetched(); got != 1 {
-		t.Errorf("distinct fetches = %d, want 1", got)
-	}
-}
-
-func TestFetchAllPropagatesError(t *testing.T) {
-	u, ms := testSite(t)
-	f := NewFetcher(ms, u.Scheme)
-	urls := []string{sitegen.UnivHomeURL, "http://ghost/1", "http://ghost/2"}
-	if _, err := f.FetchAll(sitegen.HomePage, urls); err == nil {
-		t.Error("batch with failing URL should error")
-	}
-}
-
-func TestFetcherConcurrentSafety(t *testing.T) {
-	u, ms := testSite(t)
-	f := NewFetcher(ms, u.Scheme)
-	f.SetWorkers(16)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 20; j++ {
-				if _, err := f.Fetch(sitegen.UnivProfListURL, sitegen.UnivProfListURL); err == nil {
-					// URL-as-scheme is wrong on purpose for half the calls;
-					// ignore result, this test is about data races.
-					_ = j
-				}
-				f.Fetch(sitegen.ProfListPage, sitegen.UnivProfListURL)
-			}
-		}()
-	}
-	wg.Wait()
-	if f.PagesFetched() < 1 {
-		t.Error("expected at least one successful fetch")
-	}
-}
-
-func TestSetWorkersClamp(t *testing.T) {
-	u, ms := testSite(t)
-	f := NewFetcher(ms, u.Scheme)
-	f.SetWorkers(0)
-	if f.workers != 1 {
-		t.Errorf("workers = %d, want clamp to 1", f.workers)
 	}
 }
 
@@ -324,13 +227,12 @@ func TestHTTPAdapterEndToEnd(t *testing.T) {
 		t.Errorf("HEAD ghost err = %v", err)
 	}
 	// The whole fetch+wrap pipeline over real HTTP.
-	f := NewFetcher(hs, u.Scheme)
-	tup, err := f.Fetch(sitegen.ProfListPage, sitegen.UnivProfListURL)
+	got, _, err := NewTransport(hs, u.Scheme, RetryPolicy{}, nil, 0).Get(context.Background(), sitegen.ProfListPage, sitegen.UnivProfListURL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, _ := u.Instance.Page(sitegen.ProfListPage, sitegen.UnivProfListURL)
-	if !tup.Equal(want) {
+	if !got.Tuple.Equal(want) {
 		t.Error("fetch over HTTP should wrap to the instance tuple")
 	}
 }

@@ -8,10 +8,10 @@ import (
 
 // PageSource is the page-supply abstraction threaded through the query
 // system: anything that can deliver wrapped pages by page-scheme and URL.
-// The per-query Fetcher implements it (each query downloads its own pages
-// and counts them afresh), and so does a pagecache.Session (queries share
-// one cross-query store and physical fetches are deduplicated across them,
-// while per-query access counts stay exact).
+// The one implementation is pagecache.Session, a query's view of a page
+// store: a private store when each query downloads and counts its own pages
+// afresh, a shared one when physical fetches are deduplicated across queries
+// while per-query access counts stay exact.
 //
 // Implementations must be safe for concurrent use: the pipelined evaluator
 // calls both methods from concurrent goroutines.
@@ -24,6 +24,3 @@ type PageSource interface {
 	// reported through a *PartialError alongside the partial result.
 	FetchAllCtx(ctx context.Context, schemeName string, urls []string) ([]nested.Tuple, error)
 }
-
-// Fetcher implements PageSource.
-var _ PageSource = (*Fetcher)(nil)

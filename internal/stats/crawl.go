@@ -1,10 +1,12 @@
 package stats
 
 import (
+	"context"
 	"fmt"
 
 	"ulixes/internal/adm"
 	"ulixes/internal/nested"
+	"ulixes/internal/pagecache"
 	"ulixes/internal/site"
 )
 
@@ -25,7 +27,8 @@ func Crawl(server site.Server, ws *adm.Scheme) (*adm.Instance, error) {
 // CrawlWithSizes is Crawl, additionally returning the average HTML page
 // size per page-scheme (for the byte-weighted cost model).
 func CrawlWithSizes(server site.Server, ws *adm.Scheme) (*adm.Instance, map[string]float64, error) {
-	f := site.NewFetcher(server, ws)
+	ctx := context.Background()
+	sess := pagecache.New(server, ws, pagecache.Config{DefaultTTL: pagecache.Forever}).NewSession(pagecache.SessionOptions{})
 	inst := adm.NewInstance(ws)
 	type item struct{ scheme, url string }
 	var queue []item
@@ -40,17 +43,18 @@ func CrawlWithSizes(server site.Server, ws *adm.Scheme) (*adm.Instance, map[stri
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		tup, err := f.Fetch(cur.scheme, cur.url)
+		before := sess.Stats().Bytes
+		tup, err := sess.FetchCtx(ctx, cur.scheme, cur.url)
 		if err != nil {
 			return nil, nil, fmt.Errorf("stats: crawl %s (%s): %w", cur.url, cur.scheme, err)
 		}
 		if err := inst.AddPage(cur.scheme, tup); err != nil {
 			return nil, nil, err
 		}
-		if n, ok := f.SizeOf(cur.url); ok {
-			bytesBy[cur.scheme] += float64(n)
-			countBy[cur.scheme]++
-		}
+		// The crawl is sequential and visits each URL once, so the byte
+		// delta is this page's size.
+		bytesBy[cur.scheme] += float64(sess.Stats().Bytes - before)
+		countBy[cur.scheme]++
 		for _, ref := range links {
 			if ref.Scheme != cur.scheme {
 				continue
