@@ -15,6 +15,7 @@ import (
 
 	"ulixes"
 	"ulixes/internal/exp"
+	"ulixes/internal/optimizer"
 	"ulixes/internal/site"
 	"ulixes/internal/sitegen"
 	"ulixes/internal/stats"
@@ -179,6 +180,48 @@ func BenchmarkOptimizeExample72(b *testing.B) {
 		if _, err := sys.Plan(exp.Example72Query); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// coldShapes are the join shapes of BenchmarkOptimizeCold: two to five
+// atoms of the university chain, the 4-atom one being Example 7.2.
+var coldShapes = []struct{ name, query string }{
+	{"2atom", `SELECT p.PName, p.Email FROM Professor p, ProfDept pd
+		WHERE p.PName = pd.PName AND pd.DName = 'Computer Science'`},
+	{"3atom", exp.Example71Query},
+	{"4atom", exp.Example72Query},
+	{"5atom", `SELECT p.PName, d.Address, c.CName
+		FROM Professor p, ProfDept pd, Dept d, CourseInstructor ci, Course c
+		WHERE p.PName = pd.PName AND pd.DName = d.DName
+		  AND p.PName = ci.PName AND ci.CName = c.CName
+		  AND c.Type = 'Graduate' AND d.DName = 'Computer Science'`},
+}
+
+// BenchmarkOptimizeCold measures one uncached run of Algorithm 1 per join
+// width — what a new query shape, a statistics-drift invalidation or a
+// cold view-selection estimate pays. plans/op is the number of plans the
+// search considered, so ns/op and B/op divide into per-plan figures.
+func BenchmarkOptimizeCold(b *testing.B) {
+	u, err := sitegen.GenerateUniversity(sitegen.PaperUniversityParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := optimizer.New(view.UniversityView(u.Scheme), stats.CollectInstance(u.Instance))
+	for _, shape := range coldShapes {
+		q, err := ulixes.ParseQuery(shape.query)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var res *optimizer.Result
+			for i := 0; i < b.N; i++ {
+				if res, err = opt.Optimize(q); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(res.PlansConsidered), "plans/op")
+		})
 	}
 }
 

@@ -30,35 +30,40 @@ type Estimate struct {
 	Card float64
 	// Cost is the estimated number of page downloads (C(E) in the paper).
 	Cost float64
-	// Distinct maps column names to estimated distinct-value counts.
-	Distinct map[string]float64
+	// distinct holds the estimated distinct-value count of each output
+	// column, in the order of the expression's schema. Estimates are
+	// immutable once computed, so an operator that leaves the counts alone
+	// shares its input's slice.
+	distinct []float64
+	schema   *nalg.Schema
 }
 
-func (e Estimate) clone() Estimate {
-	d := make(map[string]float64, len(e.Distinct))
-	for k, v := range e.Distinct {
-		d[k] = v
+// Distinct returns the estimated distinct-value count of an output column,
+// and whether the expression has such a column.
+func (e Estimate) Distinct(col string) (float64, bool) {
+	if i := e.schema.Index(col); i >= 0 {
+		return e.distinct[i], true
 	}
-	return Estimate{Card: e.Card, Cost: e.Cost, Distinct: d}
+	return 0, false
 }
 
-// capDistinct clamps every distinct count to the current cardinality (a
-// column cannot have more distinct values than there are tuples).
-func (e *Estimate) capDistinct() {
-	for k, v := range e.Distinct {
-		if v > e.Card {
-			e.Distinct[k] = e.Card
-		}
-	}
-}
-
-// distinctOf returns the tracked distinct count of a column, defaulting to
-// the cardinality.
+// distinctOf returns the distinct count of a column, defaulting to the
+// cardinality.
 func (e Estimate) distinctOf(col string) float64 {
-	if v, ok := e.Distinct[col]; ok {
+	if v, ok := e.Distinct(col); ok {
 		return v
 	}
 	return e.Card
+}
+
+// capDistinct clamps every distinct count to the cardinality (a column
+// cannot have more distinct values than there are tuples).
+func capDistinct(distinct []float64, card float64) {
+	for i, v := range distinct {
+		if v > card {
+			distinct[i] = card
+		}
+	}
 }
 
 // Unit selects what a network access costs: a page download counts 1 under
@@ -77,8 +82,7 @@ const (
 )
 
 // Model estimates plan properties against a web scheme and its statistics.
-// It memoizes schemas and estimates by node identity (plans produced by the
-// rewrite engine share subtrees), and is safe for concurrent use.
+// It is safe for concurrent use.
 type Model struct {
 	Scheme *adm.Scheme
 	Stats  *stats.Stats
@@ -104,9 +108,8 @@ type Model struct {
 	// is every origin healthy.
 	StaleRate float64
 
-	mu      sync.Mutex
-	schemas map[nalg.Expr]*nalg.Schema
-	ests    map[nalg.Expr]*Estimate
+	mu  sync.Mutex
+	own *Estimator // over a private memo, for Estimate; guarded by mu
 }
 
 // accessMultiplier is the expected physical requests per logical access:
@@ -128,32 +131,6 @@ func (m *Model) accessCost(scheme string) float64 {
 		base = m.Stats.AvgPageBytes(scheme)
 	}
 	return base * m.accessMultiplier()
-}
-
-// schemaOf is memoized schema inference (see rewrite.Rewriter.schema).
-func (m *Model) schemaOf(e nalg.Expr) (*nalg.Schema, error) {
-	if s, ok := m.schemas[e]; ok {
-		if s == nil {
-			return nil, fmt.Errorf("cost: expression does not type-check: %s", e)
-		}
-		return s, nil
-	}
-	kids := e.Children()
-	schemas := make([]*nalg.Schema, len(kids))
-	for i, k := range kids {
-		var err error
-		if schemas[i], err = m.schemaOf(k); err != nil {
-			m.schemas[e] = nil
-			return nil, err
-		}
-	}
-	s, err := nalg.InferNode(e, m.Scheme, schemas)
-	if err != nil {
-		m.schemas[e] = nil
-		return nil, err
-	}
-	m.schemas[e] = s
-	return s, nil
 }
 
 // Cost returns C(E): the estimated number of network accesses of the plan.
@@ -204,124 +181,164 @@ func (m *Model) Warm(e nalg.Expr, changeRate float64) (WarmEstimate, error) {
 	}, nil
 }
 
-// Estimate computes the full property set of an expression.
+// Estimate computes the full property set of an expression. The model
+// keeps a plan memo of its own for this, so subexpressions shared between
+// the plans it is asked about are typed and costed once.
 func (m *Model) Estimate(e nalg.Expr) (Estimate, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.schemas == nil {
-		m.schemas = make(map[nalg.Expr]*nalg.Schema)
-		m.ests = make(map[nalg.Expr]*Estimate)
+	if m.own == nil {
+		m.own = m.On(nalg.NewMemo(m.Scheme))
 	}
-	return m.estimate(e)
+	return m.own.Estimate(e)
 }
 
-func (m *Model) estimate(e nalg.Expr) (Estimate, error) {
-	if est, ok := m.ests[e]; ok {
-		if est == nil {
-			return Estimate{}, fmt.Errorf("cost: expression is not costable: %s", e)
-		}
-		return *est, nil
-	}
-	est, err := m.estimateNode(e)
-	if err != nil {
-		m.ests[e] = nil
-		return Estimate{}, err
-	}
-	m.ests[e] = &est
-	return est, nil
+// Estimator is a cost model bound to a plan memo: it reads schemas from
+// the memo and keeps one estimate per interned node, so a subexpression
+// shared by many candidate plans is costed once. Algorithm 1 binds the
+// model to the memo its rewriters intern into. An Estimator is no more
+// safe for concurrent use than its memo.
+type Estimator struct {
+	m    *Model
+	memo *nalg.Memo
+	ests [][]nodeEstimate // by node ID, in chunks of estChunk
+	nums nalg.Slab[float64]
+
+	// Statistics looked up once per page-scheme and per unnested list
+	// rather than once per plan node over them.
+	pages map[string][]float64
+	lists map[*nalg.Col]listStats
 }
 
-func (m *Model) estimateNode(e nalg.Expr) (Estimate, error) {
-	switch x := e.(type) {
-	case *nalg.ExtScan:
+type nodeEstimate struct {
+	est  Estimate
+	err  error
+	done bool
+}
+
+const estChunk = 256
+
+// listStats are the statistics of one list attribute: its fan-out and the
+// distinct counts of its element fields.
+type listStats struct {
+	fanout   float64
+	distinct []float64
+}
+
+// On binds the model to a plan memo.
+func (m *Model) On(memo *nalg.Memo) *Estimator {
+	return &Estimator{m: m, memo: memo, pages: make(map[string][]float64), lists: make(map[*nalg.Col]listStats)}
+}
+
+// Estimate computes the full property set of an expression, interning it
+// in the estimator's memo.
+func (s *Estimator) Estimate(e nalg.Expr) (Estimate, error) {
+	return s.estimate(s.memo.Node(e))
+}
+
+func (s *Estimator) estimate(n *nalg.Node) (Estimate, error) {
+	id := n.ID()
+	for id/estChunk >= len(s.ests) {
+		s.ests = append(s.ests, make([]nodeEstimate, estChunk))
+	}
+	c := &s.ests[id/estChunk][id%estChunk]
+	if !c.done {
+		c.est, c.err = s.estimateNode(n)
+		c.done = true
+	}
+	return c.est, c.err
+}
+
+// pageDistinct returns the distinct counts of a page-scheme's attributes,
+// in declaration order.
+func (s *Estimator) pageDistinct(ps *adm.PageScheme) []float64 {
+	if d, ok := s.pages[ps.Name]; ok {
+		return d
+	}
+	d := make([]float64, len(ps.Attrs))
+	for i, f := range ps.Attrs {
+		d[i] = s.m.Stats.DistinctOf(adm.AttrRef{Scheme: ps.Name, Path: adm.Path{f.Name}})
+	}
+	s.pages[ps.Name] = d
+	return d
+}
+
+func (s *Estimator) estimateNode(n *nalg.Node) (Estimate, error) {
+	m := s.m
+	if x, ok := n.Expr().(*nalg.ExtScan); ok {
 		return Estimate{}, fmt.Errorf("cost: external relation %q is not costable (apply Rule 1 first)", x.Relation)
-
-	case *nalg.EntryScan:
-		sch, err := m.schemaOf(x)
+	}
+	sch, err := s.memo.SchemaOf(n)
+	if err != nil {
+		return Estimate{}, fmt.Errorf("cost: expression does not type-check: %w", err)
+	}
+	var in, right Estimate
+	var inSch *nalg.Schema
+	for i, k := range n.Kids() {
+		est, err := s.estimate(k)
 		if err != nil {
 			return Estimate{}, err
 		}
-		est := Estimate{Card: 1, Cost: m.accessCost(x.Scheme), Distinct: make(map[string]float64)}
-		for _, c := range sch.Cols {
-			est.Distinct[c.Name] = 1
+		if i == 0 {
+			in = est
+			inSch = est.schema
+		} else {
+			right = est
 		}
-		return est, nil
+	}
+	est := Estimate{schema: sch}
+	switch x := n.Expr().(type) {
+	case *nalg.EntryScan:
+		est.Card, est.Cost = 1, m.accessCost(x.Scheme)
+		est.distinct = s.nums.Take(len(sch.Cols))
+		for i := range est.distinct {
+			est.distinct[i] = 1
+		}
 
 	case *nalg.Unnest:
-		in, err := m.estimate(x.In)
-		if err != nil {
-			return Estimate{}, err
-		}
-		sch, err := m.schemaOf(x.In)
-		if err != nil {
-			return Estimate{}, err
-		}
-		col, ok := sch.Col(x.Attr)
-		if !ok {
-			return Estimate{}, fmt.Errorf("cost: unnest: no column %q", x.Attr)
-		}
-		est := in.clone()
-		delete(est.Distinct, x.Attr)
+		at := inSch.Index(x.Attr)
+		col := inSch.Cols[at]
+		ls := s.listStats(col)
 		// |R ◦ L| = |R| × |L| (§6.2 Step 1), with the fan-out measured per
 		// occurrence of the list's parent.
-		fan := m.Stats.FanoutOf(col.Ref())
-		est.Card = in.Card * fan
-		for _, f := range col.Type.Elem {
-			name := x.Attr + "." + f.Name
-			ref := adm.AttrRef{Scheme: col.Scheme, Path: append(append(adm.Path(nil), col.Path...), f.Name)}
-			est.Distinct[name] = m.Stats.DistinctOf(ref)
-		}
-		est.capDistinct()
-		return est, nil
+		est.Card, est.Cost = in.Card*ls.fanout, in.Cost
+		est.distinct = s.nums.Take(len(sch.Cols))[:0]
+		est.distinct = append(est.distinct, in.distinct[:at]...)
+		est.distinct = append(est.distinct, in.distinct[at+1:]...)
+		est.distinct = append(est.distinct, ls.distinct...)
+		capDistinct(est.distinct, est.Card)
 
 	case *nalg.Follow:
-		in, err := m.estimate(x.In)
-		if err != nil {
-			return Estimate{}, err
-		}
-		sch, err := m.schemaOf(x.In)
-		if err != nil {
-			return Estimate{}, err
-		}
-		col, ok := sch.Col(x.Link)
-		if !ok {
-			return Estimate{}, fmt.Errorf("cost: follow: no column %q", x.Link)
-		}
-		est := in.clone()
+		link := inSch.Index(x.Link)
+		links := in.distinct[link]
 		// C(R →L P) = |π_L(R)|: the number of distinct outgoing links,
 		// each weighted by the target's page size under the Bytes unit.
-		est.Cost += in.distinctOf(x.Link) * m.accessCost(x.Target)
+		est.Card, est.Cost = in.Card, in.Cost+links*m.accessCost(x.Target)
 		// Each non-null link matches exactly one page (URL is a key); with
 		// an optional link some tuples navigate to nothing.
-		if col.Optional {
+		if inSch.Cols[link].Optional {
 			est.Card = in.Card * 0.5
 		}
-		alias := x.EffAlias()
-		ps := m.Scheme.Page(x.Target)
-		est.Distinct[alias+"."+adm.URLAttr] = in.distinctOf(x.Link)
-		for _, f := range ps.Attrs {
-			ref := adm.AttrRef{Scheme: x.Target, Path: adm.Path{f.Name}}
-			est.Distinct[alias+"."+f.Name] = m.Stats.DistinctOf(ref)
-		}
-		est.capDistinct()
-		return est, nil
+		est.distinct = s.nums.Take(len(sch.Cols))[:0]
+		est.distinct = append(est.distinct, in.distinct...)
+		est.distinct = append(est.distinct, links)
+		est.distinct = append(est.distinct, s.pageDistinct(m.Scheme.Page(x.Target))...)
+		capDistinct(est.distinct, est.Card)
 
 	case *nalg.Select:
-		in, err := m.estimate(x.In)
-		if err != nil {
-			return Estimate{}, err
-		}
-		est := in.clone()
+		est.distinct = s.nums.Take(len(in.distinct))
+		copy(est.distinct, in.distinct)
 		sel := 1.0
-		for _, p := range flattenPreds(x.Pred) {
+		var buf [4]nested.Predicate
+		for _, p := range flattenPreds(x.Pred, buf[:0]) {
 			switch q := p.(type) {
 			case nested.ConstPred:
 				if q.Op == nested.OpEq {
-					d := in.distinctOf(q.Attr)
-					if d > 0 {
+					at := inSch.Index(q.Attr)
+					if d := in.distinct[at]; d > 0 {
 						sel *= 1 / d // s_A = 1/c_A
 					}
-					est.Distinct[q.Attr] = 1
+					est.distinct[at] = 1
 				} else {
 					sel *= 0.5
 				}
@@ -338,151 +355,92 @@ func (m *Model) estimateNode(e nalg.Expr) (Estimate, error) {
 				sel *= 0.5
 			}
 		}
-		est.Card = in.Card * sel
-		est.capDistinct()
-		return est, nil
+		est.Card, est.Cost = in.Card*sel, in.Cost
+		capDistinct(est.distinct, est.Card)
 
 	case *nalg.Project:
-		in, err := m.estimate(x.In)
-		if err != nil {
-			return Estimate{}, err
-		}
-		est := Estimate{Cost: in.Cost, Distinct: make(map[string]float64)}
 		// |π_X(R)| ≤ min(|R|, Π c_x): projection removes duplicates
 		// (§6.2: |π_A(P)| = |P| / r_A, i.e. the distinct count).
+		est.distinct = s.nums.Take(len(x.Cols))
 		card := 1.0
-		for _, colName := range x.Cols {
-			d := in.distinctOf(colName)
-			est.Distinct[colName] = d
+		for i, colName := range x.Cols {
+			d := in.distinct[inSch.Index(colName)]
+			est.distinct[i] = d
 			card *= d
 		}
-		est.Card = math.Min(in.Card, card)
-		est.capDistinct()
-		return est, nil
+		est.Card, est.Cost = math.Min(in.Card, card), in.Cost
+		capDistinct(est.distinct, est.Card)
 
 	case *nalg.Join:
-		l, err := m.estimate(x.L)
-		if err != nil {
-			return Estimate{}, err
-		}
-		r, err := m.estimate(x.R)
-		if err != nil {
-			return Estimate{}, err
-		}
-		est := Estimate{Cost: l.Cost + r.Cost, Distinct: make(map[string]float64)}
+		l, r := in, right
+		est.distinct = s.nums.Take(len(sch.Cols))[:0]
+		est.distinct = append(append(est.distinct, l.distinct...), r.distinct...)
 		sel := 1.0
-		if len(x.Conds) == 0 {
-			sel = 1 // cartesian product
-		}
 		for _, c := range x.Conds {
-			if override, ok := m.joinSelOverride(x, c); ok {
-				sel *= override
-				continue
+			li, ri := l.schema.Index(c.Left), r.schema.Index(c.Right)
+			lc, rc := l.schema.Cols[li], r.schema.Cols[ri]
+			ld, rd := l.distinct[li], r.distinct[ri]
+			// Join columns agree: their distinct counts collapse to the
+			// smaller side.
+			est.distinct[li] = math.Min(ld, rd)
+			est.distinct[len(l.distinct)+ri] = math.Min(ld, rd)
+			if lc.Scheme != "" && rc.Scheme != "" {
+				if override, ok := m.Stats.JoinSelectivity(lc.Ref(), rc.Ref()); ok {
+					sel *= override
+					continue
+				}
 			}
 			// A join of two link (pointer) sets targeting the same
 			// page-scheme is an intersection of two subsets of that
 			// scheme's URL domain (§7, Example 7.1: "the join is an
 			// intersection of two link sets"); under the paper's uniform
 			// assumption its selectivity is 1/|P| for target scheme P.
-			if tgt, ok := m.pointerJoinTarget(x, c); ok {
-				if card := m.Stats.SchemeCard(tgt); card > 0 {
+			if lc.Type.Kind == nested.KindLink && rc.Type.Kind == nested.KindLink && rc.Type.Target == lc.Type.Target {
+				if card := m.Stats.SchemeCard(lc.Type.Target); card > 0 {
 					sel *= 1 / card
 					continue
 				}
 			}
-			d := math.Max(l.distinctOf(c.Left), r.distinctOf(c.Right))
-			if d > 0 {
+			if d := math.Max(ld, rd); d > 0 {
 				sel *= 1 / d
 			}
 		}
-		est.Card = l.Card * r.Card * sel
-		for k, v := range l.Distinct {
-			est.Distinct[k] = v
-		}
-		for k, v := range r.Distinct {
-			est.Distinct[k] = v
-		}
-		// Join columns agree: their distinct counts collapse to the
-		// smaller side.
-		for _, c := range x.Conds {
-			d := math.Min(l.distinctOf(c.Left), r.distinctOf(c.Right))
-			est.Distinct[c.Left] = d
-			est.Distinct[c.Right] = d
-		}
-		est.capDistinct()
-		return est, nil
+		est.Card, est.Cost = l.Card*r.Card*sel, l.Cost+r.Cost
+		capDistinct(est.distinct, est.Card)
 
 	case *nalg.Rename:
-		in, err := m.estimate(x.In)
-		if err != nil {
-			return Estimate{}, err
-		}
-		est := Estimate{Card: in.Card, Cost: in.Cost, Distinct: make(map[string]float64, len(in.Distinct))}
-		for k, v := range in.Distinct {
-			if nn, ok := x.Map[k]; ok {
-				est.Distinct[nn] = v
-			} else {
-				est.Distinct[k] = v
-			}
-		}
-		return est, nil
+		// Same columns in the same order under new names.
+		est.Card, est.Cost, est.distinct = in.Card, in.Cost, in.distinct
 
 	default:
-		return Estimate{}, fmt.Errorf("cost: unknown expression node %T", e)
+		return Estimate{}, fmt.Errorf("cost: unknown expression node %T", n.Expr())
 	}
+	return est, nil
 }
 
-// pointerJoinTarget reports whether a join condition equates two link
-// columns with the same target page-scheme, and if so which scheme.
-func (m *Model) pointerJoinTarget(j *nalg.Join, c nested.EqCond) (string, bool) {
-	ls, err := m.schemaOf(j.L)
-	if err != nil {
-		return "", false
+// listStats returns the statistics of the list attribute a column holds.
+// The memo shares a list's column between every schema that has it, so the
+// column itself is the key.
+func (s *Estimator) listStats(col *nalg.Col) listStats {
+	if ls, ok := s.lists[col]; ok {
+		return ls
 	}
-	rs, err := m.schemaOf(j.R)
-	if err != nil {
-		return "", false
+	ls := listStats{fanout: s.m.Stats.FanoutOf(col.Ref()), distinct: make([]float64, len(col.Type.Elem))}
+	for i, f := range col.Type.Elem {
+		ref := adm.AttrRef{Scheme: col.Scheme, Path: append(append(adm.Path(nil), col.Path...), f.Name)}
+		ls.distinct[i] = s.m.Stats.DistinctOf(ref)
 	}
-	lc, ok := ls.Col(c.Left)
-	if !ok || lc.Type.Kind != nested.KindLink {
-		return "", false
-	}
-	rc, ok := rs.Col(c.Right)
-	if !ok || rc.Type.Kind != nested.KindLink || rc.Type.Target != lc.Type.Target {
-		return "", false
-	}
-	return lc.Type.Target, true
+	s.lists[col] = ls
+	return ls
 }
 
-// joinSelOverride consults the statistics for a declared join selectivity
-// between the provenance refs of the two join columns.
-func (m *Model) joinSelOverride(j *nalg.Join, c nested.EqCond) (float64, bool) {
-	ls, err := m.schemaOf(j.L)
-	if err != nil {
-		return 0, false
-	}
-	rs, err := m.schemaOf(j.R)
-	if err != nil {
-		return 0, false
-	}
-	lc, ok := ls.Col(c.Left)
-	if !ok || lc.Scheme == "" {
-		return 0, false
-	}
-	rc, ok := rs.Col(c.Right)
-	if !ok || rc.Scheme == "" {
-		return 0, false
-	}
-	return m.Stats.JoinSelectivity(lc.Ref(), rc.Ref())
-}
-
-func flattenPreds(p nested.Predicate) []nested.Predicate {
+// flattenPreds appends the conjuncts of p to out.
+func flattenPreds(p nested.Predicate, out []nested.Predicate) []nested.Predicate {
 	if and, ok := p.(nested.AndPred); ok {
-		var out []nested.Predicate
 		for _, sub := range and {
-			out = append(out, flattenPreds(sub)...)
+			out = flattenPreds(sub, out)
 		}
 		return out
 	}
-	return []nested.Predicate{p}
+	return append(out, p)
 }

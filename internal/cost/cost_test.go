@@ -51,7 +51,7 @@ func TestUnnestCardinality(t *testing.T) {
 	if est.Cost != 1 {
 		t.Errorf("unnest should add no cost: %v", est.Cost)
 	}
-	if d := est.Distinct["ProfListPage.ProfList.ToProf"]; d != float64(u.Params.Profs) {
+	if d, _ := est.Distinct("ProfListPage.ProfList.ToProf"); d != float64(u.Params.Profs) {
 		t.Errorf("distinct(ToProf) = %v", d)
 	}
 }
@@ -226,10 +226,10 @@ func TestRenameKeepsEstimates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est.Distinct["PName"] != float64(u.Params.Profs) {
-		t.Errorf("renamed distinct = %v", est.Distinct["PName"])
+	if d, _ := est.Distinct("PName"); d != float64(u.Params.Profs) {
+		t.Errorf("renamed distinct = %v", d)
 	}
-	if _, ok := est.Distinct["ProfListPage.ProfList.ProfName"]; ok {
+	if _, ok := est.Distinct("ProfListPage.ProfList.ProfName"); ok {
 		t.Error("old name should be gone from estimates")
 	}
 }

@@ -139,39 +139,28 @@ func (c *checker) check(e Expr) *Schema {
 		} else if x.URL != "" && x.URL != ep.URL {
 			c.errf(DiagEntryURLMismatch, e, "entry scan of %q at %q, but the scheme declares %q", x.Scheme, x.URL, ep.URL)
 		}
-		return &Schema{Cols: pageCols(ps, x.EffAlias())}
+		return &Schema{Cols: noBlocks.pageCols(ps, x.EffAlias())}
 
 	case *Unnest:
 		in := c.check(x.In)
 		if in == nil {
 			return nil
 		}
-		col, ok := in.Col(x.Attr)
-		if !ok {
+		at := in.Index(x.Attr)
+		if at < 0 {
 			c.errf(DiagUnknownColumn, e, "unnest: no column %q in %s", x.Attr, in)
 			return nil
 		}
+		col := in.Cols[at]
 		if col.Type.Kind != nested.KindList {
 			c.errf(DiagNotList, e, "unnest: column %q is not a list (type %s)", x.Attr, col.Type)
 			return nil
 		}
-		c.checkProvenance(e, col)
-		var cols []Col
-		for _, keep := range in.Cols {
-			if keep.Name != x.Attr {
-				cols = append(cols, keep)
-			}
-		}
-		for _, f := range col.Type.Elem {
-			cols = append(cols, Col{
-				Name:     x.Attr + "." + f.Name,
-				Type:     f.Type,
-				Scheme:   col.Scheme,
-				Path:     append(append(adm.Path(nil), col.Path...), f.Name),
-				Alias:    col.Alias,
-				Optional: f.Optional,
-			})
-		}
+		c.checkProvenance(e, *col)
+		var cols []*Col
+		cols = append(cols, in.Cols[:at]...)
+		cols = append(cols, in.Cols[at+1:]...)
+		cols = append(cols, noBlocks.promotedCols(col)...)
 		return &Schema{Cols: cols}
 
 	case *Follow:
@@ -206,8 +195,8 @@ func (c *checker) check(e Expr) *Schema {
 			c.errf(DiagUnknownScheme, e, "follow: unknown target page-scheme %q", x.Target)
 			return nil
 		}
-		cols := append([]Col(nil), in.Cols...)
-		for _, pc := range pageCols(ps, x.EffAlias()) {
+		cols := append([]*Col(nil), in.Cols...)
+		for _, pc := range noBlocks.pageCols(ps, x.EffAlias()) {
 			for _, existing := range cols {
 				if existing.Name == pc.Name {
 					c.errf(DiagDuplicateColumn, e, "follow: column %q already present; use a distinct alias", pc.Name)
@@ -242,14 +231,14 @@ func (c *checker) check(e Expr) *Schema {
 		if in == nil {
 			return nil
 		}
-		var cols []Col
+		var cols []*Col
 		for _, name := range x.Cols {
-			col, ok := in.Col(name)
-			if !ok {
+			at := in.Index(name)
+			if at < 0 {
 				c.errf(DiagUnknownColumn, e, "project: no column %q in %s", name, in)
 				continue
 			}
-			cols = append(cols, col)
+			cols = append(cols, in.Cols[at])
 		}
 		return &Schema{Cols: cols}
 
@@ -278,7 +267,7 @@ func (c *checker) check(e Expr) *Schema {
 		if l == nil || r == nil {
 			return nil
 		}
-		cols := append([]Col(nil), l.Cols...)
+		cols := append([]*Col(nil), l.Cols...)
 		for _, rc := range r.Cols {
 			for _, existing := range cols {
 				if existing.Name == rc.Name {
@@ -299,11 +288,13 @@ func (c *checker) check(e Expr) *Schema {
 				c.errf(DiagUnknownColumn, e, "rename: no column %q in %s", old, in)
 			}
 		}
-		cols := make([]Col, len(in.Cols))
+		cols := make([]*Col, len(in.Cols))
 		seen := make(map[string]bool, len(in.Cols))
 		for i, col := range in.Cols {
 			if nn, ok := x.Map[col.Name]; ok {
-				col.Name = nn
+				renamed := *col
+				renamed.Name = nn
+				col = &renamed
 			}
 			if seen[col.Name] {
 				c.errf(DiagDuplicateColumn, e, "rename: duplicate output column %q", col.Name)
@@ -324,10 +315,10 @@ func (c *checker) check(e Expr) *Schema {
 // type. Check applies this to the schemas it infers itself; the rewrite
 // engine applies it to the column maps its rules build by hand, where a
 // buggy rule really can record an origin the scheme does not declare.
-func CheckCols(cols []Col, ws *adm.Scheme) []Diagnostic {
+func CheckCols(cols []*Col, ws *adm.Scheme) []Diagnostic {
 	c := &checker{ws: ws}
 	for _, col := range cols {
-		c.checkProvenance(nil, col)
+		c.checkProvenance(nil, *col)
 	}
 	return c.diags
 }

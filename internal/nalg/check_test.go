@@ -117,7 +117,7 @@ func TestCheckAcceptsValidPlans(t *testing.T) {
 func TestCheckCols(t *testing.T) {
 	u, _, _ := fixture(t)
 	ws := u.Scheme
-	bad := []Col{
+	bad := []*Col{
 		{Name: "ProfPage.Ghost", Type: nested.Text(), Scheme: sitegen.ProfPage, Path: adm.Path{"Ghost"}},
 		{Name: "ProfPage.Name", Type: nested.Link(sitegen.DeptPage), Scheme: sitegen.ProfPage, Path: adm.Path{"Name"}},
 	}
@@ -125,7 +125,7 @@ func TestCheckCols(t *testing.T) {
 	if len(diags) != 2 || !hasKind(diags, DiagBadProvenance) {
 		t.Fatalf("CheckCols = %v, want two bad-provenance diagnostics", diags)
 	}
-	good := []Col{
+	good := []*Col{
 		{Name: "ProfPage.Name", Type: nested.Text(), Scheme: sitegen.ProfPage, Path: adm.Path{"Name"}},
 		{Name: "x", Type: nested.Text()}, // no provenance: nothing to validate
 	}

@@ -9,25 +9,93 @@ package nalg
 
 import (
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"ulixes/internal/nested"
 )
 
-// strCache memoizes a node's rendering. Expressions are immutable and
-// rewrites share subtrees, so rendering each node once makes whole-plan
-// canonicalization cheap during enumeration.
+// strCache memoizes a node's rendering. Only nodes String is called on
+// keep one: a node renders its operands into the same buffer rather than
+// through their String, so printing the thousands of candidate plans of an
+// enumeration costs one string per plan, not one per distinct subtree.
 type strCache struct {
 	p atomic.Pointer[string]
 }
 
-func (c *strCache) get(build func() string) string {
+func (c *strCache) get(e Expr) string {
 	if s := c.p.Load(); s != nil {
 		return *s
 	}
-	s := build()
+	buf := renderBufs.Get().(*[]byte)
+	*buf = render((*buf)[:0], e)
+	s := string(*buf)
+	renderBufs.Put(buf)
 	c.p.Store(&s)
 	return s
+}
+
+// renderBufs recycles the scratch buffers plans are rendered into.
+var renderBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// nodeMeta is what a node carries besides its operator: bookkeeping that
+// never changes what the expression means.
+type nodeMeta struct {
+	str strCache
+	ref memoRef
+}
+
+// metaOf returns the bookkeeping of a node, nil for node types with none.
+func metaOf(e Expr) *nodeMeta {
+	switch x := e.(type) {
+	case *EntryScan:
+		return &x.meta
+	case *Unnest:
+		return &x.meta
+	case *Follow:
+		return &x.meta
+	case *Select:
+		return &x.meta
+	case *Project:
+		return &x.meta
+	case *Join:
+		return &x.meta
+	case *Rename:
+		return &x.meta
+	}
+	return nil
+}
+
+// render appends e's rendering to b, ignoring e's own cache.
+func render(b []byte, e Expr) []byte {
+	switch x := e.(type) {
+	case *EntryScan:
+		return x.appendTo(b)
+	case *Unnest:
+		return x.appendTo(b)
+	case *Follow:
+		return x.appendTo(b)
+	case *Select:
+		return x.appendTo(b)
+	case *Project:
+		return x.appendTo(b)
+	case *Join:
+		return x.appendTo(b)
+	case *Rename:
+		return x.appendTo(b)
+	}
+	return append(b, e.String()...)
+}
+
+// appendExpr appends an operand's rendering: its cached string when it has
+// one, and otherwise rendered in place without caching.
+func appendExpr(b []byte, e Expr) []byte {
+	if m := metaOf(e); m != nil {
+		if s := m.str.p.Load(); s != nil {
+			return append(b, *s...)
+		}
+	}
+	return render(b, e)
 }
 
 // Expr is a navigational algebra expression. Implementations are immutable;
@@ -63,7 +131,7 @@ type EntryScan struct {
 	// Alias qualifies output columns; defaults to Scheme when empty.
 	Alias string
 
-	str strCache
+	meta nodeMeta
 }
 
 // EffAlias returns the alias, defaulting to the scheme name.
@@ -78,13 +146,20 @@ func (e *EntryScan) EffAlias() string {
 func (e *EntryScan) Children() []Expr { return nil }
 
 // String implements Expr.
-func (e *EntryScan) String() string {
-	return e.str.get(func() string {
-		if e.Alias != "" && e.Alias != e.Scheme {
-			return e.Scheme + "[" + e.Alias + "]"
-		}
-		return e.Scheme
-	})
+func (e *EntryScan) String() string { return e.meta.str.get(e) }
+
+func (e *EntryScan) appendTo(b []byte) []byte {
+	return appendAliased(b, e.Scheme, e.Alias)
+}
+
+// appendAliased appends a scheme name, followed by the alias in brackets
+// when it is not the default.
+func appendAliased(b []byte, scheme, alias string) []byte {
+	b = append(b, scheme...)
+	if alias != "" && alias != scheme {
+		b = append(append(append(b, '['), alias...), ']')
+	}
+	return b
 }
 
 // Unnest is the unnest-page operator R ◦ A: it navigates inside a page by
@@ -95,17 +170,18 @@ type Unnest struct {
 	// Attr is the qualified list column, e.g. "ProfListPage.ProfList".
 	Attr string
 
-	str strCache
+	meta nodeMeta
 }
 
 // Children implements Expr.
 func (e *Unnest) Children() []Expr { return []Expr{e.In} }
 
 // String implements Expr.
-func (e *Unnest) String() string {
-	return e.str.get(func() string {
-		return parenthesize(e.In) + "◦" + shortAttr(e.Attr)
-	})
+func (e *Unnest) String() string { return e.meta.str.get(e) }
+
+func (e *Unnest) appendTo(b []byte) []byte {
+	b = append(appendParenthesized(b, e.In), "◦"...)
+	return append(b, shortAttr(e.Attr)...)
 }
 
 // Follow is the follow-link operator R →L P: it expands each input tuple
@@ -120,7 +196,7 @@ type Follow struct {
 	// Alias qualifies the target page's columns; defaults to Target.
 	Alias string
 
-	str strCache
+	meta nodeMeta
 }
 
 // EffAlias returns the target alias, defaulting to the target scheme name.
@@ -135,14 +211,12 @@ func (e *Follow) EffAlias() string {
 func (e *Follow) Children() []Expr { return []Expr{e.In} }
 
 // String implements Expr.
-func (e *Follow) String() string {
-	return e.str.get(func() string {
-		tgt := e.Target
-		if e.Alias != "" && e.Alias != e.Target {
-			tgt = e.Target + "[" + e.Alias + "]"
-		}
-		return parenthesize(e.In) + "→[" + shortAttr(e.Link) + "]" + tgt
-	})
+func (e *Follow) String() string { return e.meta.str.get(e) }
+
+func (e *Follow) appendTo(b []byte) []byte {
+	b = append(appendParenthesized(b, e.In), "→["...)
+	b = append(append(b, shortAttr(e.Link)...), ']')
+	return appendAliased(b, e.Target, e.Alias)
 }
 
 // Select is the selection operator σ_pred(R).
@@ -150,17 +224,27 @@ type Select struct {
 	In   Expr
 	Pred nested.Predicate
 
-	str strCache
+	meta nodeMeta
 }
 
 // Children implements Expr.
 func (e *Select) Children() []Expr { return []Expr{e.In} }
 
 // String implements Expr.
-func (e *Select) String() string {
-	return e.str.get(func() string {
-		return "σ[" + e.Pred.String() + "](" + e.In.String() + ")"
-	})
+func (e *Select) String() string { return e.meta.str.get(e) }
+
+func (e *Select) appendTo(b []byte) []byte {
+	b = append(appendPred(append(b, "σ["...), e.Pred), "]("...)
+	return append(appendExpr(b, e.In), ')')
+}
+
+// appendPred appends a predicate's rendering (its String).
+func appendPred(b []byte, p nested.Predicate) []byte {
+	if q, ok := p.(nested.ConstPred); ok && q.Val != nil {
+		b = append(append(b, q.Attr...), q.Op.String()...)
+		return append(append(append(b, '\''), q.Val.String()...), '\'')
+	}
+	return append(b, p.String()...)
 }
 
 // Project is the projection operator π_cols(R), with set semantics.
@@ -168,17 +252,24 @@ type Project struct {
 	In   Expr
 	Cols []string
 
-	str strCache
+	meta nodeMeta
 }
 
 // Children implements Expr.
 func (e *Project) Children() []Expr { return []Expr{e.In} }
 
 // String implements Expr.
-func (e *Project) String() string {
-	return e.str.get(func() string {
-		return "π[" + strings.Join(e.Cols, ",") + "](" + e.In.String() + ")"
-	})
+func (e *Project) String() string { return e.meta.str.get(e) }
+
+func (e *Project) appendTo(b []byte) []byte {
+	b = append(b, "π["...)
+	for i, c := range e.Cols {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, c...)
+	}
+	return append(appendExpr(append(b, "]("...), e.In), ')')
 }
 
 // Join is the equi-join L ⋈_conds R.
@@ -186,21 +277,24 @@ type Join struct {
 	L, R  Expr
 	Conds []nested.EqCond
 
-	str strCache
+	meta nodeMeta
 }
 
 // Children implements Expr.
 func (e *Join) Children() []Expr { return []Expr{e.L, e.R} }
 
 // String implements Expr.
-func (e *Join) String() string {
-	return e.str.get(func() string {
-		conds := make([]string, len(e.Conds))
-		for i, c := range e.Conds {
-			conds[i] = c.String()
+func (e *Join) String() string { return e.meta.str.get(e) }
+
+func (e *Join) appendTo(b []byte) []byte {
+	b = append(appendExpr(append(b, '('), e.L), " ⋈["...)
+	for i, c := range e.Conds {
+		if i > 0 {
+			b = append(b, ',')
 		}
-		return "(" + e.L.String() + " ⋈[" + strings.Join(conds, ",") + "] " + e.R.String() + ")"
-	})
+		b = append(append(append(b, c.Left...), '='), c.Right...)
+	}
+	return append(appendExpr(append(b, "] "...), e.R), ')')
 }
 
 // Rename renames output columns; it is used to map navigation columns to
@@ -210,25 +304,30 @@ type Rename struct {
 	// Map is old column name → new name.
 	Map map[string]string
 
-	str strCache
+	meta nodeMeta
 }
 
 // Children implements Expr.
 func (e *Rename) Children() []Expr { return []Expr{e.In} }
 
 // String implements Expr.
-func (e *Rename) String() string {
-	return e.str.get(func() string {
-		pairs := make([]string, 0, len(e.Map))
-		for _, old := range sortedKeys(e.Map) {
-			pairs = append(pairs, old+"→"+e.Map[old])
+func (e *Rename) String() string { return e.meta.str.get(e) }
+
+func (e *Rename) appendTo(b []byte) []byte {
+	b = append(b, "ρ["...)
+	var keys [8]string
+	for i, old := range sortedKeys(e.Map, keys[:0]) {
+		if i > 0 {
+			b = append(b, ',')
 		}
-		return "ρ[" + strings.Join(pairs, ",") + "](" + e.In.String() + ")"
-	})
+		b = append(append(append(b, old...), "→"...), e.Map[old]...)
+	}
+	return append(appendExpr(append(b, "]("...), e.In), ')')
 }
 
-func sortedKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
+// sortedKeys appends the map's keys to buf, sorted.
+func sortedKeys(m map[string]string, buf []string) []string {
+	keys := buf
 	for k := range m {
 		keys = append(keys, k)
 	}
@@ -240,12 +339,14 @@ func sortedKeys(m map[string]string) []string {
 	return keys
 }
 
-func parenthesize(e Expr) string {
+// appendParenthesized appends the operand of a navigation step: bare when
+// it is itself a scan or a navigation, in parentheses otherwise.
+func appendParenthesized(b []byte, e Expr) []byte {
 	switch e.(type) {
 	case *EntryScan, *ExtScan, *Unnest, *Follow:
-		return e.String()
+		return appendExpr(b, e)
 	default:
-		return "(" + e.String() + ")"
+		return append(appendExpr(append(b, '('), e), ')')
 	}
 }
 
@@ -290,10 +391,27 @@ func Leaves(e Expr) []Expr {
 // scan (§4: "in order to be computable, all navigational paths involved in
 // a query must start from an entry point").
 func Computable(e Expr) bool {
-	for _, l := range Leaves(e) {
-		if _, ok := l.(*EntryScan); !ok {
+	switch x := e.(type) {
+	case *EntryScan:
+		return true
+	case *Unnest:
+		return Computable(x.In)
+	case *Follow:
+		return Computable(x.In)
+	case *Select:
+		return Computable(x.In)
+	case *Project:
+		return Computable(x.In)
+	case *Rename:
+		return Computable(x.In)
+	case *Join:
+		return Computable(x.L) && Computable(x.R)
+	}
+	kids := e.Children()
+	for _, k := range kids {
+		if !Computable(k) {
 			return false
 		}
 	}
-	return true
+	return len(kids) > 0
 }

@@ -40,7 +40,7 @@ func nodeLabel(e Expr) string {
 		return "⋈ " + strings.Join(conds, ", ")
 	case *Rename:
 		pairs := make([]string, 0, len(x.Map))
-		for _, old := range sortedKeys(x.Map) {
+		for _, old := range sortedKeys(x.Map, nil) {
 			pairs = append(pairs, old+"→"+x.Map[old])
 		}
 		return "ρ " + strings.Join(pairs, ", ")

@@ -34,8 +34,8 @@ import (
 
 // Options tunes the optimizer.
 type Options struct {
-	// Rules is the enabled rewriting-rule set; rewrite.AllRules if zero
-	// value is not desired use DisableRules.
+	// Rules is the enabled rewriting-rule set; zero means rewrite.AllRules.
+	// To run with only some rules off, leave it zero and set DisableRules.
 	Rules rewrite.Rule
 	// DisableRules removes rules from the default set (for ablations).
 	DisableRules rewrite.Rule
@@ -55,7 +55,7 @@ const DefaultBeamWidth = 256
 
 // trimToBeam keeps the `beam` cheapest plans (ties broken by rendering for
 // determinism). Plans that fail to cost are dropped.
-func trimToBeam(plans []nalg.Expr, model *cost.Model, beam int) []nalg.Expr {
+func trimToBeam(plans []nalg.Expr, model *cost.Estimator, beam int) []nalg.Expr {
 	if len(plans) <= beam {
 		return plans
 	}
@@ -165,6 +165,15 @@ func (o *Optimizer) expandStar(q *cq.Query) (*cq.Query, error) {
 
 // Optimize runs Algorithm 1 on a conjunctive query.
 func (o *Optimizer) Optimize(q *cq.Query) (*Result, error) {
+	return o.optimize(q, nalg.NewMemo(o.Views.Scheme))
+}
+
+// optimize runs Algorithm 1 over one plan memo: translation, every
+// rewriting phase, the beam trims and the final costing intern into it and
+// read from it, so each distinct subexpression of the search is typed,
+// keyed and costed once. The memo dies with the call; the Result's plans
+// are plain expression trees.
+func (o *Optimizer) optimize(q *cq.Query, memo *nalg.Memo) (*Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -172,7 +181,7 @@ func (o *Optimizer) Optimize(q *cq.Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	seeds, err := o.translate(q)
+	seeds, err := o.translate(q, memo)
 	if err != nil {
 		return nil, err
 	}
@@ -194,18 +203,19 @@ func (o *Optimizer) Optimize(q *cq.Query) (*Result, error) {
 		rules & rewrite.Rule7,
 		rules & (rewrite.Rule3 | rewrite.Rule5),
 	}
-	model := &cost.Model{Scheme: ws, Stats: o.Stats, Unit: o.Opts.Unit}
+	model := o.Model().On(memo)
 	beam := o.Opts.BeamWidth
 	if beam <= 0 {
 		beam = DefaultBeamWidth
 	}
 	plans := seeds
 	considered := len(seeds)
+	rw := &rewrite.Rewriter{WS: ws, Memo: memo}
 	for _, phase := range phases {
 		if phase == 0 {
 			continue
 		}
-		rw := &rewrite.Rewriter{WS: ws, Rules: phase}
+		rw.Rules = phase
 		plans = rw.Expand(plans, maxPlans)
 		considered += len(plans)
 		plans = trimToBeam(plans, model, beam)
@@ -233,6 +243,12 @@ func (o *Optimizer) Optimize(q *cq.Query) (*Result, error) {
 	return &Result{Best: cands[0], Candidates: cands, PlansConsidered: considered}, nil
 }
 
+// instNav is a default navigation instantiated for one query atom.
+type instNav struct {
+	expr   nalg.Expr
+	colMap map[string]string // external attr -> instantiated column
+}
+
 // translate performs phases 1–2: it builds, for every combination of
 // default navigations of the query's atoms, the expression
 //
@@ -240,14 +256,9 @@ func (o *Optimizer) Optimize(q *cq.Query) (*Result, error) {
 //
 // with all aliases instantiated per atom so repeated relations don't
 // collide. Constant selections are emitted as separate σ nodes so Rule 6
-// can push each independently.
-// instNav is a default navigation instantiated for one query atom.
-type instNav struct {
-	expr   nalg.Expr
-	colMap map[string]string // external attr -> instantiated column
-}
-
-func (o *Optimizer) translate(q *cq.Query) ([]nalg.Expr, error) {
+// can push each independently. The seeds are interned in the memo, which
+// type-checks them and keeps one per canonical key.
+func (o *Optimizer) translate(q *cq.Query, memo *nalg.Memo) ([]nalg.Expr, error) {
 	perAtom := make([][]instNav, len(q.From))
 	for i, atom := range q.From {
 		rel := o.Views.Relation(atom.Relation)
@@ -300,7 +311,7 @@ func (o *Optimizer) translate(q *cq.Query) ([]nalg.Expr, error) {
 	orders := permutations(len(q.From), 3)
 
 	var seeds []nalg.Expr
-	seen := make(map[string]bool)
+	seen := make(map[int32]bool)
 	for _, combo := range combos {
 		for _, order := range orders {
 			expr := combo[order[0]].expr
@@ -337,13 +348,17 @@ func (o *Optimizer) translate(q *cq.Query) ([]nalg.Expr, error) {
 				expr = &nalg.Join{L: expr, R: combo[idx].expr, Conds: conds}
 				placed[idx] = true
 			}
-			top, err := o.finish(q, combo, expr, colOf)
+			top, err := o.finish(q, combo, expr, aliasIdx, colOf)
 			if err != nil {
 				return nil, err
 			}
-			if k := rewrite.CanonKey(top); !seen[k] {
+			n := memo.Node(top)
+			if _, err := memo.SchemaOf(n); err != nil {
+				return nil, fmt.Errorf("optimizer: translated plan does not type-check: %v", err)
+			}
+			if k := memo.Key(n); !seen[k] {
 				seen[k] = true
-				seeds = append(seeds, top)
+				seeds = append(seeds, n.Expr())
 			}
 		}
 	}
@@ -351,10 +366,10 @@ func (o *Optimizer) translate(q *cq.Query) ([]nalg.Expr, error) {
 }
 
 // permutations returns the atom orders to try: all n! permutations up to
-// maxArity atoms, and a reduced deterministic family beyond it (every
-// rotation of the written order, forward and reversed — 2n orders), since
-// the factorial set becomes prohibitive while adjacency variety is what the
-// rewrite rules actually need.
+// maxArity atoms, and a reduced deterministic family beyond it (one order
+// per ordered pair of atoms — n(n−1) orders), since the factorial set
+// becomes prohibitive while adjacency variety is what the rewrite rules
+// actually need.
 func permutations(n, maxArity int) [][]int {
 	ident := make([]int, n)
 	for i := range ident {
@@ -405,28 +420,22 @@ func permutations(n, maxArity int) [][]int {
 
 // finish stacks the intra-atom checks, constant selections, final
 // projection and output renaming on top of a join tree.
-func (o *Optimizer) finish(q *cq.Query, combo []instNav, expr nalg.Expr, colOf func([]instNav, cq.AttrUse) (string, error)) (nalg.Expr, error) {
-	aliasIdx := make(map[string]int, len(q.From))
-	for i, a := range q.From {
-		aliasIdx[a.EffAlias()] = i
-	}
-	{
-		// Joins whose both sides live on the same atom become selections.
-		for _, j := range q.Joins {
-			li, ri := aliasIdx[j.Left.Atom], aliasIdx[j.Right.Atom]
-			if li != ri {
-				continue
-			}
-			lc, err := colOf(combo, j.Left)
-			if err != nil {
-				return nil, err
-			}
-			rc, err := colOf(combo, j.Right)
-			if err != nil {
-				return nil, err
-			}
-			expr = &nalg.Select{In: expr, Pred: nested.AttrPred{Left: lc, Op: nested.OpEq, Right: rc}}
+func (o *Optimizer) finish(q *cq.Query, combo []instNav, expr nalg.Expr, aliasIdx map[string]int, colOf func([]instNav, cq.AttrUse) (string, error)) (nalg.Expr, error) {
+	// Joins whose both sides live on the same atom become selections.
+	for _, j := range q.Joins {
+		li, ri := aliasIdx[j.Left.Atom], aliasIdx[j.Right.Atom]
+		if li != ri {
+			continue
 		}
+		lc, err := colOf(combo, j.Left)
+		if err != nil {
+			return nil, err
+		}
+		rc, err := colOf(combo, j.Right)
+		if err != nil {
+			return nil, err
+		}
+		expr = &nalg.Select{In: expr, Pred: nested.AttrPred{Left: lc, Op: nested.OpEq, Right: rc}}
 	}
 	for _, c := range q.Consts {
 		col, err := colOf(combo, c.Attr)
@@ -453,9 +462,6 @@ func (o *Optimizer) finish(q *cq.Query, combo []instNav, expr nalg.Expr, colOf f
 	var top nalg.Expr = &nalg.Project{In: expr, Cols: dedupCols(cols)}
 	if len(ren) > 0 {
 		top = &nalg.Rename{In: top, Map: ren}
-	}
-	if _, err := nalg.InferSchema(top, o.Views.Scheme); err != nil {
-		return nil, fmt.Errorf("optimizer: translated plan does not type-check: %v", err)
 	}
 	return top, nil
 }

@@ -44,13 +44,16 @@ func BenchmarkRulePointerMatch(b *testing.B) {
 	}
 }
 
-// BenchmarkCanonKey measures plan canonicalization, the dedup hot path.
-func BenchmarkCanonKey(b *testing.B) {
+// BenchmarkInternKey measures interning a navigation into an empty memo and
+// computing its canonical key: what dedup pays for a plan none of whose
+// subexpressions has been seen.
+func BenchmarkInternKey(b *testing.B) {
 	ws := sitegen.UniversityScheme()
 	nav := nalg.From(ws, sitegen.ProfListPage).Unnest("ProfList").Follow("ToProf").Unnest("CourseList").Follow("ToCourse").MustBuild()
 	inst, _ := InstantiateAliases(nav, "atom")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = CanonKey(inst)
+		m := nalg.NewMemo(ws)
+		_ = m.Key(m.Node(inst))
 	}
 }

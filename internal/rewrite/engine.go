@@ -1,105 +1,115 @@
 package rewrite
 
 import (
-	"regexp"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
 
 	"ulixes/internal/nalg"
 )
-
-var aliasToken = regexp.MustCompile(`[A-Za-z0-9_]+\$[A-Za-z0-9_]+`)
-
-// CanonKey renders an expression with instance aliases normalized to their
-// order of first appearance. Plans that differ only in which atom's aliases
-// survived a Rule 4 merge compute the same relation, so enumeration
-// deduplicates on this key rather than the raw rendering.
-func CanonKey(e nalg.Expr) string {
-	s := e.String()
-	if !strings.Contains(s, "$") {
-		return s
-	}
-	next := 0
-	seen := make(map[string]string)
-	return aliasToken.ReplaceAllStringFunc(s, func(tok string) string {
-		i := strings.IndexByte(tok, '$')
-		atom, scheme := tok[:i], tok[i+1:]
-		nn, ok := seen[atom]
-		if !ok {
-			nn = "a" + strconv.Itoa(next)
-			next++
-			seen[atom] = nn
-		}
-		return nn + "$" + scheme
-	})
-}
 
 // DefaultMaxPlans bounds the plan set each expansion phase may produce.
 // Conjunctive queries over a handful of external relations stay well under
 // it; the bound is a safety valve against rule interactions.
 const DefaultMaxPlans = 4096
 
-// variants returns every whole-tree rewrite obtained by firing one enabled
-// rule at one node of e. Column maps carried by a rewrite are applied to
-// all enclosing operators on the way back up.
-func (rw *Rewriter) variants(e nalg.Expr) []nalg.Expr {
-	var out []nalg.Expr
-	for _, r := range rw.ruleResults(e) {
-		out = append(out, r.e)
+// memo returns the plan memo rewrites are interned in: the one the caller
+// shares with the other phases and the cost model, or a private one.
+func (rw *Rewriter) memo() *nalg.Memo {
+	if rw.Memo == nil {
+		rw.Memo = nalg.NewMemo(rw.WS)
 	}
-	kids := e.Children()
-	for i, kid := range kids {
-		for _, r := range rw.variantsWithMap(kid) {
-			newKids := make([]nalg.Expr, len(kids))
-			copy(newKids, kids)
-			newKids[i] = r.e
-			out = append(out, substNode(e, newKids, r.colmap))
-		}
-	}
-	return out
+	return rw.Memo
 }
 
-// variantsWithMap is variants keeping the column maps, for recursion.
-func (rw *Rewriter) variantsWithMap(e nalg.Expr) []result {
-	out := rw.ruleResults(e)
-	kids := e.Children()
+// variant is one whole-subtree rewrite of an interned node: the node it
+// becomes, and the column substitution the enclosing operators must apply.
+type variant struct {
+	n      *nalg.Node
+	colmap map[string]string
+}
+
+// variants returns every whole-subtree rewrite obtained by firing one
+// enabled rule at one node of n's expression: the rewrites at n itself,
+// then, child by child, the child's variants plugged back into n. The
+// column map a rewrite carries is applied to every enclosing operator on
+// the way up. The list depends only on the expression and the rule set, so
+// it is computed once per interned node; candidate plans share most of
+// their subtrees, and with them these lists.
+func (rw *Rewriter) variants(n *nalg.Node) []variant {
+	if rw.variantRules != rw.Rules {
+		rw.variantRules = rw.Rules
+		clear(rw.variantsOf)
+	}
+	m := rw.memo()
+	id := n.ID()
+	if id >= len(rw.variantsOf) {
+		// Room for every node interned so far: a node's variants are asked
+		// for after it, and everything below it, was interned.
+		grown := make([][]variant, max(m.Len(), 2*len(rw.variantsOf)))
+		copy(grown, rw.variantsOf)
+		rw.variantsOf = grown
+	}
+	if list := rw.variantsOf[id]; list != nil {
+		return list
+	}
+	own := rw.ruleResults(n.Expr())
+	kids := n.Kids()
+	size := len(own)
+	for _, kid := range kids {
+		size += len(rw.variants(kid))
+	}
+	out := rw.lists.Take(size)[:0] // non-nil even when empty: nil is "not computed"
+	for _, r := range own {
+		out = append(out, variant{n: m.Node(r.e), colmap: r.colmap})
+	}
 	for i, kid := range kids {
-		for _, r := range rw.variantsWithMap(kid) {
-			newKids := make([]nalg.Expr, len(kids))
-			copy(newKids, kids)
-			newKids[i] = r.e
-			out = append(out, result{e: substNode(e, newKids, r.colmap), colmap: r.colmap, rule: r.rule})
+		for _, v := range rw.variants(kid) {
+			if len(v.colmap) == 0 {
+				out = append(out, variant{n: m.WithKid(n, i, v.n)})
+				continue
+			}
+			var newKids [2]nalg.Expr
+			for j, k := range kids {
+				newKids[j] = k.Expr()
+			}
+			newKids[i] = v.n.Expr()
+			out = append(out, variant{n: m.Node(substNode(n.Expr(), newKids[:len(kids)], v.colmap)), colmap: v.colmap})
 		}
 	}
+	rw.variantsOf[id] = out
 	return out
 }
 
 // Expand computes the closure of the seed expressions under the enabled
-// rules, keeping only candidates that still type-check against the scheme.
-// The result is deterministic (sorted by canonical rendering) and bounded
-// by maxPlans.
+// rules, keeping only candidates that still type-check against the scheme
+// and one plan per canonical key (see nalg.Memo.Key). The result is
+// deterministic (sorted by rendering) and bounded by maxPlans; the plans
+// returned are interned in the rewriter's memo.
 func (rw *Rewriter) Expand(seeds []nalg.Expr, maxPlans int) []nalg.Expr {
 	if maxPlans <= 0 {
 		maxPlans = DefaultMaxPlans
 	}
-	seen := make(map[string]bool)
-	var all []nalg.Expr
-	var queue []nalg.Expr
-	push := func(e nalg.Expr) {
-		if rw.schema(e) == nil {
+	m := rw.memo()
+	var seen []bool // by canonical key
+	var all []rendered
+	var queue []*nalg.Node
+	push := func(n *nalg.Node) {
+		if _, err := m.SchemaOf(n); err != nil {
 			return
 		}
-		k := CanonKey(e)
+		k := int(m.Key(n))
+		if k >= len(seen) {
+			seen = append(seen, make([]bool, k+1-len(seen))...)
+		}
 		if seen[k] {
 			return
 		}
 		seen[k] = true
-		all = append(all, e)
-		queue = append(queue, e)
+		all = append(all, rendered{e: n.Expr()})
+		queue = append(queue, n)
 	}
 	for _, s := range seeds {
-		push(s)
+		push(m.Node(s))
 	}
 	for len(queue) > 0 && len(all) < maxPlans {
 		cur := queue[0]
@@ -108,9 +118,23 @@ func (rw *Rewriter) Expand(seeds []nalg.Expr, maxPlans int) []nalg.Expr {
 			if len(all) >= maxPlans {
 				break
 			}
-			push(v)
+			push(v.n)
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].String() < all[j].String() })
-	return all
+	for i := range all {
+		all[i].s = all[i].e.String()
+	}
+	slices.SortFunc(all, func(a, b rendered) int { return strings.Compare(a.s, b.s) })
+	plans := make([]nalg.Expr, len(all))
+	for i, r := range all {
+		plans[i] = r.e
+	}
+	return plans
+}
+
+// rendered is a plan beside its rendering, the order Expand returns plans
+// in.
+type rendered struct {
+	e nalg.Expr
+	s string
 }

@@ -72,6 +72,12 @@ type Precondition struct {
 // when the scheme still supports the rewrite; the error names the first
 // fact that no longer holds.
 func (p *Precondition) Validate(ws *adm.Scheme) error {
+	return p.validate(ws, func(e nalg.Expr) bool { return coveringChain(ws, e) })
+}
+
+// validate is Validate with the covering-navigation test supplied: the
+// rewriter decides it once per navigation (see coveringNav).
+func (p *Precondition) validate(ws *adm.Scheme, covering func(nalg.Expr) bool) error {
 	if p == nil {
 		return nil
 	}
@@ -101,7 +107,7 @@ func (p *Precondition) Validate(ws *adm.Scheme) error {
 			return fmt.Errorf("rewrite: %s relied on the inclusion %s ⊆ %s, which the scheme does not imply", p.Rule, p.IncludedSub, p.IncludedSuper)
 		}
 	}
-	if p.Covering != nil && !coveringChain(ws, p.Covering) {
+	if p.Covering != nil && !covering(p.Covering) {
 		return fmt.Errorf("rewrite: %s relied on %s being a covering navigation", p.Rule, p.Covering)
 	}
 	return nil
@@ -127,7 +133,7 @@ type Application struct {
 func (rw *Rewriter) validated(at nalg.Expr, results []result) []result {
 	out := results[:0]
 	for _, r := range results {
-		if err := r.pre.Validate(rw.WS); err != nil {
+		if err := r.pre.validate(rw.WS, rw.coveringNav); err != nil {
 			continue
 		}
 		if rw.RecordAudit {

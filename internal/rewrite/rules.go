@@ -69,45 +69,29 @@ type Rewriter struct {
 	Rules Rule
 	// RecordAudit enables the application audit trail returned by Audit.
 	RecordAudit bool
+	// Memo is the plan memo the rewriter interns expressions in and reads
+	// their schemas from. Algorithm 1 hands every phase's rewriter, and the
+	// cost model, the same one; left nil, the rewriter makes its own on
+	// first use. It must not change once the rewriter has been used.
+	Memo *nalg.Memo
 
-	// schemas caches inference results by node identity. Rewrites share
-	// subtrees, so the cache hit rate is high during enumeration. A nil
-	// entry records an inference failure.
-	schemas map[nalg.Expr]*nalg.Schema
+	// variantsOf caches variants by node ID, for the rule set variantRules;
+	// nil is "not computed". The lists are cut from one slab.
+	variantsOf   [][]variant
+	variantRules Rule
+	lists        nalg.Slab[variant]
+	// covering caches coveringChain by node.
+	covering map[*nalg.Node]bool
+	// pointers is matchPointer's result at the join pointersAt.
+	pointersAt nalg.Expr
+	pointers   []pointerPattern
 	// audit is the recorded rule applications (RecordAudit only).
 	audit []Application
 }
 
-// schema is InferSchema that tolerates failure (rules simply don't fire)
-// and memoizes by node identity, recursing through the cache so a subtree
-// shared by thousands of candidate plans is inferred once.
-func (rw *Rewriter) schema(e nalg.Expr) *nalg.Schema {
-	if rw.schemas == nil {
-		rw.schemas = make(map[nalg.Expr]*nalg.Schema)
-	}
-	if s, ok := rw.schemas[e]; ok {
-		return s
-	}
-	kids := e.Children()
-	schemas := make([]*nalg.Schema, len(kids))
-	ok := true
-	for i, k := range kids {
-		if schemas[i] = rw.schema(k); schemas[i] == nil {
-			ok = false
-			break
-		}
-	}
-	var s *nalg.Schema
-	if ok {
-		var err error
-		s, err = nalg.InferNode(e, rw.WS, schemas)
-		if err != nil {
-			s = nil
-		}
-	}
-	rw.schemas[e] = s
-	return s
-}
+// schema is InferSchema through the memo, tolerating failure (rules simply
+// don't fire): nil when e does not type-check.
+func (rw *Rewriter) schema(e nalg.Expr) *nalg.Schema { return rw.memo().Schema(e) }
 
 // ruleResults returns every rewrite the enabled rules produce at this node.
 func (rw *Rewriter) ruleResults(e nalg.Expr) []result {
@@ -154,13 +138,12 @@ func (rw *Rewriter) pushJoin(e nalg.Expr) []result {
 	for _, c := range j.Conds {
 		condCols = append(condCols, c.Left, c.Right)
 	}
-	referencesAny := func(inner *nalg.Schema, produced func(string) bool) bool {
+	referencesAny := func(produced func(string) bool) bool {
 		for _, col := range condCols {
 			if produced(col) {
 				return true
 			}
 		}
-		_ = inner
 		return false
 	}
 	push := func(side nalg.Expr, left bool) {
@@ -169,7 +152,7 @@ func (rw *Rewriter) pushJoin(e nalg.Expr) []result {
 			promoted := func(col string) bool {
 				return len(col) > len(x.Attr) && col[:len(x.Attr)+1] == x.Attr+"."
 			}
-			if referencesAny(nil, promoted) {
+			if referencesAny(promoted) {
 				return
 			}
 			var inner *nalg.Join
@@ -185,7 +168,7 @@ func (rw *Rewriter) pushJoin(e nalg.Expr) []result {
 				a, _, ok := splitCol(col)
 				return ok && a == alias
 			}
-			if referencesAny(nil, produced) {
+			if referencesAny(produced) {
 				return
 			}
 			var inner *nalg.Join
@@ -499,6 +482,10 @@ func (rw *Rewriter) matchPointer(e nalg.Expr) []pointerPattern {
 	if !ok || len(j.Conds) == 0 {
 		return nil
 	}
+	// Rules 8 and 9 match the same join one after the other.
+	if rw.pointersAt == e {
+		return rw.pointers
+	}
 	var out []pointerPattern
 	try := func(f *nalg.Follow, other nalg.Expr, followLeft bool) {
 		fSch := rw.schema(f)
@@ -558,6 +545,7 @@ func (rw *Rewriter) matchPointer(e nalg.Expr) []pointerPattern {
 	if f, ok := j.R.(*nalg.Follow); ok {
 		try(f, j.L, false)
 	}
+	rw.pointersAt, rw.pointers = e, out
 	return out
 }
 
@@ -587,7 +575,7 @@ func (rw *Rewriter) pointerColFor(oSch *nalg.Schema, oCol nalg.Col, tRel, target
 			continue
 		}
 		if lc.TgtAttr == tRel && lc.SrcAttr.Equal(oCol.Path) {
-			return cand, &lc, true
+			return *cand, &lc, true
 		}
 	}
 	return nalg.Col{}, nil, false
@@ -616,6 +604,21 @@ func (rw *Rewriter) rule8(e nalg.Expr) []result {
 	return out
 }
 
+// coveringNav is coveringChain, decided once per interned navigation: the
+// same covering side is matched under every plan that joins against it.
+func (rw *Rewriter) coveringNav(e nalg.Expr) bool {
+	n := rw.memo().Node(e)
+	covers, ok := rw.covering[n]
+	if !ok {
+		if rw.covering == nil {
+			rw.covering = make(map[*nalg.Node]bool)
+		}
+		covers = coveringChain(rw.WS, e)
+		rw.covering[n] = covers
+	}
+	return covers
+}
+
 // rule9 (pointer chase): when R2's pointers are included in R1's
 // (R2.L' ⊆ R1.L) and R1 is a covering selection-free navigation, the join
 // is computed by simply chasing R2's links:
@@ -628,7 +631,7 @@ func (rw *Rewriter) rule9(e nalg.Expr) []result {
 		if len(m.otherConds) != 0 {
 			continue
 		}
-		if !coveringChain(rw.WS, m.f.In) {
+		if !rw.coveringNav(m.f.In) {
 			continue
 		}
 		if !rw.WS.IncludedIn(m.l2Col.Ref(), m.l1Col.Ref()) {

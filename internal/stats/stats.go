@@ -109,6 +109,9 @@ func (s *Stats) SetJoinSel(a, b adm.AttrRef, sel float64) {
 
 // JoinSelectivity returns the override for a pair, if set.
 func (s *Stats) JoinSelectivity(a, b adm.AttrRef) (float64, bool) {
+	if len(s.JoinSel) == 0 {
+		return 0, false
+	}
 	v, ok := s.JoinSel[joinKey(a, b)]
 	return v, ok
 }
