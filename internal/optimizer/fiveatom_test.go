@@ -6,13 +6,11 @@ import (
 )
 
 // TestFiveAtomQuery exercises the widest query the university view admits:
-// all five external relations joined, with selections. The optimizer must
-// stay within its bounds (permutation enumeration caps at 5 atoms) and
-// produce a computable plan in reasonable time.
+// all five external relations joined, with selections. Beyond three atoms
+// translation tries one atom order per ordered pair rather than every
+// permutation; the optimizer must stay within its bounds and produce a
+// computable plan in reasonable time.
 func TestFiveAtomQuery(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wide query")
-	}
 	_, o := univOptimizer(t)
 	q := mustParse(t, `SELECT p.PName, d.Address, c.CName
 		FROM Professor p, ProfDept pd, Dept d, CourseInstructor ci, Course c
@@ -25,7 +23,7 @@ func TestFiveAtomQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
-	if elapsed > 90*time.Second {
+	if elapsed > 5*time.Second {
 		t.Errorf("optimization took %v", elapsed)
 	}
 	if res.Best.Cost <= 0 {

@@ -6,13 +6,17 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"ulixes/internal/cq"
 	"ulixes/internal/exp"
 	"ulixes/internal/optimizer"
+	"ulixes/internal/plancache"
+	"ulixes/internal/race"
 	"ulixes/internal/sitegen"
 	"ulixes/internal/stats"
 	"ulixes/internal/view"
@@ -238,5 +242,86 @@ func TestPlanGolden(t *testing.T) {
 		if got := runGoldenCase(t, mk, c); got != want[c.name] {
 			t.Errorf("plan drift\n--- got\n%s--- want\n%s", got, want[c.name])
 		}
+	}
+}
+
+// TestConcurrentOptimizeMatchesGolden: one Optimizer shared by sixteen
+// goroutines planning different shapes gives each the plans the golden
+// records. The memo is made per call; nothing the search mutates is shared.
+func TestConcurrentOptimizeMatchesGolden(t *testing.T) {
+	mk := goldenViews(t)
+	want := readGolden(t)
+	shared := map[string]*optimizer.Optimizer{"univ": mk["univ"](optimizer.Options{}), "bib": mk["bib"](optimizer.Options{})}
+	var cases []goldenCase
+	for _, c := range goldenCorpus() {
+		// Default options only (the Optimizer is shared), and not the very
+		// widest shapes, which add time under -race but no new sharing.
+		if c.opts == (optimizer.Options{}) && strings.Count(c.query, ",") <= 3 {
+			cases = append(cases, c)
+		}
+	}
+	const workers = 16
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(cases); i += workers {
+				c := cases[i]
+				q, err := cq.Parse(c.query)
+				if err != nil {
+					t.Errorf("%s: %v", c.name, err)
+					return
+				}
+				res, err := shared[c.site].Optimize(q)
+				if err != nil {
+					t.Errorf("%s: %v", c.name, err)
+					return
+				}
+				if got := goldenEntry(c, res); got != want[c.name] {
+					t.Errorf("plan drift under concurrency\n--- got\n%s--- want\n%s", got, want[c.name])
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestCachedPlansDoNotPinTheirMemo plans 64 shapes into a plan cache and
+// checks what stays on the heap afterwards: the cached results — plain
+// expression trees — and not the memos they were searched in, which are
+// two orders of magnitude larger.
+func TestCachedPlansDoNotPinTheirMemo(t *testing.T) {
+	if race.Enabled {
+		t.Skip("heap accounting is inflated under the race detector")
+	}
+	mk := goldenViews(t)
+	opt := mk["univ"](optimizer.Options{})
+	cache := plancache.New(plancache.Config{})
+	shapes := chainQueries("univ", univChain)[:64]
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, c := range shapes {
+		q, err := cq.Parse(c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, cached, err := cache.Prepare(q, opt.Stats, "", opt.Optimize); err != nil || cached {
+			t.Fatalf("%s: cached=%v err=%v", c.name, cached, err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	searched := int64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("%d shapes: %d KB retained by the cache, %d KB allocated while planning", len(shapes), retained>>10, searched>>10)
+	if cache.Counters().Entries != len(shapes) {
+		t.Fatalf("%d entries cached, want %d", cache.Counters().Entries, len(shapes))
+	}
+	if retained > searched/20 {
+		t.Errorf("the cache retains %d KB of the %d KB its searches allocated: results are holding on to their memos", retained>>10, searched>>10)
 	}
 }

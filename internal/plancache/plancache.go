@@ -17,6 +17,7 @@
 package plancache
 
 import (
+	"errors"
 	"sort"
 	"strconv"
 	"strings"
@@ -68,16 +69,26 @@ type entry struct {
 	lastUse uint64
 }
 
+// flight is one run of the optimizer on a shape that other requests for
+// the same shape wait for instead of planning it again. res and err are
+// written before done is closed.
+type flight struct {
+	done chan struct{}
+	res  *optimizer.Result
+	err  error
+}
+
 // Cache is a prepared-plan cache. It is safe for concurrent use.
 type Cache struct {
 	cfg Config
 
 	mu      sync.Mutex
-	entries map[string]*entry // guarded by mu
-	clock   uint64            // logical LRU clock; guarded by mu
-	hits    uint64            // guarded by mu
-	misses  uint64            // guarded by mu
-	invals  uint64            // guarded by mu
+	entries map[string]*entry  // guarded by mu
+	flights map[string]*flight // shapes being planned right now; guarded by mu
+	clock   uint64             // logical LRU clock; guarded by mu
+	hits    uint64             // guarded by mu
+	misses  uint64             // guarded by mu
+	invals  uint64             // guarded by mu
 }
 
 // New creates a cache.
@@ -88,7 +99,7 @@ func New(cfg Config) *Cache {
 	if cfg.DriftThreshold == 0 {
 		cfg.DriftThreshold = DefaultDriftThreshold
 	}
-	return &Cache{cfg: cfg, entries: make(map[string]*entry)}
+	return &Cache{cfg: cfg, entries: make(map[string]*entry), flights: make(map[string]*flight)}
 }
 
 // Counters returns a snapshot of the cache's counters.
@@ -124,8 +135,12 @@ func (c *Cache) Peek(q *cq.Query, scope string) (cost float64, ok bool) {
 // Prepare returns an optimizer result for q: from the cache when a plan
 // for q's shape is present and its statistics snapshot has not drifted,
 // otherwise by running optimize on the parameterized shape and caching the
-// outcome. cached reports a hit — the full planning pipeline was skipped.
-// scope distinguishes plans produced under different optimizer options.
+// outcome. Concurrent requests for one uncached shape plan it once: the
+// first runs optimize and the others wait for its result. cached reports
+// that this request skipped the planning pipeline — a stored plan or
+// another request's planning answered it — and such requests count as
+// hits. scope distinguishes plans produced under different optimizer
+// options.
 func (c *Cache) Prepare(q *cq.Query, st *stats.Stats, scope string, optimize func(*cq.Query) (*optimizer.Result, error)) (res *optimizer.Result, cached bool, err error) {
 	canon, params, ok := Canonicalize(q)
 	if !ok {
@@ -150,14 +165,37 @@ func (c *Cache) Prepare(q *cq.Query, st *stats.Stats, scope string, optimize fun
 		c.mu.Unlock()
 		return specializeResult(r, params), true, nil
 	}
+	if f := c.flights[key]; f != nil {
+		c.hits++
+		c.mu.Unlock()
+		<-f.done
+		if f.err != nil {
+			// Nothing was planned for this request after all.
+			c.mu.Lock()
+			c.hits--
+			c.misses++
+			c.mu.Unlock()
+			return nil, false, f.err
+		}
+		return specializeResult(f.res, params), true, nil
+	}
+	f := &flight{done: make(chan struct{}), err: errPlanningAbandoned}
+	c.flights[key] = f
 	c.misses++
 	c.mu.Unlock()
+	// Whatever happens to optimize, the waiters are released.
+	defer func() {
+		c.mu.Lock()
+		delete(c.flights, key)
+		c.mu.Unlock()
+		close(f.done)
+	}()
 
 	// Optimize the parameterized shape, so the cached trees carry the
 	// sentinels and any constants can be substituted on later hits.
-	r, err := optimize(canon)
-	if err != nil {
-		return nil, false, err
+	f.res, f.err = optimize(canon)
+	if f.err != nil {
+		return nil, false, f.err
 	}
 	var snap stats.Snapshot
 	if st != nil {
@@ -165,7 +203,7 @@ func (c *Cache) Prepare(q *cq.Query, st *stats.Stats, scope string, optimize fun
 	}
 	c.mu.Lock()
 	c.clock++
-	c.entries[key] = &entry{res: r, snap: snap, lastUse: c.clock}
+	c.entries[key] = &entry{res: f.res, snap: snap, lastUse: c.clock}
 	for len(c.entries) > c.cfg.MaxEntries {
 		var lruKey string
 		var lru uint64
@@ -178,8 +216,12 @@ func (c *Cache) Prepare(q *cq.Query, st *stats.Stats, scope string, optimize fun
 		delete(c.entries, lruKey)
 	}
 	c.mu.Unlock()
-	return specializeResult(r, params), false, nil
+	return specializeResult(f.res, params), false, nil
 }
+
+// errPlanningAbandoned is what waiters get when the request planning their
+// shape never returned from optimize (it panicked).
+var errPlanningAbandoned = errors.New("plancache: planning of this query shape did not complete")
 
 // sentinel returns the placeholder value for the i-th constant. The NUL
 // framing cannot appear in parsed query text, so placeholders never

@@ -2,6 +2,9 @@ package plancache
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ulixes/internal/cq"
@@ -223,5 +226,114 @@ func TestSubstExprSharesUnchangedSubtrees(t *testing.T) {
 	// No sentinel anywhere: identical expression returned as-is.
 	if substExpr(inner, []string{"Full"}) != inner {
 		t.Error("sentinel-free tree should be returned unchanged")
+	}
+}
+
+// TestConcurrentMissesPlanOnce: eight requests for one shape nobody has
+// planned yet run the optimizer once; the seven that arrive while it runs
+// wait for its result, each gets its own constant back, and they count as
+// hits.
+func TestConcurrentMissesPlanOnce(t *testing.T) {
+	c := New(Config{})
+	st := stats.New()
+	var calls atomic.Int32
+	entered, release := make(chan struct{}), make(chan struct{})
+	inner := fakeOptimize(nil)
+	opt := func(q *cq.Query) (*optimizer.Result, error) {
+		if calls.Add(1) == 1 {
+			close(entered)
+		}
+		<-release
+		return inner(q)
+	}
+	const n = 8
+	type outcome struct {
+		res    *optimizer.Result
+		cached bool
+		err    error
+	}
+	out := make([]outcome, n)
+	var wg sync.WaitGroup
+	prepare := func(i int) {
+		defer wg.Done()
+		q, err := cq.Parse(fmt.Sprintf("SELECT p.PName FROM Professor p WHERE p.Rank = 'r%d'", i))
+		if err != nil {
+			out[i].err = err
+			return
+		}
+		out[i].res, out[i].cached, out[i].err = c.Prepare(q, st, "scope", opt)
+	}
+	wg.Add(n)
+	go prepare(0)
+	<-entered
+	for i := 1; i < n; i++ {
+		go prepare(i)
+	}
+	// The planner is held until the other seven have joined its flight (or
+	// one of them has started planning too).
+	for c.Counters().Hits < n-1 && calls.Load() == 1 {
+		runtime.Gosched()
+	}
+	close(release)
+	wg.Wait()
+
+	if got := calls.Load(); got != 1 {
+		t.Errorf("optimize ran %d times, want 1", got)
+	}
+	if cn := c.Counters(); cn.Misses != 1 || cn.Hits != n-1 || cn.Entries != 1 {
+		t.Errorf("counters = %+v, want 1 miss, %d hits, 1 entry", cn, n-1)
+	}
+	for i, o := range out {
+		if o.err != nil {
+			t.Fatalf("request %d: %v", i, o.err)
+		}
+		if o.cached != (i != 0) {
+			t.Errorf("request %d: cached = %v", i, o.cached)
+		}
+		got := string(o.res.Best.Expr.(*nalg.Select).Pred.(nested.ConstPred).Val.(nested.TextValue))
+		if want := fmt.Sprintf("r%d", i); got != want {
+			t.Errorf("request %d got the plan for %q", i, got)
+		}
+	}
+}
+
+// TestFailedFlightReleasesWaiters: when the request planning a shape fails
+// or panics, the requests waiting on it get an error, not a hang, and the
+// shape can be planned again.
+func TestFailedFlightReleasesWaiters(t *testing.T) {
+	c := New(Config{})
+	st := stats.New()
+	q := parse(t, "SELECT p.PName FROM Professor p WHERE p.Rank = 'Full'")
+	entered, release := make(chan struct{}), make(chan struct{})
+	leader := make(chan any, 1)
+	go func() {
+		defer func() { leader <- recover() }()
+		_, _, _ = c.Prepare(q, st, "", func(*cq.Query) (*optimizer.Result, error) {
+			close(entered)
+			<-release
+			panic("planner bug")
+		})
+	}()
+	<-entered
+	waiter := make(chan error, 1)
+	go func() {
+		_, _, err := c.Prepare(q, st, "", fakeOptimize(nil))
+		waiter <- err
+	}()
+	for c.Counters().Hits < 1 {
+		runtime.Gosched()
+	}
+	close(release)
+	if r := <-leader; r == nil {
+		t.Error("the planner's panic must reach its own caller")
+	}
+	if err := <-waiter; err == nil {
+		t.Error("the waiter must be told planning did not complete")
+	}
+	if cn := c.Counters(); cn.Hits != 0 || cn.Misses != 2 || cn.Entries != 0 {
+		t.Errorf("counters = %+v, want 2 misses and nothing cached", cn)
+	}
+	if _, cached, err := c.Prepare(q, st, "", fakeOptimize(nil)); err != nil || cached {
+		t.Errorf("planning the shape again: cached=%v err=%v", cached, err)
 	}
 }
