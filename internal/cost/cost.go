@@ -272,8 +272,7 @@ func (s *Estimator) estimateNode(n *nalg.Node) (Estimate, error) {
 	if err != nil {
 		return Estimate{}, fmt.Errorf("cost: expression does not type-check: %w", err)
 	}
-	var in, right Estimate
-	var inSch *nalg.Schema
+	var in, right Estimate // of the operand, and of a join's right operand
 	for i, k := range n.Kids() {
 		est, err := s.estimate(k)
 		if err != nil {
@@ -281,11 +280,11 @@ func (s *Estimator) estimateNode(n *nalg.Node) (Estimate, error) {
 		}
 		if i == 0 {
 			in = est
-			inSch = est.schema
 		} else {
 			right = est
 		}
 	}
+	inSch := in.schema
 	est := Estimate{schema: sch}
 	switch x := n.Expr().(type) {
 	case *nalg.EntryScan:

@@ -2,7 +2,9 @@ package nalg
 
 import (
 	"hash/maphash"
+	"maps"
 	"reflect"
+	"slices"
 	"sync/atomic"
 
 	"ulixes/internal/adm"
@@ -28,11 +30,11 @@ type Memo struct {
 	seed maphash.Seed
 	tag  uint64 // this memo's mark on the expressions it allocates
 
-	byID     []*Node
-	nodeSet  ordinalSet          // node IDs by payload + children
-	payloads map[uint64]*payload // payload hash -> chain of distinct payloads
-	payload  []*payload          // by ID
-	opaque   map[Expr]*Node      // nodes of types the memo does not know
+	byID       []*Node
+	nodeSet    ordinalSet // node IDs by payload + children
+	payload    []*payload // distinct operator payloads, by ID
+	payloadSet ordinalSet
+	opaque     map[Expr]*Node // nodes of types the memo does not know
 
 	blocks   *colBlocks
 	inferred int
@@ -65,9 +67,7 @@ var memoTags atomic.Uint64
 // payload is one distinct operator payload (a node without its children),
 // represented by the first expression seen carrying it.
 type payload struct {
-	id   int32
 	expr Expr
-	next *payload
 
 	// The payload's part of a canonical key (see Key): its rendered pieces
 	// with atoms numbered in their order within the payload.
@@ -79,11 +79,10 @@ type payload struct {
 // NewMemo creates an empty memo over a web scheme.
 func NewMemo(ws *adm.Scheme) *Memo {
 	return &Memo{
-		ws:       ws,
-		seed:     maphash.MakeSeed(),
-		tag:      memoTags.Add(1),
-		payloads: make(map[uint64]*payload),
-		blocks:   newColBlocks(),
+		ws:     ws,
+		seed:   maphash.MakeSeed(),
+		tag:    memoTags.Add(1),
+		blocks: newColBlocks(),
 	}
 }
 
@@ -95,15 +94,12 @@ type Slab[T any] struct {
 	chunk int
 }
 
-// Take returns a zeroed, non-nil slice of length n with no spare capacity.
+// Take returns a zeroed slice of length n with no spare capacity.
 func (s *Slab[T]) Take(n int) []T {
 	if n > len(s.free) {
 		// Chunks double up to a cap, so a small plan search stays small.
 		s.chunk = min(max(64, 2*s.chunk), 8192)
 		s.free = make([]T, max(n, s.chunk))
-	}
-	if s.free == nil {
-		return []T{}
 	}
 	out := s.free[:n:n]
 	s.free = s.free[n:]
@@ -190,9 +186,6 @@ func (m *Memo) Len() int { return len(m.byID) }
 // than Len, since each node is inferred at most once.
 func (m *Memo) Inferred() int { return m.inferred }
 
-// Intern returns the memo's representative of e's structure.
-func (m *Memo) Intern(e Expr) Expr { return m.Node(e).expr }
-
 // Node interns e, and its subexpressions, and returns its node.
 func (m *Memo) Node(e Expr) *Node {
 	meta := metaOf(e)
@@ -276,15 +269,13 @@ func (m *Memo) newNode(e Expr, payload int32, kids [2]*Node) *Node {
 // payloadOf interns e's operator payload.
 func (m *Memo) payloadOf(e Expr) int32 {
 	h := m.hashPayload(e)
-	for p := m.payloads[h]; p != nil; p = p.next {
-		if samePayload(p.expr, e) {
-			return p.id
-		}
+	at := m.payloadSet.find(h, func(ord int) bool { return samePayload(m.payload[ord].expr, e) })
+	if at < 0 {
+		at = len(m.payload)
+		m.payloadSet.add(h, at)
+		m.payload = append(m.payload, &payload{expr: e})
 	}
-	p := &payload{id: int32(len(m.payload)), expr: e, next: m.payloads[h]}
-	m.payload = append(m.payload, p)
-	m.payloads[h] = p
-	return p.id
+	return int32(at)
 }
 
 // cloneOver allocates e's operator over the given children, marked as the
@@ -398,37 +389,13 @@ func samePayload(a, b Expr) bool {
 		return ok && samePred(x.Pred, y.Pred)
 	case *Project:
 		y, ok := b.(*Project)
-		if !ok || len(x.Cols) != len(y.Cols) {
-			return false
-		}
-		for i := range x.Cols {
-			if x.Cols[i] != y.Cols[i] {
-				return false
-			}
-		}
-		return true
+		return ok && slices.Equal(x.Cols, y.Cols)
 	case *Join:
 		y, ok := b.(*Join)
-		if !ok || len(x.Conds) != len(y.Conds) {
-			return false
-		}
-		for i := range x.Conds {
-			if x.Conds[i] != y.Conds[i] {
-				return false
-			}
-		}
-		return true
+		return ok && slices.Equal(x.Conds, y.Conds)
 	case *Rename:
 		y, ok := b.(*Rename)
-		if !ok || len(x.Map) != len(y.Map) {
-			return false
-		}
-		for old, nn := range x.Map {
-			if got, ok := y.Map[old]; !ok || got != nn {
-				return false
-			}
-		}
-		return true
+		return ok && maps.Equal(x.Map, y.Map)
 	}
 	return false
 }
@@ -443,46 +410,28 @@ func samePred(p, q nested.Predicate) bool {
 		return ok && a == b
 	case nested.AndPred:
 		b, ok := q.(nested.AndPred)
-		if !ok || len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if !samePred(a[i], b[i]) {
-				return false
-			}
-		}
-		return true
+		return ok && slices.EqualFunc(a, b, samePred)
 	}
 	return reflect.DeepEqual(p, q)
 }
 
 func sameValue(a, b nested.Value) bool {
-	switch x := a.(type) {
-	case nested.TextValue:
+	if x, ok := a.(nested.TextValue); ok { // what query constants are
 		y, ok := b.(nested.TextValue)
-		return ok && x == y
-	case nested.LinkValue:
-		y, ok := b.(nested.LinkValue)
-		return ok && x == y
-	case nested.ImageValue:
-		y, ok := b.(nested.ImageValue)
 		return ok && x == y
 	}
 	return reflect.DeepEqual(a, b)
 }
 
 // Schema returns the inferred schema of e, or nil when e does not
-// type-check; SchemaErr gives the reason.
+// type-check.
 func (m *Memo) Schema(e Expr) *Schema {
 	s, _ := m.SchemaOf(m.Node(e))
 	return s
 }
 
-// SchemaErr is InferSchema through the memo: each distinct subexpression
-// is inferred once, and the columns navigation steps add are shared.
-func (m *Memo) SchemaErr(e Expr) (*Schema, error) { return m.SchemaOf(m.Node(e)) }
-
-// SchemaOf returns the inferred schema of an interned node.
+// SchemaOf is InferSchema through the memo: each distinct subexpression is
+// inferred once, and the columns navigation steps add are shared.
 func (m *Memo) SchemaOf(n *Node) (*Schema, error) {
 	if n.typed {
 		return n.schema, n.err

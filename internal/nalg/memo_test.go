@@ -60,7 +60,7 @@ func TestMemoSchemaInferredOnce(t *testing.T) {
 	}
 	for round := 0; round < 2; round++ {
 		for _, p := range plans {
-			got, err := m.SchemaErr(p)
+			got, err := m.SchemaOf(m.Node(p))
 			want, werr := InferSchema(p, ws)
 			if err != nil || werr != nil {
 				t.Fatalf("%s: %v / %v", p, err, werr)
@@ -74,7 +74,7 @@ func TestMemoSchemaInferredOnce(t *testing.T) {
 		t.Errorf("%d inferences for %d nodes", m.Inferred(), m.Len())
 	}
 	bad := &Join{L: profNav("p"), R: profNav("p")}
-	_, err := m.SchemaErr(&Project{In: bad, Cols: []string{"p$ProfPage.Name"}})
+	_, err := m.SchemaOf(m.Node(&Project{In: bad, Cols: []string{"p$ProfPage.Name"}}))
 	_, werr := InferSchema(bad, ws)
 	if err == nil || err.Error() != werr.Error() {
 		t.Errorf("ill-typed operand: memo says %v, InferSchema says %v", err, werr)
@@ -169,5 +169,27 @@ func TestMemoKeyLeavesConstantsAlone(t *testing.T) {
 	}
 	if key(plan("a", "q", "a$x")) == key(plan("a", "q", "q$x")) {
 		t.Error("different constants must not share a key")
+	}
+}
+
+// TestOrdinalSetGrows: ordinals stay findable through growth, including
+// under a hash whose upper half collides for all of them.
+func TestOrdinalSetGrows(t *testing.T) {
+	for _, hash := range []func(int) uint64{
+		func(i int) uint64 { return uint64(i) * 0x9e3779b97f4a7c15 },
+		func(i int) uint64 { return 7<<32 | uint64(i) },
+	} {
+		var s ordinalSet
+		for i := 0; i < 1000; i++ {
+			if got := s.find(hash(i), func(ord int) bool { return ord == i }); got != -1 {
+				t.Fatalf("found %d before it was added (as %d)", i, got)
+			}
+			s.add(hash(i), i)
+		}
+		for i := 0; i < 1000; i++ {
+			if got := s.find(hash(i), func(ord int) bool { return ord == i }); got != i {
+				t.Fatalf("find(%d) = %d", i, got)
+			}
+		}
 	}
 }

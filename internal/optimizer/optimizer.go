@@ -21,7 +21,8 @@ package optimizer
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"ulixes/internal/cost"
 	"ulixes/internal/cq"
@@ -59,30 +60,21 @@ func trimToBeam(plans []nalg.Expr, model *cost.Estimator, beam int) []nalg.Expr 
 	if len(plans) <= beam {
 		return plans
 	}
-	type scored struct {
-		e nalg.Expr
-		c float64
-	}
-	out := make([]scored, 0, len(plans))
+	scored := make([]Plan, 0, len(plans))
 	for _, p := range plans {
 		est, err := model.Estimate(p)
 		if err != nil {
 			continue
 		}
-		out = append(out, scored{e: p, c: est.Cost})
+		scored = append(scored, Plan{Expr: p, Cost: est.Cost})
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].c != out[j].c {
-			return out[i].c < out[j].c
-		}
-		return out[i].e.String() < out[j].e.String()
-	})
-	if len(out) > beam {
-		out = out[:beam]
+	slices.SortStableFunc(scored, ComparePlans)
+	if len(scored) > beam {
+		scored = scored[:beam]
 	}
-	trimmed := make([]nalg.Expr, len(out))
-	for i, s := range out {
-		trimmed[i] = s.e
+	trimmed := make([]nalg.Expr, len(scored))
+	for i, s := range scored {
+		trimmed[i] = s.Expr
 	}
 	return trimmed
 }
@@ -102,6 +94,18 @@ type Plan struct {
 	Cost float64
 	// Card is the estimated output cardinality.
 	Card float64
+}
+
+// ComparePlans is the order of Result.Candidates: cheapest first, plans of
+// equal cost by their rendering.
+func ComparePlans(a, b Plan) int {
+	switch {
+	case a.Cost < b.Cost:
+		return -1
+	case a.Cost > b.Cost:
+		return 1
+	}
+	return strings.Compare(a.Expr.String(), b.Expr.String())
 }
 
 // Result is the outcome of optimization: the chosen plan and every
@@ -234,12 +238,7 @@ func (o *Optimizer) optimize(q *cq.Query, memo *nalg.Memo) (*Result, error) {
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("optimizer: no computable plan for query %s", q)
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].Cost != cands[j].Cost {
-			return cands[i].Cost < cands[j].Cost
-		}
-		return cands[i].Expr.String() < cands[j].Expr.String()
-	})
+	slices.SortStableFunc(cands, ComparePlans)
 	return &Result{Best: cands[0], Candidates: cands, PlansConsidered: considered}, nil
 }
 

@@ -18,7 +18,7 @@ package plancache
 
 import (
 	"errors"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -275,12 +275,7 @@ func specializeResult(r *optimizer.Result, params []string) *optimizer.Result {
 		p.Expr = substExpr(p.Expr, params)
 		cands[i] = p
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].Cost != cands[j].Cost {
-			return cands[i].Cost < cands[j].Cost
-		}
-		return cands[i].Expr.String() < cands[j].Expr.String()
-	})
+	slices.SortStableFunc(cands, optimizer.ComparePlans)
 	return &optimizer.Result{Best: cands[0], Candidates: cands, PlansConsidered: r.PlansConsidered}
 }
 

@@ -28,6 +28,9 @@ type variant struct {
 	colmap map[string]string
 }
 
+// noVariants is the computed, empty variant list; nil is "not computed".
+var noVariants = []variant{}
+
 // variants returns every whole-subtree rewrite obtained by firing one
 // enabled rule at one node of n's expression: the rewrites at n itself,
 // then, child by child, the child's variants plugged back into n. The
@@ -58,7 +61,10 @@ func (rw *Rewriter) variants(n *nalg.Node) []variant {
 	for _, kid := range kids {
 		size += len(rw.variants(kid))
 	}
-	out := rw.lists.Take(size)[:0] // non-nil even when empty: nil is "not computed"
+	out := noVariants
+	if size > 0 {
+		out = rw.lists.Take(size)[:0]
+	}
 	for _, r := range own {
 		out = append(out, variant{n: m.Node(r.e), colmap: r.colmap})
 	}
@@ -99,7 +105,7 @@ func (rw *Rewriter) Expand(seeds []nalg.Expr, maxPlans int) []nalg.Expr {
 		}
 		k := int(m.Key(n))
 		if k >= len(seen) {
-			seen = append(seen, make([]bool, k+1-len(seen))...)
+			seen = append(seen, make([]bool, max(k+1, 2*len(seen))-len(seen))...)
 		}
 		if seen[k] {
 			return
