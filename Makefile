@@ -38,13 +38,15 @@ bench:
 # bench-json records the root benchmark suite as a labeled run in the
 # committed trajectory file (ns/op, allocs, and the derived ns/page and
 # bytes/tuple gate metrics). Override BENCH_LABEL to record e.g. "before",
-# and BENCH to record part of the suite (BENCH=Optimize is the cold-planning
-# pair of runs pr16-parent / pr16-change).
+# BENCH_NOTE to say what was measured, and BENCH to record part of the suite
+# (BENCH=Optimize is the cold-planning pair of runs pr16-parent / pr16-change;
+# BENCH='RTTSuite|PipelinedVsSequential|PreparedQuery' is PR 21's).
 BENCH_LABEL ?= after
+BENCH_NOTE ?=
 BENCH ?= .
 bench-json:
-	$(GO) test -run=NONE -bench=$(BENCH) -benchmem -benchtime=3x . \
-		| $(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -merge BENCH_P1.json \
+	$(GO) test -run=NONE -bench='$(BENCH)' -benchmem -benchtime=3x . \
+		| $(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -note "$(BENCH_NOTE)" -merge BENCH_P1.json \
 			-desc "root suite: go test -run=NONE -bench=. -benchmem -benchtime=3x ."
 
 # experiments regenerates the tables of EXPERIMENTS.md.

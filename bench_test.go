@@ -9,13 +9,16 @@ package ulixes_test
 // regenerates every table's key numbers alongside the usual ns/op.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
 
 	"ulixes"
 	"ulixes/internal/exp"
+	"ulixes/internal/guard"
 	"ulixes/internal/optimizer"
+	"ulixes/internal/pagecache"
 	"ulixes/internal/site"
 	"ulixes/internal/sitegen"
 	"ulixes/internal/stats"
@@ -405,6 +408,59 @@ func BenchmarkPipelinedVsSequential(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkRTTSuite is rtt_navigate in the root suite: one op runs the ten
+// E4 shapes on the benchmark's university behind the site-health guard,
+// with a 2 ms round trip per GET, plans cached, and a fresh page store
+// without MaxInFlight per query, pipelined at Workers 8. Wall time follows
+// each plan's chain of dependent round trips; pages and peak_inflight show
+// what was fetched and how much of it overlapped.
+func BenchmarkRTTSuite(b *testing.B) {
+	u, err := sitegen.GenerateUniversity(sitegen.UniversityParams{Courses: 400, Profs: 120, Depts: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ms, err := site.NewMemSite(u.Instance, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ms.SetLatency(2 * time.Millisecond)
+	server := guard.New(ms, guard.Config{})
+	sys := ulixes.OpenWithStats(server, u.Scheme, view.UniversityView(u.Scheme), stats.CollectInstance(u.Instance))
+	sys.EnablePlanCache(ulixes.PlanCacheConfig{})
+	queries := make([]*ulixes.Query, len(exp.QuerySuite))
+	for i, q := range exp.QuerySuite {
+		if queries[i], err = ulixes.ParseQuery(q.Query); err != nil {
+			b.Fatal(err)
+		}
+	}
+	const workers = 8
+	run := func() (pages, tuples, peak int) {
+		for _, q := range queries {
+			ans, err := sys.QueryCQOptsCtx(context.Background(), q, ulixes.ExecOptions{
+				Pipelined: true,
+				Workers:   workers,
+				Cache:     pagecache.New(server, u.Scheme, pagecache.Config{DefaultTTL: pagecache.Forever, Workers: workers}),
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			pages += ans.Exec.Pages
+			tuples += ans.Result.Len()
+			peak = max(peak, ans.Exec.PeakInFlight)
+		}
+		return pages, tuples, peak
+	}
+	run() // plan every shape once: the measured passes are plan-cache hits
+	b.ResetTimer()
+	var pages, tuples, peak int
+	for i := 0; i < b.N; i++ {
+		pages, tuples, peak = run()
+	}
+	b.ReportMetric(float64(pages), "pages")
+	b.ReportMetric(float64(tuples), "tuples")
+	b.ReportMetric(float64(peak), "peak_inflight")
 }
 
 // BenchmarkMaterializedQuery measures a warm materialized-view query (only

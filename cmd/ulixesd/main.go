@@ -128,7 +128,7 @@ func main() {
 	profs := flag.Int("profs", 20, "university: number of professors")
 	depts := flag.Int("depts", 3, "university: number of departments")
 	authors := flag.Int("authors", 500, "bibliography: number of authors")
-	workers := flag.Int("workers", 0, "per-query bound on concurrent page downloads (0 = default)")
+	workers := flag.Int("workers", 0, "query parallelism: up to N follow tasks of N page accesses each in flight (0 = default; see engine.ExecOptions.Workers)")
 	maxQueries := flag.Int("max-queries", 8, "max in-flight queries; excess requests queue or get 429")
 	queueLen := flag.Int("queue", 0, "admission queue length beyond -max-queries (0 = reject immediately)")
 	queueWait := flag.Duration("queue-wait", 2*time.Second, "max queue sojourn; overdue waiters are dropped with 429")

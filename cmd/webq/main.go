@@ -54,7 +54,7 @@ func main() {
 	baseURL := flag.String("url", "", "query a real HTTP endpoint instead of an in-memory site")
 	schemeFile := flag.String("scheme-file", "", "ADM scheme file (required with -url)")
 	viewsFile := flag.String("views-file", "", "view definition file (required with -url)")
-	workers := flag.Int("workers", 0, "bound on concurrent page downloads (0 = default)")
+	workers := flag.Int("workers", 0, "query parallelism: at most N page downloads at once on the query's private store (0 = default; see engine.ExecOptions.Workers)")
 	pipelined := flag.Bool("pipelined", false, "use the streaming parallel evaluator")
 	retries := flag.Int("retries", 0, "retries per page fetch (exponential backoff with jitter)")
 	timeout := flag.Duration("timeout", 0, "per-attempt fetch deadline (0 = none)")

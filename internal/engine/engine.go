@@ -23,8 +23,15 @@ import (
 
 // ExecOptions tunes plan execution.
 type ExecOptions struct {
-	// Workers bounds the concurrent page downloads (0 means
-	// site.DefaultFetchWorkers). With Workers=1 and Pipelined=false the
+	// Workers is the query's parallelism (0 means site.DefaultFetchWorkers),
+	// and this is the one statement of what it bounds. A session batch
+	// issues at most Workers network accesses at once. The sequential
+	// evaluator runs one batch at a time; the pipelined one runs up to
+	// Workers follow fetch tasks at once, each a batch of up to Workers new
+	// URLs, so a pipelined query keeps up to Workers × Workers GETs in
+	// flight on a store without MaxInFlight (a shared Cache). The private
+	// store built when Cache is nil sets MaxInFlight = Workers, bounding
+	// the whole query at Workers. With Workers=1 and Pipelined=false the
 	// execution is the paper's fully sequential navigation.
 	Workers int
 	// Pipelined selects the streaming parallel evaluator: follow-link

@@ -10,8 +10,8 @@ import (
 
 // Pipelined-evaluation defaults.
 const (
-	// DefaultWorkers bounds the concurrent follow-link fetch tasks of one
-	// pipelined evaluation.
+	// DefaultWorkers is the number of concurrent follow-link fetch tasks of
+	// one pipelined evaluation, and the number of new URLs in each.
 	DefaultWorkers = 8
 	// DefaultBatchSize is the tuple granularity of the streams: smaller
 	// batches pipeline more aggressively, larger batches amortize overhead.
@@ -26,9 +26,11 @@ type EvalOptions struct {
 	// result relation and the number of page accesses are identical to the
 	// sequential evaluator's — parallelism only changes wall time.
 	Pipelined bool
-	// Workers bounds the number of in-flight follow-link fetch tasks
-	// (0 means DefaultWorkers). The page-level connection bound lives in
-	// the page store; this knob only caps pipeline fan-out.
+	// Workers is the pipeline's fan-out (0 means DefaultWorkers): the
+	// number of follow-link fetch tasks in flight, and the number of new
+	// URLs each task carries, so that a task is one round of the source's
+	// batch. What that bounds per query is stated once, at
+	// engine.ExecOptions.Workers.
 	Workers int
 	// BatchSize is the tuple-batch granularity (0 means DefaultBatchSize).
 	BatchSize int
@@ -122,10 +124,10 @@ func (p *pipeline) emit(out chan<- []nested.Tuple, batch []nested.Tuple) bool {
 	}
 }
 
-// emitChunks re-batches and sends a tuple slice downstream. Re-batching is
-// what creates pipeline parallelism after expanding operators: an Unnest
-// blowing one page into hundreds of tuples yields several batches, so a
-// downstream Follow can have several fetch tasks in flight.
+// emitChunks re-batches and sends a tuple slice downstream, so an Unnest
+// blowing one page into hundreds of tuples hands the next stage several
+// BatchSize units instead of one. (A downstream Follow cuts its fetch tasks
+// finer still, at Workers new URLs each.)
 func (p *pipeline) emitChunks(out chan<- []nested.Tuple, tuples []nested.Tuple) bool {
 	n := p.opts.BatchSize
 	for len(tuples) > 0 {
@@ -294,9 +296,9 @@ func (pm *pageMap) get(url string) (nested.Tuple, bool) {
 	return t, ok
 }
 
-// followTask is one batch moving through a Follow stage: its page fetch
+// followTask is one sub-batch moving through a Follow stage: its page fetch
 // runs asynchronously; the joiner consumes tasks in order, so when task i
-// is joined every URL first seen in batches 0..i has been resolved.
+// is joined every URL first seen in tasks 0..i has been resolved.
 type followTask struct {
 	batch   []nested.Tuple
 	fetched chan struct{}
@@ -304,8 +306,8 @@ type followTask struct {
 
 // followNode streams the follow-link operator: as input batches arrive,
 // the distinct not-yet-seen link URLs are prefetched concurrently (bounded
-// by the pipeline's worker semaphore) while earlier batches are being
-// joined with their target pages.
+// by the pipeline's worker semaphore) while earlier tasks are being joined
+// with their target pages.
 func (p *pipeline) followNode(x *Follow, out chan<- []nested.Tuple) {
 	in := p.node(x.In)
 	tasks := make(chan *followTask, p.opts.Workers)
@@ -314,13 +316,35 @@ func (p *pipeline) followNode(x *Follow, out chan<- []nested.Tuple) {
 	// alias-qualified names slice instead of renaming page by page.
 	qual := nested.NewQualifier(x.EffAlias())
 
-	// Producer: dedup link URLs across batches and launch fetch tasks.
+	// launch starts one fetch task and queues it for the joiner.
+	launch := func(batch []nested.Tuple, urls []string) bool {
+		ft := &followTask{batch: batch, fetched: make(chan struct{})}
+		if len(urls) == 0 {
+			close(ft.fetched)
+		} else {
+			p.spawn(func() { p.fetchTask(x, urls, pages, qual, ft) })
+		}
+		select {
+		case tasks <- ft:
+			return true
+		case <-p.done:
+			return false
+		}
+	}
+
+	// Producer: dedup link URLs across batches and cut fetch tasks. A task
+	// closes as soon as it holds Workers new URLs, so it is one round of the
+	// page source's batch — one round trip — and carries the sub-batch of
+	// tuples that introduced them. A tuple whose link an earlier task
+	// fetched rides in the current one: the in-order joiner reaches it after
+	// that task.
 	p.spawn(func() {
 		defer close(tasks)
 		seen := make(map[string]bool)
 		for batch := range in {
 			var urls []string
-			for _, t := range batch {
+			start := 0
+			for i, t := range batch {
 				lv, ok := t.Get(x.Link)
 				if !ok {
 					p.fail(fmt.Errorf("nalg: follow: no column %q", x.Link))
@@ -329,16 +353,23 @@ func (p *pipeline) followNode(x *Follow, out chan<- []nested.Tuple) {
 				if lv.IsNull() {
 					continue
 				}
-				if u := lv.String(); !seen[u] {
-					seen[u] = true
-					urls = append(urls, u)
+				u := lv.String()
+				if seen[u] {
+					continue
+				}
+				seen[u] = true
+				if urls == nil {
+					urls = make([]string, 0, p.opts.Workers)
+				}
+				urls = append(urls, u)
+				if len(urls) == p.opts.Workers {
+					if !launch(batch[start:i+1:i+1], urls) {
+						return
+					}
+					start, urls = i+1, nil
 				}
 			}
-			ft := &followTask{batch: batch, fetched: make(chan struct{})}
-			p.spawn(func() { p.fetchTask(x, urls, pages, qual, ft) })
-			select {
-			case tasks <- ft:
-			case <-p.done:
+			if start < len(batch) && !launch(batch[start:], urls) {
 				return
 			}
 		}
@@ -366,12 +397,9 @@ func (p *pipeline) followNode(x *Follow, out chan<- []nested.Tuple) {
 	})
 }
 
-// fetchTask resolves one batch's new URLs into the shared page map.
+// fetchTask resolves one task's new URLs into the shared page map.
 func (p *pipeline) fetchTask(x *Follow, urls []string, pages *pageMap, qual *nested.Qualifier, ft *followTask) {
 	defer close(ft.fetched)
-	if len(urls) == 0 {
-		return
-	}
 	select {
 	case p.sem <- struct{}{}:
 	case <-p.done:
@@ -396,7 +424,7 @@ func (p *pipeline) fetchTask(x *Follow, urls []string, pages *pageMap, qual *nes
 // joinFollowBatch expands each tuple of a batch with its target page,
 // exactly as the sequential evalFollow does.
 func joinFollowBatch(x *Follow, batch []nested.Tuple, pages *pageMap) ([]nested.Tuple, error) {
-	var out []nested.Tuple
+	out := make([]nested.Tuple, 0, len(batch))
 	for _, t := range batch {
 		lv, ok := t.Get(x.Link)
 		if !ok {

@@ -3,9 +3,13 @@ package nalg
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"ulixes/internal/adm"
 	"ulixes/internal/nested"
+	"ulixes/internal/pagecache"
 	"ulixes/internal/site"
 	"ulixes/internal/sitegen"
 )
@@ -136,6 +140,127 @@ func TestPipelinedErrorPropagation(t *testing.T) {
 		EvalOptions{Pipelined: true, Workers: 4, BatchSize: 2})
 	if !errors.Is(err, errBroken) {
 		t.Errorf("err = %v, want the injected fetch failure", err)
+	}
+}
+
+// latchServer holds every GET of the held URLs until target of them are in
+// flight together, or two seconds have passed, then lets every GET through;
+// it records the peak number in flight.
+type latchServer struct {
+	*site.MemSite
+	held   map[string]bool
+	target int
+	open   chan struct{}
+	once   sync.Once
+	timer  *time.Timer
+
+	mu             sync.Mutex
+	inflight, peak int
+}
+
+func newLatchServer(ms *site.MemSite, held []string, target int) *latchServer {
+	s := &latchServer{MemSite: ms, held: make(map[string]bool), target: target, open: make(chan struct{})}
+	for _, u := range held {
+		s.held[u] = true
+	}
+	s.timer = time.AfterFunc(2*time.Second, s.release)
+	return s
+}
+
+func (s *latchServer) release() { s.once.Do(func() { close(s.open) }) }
+
+func (s *latchServer) Get(url string) (site.Page, error) {
+	if s.held[url] {
+		s.mu.Lock()
+		s.inflight++
+		s.peak = max(s.peak, s.inflight)
+		if s.inflight >= s.target {
+			s.release()
+		}
+		s.mu.Unlock()
+		<-s.open
+		defer func() {
+			s.mu.Lock()
+			s.inflight--
+			s.mu.Unlock()
+		}()
+	}
+	return s.MemSite.Get(url) //lint:allow fetchgate latching Server double delegates
+}
+
+func (s *latchServer) peakInFlight() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.peak
+}
+
+// TestFollowTasksAreOneRound: a Follow stage cuts a fetch task per Workers
+// new links, so each task is one round trip and the Workers tasks the
+// pipeline admits keep min(links, Workers²) GETs in flight on a store
+// without MaxInFlight; the engine's private store still bounds the query at
+// Workers. Tasks cut per 64-tuple batch put 16 GETs in flight for the 120
+// links of ProfListPage. The answer and the ledger are the sequential
+// evaluator's at every worker count.
+func TestFollowTasksAreOneRound(t *testing.T) {
+	u, err := sitegen.GenerateUniversity(sitegen.UniversityParams{Courses: 50, Profs: 120, Depts: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := site.NewMemSite(u.Instance, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var links []string
+	for _, tup := range u.Instance.Relation(sitegen.ProfPage).Tuples() {
+		links = append(links, tup.MustGet(adm.URLAttr).String())
+	}
+	if len(links) != 120 {
+		t.Fatalf("ProfListPage lists %d professors, want 120", len(links))
+	}
+	e := From(u.Scheme, sitegen.ProfListPage).Unnest("ProfList").Follow("ToProf").MustBuild()
+
+	const workers = 8
+	for _, tc := range []struct {
+		store       string
+		maxInFlight int
+		want        int
+	}{
+		{"no MaxInFlight", 0, min(len(links), workers*workers)},
+		{"private", workers, workers},
+	} {
+		srv := newLatchServer(ms, links, tc.want)
+		c := pagecache.New(srv, u.Scheme, pagecache.Config{DefaultTTL: pagecache.Forever, Workers: workers, MaxInFlight: tc.maxInFlight})
+		rel, err := EvalWithOptions(e, u.Scheme, FetcherSource{F: c.NewSession(pagecache.SessionOptions{})},
+			EvalOptions{Pipelined: true, Workers: workers})
+		srv.timer.Stop()
+		if err != nil {
+			t.Fatalf("%s store: %v", tc.store, err)
+		}
+		if rel.Len() != len(links) {
+			t.Errorf("%s store: %d tuples, want %d", tc.store, rel.Len(), len(links))
+		}
+		if got := srv.peakInFlight(); got != tc.want {
+			t.Errorf("%s store: peak %d GETs in flight, want %d", tc.store, got, tc.want)
+		}
+	}
+
+	seq := privateSession(ms, u.Scheme, 0)
+	want, err := Eval(e, u.Scheme, FetcherSource{F: seq})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 4, 16} {
+		sess := privateSession(ms, u.Scheme, w)
+		got, err := EvalWithOptions(e, u.Scheme, FetcherSource{F: sess}, EvalOptions{Pipelined: true, Workers: w})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("workers=%d: pipelined answer differs from sequential", w)
+		}
+		if sess.Stats() != seq.Stats() {
+			t.Errorf("workers=%d: ledger %+v, sequential %+v", w, sess.Stats(), seq.Stats())
+		}
 	}
 }
 

@@ -77,14 +77,16 @@ type Config struct {
 	// Sleeper overrides how retry backoffs and attempt deadlines wait (nil
 	// means real timers).
 	Sleeper site.Sleeper
-	// Workers bounds the concurrent accesses a single FetchAll batch issues
-	// (0 means site.DefaultFetchWorkers).
+	// Workers bounds the concurrent network accesses a single FetchAllCtx
+	// batch issues (0 means site.DefaultFetchWorkers); see
+	// engine.ExecOptions.Workers for what that bounds per query.
 	Workers int
 	// MaxInFlight bounds the simultaneous network accesses of the whole
-	// store, across batches (0 = no bound beyond each batch's Workers). A
-	// private per-query store sets it so parallel plan branches divide —
-	// never multiply — the query's connection limit; a shared store leaves
-	// it off, because one query's batch must not queue behind another's.
+	// store, across batches (0 = no bound beyond each batch's Workers, so
+	// concurrent batches add up; see engine.ExecOptions.Workers). A private
+	// per-query store sets it so parallel plan branches divide — never
+	// multiply — the query's connection limit; a shared store leaves it off,
+	// because one query's batch must not queue behind another's.
 	MaxInFlight int
 	// Meter, when non-nil, is charged the retained HTML bytes of every
 	// entry as it is inserted and refunded as it is removed (eviction,
@@ -335,21 +337,57 @@ func fresh(e *entry, now time.Time) bool {
 	return e.expires.IsZero() || now.Before(e.expires)
 }
 
+// instant is the moment one access classifies its entry at. The clock is
+// read on first need and the reading reused, so an access that is checked
+// for a hit twice — inline by a session batch, then again before it leads a
+// fill — reads the clock exactly as often as a single Access does. A logical
+// clock advances per reading, so an extra reading would shift every lease
+// after it.
+type instant struct {
+	t    time.Time
+	read bool
+}
+
+// at returns the access's instant, reading the clock the first time.
+func (c *Cache) at(now *instant) time.Time {
+	if !now.read {
+		now.t, now.read = c.clock(), true
+	}
+	return now.t
+}
+
 // Access resolves one page access against the store: a fresh entry is a
 // hit, an expired entry is revalidated with a light connection (re-GET only
 // if the page changed), a miss is fetched. Concurrent accesses of the same
 // URL share one store fill and adopt its outcome.
 func (c *Cache) Access(ctx context.Context, schemeName, url string) (nested.Tuple, error) {
-	res, err := c.access(ctx, schemeName, url)
+	res, err := c.access(ctx, schemeName, url, &instant{})
 	return res.tuple, err
 }
 
-func (c *Cache) access(ctx context.Context, schemeName, url string) (access, error) {
+// hit is the network-free half of an access: a fresh entry is served,
+// touched in the LRU and counted; anything else reports false and leaves
+// the store untouched.
+func (c *Cache) hit(url string, now *instant) (access, bool) {
 	c.mu.Lock()
-	if e, ok := c.entries[url]; ok && fresh(e, c.clock()) {
-		c.lru.MoveToFront(e.elem)
-		c.stats.Hits++
-		res := access{tuple: e.tuple}
+	defer c.mu.Unlock()
+	return c.hitLocked(url, now)
+}
+
+// hitLocked is hit with c.mu held.
+func (c *Cache) hitLocked(url string, now *instant) (access, bool) {
+	e, ok := c.entries[url]
+	if !ok || !fresh(e, c.at(now)) {
+		return access{}, false
+	}
+	c.lru.MoveToFront(e.elem)
+	c.stats.Hits++
+	return access{tuple: e.tuple}, true
+}
+
+func (c *Cache) access(ctx context.Context, schemeName, url string, now *instant) (access, error) {
+	c.mu.Lock()
+	if res, ok := c.hitLocked(url, now); ok {
 		c.mu.Unlock()
 		return res, nil
 	}

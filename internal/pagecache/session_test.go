@@ -13,6 +13,7 @@ import (
 	"ulixes/internal/adm"
 	"ulixes/internal/faults"
 	"ulixes/internal/nested"
+	"ulixes/internal/race"
 	"ulixes/internal/site"
 	"ulixes/internal/sitegen"
 )
@@ -506,6 +507,247 @@ func TestStorePathResilience(t *testing.T) {
 		}
 		if c.Len() != 1 {
 			t.Fatalf("entries = %d, want only the page fetched before the panic", c.Len())
+		}
+	})
+}
+
+// warmStore builds a deployment's store and fills it with urls, one access
+// at a time so that its counters are deterministic.
+func warmStore(t *testing.T, mk func(site.Server, Config) *Cache, srv site.Server, urls []string) *Cache {
+	t.Helper()
+	c := mk(srv, Config{})
+	for _, url := range urls {
+		fetchOne(t, c, sitegen.ProfPage, url)
+	}
+	return c
+}
+
+// countReads wraps a store's clock and counts its readings.
+func countReads(c *Cache) *atomic.Int64 {
+	var n atomic.Int64
+	clock := c.clock
+	c.clock = func() time.Time {
+		n.Add(1)
+		return clock()
+	}
+	return &n
+}
+
+// TestSessionBatchHitsInline: a batch the store holds fresh is resolved on
+// the calling goroutine and counted exactly as the same accesses made one
+// FetchCtx at a time — per query and store-wide — with no GET and no worker
+// pool.
+func TestSessionBatchHitsInline(t *testing.T) {
+	onStores(t, func(t *testing.T, u *sitegen.University, ms *site.MemSite, mk func(site.Server, Config) *Cache) {
+		urls := profURLs(t, u)
+		ctx := context.Background()
+		batched, single := warmStore(t, mk, ms, urls), warmStore(t, mk, ms, urls)
+		gets := ms.Counters().Gets()
+
+		bs := batched.NewSession(SessionOptions{})
+		tuples, err := bs.FetchAllCtx(ctx, sitegen.ProfPage, urls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, tup := range tuples {
+			if got := tup.MustGet(adm.URLAttr).String(); got != urls[i] {
+				t.Fatalf("tuple %d: URL = %s, want %s", i, got, urls[i])
+			}
+		}
+		ss := single.NewSession(SessionOptions{})
+		for _, url := range urls {
+			if _, err := ss.FetchCtx(ctx, sitegen.ProfPage, url); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want := (SessionStats{Accesses: len(urls), CacheHits: len(urls)}); bs.Stats() != want || ss.Stats() != want {
+			t.Errorf("ledgers: batch %+v, one at a time %+v, want %+v", bs.Stats(), ss.Stats(), want)
+		}
+		if b, s := batched.Stats(), single.Stats(); b != s {
+			t.Errorf("store stats: batch %+v, one at a time %+v", b, s)
+		}
+		if got := ms.Counters().Gets(); got != gets {
+			t.Errorf("an all-hit batch issued %d GETs", got-gets)
+		}
+
+		if race.Enabled {
+			t.Skip("allocation counts are inflated under -race")
+		}
+		// A worker pool costs its channels and goroutine closures; inline
+		// resolution costs no more than FetchCtx does per access, plus the
+		// batch's result slices.
+		batch := testing.AllocsPerRun(20, func() {
+			if _, err := batched.NewSession(SessionOptions{}).FetchAllCtx(ctx, sitegen.ProfPage, urls); err != nil {
+				t.Fatal(err)
+			}
+		})
+		oneByOne := testing.AllocsPerRun(20, func() {
+			s := single.NewSession(SessionOptions{})
+			for _, url := range urls {
+				if _, err := s.FetchCtx(ctx, sitegen.ProfPage, url); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if batch > oneByOne+3 {
+			t.Errorf("all-hit batch of %d: %.0f allocs, one FetchCtx at a time %.0f: the batch started workers", len(urls), batch, oneByOne)
+		}
+	})
+}
+
+// TestSessionBatchBudget: the budget is spent in input order on the calling
+// goroutine, whether the store holds the pages or not, and an overrun
+// aborts the batch in degraded mode too. Accesses the aborted batch
+// registered but never started are not pinned as failures: a later ask
+// reaches the store without being counted again.
+func TestSessionBatchBudget(t *testing.T) {
+	onStores(t, func(t *testing.T, u *sitegen.University, ms *site.MemSite, mk func(site.Server, Config) *Cache) {
+		urls := profURLs(t, u)[:5]
+		ctx := context.Background()
+		warm := warmStore(t, mk, ms, urls)
+		for _, degraded := range []bool{false, true} {
+			s := warm.NewSession(SessionOptions{PageBudget: 3, Degraded: degraded})
+			if _, err := s.FetchAllCtx(ctx, sitegen.ProfPage, urls); !errors.Is(err, ErrBudgetExceeded) {
+				t.Fatalf("warm store, degraded=%v: err = %v, want ErrBudgetExceeded", degraded, err)
+			}
+		}
+
+		cold := mk(ms, Config{})
+		gets := ms.Counters().Gets()
+		s := cold.NewSession(SessionOptions{PageBudget: 3})
+		if _, err := s.FetchAllCtx(ctx, sitegen.ProfPage, urls); !errors.Is(err, ErrBudgetExceeded) {
+			t.Fatalf("cold store: err = %v, want ErrBudgetExceeded", err)
+		}
+		if got := ms.Counters().Gets() - gets; got != 0 {
+			t.Errorf("an over-budget batch issued %d GETs", got)
+		}
+		if _, err := s.FetchCtx(ctx, sitegen.ProfPage, urls[0]); err != nil {
+			t.Fatalf("an access the aborted batch never started must stay fetchable: %v", err)
+		}
+		if st := s.Stats(); st.Accesses != 3 || st.Fetches != 1 {
+			t.Errorf("ledger %+v, want 3 accesses (the budget) resolved by 1 fetch so far", st)
+		}
+	})
+}
+
+// TestSessionBatchRevalidatesMarkedStale: a force-expired entry is not a
+// hit for the inline path; it revalidates with one light connection and no
+// GET, beside the batch's true hits.
+func TestSessionBatchRevalidatesMarkedStale(t *testing.T) {
+	onStores(t, func(t *testing.T, u *sitegen.University, ms *site.MemSite, mk func(site.Server, Config) *Cache) {
+		urls := profURLs(t, u)
+		c := warmStore(t, mk, ms, urls)
+		if !c.MarkStale(urls[3]) {
+			t.Fatal("MarkStale found nothing")
+		}
+		gets, heads := ms.Counters().Gets(), ms.Counters().Heads()
+		s := c.NewSession(SessionOptions{})
+		if _, err := s.FetchAllCtx(context.Background(), sitegen.ProfPage, urls); err != nil {
+			t.Fatal(err)
+		}
+		want := SessionStats{Accesses: len(urls), CacheHits: len(urls) - 1, Revalidations: 1, LightConnections: 1}
+		if st := s.Stats(); st != want {
+			t.Errorf("ledger %+v, want %+v", st, want)
+		}
+		if g, h := ms.Counters().Gets()-gets, ms.Counters().Heads()-heads; g != 0 || h != 1 {
+			t.Errorf("site saw %d GETs / %d HEADs, want 0 / 1", g, h)
+		}
+	})
+}
+
+// TestSessionBatchWaitsForFlight: a URL another branch of the query is
+// still resolving is waited on, never served inline as a hit, and stays
+// one access with one outcome.
+func TestSessionBatchWaitsForFlight(t *testing.T) {
+	onStores(t, func(t *testing.T, u *sitegen.University, ms *site.MemSite, mk func(site.Server, Config) *Cache) {
+		urls := profURLs(t, u)
+		srv := &gatedServer{MemSite: ms, started: make(chan struct{}, 1), release: make(chan struct{})}
+		srv.healed.Store(true)
+		c := mk(srv, Config{})
+		// One page the store holds, one the query is fetching.
+		warm := c.NewSession(SessionOptions{})
+		go func() { <-srv.started; srv.release <- struct{}{} }()
+		if _, err := warm.FetchCtx(context.Background(), sitegen.ProfPage, urls[0]); err != nil {
+			t.Fatal(err)
+		}
+		sess := c.NewSession(SessionOptions{})
+		leader := make(chan error, 1)
+		go func() {
+			_, err := sess.FetchCtx(context.Background(), sitegen.ProfPage, urls[1])
+			leader <- err
+		}()
+		<-srv.started
+
+		spy := &joinSpy{Context: context.Background()}
+		type result struct {
+			tuples []nested.Tuple
+			err    error
+		}
+		batch := make(chan result, 1)
+		go func() {
+			tuples, err := sess.FetchAllCtx(spy, sitegen.ProfPage, urls[:2])
+			batch <- result{tuples, err}
+		}()
+		for spy.joined.Load() < 1 {
+			time.Sleep(50 * time.Microsecond)
+		}
+		select {
+		case r := <-batch:
+			t.Fatalf("the batch returned while its URL was in flight: %+v", r)
+		default:
+		}
+		close(srv.release)
+		if err := <-leader; err != nil {
+			t.Fatal(err)
+		}
+		r := <-batch
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		for i, tup := range r.tuples {
+			if got := tup.MustGet(adm.URLAttr).String(); got != urls[i] {
+				t.Errorf("tuple %d: URL = %s, want %s", i, got, urls[i])
+			}
+		}
+		if st, want := sess.Stats(), (SessionStats{Accesses: 2, CacheHits: 1, Fetches: 1, Bytes: sess.Stats().Bytes}); st != want {
+			t.Errorf("ledger %+v, want %+v", st, want)
+		}
+		if got := srv.gets.Load(); got != 2 {
+			t.Errorf("server saw %d GETs, want 2", got)
+		}
+	})
+}
+
+// TestSessionBatchReadsClockOnce: a batch reads the store clock exactly as
+// the same accesses made one FetchCtx at a time — once per miss (to lease
+// the page), once per hit (to check the lease), and for a revalidation once
+// to find the entry expired and once to renew it — so the inline hit check
+// never adds a reading. A logical clock advances per reading, so an extra
+// one would move every later lease.
+func TestSessionBatchReadsClockOnce(t *testing.T) {
+	onStores(t, func(t *testing.T, u *sitegen.University, ms *site.MemSite, mk func(site.Server, Config) *Cache) {
+		urls := profURLs(t, u)
+		ctx := context.Background()
+		c := mk(ms, Config{})
+		reads := countReads(c)
+		for _, tc := range []struct {
+			what string
+			want int64
+		}{
+			{"misses", int64(len(urls))},
+			{"hits", int64(len(urls))},
+			{"one revalidation", int64(len(urls)) + 1},
+		} {
+			if tc.what == "one revalidation" {
+				c.MarkStale(urls[0])
+			}
+			before := reads.Load()
+			if _, err := c.NewSession(SessionOptions{}).FetchAllCtx(ctx, sitegen.ProfPage, urls); err != nil {
+				t.Fatal(err)
+			}
+			if got := reads.Load() - before; got != tc.want {
+				t.Errorf("%s: %d clock readings for %d accesses, want %d", tc.what, got, len(urls), tc.want)
+			}
 		}
 	})
 }

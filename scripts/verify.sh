@@ -13,13 +13,14 @@ go run ./cmd/ulixes-vet ./...
 echo "== go test -race ./..."
 go test -race ./...
 # The access-path packages only show their accounting bugs on schedules
-# where flights coalesce, so they are run many times at several GOMAXPROCS,
-# plain (fast goroutine turnover) and under the race detector. On 2 cores
-# the plain leg takes about a minute and a half and the -race leg about six
-# minutes; the timeouts leave a few times that.
+# where flights coalesce, and the pipelined evaluator (internal/nalg) runs
+# up to Workers follow tasks of Workers accesses each over them, so they are
+# run many times at several GOMAXPROCS, plain (fast goroutine turnover) and
+# under the race detector. On 2 cores the plain leg takes about two minutes
+# and the -race leg about six and a half; the timeouts leave a few times that.
 echo "== access path under many schedules (-count=20 -cpu=1,2,8, plain and -race)"
-go test -count=20 -cpu=1,2,8 -timeout 10m ./internal/pagecache/ ./internal/site/ ./internal/engine/ ./internal/matview/
-go test -race -count=20 -cpu=1,2,8 -timeout 25m ./internal/pagecache/ ./internal/site/ ./internal/engine/ ./internal/matview/
+go test -count=20 -cpu=1,2,8 -timeout 10m ./internal/pagecache/ ./internal/site/ ./internal/engine/ ./internal/matview/ ./internal/nalg/
+go test -race -count=20 -cpu=1,2,8 -timeout 25m ./internal/pagecache/ ./internal/site/ ./internal/engine/ ./internal/matview/ ./internal/nalg/
 echo "== fuzz smoke (seed corpora plus a short generated burst)"
 go test ./internal/hypertext/ -run=NONE -fuzz='FuzzTokenize$' -fuzztime=2s >/dev/null
 go test ./internal/hypertext/ -run=NONE -fuzz='FuzzLexer$' -fuzztime=2s >/dev/null
