@@ -14,8 +14,10 @@ race:
 vet:
 	$(GO) vet ./...
 
-# lint runs the project's own analyzers (see internal/lint).
+# lint runs go vet (its lostcancel pass gates context cancel discipline),
+# then the project's own analyzers (see internal/lint).
 lint:
+	$(GO) vet ./...
 	$(GO) run ./cmd/ulixes-vet ./...
 
 # verify is the full gate: build + vet + lint + race-enabled tests.

@@ -266,9 +266,8 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	// Parse before admission: it is cheap, it rejects garbage without
 	// spending a slot, and it gives the admission queue a shape to price.
-	text, err := queryText(r)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+	text, ok := queryText(w, r)
+	if !ok {
 		return
 	}
 	q, err := ulixes.ParseQuery(text)
@@ -515,9 +514,8 @@ func (s *server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, map[string]int{"unsubscribed": id})
 	case http.MethodPost:
-		text, err := queryText(r)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		text, ok := queryText(w, r)
+		if !ok {
 			return
 		}
 		id, err := s.standing.Subscribe(text)
@@ -972,19 +970,30 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// queryText extracts the query from ?q= or the request body.
-func queryText(r *http.Request) (string, error) {
+// maxQueryBody caps a query's request body.
+const maxQueryBody = 1 << 20
+
+// queryText extracts the query from ?q= or the request body. On failure it
+// writes the error response and reports false: 413 for a body over
+// maxQueryBody (answering only the prefix that fits would answer a different
+// query), 400 for a missing or unreadable one.
+func queryText(w http.ResponseWriter, r *http.Request) (string, bool) {
 	if q := r.URL.Query().Get("q"); q != "" {
-		return q, nil
+		return q, true
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		return "", err
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBody))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{Error: fmt.Sprintf("query body over %d bytes", maxQueryBody)})
+	case err != nil:
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+	case len(body) == 0:
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "no query: pass ?q=… or a request body"})
+	default:
+		return string(body), true
 	}
-	if len(body) == 0 {
-		return "", errors.New("no query: pass ?q=… or a request body")
-	}
-	return string(body), nil
+	return "", false
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -244,6 +244,28 @@ func TestParseErrorIs400(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyIs413: a body over the size cap is refused whole. Its
+// first MiB is a valid query on its own, so answering the prefix that fits
+// would silently answer a different query (2 rows where the full one has 0).
+func TestOversizedBodyIs413(t *testing.T) {
+	srv, _ := standingFixture(t)
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+
+	body := "SELECT p.PName FROM Professor p WHERE p.Rank = 'Full'" +
+		strings.Repeat(" ", maxQueryBody) + " AND p.PName = 'nobody'"
+	for _, path := range []string{"/query", "/subscribe"} {
+		resp, err := ts.Client().Post(ts.URL+path, "text/plain", strings.NewReader(body)) //lint:allow fetchgate client of our own query API, not a page fetch
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body: status %d, want 413", path, len(body), resp.StatusCode)
+		}
+	}
+}
+
 // TestDrainRefusesNewQueries: draining flips /query and /healthz to 503
 // while in-flight queries run to completion.
 func TestDrainRefusesNewQueries(t *testing.T) {

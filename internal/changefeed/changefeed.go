@@ -126,8 +126,7 @@ type Config struct {
 	MaxInterval time.Duration
 }
 
-// Counters tallies the monitor's traffic and feed volume. The
-// statsexhaustive analyzer holds Add to covering every field.
+// Counters tallies the monitor's traffic and feed volume.
 type Counters struct {
 	// Heads is the light connections sweeps issued (hook-mode events cost
 	// none).
@@ -150,21 +149,6 @@ type Counters struct {
 	Errors       int
 }
 
-// Add folds another monitor's counters into c.
-func (c *Counters) Add(o Counters) {
-	c.Heads += o.Heads
-	c.Sweeps += o.Sweeps
-	c.CleanSweeps += o.CleanSweeps
-	c.Events += o.Events
-	c.Updates += o.Updates
-	c.Additions += o.Additions
-	c.Removals += o.Removals
-	c.Touches += o.Touches
-	c.Deferred += o.Deferred
-	c.BreakerSkips += o.BreakerSkips
-	c.Errors += o.Errors
-}
-
 // watchState is the poll-mode bookkeeping for one URL.
 type watchState struct {
 	scheme      string
@@ -177,8 +161,8 @@ type watchState struct {
 // Monitor watches a server for page mutations and fans events out to sinks.
 // It is safe for concurrent use.
 type Monitor struct {
-	server site.Server
-	cfg    Config
+	net *site.Transport
+	cfg Config
 
 	mu         sync.Mutex
 	sinks      []Sink                 // guarded by mu
@@ -191,7 +175,9 @@ type Monitor struct {
 }
 
 // New creates a monitor over a server. Poll-mode checks go through the given
-// server — wrap it in a guard to make sweeps breaker-aware.
+// server — wrap it in a guard to make sweeps breaker-aware — reached through
+// a site.Transport with the zero policy, so every check is exactly one light
+// connection.
 func New(server site.Server, cfg Config) *Monitor {
 	if cfg.Clock == nil {
 		cfg.Clock = site.LogicalClock()
@@ -206,7 +192,7 @@ func New(server site.Server, cfg Config) *Monitor {
 		cfg.MaxInterval = cfg.MinInterval
 	}
 	return &Monitor{
-		server:  server,
+		net:     site.NewTransport(server, nil, site.RetryPolicy{}, nil, 0),
 		cfg:     cfg,
 		watched: make(map[string]*watchState),
 		schemes: make(map[string]string),
@@ -370,15 +356,6 @@ func (m *Monitor) emit(ev Event) {
 	}
 }
 
-// head opens one light connection, threading the caller's context when the
-// server supports it.
-func (m *Monitor) head(ctx context.Context, url string) (site.Meta, error) {
-	if cs, ok := m.server.(site.ContextHeadServer); ok {
-		return cs.HeadContext(ctx, url)
-	}
-	return m.server.Head(url) //lint:allow fetchgate light connection, counted in Counters.Heads
-}
-
 // Sweep runs one poll pass at the injectable clock's current instant: every
 // watched URL whose cadence has come due is checked with a light connection
 // (up to Budget, most-overdue first, ties broken by URL so the pass is
@@ -433,11 +410,11 @@ func (m *Monitor) Sweep(ctx context.Context) SweepReport {
 			break
 		}
 		checked++
-		meta, err := m.head(ctx, d.url)
+		meta, tr, err := m.net.Head(ctx, d.url)
 		switch {
 		case err == nil:
 			m.mu.Lock()
-			m.counters.Heads++
+			m.counters.Heads += tr.Heads
 			ws, ok := m.watched[d.url]
 			if !ok {
 				m.mu.Unlock()
@@ -469,7 +446,7 @@ func (m *Monitor) Sweep(ctx context.Context) SweepReport {
 			// Confirmed gone: emit the removal and stop watching. A 404 is a
 			// real light connection.
 			m.mu.Lock()
-			m.counters.Heads++
+			m.counters.Heads += tr.Heads
 			scheme := ""
 			if ws, ok := m.watched[d.url]; ok {
 				scheme = ws.scheme

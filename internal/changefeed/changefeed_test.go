@@ -3,7 +3,6 @@ package changefeed
 import (
 	"context"
 	"errors"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -310,20 +309,5 @@ func TestSweepSinkAndRun(t *testing.T) {
 	}
 	if !reports[0].Clean {
 		t.Errorf("first report = %+v", reports[0])
-	}
-}
-
-func TestCountersAdd(t *testing.T) {
-	total := Counters{Heads: 1, Sweeps: 2}
-	total.Add(Counters{
-		Heads: 1, Sweeps: 1, CleanSweeps: 2, Events: 3, Updates: 4,
-		Additions: 5, Removals: 6, Touches: 7, Deferred: 8, BreakerSkips: 9, Errors: 10,
-	})
-	want := Counters{
-		Heads: 2, Sweeps: 3, CleanSweeps: 2, Events: 3, Updates: 4,
-		Additions: 5, Removals: 6, Touches: 7, Deferred: 8, BreakerSkips: 9, Errors: 10,
-	}
-	if !reflect.DeepEqual(total, want) {
-		t.Errorf("Add result mismatch:\n got %+v\nwant %+v", total, want)
 	}
 }

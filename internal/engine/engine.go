@@ -151,8 +151,8 @@ type ExecStats struct {
 // Add folds another execution's statistics into s: counters and byte/time
 // totals accumulate, failure lists concatenate, flags OR, and PeakInFlight
 // takes the maximum (peaks do not sum across executions). It is how a server
-// maintains running totals across queries. The statsexhaustive analyzer
-// holds this method to mentioning every ExecStats field, so a new counter
+// maintains running totals across queries. TestExecStatsAddFoldsEveryField
+// holds this method to folding every ExecStats field, so a new counter
 // cannot be silently dropped from aggregation.
 func (s *ExecStats) Add(o ExecStats) {
 	s.Accesses += o.Accesses

@@ -11,7 +11,7 @@ import (
 
 // TestExecStatsAdd pins the aggregation semantics the ulixesd server relies
 // on for its running totals: counters sum, PeakInFlight takes the maximum,
-// failure lists concatenate, and flags OR. The statsexhaustive analyzer
+// failure lists concatenate, and flags OR. TestExecStatsAddFoldsEveryField
 // guarantees no field is missing from Add; this test guarantees each field
 // is folded with the right operator.
 func TestExecStatsAdd(t *testing.T) {
@@ -84,5 +84,33 @@ func TestExecStatsAddPeakRaises(t *testing.T) {
 	total.Add(ExecStats{PeakInFlight: 3})
 	if total.PeakInFlight != 7 {
 		t.Errorf("PeakInFlight = %d, want 7", total.PeakInFlight)
+	}
+}
+
+// TestExecStatsAddFoldsEveryField fills every ExecStats field with a distinct
+// non-zero value and folds it into a zero total: any field Add forgets (or
+// folds from the wrong source) leaves the total different from the input.
+// A field of a kind fill does not know fails the test, so a new field type
+// is a conscious extension rather than a silent gap.
+func TestExecStatsAddFoldsEveryField(t *testing.T) {
+	var full ExecStats
+	v := reflect.ValueOf(&full).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(i + 1))
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Slice:
+			f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+		default:
+			t.Fatalf("field %s: fill does not handle kind %s", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	var total ExecStats
+	total.Add(full)
+	if !reflect.DeepEqual(total, full) {
+		t.Errorf("Add into zero lost a field:\n got %+v\nwant %+v", total, full)
 	}
 }

@@ -9,7 +9,7 @@ import (
 // This file is the control-flow half of the lint package's dataflow layer:
 // a per-function basic-block CFG over go/ast, built with the standard
 // library alone. Analyzers that need flow sensitivity (viewescape,
-// lostcancel, mutexguard) run a forward dataflow pass over it via
+// mutexguard) run a forward dataflow pass over it via
 // CFG.Forward (see dataflow.go) instead of re-implementing control flow
 // with ad-hoc AST walks.
 //
@@ -43,8 +43,8 @@ type CFG struct {
 	// the body) leads to.
 	Exit *Block
 	// Defers are the defer statements of the body in source order. Their
-	// calls run at every exit; analyzers that care (lostcancel, mutexguard)
-	// apply them when a path reaches Exit.
+	// calls run at every exit; analyzers that care apply them when a path
+	// reaches Exit.
 	Defers []*ast.DeferStmt
 }
 

@@ -2,15 +2,13 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 )
 
 // This file is the value-flow half of the dataflow layer: a generic forward
-// worklist solver over the CFG, reaching-definition def-use chains, and the
-// escape lattice (local → stored → escaped) the flow-sensitive analyzers
-// share.
+// worklist solver over the CFG and the escape lattice (local → stored →
+// escaped) the flow-sensitive analyzers share.
 
 // Fact is one analysis's abstract state at a program point. Facts are
 // treated as immutable by the solver: Transfer and Join return fresh (or
@@ -89,192 +87,6 @@ func (g *CFG) EachFact(c FlowClient, res *FlowResult, visit func(f Fact, n ast.N
 			f = c.Transfer(f, n)
 		}
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Def-use chains (reaching definitions)
-
-// DefUse holds the def-use chains of one function body: for every use of a
-// variable, the set of definitions that may reach it.
-type DefUse struct {
-	pkg *Package
-	cfg *CFG
-	// Chains maps each use identifier to the definition nodes that reach
-	// it. A nil entry means the variable's value may come from outside the
-	// body (parameter, captured variable, package-level state).
-	Chains map[*ast.Ident][]ast.Node
-	// Defs maps each variable to all its definition nodes in the body.
-	Defs map[*types.Var][]ast.Node
-}
-
-// duFact maps variable → set of reaching def nodes. The special def node
-// value nil marks "defined outside the body".
-type duFact map[*types.Var]map[ast.Node]bool
-
-func (f duFact) clone() duFact {
-	out := make(duFact, len(f))
-	for v, defs := range f {
-		ds := make(map[ast.Node]bool, len(defs))
-		for d := range defs {
-			ds[d] = true
-		}
-		out[v] = ds
-	}
-	return out
-}
-
-type duClient struct{ pkg *Package }
-
-func (c duClient) Entry() Fact { return duFact{} }
-
-func (c duClient) Join(a, b Fact) Fact {
-	fa, fb := a.(duFact), b.(duFact)
-	out := fa.clone()
-	for v, defs := range fb {
-		ds := out[v]
-		if ds == nil {
-			ds = map[ast.Node]bool{}
-			out[v] = ds
-		}
-		for d := range defs {
-			ds[d] = true
-		}
-	}
-	return out
-}
-
-func (c duClient) Equal(a, b Fact) bool {
-	fa, fb := a.(duFact), b.(duFact)
-	if len(fa) != len(fb) {
-		return false
-	}
-	for v, da := range fa {
-		db, ok := fb[v]
-		if !ok || len(da) != len(db) {
-			return false
-		}
-		for d := range da {
-			if !db[d] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func (c duClient) Transfer(f Fact, n ast.Node) Fact {
-	df := f.(duFact)
-	vars := definedVars(c.pkg, n)
-	if len(vars) == 0 {
-		return df
-	}
-	out := df.clone()
-	for _, v := range vars {
-		out[v] = map[ast.Node]bool{n: true}
-	}
-	return out
-}
-
-// definedVars returns the variables a node (re)defines.
-func definedVars(pkg *Package, n ast.Node) []*types.Var {
-	var out []*types.Var
-	addIdent := func(e ast.Expr) {
-		id, ok := e.(*ast.Ident)
-		if !ok {
-			return
-		}
-		if v, ok := pkg.Info.Defs[id].(*types.Var); ok {
-			out = append(out, v)
-		} else if v, ok := pkg.Info.Uses[id].(*types.Var); ok {
-			out = append(out, v)
-		}
-	}
-	switch s := n.(type) {
-	case *ast.AssignStmt:
-		for _, lhs := range s.Lhs {
-			addIdent(lhs)
-		}
-	case *ast.RangeStmt:
-		addIdent(s.Key)
-		if s.Value != nil {
-			addIdent(s.Value)
-		}
-	case *ast.IncDecStmt:
-		addIdent(s.X)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, name := range vs.Names {
-						addIdent(name)
-					}
-				}
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		// handled via its Assign statement placed in clause bodies
-	}
-	return out
-}
-
-// BuildDefUse computes the def-use chains of fn's body.
-func BuildDefUse(pkg *Package, body *ast.BlockStmt) *DefUse {
-	cfg := BuildCFG(body)
-	client := duClient{pkg: pkg}
-	res := cfg.Forward(client)
-	du := &DefUse{
-		pkg:    pkg,
-		cfg:    cfg,
-		Chains: map[*ast.Ident][]ast.Node{},
-		Defs:   map[*types.Var][]ast.Node{},
-	}
-	// Collect all defs.
-	for _, b := range cfg.Blocks {
-		for _, n := range b.Nodes {
-			for _, v := range definedVars(pkg, n) {
-				du.Defs[v] = append(du.Defs[v], n)
-			}
-		}
-	}
-	// Walk every reachable node and link its use identifiers to the defs
-	// reaching the node.
-	cfg.EachFact(client, res, func(f Fact, n ast.Node) {
-		df := f.(duFact)
-		defined := map[*ast.Ident]bool{}
-		// LHS identifiers of a define (:=) are defs, not uses.
-		if as, ok := n.(*ast.AssignStmt); ok && as.Tok == token.DEFINE {
-			for _, lhs := range as.Lhs {
-				if id, ok := lhs.(*ast.Ident); ok {
-					defined[id] = true
-				}
-			}
-		}
-		ast.Inspect(n, func(m ast.Node) bool {
-			if _, ok := m.(*ast.FuncLit); ok {
-				return false
-			}
-			id, ok := m.(*ast.Ident)
-			if !ok || defined[id] {
-				return true
-			}
-			v, ok := pkg.Info.Uses[id].(*types.Var)
-			if !ok || v.IsField() {
-				return true
-			}
-			if defs, ok := df[v]; ok {
-				nodes := make([]ast.Node, 0, len(defs))
-				for d := range defs {
-					nodes = append(nodes, d)
-				}
-				sort.Slice(nodes, func(i, j int) bool { return nodes[i].Pos() < nodes[j].Pos() })
-				du.Chains[id] = nodes
-			} else {
-				du.Chains[id] = nil // from outside the body
-			}
-			return true
-		})
-	})
-	return du
 }
 
 // ---------------------------------------------------------------------------

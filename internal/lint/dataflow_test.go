@@ -1,91 +1,11 @@
 package lint_test
 
 import (
-	"go/ast"
 	"go/types"
 	"testing"
 
 	"ulixes/internal/lint"
 )
-
-// useChain finds the def-use chain of the first use of a variable named
-// varName inside a statement matching fragment.
-func useChain(t *testing.T, pkg *lint.Package, du *lint.DefUse, fd *ast.FuncDecl, fragment, varName string) ([]ast.Node, bool) {
-	t.Helper()
-	pos := findStmtPos(t, pkg, fd, fragment)
-	for id, defs := range du.Chains {
-		if id.Name == varName && id.Pos() >= pos {
-			stmtEnd := pos
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if s, ok := n.(ast.Stmt); ok && s.Pos() == pos {
-					stmtEnd = s.End()
-					return false
-				}
-				return true
-			})
-			if id.Pos() < stmtEnd {
-				return defs, true
-			}
-		}
-	}
-	return nil, false
-}
-
-func TestDefUseKillOnBothBranches(t *testing.T) {
-	pkg, fn := loadDataflowFixture(t)
-	fd := fn("ifElse")
-	du := lint.BuildDefUse(pkg, fd.Body)
-	defs, ok := useChain(t, pkg, du, fd, "return x", "x")
-	if !ok {
-		t.Fatal("no chain recorded for use of x in return")
-	}
-	// x := 1 is killed by the assignments on both branches: exactly the two
-	// branch defs reach the return.
-	if len(defs) != 2 {
-		t.Fatalf("got %d reaching defs for x at return, want 2 (both branch assigns)", len(defs))
-	}
-}
-
-func TestDefUseLoopCarried(t *testing.T) {
-	pkg, fn := loadDataflowFixture(t)
-	fd := fn("loop")
-	du := lint.BuildDefUse(pkg, fd.Body)
-	// Inside the loop body, s is reached by its init and by the previous
-	// iteration's assignment (via the back edge).
-	defs, ok := useChain(t, pkg, du, fd, "s = s + i", "s")
-	if !ok {
-		t.Fatal("no chain recorded for use of s in loop body")
-	}
-	if len(defs) != 2 {
-		t.Fatalf("got %d reaching defs for s in loop body, want 2 (init + back edge)", len(defs))
-	}
-	// After the loop, both still reach the return.
-	defs, ok = useChain(t, pkg, du, fd, "return s", "s")
-	if !ok {
-		t.Fatal("no chain recorded for use of s at return")
-	}
-	if len(defs) != 2 {
-		t.Fatalf("got %d reaching defs for s at return, want 2", len(defs))
-	}
-}
-
-func TestDefUseParamIsExternal(t *testing.T) {
-	pkg, fn := loadDataflowFixture(t)
-	fd := fn("useParam")
-	du := lint.BuildDefUse(pkg, fd.Body)
-	defs, ok := useChain(t, pkg, du, fd, "q := p", "p")
-	if !ok {
-		t.Fatal("no chain recorded for use of p")
-	}
-	// A parameter's value comes from outside the body: nil chain.
-	if defs != nil {
-		t.Fatalf("param use has %d defs, want nil (external)", len(defs))
-	}
-	defs, ok = useChain(t, pkg, du, fd, "return q", "q")
-	if !ok || len(defs) != 1 {
-		t.Fatalf("use of q: got chain %v, want exactly 1 def", defs)
-	}
-}
 
 // escClassOf finds a variable by name among the escape results.
 func escClassOf(t *testing.T, pkg *lint.Package, esc map[*types.Var]*lint.EscapeInfo, name string) (lint.EscapeClass, bool) {

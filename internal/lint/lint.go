@@ -1,7 +1,7 @@
 // Package lint is a small static-analysis framework for the engine's own
 // invariants, in the spirit of golang.org/x/tools/go/analysis but built only
 // on the standard library's go/ast and go/types (the repository carries no
-// module dependencies). It ships ten analyzers:
+// module dependencies). It ships eight analyzers:
 //
 //   - fetchgate: every page access must flow through the one counted access
 //     path (pagecache.Session over site.Transport), so ExecStats page counts
@@ -18,16 +18,13 @@
 //   - viewescape: zero-copy views (lexer token attrs, pooled buffers,
 //     TrustedTuple shared slices) must not outlive their generation —
 //     flow-checked against the next Next/Put call, stores, and returns;
-//   - lostcancel: every context cancel function on the request path is
-//     called (or deferred, or handed off) on all paths to return;
 //   - mutexguard: fields annotated "// guarded by mu" are only accessed
-//     with the mutex held, flow-checked through Lock/Unlock/defer paths;
-//   - statsexhaustive: Add/Merge methods on Stats/Counters structs mention
-//     every field, so new counters can't be silently dropped from merges.
+//     with the mutex held, flow-checked through Lock/Unlock/defer paths.
 //
-// The last four are flow-sensitive: they run on a per-function basic-block
-// CFG (cfg.go) with a forward dataflow solver, def-use chains, and an
-// escape lattice (dataflow.go) shared by all analyzers.
+// The last two are flow-sensitive: they run on a per-function basic-block
+// CFG (cfg.go) with a forward dataflow solver and an escape lattice
+// (dataflow.go). Checks go vet already makes (its lostcancel pass, for
+// cancel discipline) are left to go vet, which CI runs on every package.
 //
 // Intentional exemptions are documented in the source with a
 //
@@ -96,7 +93,7 @@ func (f Finding) String() string {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		FetchGate, NoWallClock, ChanHygiene, NoPrintln, NoCtxBackground,
-		PoolReset, ViewEscape, LostCancel, MutexGuard, StatsExhaustive,
+		PoolReset, ViewEscape, MutexGuard,
 	}
 }
 

@@ -1,5 +1,5 @@
-// Package dataflow is a fixture for the CFG, def-use, and escape-lattice
-// unit tests. The function bodies are shapes, not behavior.
+// Package dataflow is a fixture for the CFG and escape-lattice unit
+// tests. The function bodies are shapes, not behavior.
 package dataflow
 
 func sink(...any) {}
@@ -66,11 +66,6 @@ again:
 		goto again
 	}
 	return i
-}
-
-func useParam(p int) int {
-	q := p
-	return q
 }
 
 type box struct{ v *int }

@@ -682,6 +682,17 @@ func rootVarOf(pkg *Package, e ast.Expr) *types.Var {
 	return nil
 }
 
+// identVar resolves an identifier to its variable object.
+func identVar(pkg *Package, id *ast.Ident) *types.Var {
+	if v, ok := pkg.Info.Uses[id].(*types.Var); ok {
+		return v
+	}
+	if v, ok := pkg.Info.Defs[id].(*types.Var); ok {
+		return v
+	}
+	return nil
+}
+
 // isSliceVar reports whether a variable has slice type.
 func isSliceVar(v *types.Var) bool {
 	_, ok := v.Type().Underlying().(*types.Slice)

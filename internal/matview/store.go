@@ -78,17 +78,6 @@ type Counters struct {
 	StaleServes int
 }
 
-// Add folds another store's maintenance counters into c, for aggregating
-// across stores or over sampling intervals. The statsexhaustive analyzer
-// holds it to covering every field.
-func (c *Counters) Add(o Counters) {
-	c.LightConnections += o.LightConnections
-	c.Downloads += o.Downloads
-	c.UpdatesApplied += o.UpdatesApplied
-	c.DeletionsApplied += o.DeletionsApplied
-	c.StaleServes += o.StaleServes
-}
-
 // DefaultCheckWorkers bounds the concurrent URLCheck light connections a
 // batched FollowPages issues.
 const DefaultCheckWorkers = 8

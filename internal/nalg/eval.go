@@ -62,9 +62,13 @@ func qualifyPage(t nested.Tuple, alias string) nested.Tuple {
 	return nested.NewQualifier(alias).Apply(t)
 }
 
-// Eval evaluates a computable expression against a page source. The
-// expression must type-check against the web scheme; evaluation reports an
-// error otherwise.
+// Eval evaluates a computable expression against a page source with the
+// sequential reference evaluator. The expression must type-check against the
+// web scheme; evaluation reports an error otherwise. It is the test oracle
+// the pipelined evaluator is checked against and E1's paper-faithful
+// sequential run, and has no other direct caller: everything else goes
+// through EvalWithOptions, which reaches Eval only when a caller turns
+// Pipelined off.
 func Eval(e Expr, ws *adm.Scheme, src Source) (*nested.Relation, error) {
 	if _, err := InferSchema(e, ws); err != nil {
 		return nil, err

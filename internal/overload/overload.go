@@ -109,8 +109,7 @@ type QueueConfig struct {
 	Timer Timer
 }
 
-// Counters tallies admission outcomes. The statsexhaustive analyzer holds
-// Add to covering every field.
+// Counters tallies admission outcomes.
 type Counters struct {
 	// Admitted counts requests granted a slot (immediately or after
 	// queueing).
@@ -131,20 +130,6 @@ type Counters struct {
 	CostRejected int
 	// PeakDepth is the deepest the wait queue has been.
 	PeakDepth int
-}
-
-// Add folds another queue's counters into c. Peaks take the maximum; the
-// rest sum.
-func (c *Counters) Add(o Counters) {
-	c.Admitted += o.Admitted
-	c.QueueFull += o.QueueFull
-	c.ShedLowPriority += o.ShedLowPriority
-	c.SojournDropped += o.SojournDropped
-	c.Canceled += o.Canceled
-	c.CostRejected += o.CostRejected
-	if o.PeakDepth > c.PeakDepth {
-		c.PeakDepth = o.PeakDepth
-	}
 }
 
 // Dropped is the total refused admissions of every kind — what /stats

@@ -347,14 +347,11 @@ func TestLedgerAccountsAndGauges(t *testing.T) {
 	}
 }
 
-func TestCountersAddSumsAndPeaks(t *testing.T) {
-	a := Counters{Admitted: 1, QueueFull: 2, ShedLowPriority: 3, SojournDropped: 4, Canceled: 5, CostRejected: 6, PeakDepth: 7}
-	a.Add(Counters{Admitted: 10, QueueFull: 20, ShedLowPriority: 30, SojournDropped: 40, Canceled: 50, CostRejected: 60, PeakDepth: 3})
-	want := Counters{Admitted: 11, QueueFull: 22, ShedLowPriority: 33, SojournDropped: 44, Canceled: 55, CostRejected: 66, PeakDepth: 7}
-	if !reflect.DeepEqual(a, want) {
-		t.Fatalf("Add result = %+v, want %+v", a, want)
-	}
-	if got := want.Dropped(); got != 22+33+44+66 {
+// TestCountersDropped: queueDropped counts every refusal kind and nothing
+// else — not admissions, cancellations or the peak depth.
+func TestCountersDropped(t *testing.T) {
+	c := Counters{Admitted: 11, QueueFull: 22, ShedLowPriority: 33, SojournDropped: 44, Canceled: 55, CostRejected: 66, PeakDepth: 7}
+	if got := c.Dropped(); got != 22+33+44+66 {
 		t.Fatalf("Dropped = %d, want %d", got, 22+33+44+66)
 	}
 }

@@ -153,29 +153,6 @@ type Stats struct {
 	PeakInFlight int
 }
 
-// Add folds another store's counters into s, for aggregating statistics
-// across shards or over sampling intervals (peaks take the maximum). The
-// statsexhaustive analyzer holds it to covering every field.
-func (s *Stats) Add(o Stats) {
-	s.Fetches += o.Fetches
-	s.Hits += o.Hits
-	s.Revalidations += o.Revalidations
-	s.LightConnections += o.LightConnections
-	s.Retries += o.Retries
-	s.Evictions += o.Evictions
-	s.BytesFetched += o.BytesFetched
-	s.Stale += o.Stale
-	s.Hedges += o.Hedges
-	s.HedgeWins += o.HedgeWins
-	s.BreakerFastFails += o.BreakerFastFails
-	s.Invalidations += o.Invalidations
-	s.PushStale += o.PushStale
-	s.WrapPanics += o.WrapPanics
-	if o.PeakInFlight > s.PeakInFlight {
-		s.PeakInFlight = o.PeakInFlight
-	}
-}
-
 // entry is one cached page.
 type entry struct {
 	url     string

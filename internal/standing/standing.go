@@ -71,8 +71,7 @@ type ByteMeter interface {
 	Add(delta int64)
 }
 
-// Counters tallies the registry's activity. The statsexhaustive analyzer
-// holds Add to covering every field.
+// Counters tallies the registry's activity.
 type Counters struct {
 	// Subscribes counts accepted subscriptions.
 	Subscribes int
@@ -98,20 +97,6 @@ type Counters struct {
 	// consumed them — the count bound or MaxRingBytes trimming the oldest
 	// entries under a slow consumer.
 	RingDropped int
-}
-
-// Add folds another registry's counters into c.
-func (c *Counters) Add(o Counters) {
-	c.Subscribes += o.Subscribes
-	c.Unsubscribes += o.Unsubscribes
-	c.Rejections += o.Rejections
-	c.Events += o.Events
-	c.Reanswers += o.Reanswers
-	c.AnswerErrors += o.AnswerErrors
-	c.Deltas += o.Deltas
-	c.AddedTuples += o.AddedTuples
-	c.RemovedTuples += o.RemovedTuples
-	c.RingDropped += o.RingDropped
 }
 
 // Delta is one pushed difference. Added and Removed hold canonical tuple

@@ -261,36 +261,6 @@ func TestUnsubscribeWakesBlockedNext(t *testing.T) {
 	}
 }
 
-// TestCountersAdd pins Add as a straight field-wise sum.
-func TestCountersAdd(t *testing.T) {
-	total := Counters{Subscribes: 1, Events: 2}
-	total.Add(Counters{
-		Subscribes:    1,
-		Unsubscribes:  2,
-		Rejections:    3,
-		Events:        4,
-		Reanswers:     5,
-		AnswerErrors:  6,
-		Deltas:        7,
-		AddedTuples:   8,
-		RemovedTuples: 9,
-	})
-	want := Counters{
-		Subscribes:    2,
-		Unsubscribes:  2,
-		Rejections:    3,
-		Events:        6,
-		Reanswers:     5,
-		AnswerErrors:  6,
-		Deltas:        7,
-		AddedTuples:   8,
-		RemovedTuples: 9,
-	}
-	if !reflect.DeepEqual(total, want) {
-		t.Fatalf("Add result mismatch:\n got %+v\nwant %+v", total, want)
-	}
-}
-
 // ringMeter accumulates ByteMeter charges from the registry.
 type ringMeter struct {
 	mu sync.Mutex

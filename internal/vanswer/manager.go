@@ -170,7 +170,7 @@ func (m *Manager) normalize(d Def) (Def, error) {
 func (m *Manager) buildExtent(sn *matview.Snapshot, d Def, refreshedAt time.Time) (*View, error) {
 	rel := m.views.Relation(d.Relation)
 	nav := rel.Navs[0]
-	raw, err := nalg.Eval(nav.Expr, m.scheme, sn.Source())
+	raw, err := nalg.EvalWithOptions(nav.Expr, m.scheme, sn.Source(), nalg.EvalOptions{Pipelined: true})
 	if err != nil {
 		return nil, fmt.Errorf("vanswer: extent of %s: %w", d.Key(), err)
 	}

@@ -80,8 +80,8 @@ type View struct {
 	Bytes int64
 }
 
-// Counters tallies the rewriter's decisions. The statsexhaustive analyzer
-// holds Add to covering every field.
+// Counters tallies the rewriter's decisions. TestCountersAddFoldsEveryField
+// holds Add to folding every field.
 type Counters struct {
 	// Hits is the number of queries answered from views.
 	Hits int

@@ -2,6 +2,7 @@ package vanswer
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -426,5 +427,25 @@ func TestTightestBindingPreferred(t *testing.T) {
 	// The unbound scan is still answerable (from the unbound extent).
 	if _, ok, err := m.TryAnswer(parse(t, "SELECT p.PName FROM Professor p")); !ok || err != nil {
 		t.Fatalf("unbound: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestCountersAddFoldsEveryField fills every Counters field with a distinct
+// non-zero value and folds it into a zero total: any field Add forgets (or
+// folds from the wrong source) leaves the total different from the input.
+func TestCountersAddFoldsEveryField(t *testing.T) {
+	var full Counters
+	v := reflect.ValueOf(&full).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if f.Kind() != reflect.Int {
+			t.Fatalf("field %s: fill does not handle kind %s", v.Type().Field(i).Name, f.Kind())
+		}
+		f.SetInt(int64(i + 1))
+	}
+	var total Counters
+	total.Add(full)
+	if !reflect.DeepEqual(total, full) {
+		t.Errorf("Add into zero lost a field:\n got %+v\nwant %+v", total, full)
 	}
 }

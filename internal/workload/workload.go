@@ -53,10 +53,7 @@ type Sample struct {
 	FromView bool
 }
 
-// Stats counts the recorder's traffic. The statsexhaustive analyzer holds
-// Add to covering every field.
-//
-//lint:exhaustive Stats
+// Stats counts the recorder's traffic.
 type Stats struct {
 	// Recorded is the number of samples accepted.
 	Recorded int
@@ -65,13 +62,6 @@ type Stats struct {
 	// Dropped is the number of queries that could not be canonicalized
 	// (constants containing the placeholder alphabet) and were not recorded.
 	Dropped int
-}
-
-// Add folds another recorder's counters into s.
-func (s *Stats) Add(o Stats) {
-	s.Recorded += o.Recorded
-	s.Evicted += o.Evicted
-	s.Dropped += o.Dropped
 }
 
 // Recorder is a fixed-capacity ring of recent query samples. It is safe for

@@ -121,12 +121,3 @@ func TestUncanonicalizableDropped(t *testing.T) {
 		t.Errorf("ring holds %d, want 0", r.Len())
 	}
 }
-
-// TestStatsAddCoversEveryField: the Add folding the analyzer pins.
-func TestStatsAddCoversEveryField(t *testing.T) {
-	s := Stats{Recorded: 1, Evicted: 2, Dropped: 3}
-	s.Add(Stats{Recorded: 10, Evicted: 20, Dropped: 30})
-	if want := (Stats{Recorded: 11, Evicted: 22, Dropped: 33}); s != want {
-		t.Errorf("got %+v, want %+v", s, want)
-	}
-}

@@ -7,6 +7,7 @@ cd "$(dirname "$0")/.."
 echo "== go build ./..."
 go build ./...
 echo "== go vet ./..."
+# vet's lostcancel pass is the gate on context cancel discipline.
 go vet ./...
 echo "== ulixes-vet ./..."
 go run ./cmd/ulixes-vet ./...
