@@ -277,7 +277,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	reqDeadline, err := durParam(r, "deadline")
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad ?deadline=: want a Go duration like 500ms or 5s"})
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad ?deadline=: want a non-negative Go duration like 500ms or 5s"})
 		return
 	}
 
@@ -411,13 +411,19 @@ func (s *server) refuse(w http.ResponseWriter, err error) {
 	}
 }
 
-// durParam reads an optional duration query parameter.
+// durParam reads an optional non-negative duration query parameter. A
+// negative value is an error, not "absent": the deadline budget reads 0 or
+// less as "the client did not ask", which would run the query unbounded.
 func durParam(r *http.Request, name string) (time.Duration, error) {
 	v := r.URL.Query().Get(name)
 	if v == "" {
 		return 0, nil
 	}
-	return time.ParseDuration(v)
+	d, err := time.ParseDuration(v)
+	if err == nil && d < 0 {
+		err = fmt.Errorf("negative duration %s", v)
+	}
+	return d, err
 }
 
 // maybeReselect re-runs benefit-driven view selection every viewsEvery

@@ -630,20 +630,24 @@ func TestQueueAdmissionQueuesThenServes(t *testing.T) {
 
 // TestDeadlineBudget: a client deadline that expires mid-query yields a
 // partial (degraded-mode) answer marked deadlineExpired rather than an
-// error; a malformed deadline is a 400.
+// error; a malformed or negative deadline is a 400.
 func TestDeadlineBudget(t *testing.T) {
 	srv := newTestServer(t, 4, 0, nil)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
 	const q = "SELECT p.PName FROM Professor p WHERE p.Rank = 'Full'"
-	resp, err := ts.Client().Get(ts.URL + "/query?deadline=banana&q=" + url.QueryEscape(q)) //lint:allow fetchgate client of our own query API, not a page fetch
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad deadline status %d, want 400", resp.StatusCode)
+	// A negative duration parses, but the budget would read it as "no
+	// deadline asked" and run the query unbounded; it is rejected instead.
+	for _, bad := range []string{"banana", "-1s"} {
+		resp, err := ts.Client().Get(ts.URL + "/query?deadline=" + bad + "&q=" + url.QueryEscape(q)) //lint:allow fetchgate client of our own query API, not a page fetch
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("deadline=%s status %d, want 400", bad, resp.StatusCode)
+		}
 	}
 
 	// A deadline that has effectively already passed: the query still

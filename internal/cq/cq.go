@@ -61,6 +61,35 @@ func (o OutCol) EffName() string {
 	return o.Attr.Attr
 }
 
+// Output is the output rule every evaluation of a query shares, whether it
+// runs as a navigation plan or over stored view extents: project the source
+// column of each output column (colOf names it; a column selected twice is
+// projected once, at its first position), then rename every projected
+// column whose name differs from its output name. Two output names for one
+// source column are an error, because one column cannot be renamed twice.
+func Output(sel []OutCol, colOf func(AttrUse) (string, error)) (cols []string, ren map[string]string, err error) {
+	cols = make([]string, 0, len(sel))
+	ren = make(map[string]string, len(sel))
+	seen := make(map[string]bool, len(sel))
+	for _, out := range sel {
+		col, err := colOf(out.Attr)
+		if err != nil {
+			return nil, nil, err
+		}
+		if col != out.EffName() {
+			if prev, dup := ren[col]; dup && prev != out.EffName() {
+				return nil, nil, fmt.Errorf("cq: output columns %q and %q project the same source attribute %s", prev, out.EffName(), out.Attr)
+			}
+			ren[col] = out.EffName()
+		}
+		if !seen[col] {
+			seen[col] = true
+			cols = append(cols, col)
+		}
+	}
+	return cols, ren, nil
+}
+
 // Query is a conjunctive query over external relations.
 type Query struct {
 	Select []OutCol

@@ -171,3 +171,22 @@ func TestParseSelectStar(t *testing.T) {
 		t.Error("star with explicit columns should fail validation")
 	}
 }
+
+// TestOutputRule pins the output rule live plans and view answers share:
+// one projected column per distinct source column in SELECT order, a rename
+// only where the output name differs, and an error when one source column
+// would need two output names.
+func TestOutputRule(t *testing.T) {
+	colOf := func(u AttrUse) (string, error) { return u.String(), nil }
+	name := OutCol{Attr: AttrUse{Atom: "p", Attr: "PName"}}
+	who := OutCol{Attr: name.Attr, As: "Who"}
+	kept := OutCol{Attr: AttrUse{Atom: "c", Attr: "CName"}, As: "c.CName"}
+
+	cols, ren, err := Output([]OutCol{name, name, kept}, colOf)
+	if err != nil || strings.Join(cols, ",") != "p.PName,c.CName" || len(ren) != 1 || ren["p.PName"] != "PName" {
+		t.Fatalf("cols %v ren %v err %v, want p.PName,c.CName and one rename p.PName -> PName", cols, ren, err)
+	}
+	if _, _, err := Output([]OutCol{name, who}, colOf); err == nil || !strings.Contains(err.Error(), "same source attribute") {
+		t.Fatalf("two names for p.PName: err %v, want the duplicate-source error", err)
+	}
+}

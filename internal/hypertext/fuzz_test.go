@@ -31,10 +31,9 @@ func FuzzTokenize(f *testing.F) {
 // FuzzLexer checks the zero-copy Lexer against the materializing Tokenize
 // on arbitrary (often malformed) HTML: neither may panic, both must agree
 // on error/success, and driving the Lexer with attributes copied out per
-// generation must reproduce Tokenize's stream exactly. This pins the
-// contract the viewescape analyzer enforces statically: a token's views are
-// only valid until the next Next, and copying within the generation loses
-// nothing.
+// generation must reproduce Tokenize's stream exactly. This is the check on
+// the lexer's zero-copy contract: a token's views are only valid until the
+// next Next, and copying within the generation loses nothing.
 func FuzzLexer(f *testing.F) {
 	for _, seed := range []string{
 		`<a href="x">text</a><b>bold</b><br>`,

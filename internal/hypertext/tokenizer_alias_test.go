@@ -3,7 +3,7 @@ package hypertext
 import "testing"
 
 // TestTokenizeAttrlessTokensDoNotAliasLexerBuffer is the regression test for
-// the viewescape finding in Tokenize: a token with zero attributes used to
+// an aliasing bug in Tokenize: a token with zero attributes used to
 // keep a len-0 slice header pointing into the lexer's reused attribute
 // buffer, so later appends through a retained token could scribble over
 // attribute values the lexer wrote for other tokens. Attr-less tokens must

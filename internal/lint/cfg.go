@@ -8,10 +8,9 @@ import (
 
 // This file is the control-flow half of the lint package's dataflow layer:
 // a per-function basic-block CFG over go/ast, built with the standard
-// library alone. Analyzers that need flow sensitivity (viewescape,
-// mutexguard) run a forward dataflow pass over it via
-// CFG.Forward (see dataflow.go) instead of re-implementing control flow
-// with ad-hoc AST walks.
+// library alone. Analyzers that need flow sensitivity (today mutexguard)
+// run a forward dataflow pass over it via CFG.Forward (see dataflow.go)
+// instead of re-implementing control flow with ad-hoc AST walks.
 //
 // The construction is deliberately statement-granular: each Block holds the
 // ast.Nodes executed in order (plain statements, plus the condition

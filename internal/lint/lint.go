@@ -1,7 +1,7 @@
 // Package lint is a small static-analysis framework for the engine's own
 // invariants, in the spirit of golang.org/x/tools/go/analysis but built only
 // on the standard library's go/ast and go/types (the repository carries no
-// module dependencies). It ships eight analyzers:
+// module dependencies). It ships six analyzers:
 //
 //   - fetchgate: every page access must flow through the one counted access
 //     path (pagecache.Session over site.Transport), so ExecStats page counts
@@ -13,18 +13,18 @@
 //     packages;
 //   - noctxbg: no context.Background/TODO in request-path packages, so
 //     request deadlines and cancellation propagate to every page access;
-//   - poolreset: sync.Pool users on the request path must reset pooled
-//     objects before Put, so no request's data leaks into the next;
-//   - viewescape: zero-copy views (lexer token attrs, pooled buffers,
-//     TrustedTuple shared slices) must not outlive their generation —
-//     flow-checked against the next Next/Put call, stores, and returns;
 //   - mutexguard: fields annotated "// guarded by mu" are only accessed
 //     with the mutex held, flow-checked through Lock/Unlock/defer paths.
 //
-// The last two are flow-sensitive: they run on a per-function basic-block
-// CFG (cfg.go) with a forward dataflow solver and an escape lattice
-// (dataflow.go). Checks go vet already makes (its lostcancel pass, for
-// cancel discipline) are left to go vet, which CI runs on every package.
+// mutexguard is the one flow-sensitive analyzer: it runs on a per-function
+// basic-block CFG (cfg.go) with a forward dataflow solver and an escape
+// lattice (dataflow.go). Checks go vet already makes (its lostcancel pass,
+// for cancel discipline) are left to go vet, which CI runs on every package.
+//
+// The zero-copy contracts (lexer token attrs, pooled key buffers,
+// TrustedTuple's shared slices) are checked where they are made, not here:
+// by the tokenizer round-trip tests and FuzzLexer, by the nested package's
+// key-buffer poison on Put, and by the hypertext names-contract test.
 //
 // Intentional exemptions are documented in the source with a
 //
@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"regexp"
 	"sort"
 	"strings"
@@ -93,7 +94,7 @@ func (f Finding) String() string {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		FetchGate, NoWallClock, ChanHygiene, NoPrintln, NoCtxBackground,
-		PoolReset, ViewEscape, MutexGuard,
+		MutexGuard,
 	}
 }
 
@@ -204,4 +205,43 @@ func pathIsOneOf(path string, list ...string) bool {
 		}
 	}
 	return false
+}
+
+// enclosingFunc returns the function node and body when n opens a function
+// scope (declaration or literal).
+func enclosingFunc(n ast.Node) (ast.Node, *ast.BlockStmt) {
+	switch fn := n.(type) {
+	case *ast.FuncDecl:
+		return fn, fn.Body
+	case *ast.FuncLit:
+		return fn, fn.Body
+	}
+	return nil, nil
+}
+
+// rootObject resolves the variable at the root of an expression like x,
+// &x, x.field or (*x), or nil when the expression is not rooted in a
+// variable (fresh composite literals, call results, constants).
+func rootObject(pkg *Package, e ast.Expr) types.Object {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			if obj := pkg.Info.Uses[x]; obj != nil {
+				if _, ok := obj.(*types.Var); ok {
+					return obj
+				}
+			}
+			return nil
+		case *ast.UnaryExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
 }

@@ -12,10 +12,7 @@ func TestNoWallClock(t *testing.T) { linttest.Run(t, lint.NoWallClock, "nowallcl
 func TestChanHygiene(t *testing.T) { linttest.Run(t, lint.ChanHygiene, "chanhygiene") }
 func TestNoPrintln(t *testing.T)   { linttest.Run(t, lint.NoPrintln, "noprintln") }
 func TestNoCtxBg(t *testing.T)     { linttest.Run(t, lint.NoCtxBackground, "noctxbg") }
-func TestPoolReset(t *testing.T)   { linttest.Run(t, lint.PoolReset, "poolreset") }
-
-func TestViewEscape(t *testing.T) { linttest.Run(t, lint.ViewEscape, "viewescape") }
-func TestMutexGuard(t *testing.T) { linttest.Run(t, lint.MutexGuard, "mutexguard") }
+func TestMutexGuard(t *testing.T)  { linttest.Run(t, lint.MutexGuard, "mutexguard") }
 
 // TestRepoClean asserts the invariant the PR establishes: the repo's own
 // packages produce no findings (intentional bypasses carry //lint:allow).

@@ -105,3 +105,25 @@ func TestWithoutThenWithSpareCapacity(t *testing.T) {
 	assertTuple(t, shrunk, "A", "a", "B", "b")
 	assertTuple(t, orig, "A", "a", "B", "b", "C", "c")
 }
+
+// TestPutKeyBufPoisonsAliases pins the key-buffer pool's contract: Put
+// truncates the buffer and zeroes the bytes it held, so an alias a caller
+// wrongly keeps past putKeyBuf (a hash-join probe reading its key after the
+// Put, say) reads zeros rather than a plausible stale key.
+func TestPutKeyBufPoisonsAliases(t *testing.T) {
+	b := getKeyBuf()
+	*b = append(*b, "professor\x00key"...)
+	alias := *b
+	putKeyBuf(b)
+	if len(*b) != 0 {
+		t.Errorf("buffer length after Put = %d, want 0", len(*b))
+	}
+	if full := (*b)[:len(alias)]; string(full) != string(make([]byte, len(alias))) {
+		t.Errorf("buffer after Put holds %q, want zeros", full)
+	}
+	for i, c := range alias {
+		if c != 0 {
+			t.Fatalf("alias taken before Put reads %q at byte %d, want zeros", alias, i)
+		}
+	}
+}

@@ -15,9 +15,14 @@ var keyBufPool = sync.Pool{
 
 func getKeyBuf() *[]byte { return keyBufPool.Get().(*[]byte) }
 
-// putKeyBuf resets the buffer (keeping grown capacity) and returns it to
-// the pool. Callers must not retain aliases of the buffer after Put.
+// putKeyBuf zeroes the buffer, truncates it (keeping grown capacity) and
+// returns it to the pool. Callers must not retain aliases of the buffer
+// after Put: the zeroing makes a read through one see zeros instead of a
+// plausible old key, so a use-after-Put fails tests rather than passing by
+// luck. This is the pool's only Put site, so neither step can be forgotten
+// at a call site.
 func putKeyBuf(b *[]byte) {
+	clear(*b)
 	*b = (*b)[:0]
 	keyBufPool.Put(b)
 }

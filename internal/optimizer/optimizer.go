@@ -135,38 +135,6 @@ func (o *Optimizer) Model() *cost.Model {
 	return &cost.Model{Scheme: o.Views.Scheme, Stats: o.Stats, Unit: o.Opts.Unit}
 }
 
-// expandStar rewrites SELECT * into the explicit attribute list: every
-// attribute of every atom, in FROM order, prefixed with the atom alias when
-// the bare name would collide.
-func (o *Optimizer) expandStar(q *cq.Query) (*cq.Query, error) {
-	if !q.Star {
-		return q, nil
-	}
-	counts := make(map[string]int)
-	for _, atom := range q.From {
-		rel := o.Views.Relation(atom.Relation)
-		if rel == nil {
-			return nil, fmt.Errorf("optimizer: unknown external relation %q", atom.Relation)
-		}
-		for _, a := range rel.Attrs {
-			counts[a]++
-		}
-	}
-	out := *q
-	out.Star = false
-	for _, atom := range q.From {
-		rel := o.Views.Relation(atom.Relation)
-		for _, a := range rel.Attrs {
-			col := cq.OutCol{Attr: cq.AttrUse{Atom: atom.EffAlias(), Attr: a}}
-			if counts[a] > 1 {
-				col.As = atom.EffAlias() + "_" + a
-			}
-			out.Select = append(out.Select, col)
-		}
-	}
-	return &out, nil
-}
-
 // Optimize runs Algorithm 1 on a conjunctive query.
 func (o *Optimizer) Optimize(q *cq.Query) (*Result, error) {
 	return o.optimize(q, nalg.NewMemo(o.Views.Scheme))
@@ -181,7 +149,7 @@ func (o *Optimizer) optimize(q *cq.Query, memo *nalg.Memo) (*Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	q, err := o.expandStar(q)
+	q, err := o.Views.ExpandStar(q)
 	if err != nil {
 		return nil, err
 	}
@@ -443,38 +411,15 @@ func (o *Optimizer) finish(q *cq.Query, combo []instNav, expr nalg.Expr, aliasId
 		}
 		expr = &nalg.Select{In: expr, Pred: nested.Eq(col, c.Val)}
 	}
-	cols := make([]string, len(q.Select))
-	ren := make(map[string]string, len(q.Select))
-	for i, out := range q.Select {
-		col, err := colOf(combo, out.Attr)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = col
-		if col != out.EffName() {
-			if prev, dup := ren[col]; dup && prev != out.EffName() {
-				return nil, fmt.Errorf("optimizer: output columns %q and %q project the same source attribute %s", prev, out.EffName(), out.Attr)
-			}
-			ren[col] = out.EffName()
-		}
+	cols, ren, err := cq.Output(q.Select, func(u cq.AttrUse) (string, error) { return colOf(combo, u) })
+	if err != nil {
+		return nil, err
 	}
-	var top nalg.Expr = &nalg.Project{In: expr, Cols: dedupCols(cols)}
+	var top nalg.Expr = &nalg.Project{In: expr, Cols: cols}
 	if len(ren) > 0 {
 		top = &nalg.Rename{In: top, Map: ren}
 	}
 	return top, nil
-}
-
-func dedupCols(cols []string) []string {
-	seen := make(map[string]bool, len(cols))
-	out := cols[:0]
-	for _, c := range cols {
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 func realiasColName(col string, aliasMap map[string]string) string {

@@ -170,21 +170,20 @@ func (m *Manager) normalize(d Def) (Def, error) {
 func (m *Manager) buildExtent(sn *matview.Snapshot, d Def, refreshedAt time.Time) (*View, error) {
 	rel := m.views.Relation(d.Relation)
 	nav := rel.Navs[0]
-	raw, err := nalg.EvalWithOptions(nav.Expr, m.scheme, sn.Source(), nalg.EvalOptions{Pipelined: true})
+	ext, err := nalg.EvalWithOptions(nav.Expr, m.scheme, sn.Source(), nalg.EvalOptions{Pipelined: true})
 	if err != nil {
 		return nil, fmt.Errorf("vanswer: extent of %s: %w", d.Key(), err)
 	}
-	cols := make([]string, len(rel.Attrs))
-	ren := make(map[string]string, len(rel.Attrs))
+	// The extent's columns are the external attributes: the output rule of
+	// "SELECT <every attribute> FROM <relation>" over the navigation.
+	sel := make([]cq.OutCol, len(rel.Attrs))
 	for i, a := range rel.Attrs {
-		cols[i] = nav.ColMap[a]
-		ren[nav.ColMap[a]] = a
+		sel[i] = cq.OutCol{Attr: cq.AttrUse{Atom: d.Relation, Attr: a}}
 	}
-	ext, err := raw.Project(dedupCols(cols))
-	if err != nil {
-		return nil, fmt.Errorf("vanswer: extent of %s: %w", d.Key(), err)
+	cols, ren, err := cq.Output(sel, func(u cq.AttrUse) (string, error) { return nav.ColMap[u.Attr], nil })
+	if err == nil {
+		ext, err = projectOut(ext, cols, ren)
 	}
-	ext, err = ext.Rename(ren)
 	if err != nil {
 		return nil, fmt.Errorf("vanswer: extent of %s: %w", d.Key(), err)
 	}

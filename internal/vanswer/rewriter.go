@@ -215,38 +215,6 @@ func (r *Rewriter) Counters() Counters {
 	return r.counters
 }
 
-// expandStar mirrors the optimizer's star expansion exactly (same order,
-// same collision-suffix rule), so a view-answered SELECT * has the same
-// output columns as the live plan.
-func (r *Rewriter) expandStar(q *cq.Query) (*cq.Query, error) {
-	if !q.Star {
-		return q, nil
-	}
-	counts := make(map[string]int)
-	for _, atom := range q.From {
-		rel := r.views.Relation(atom.Relation)
-		if rel == nil {
-			return nil, fmt.Errorf("vanswer: unknown external relation %q", atom.Relation)
-		}
-		for _, a := range rel.Attrs {
-			counts[a]++
-		}
-	}
-	out := *q
-	out.Star = false
-	for _, atom := range q.From {
-		rel := r.views.Relation(atom.Relation)
-		for _, a := range rel.Attrs {
-			col := cq.OutCol{Attr: cq.AttrUse{Atom: atom.EffAlias(), Attr: a}}
-			if counts[a] > 1 {
-				col.As = atom.EffAlias() + "_" + a
-			}
-			out.Select = append(out.Select, col)
-		}
-	}
-	return &out, nil
-}
-
 // usable picks the best current view for one atom given the query's
 // constant selections on it: the freshest-possible view whose binding
 // pattern is implied by the constants, preferring the most tightly bound
@@ -300,7 +268,7 @@ func (r *Rewriter) TryAnswer(q *cq.Query) (*nested.Relation, bool, error) {
 	if err := q.Validate(); err != nil {
 		return r.miss(Counters{}) // let the live path report the error
 	}
-	q, err := r.expandStar(q)
+	q, err := r.views.ExpandStar(q)
 	if err != nil {
 		return r.miss(Counters{})
 	}
@@ -361,9 +329,9 @@ func (r *Rewriter) miss(tally Counters) (*nested.Relation, bool, error) {
 }
 
 // evaluate runs the rewritten query locally: per-atom selections on the
-// stored extents, a left-deep join in FROM order, then the projection and
-// rename the optimizer's translation would apply — mirrored exactly so the
-// result is byte-identical to live execution.
+// stored extents, a left-deep join in FROM order, then cq.Output's
+// projection and rename — the rule the optimizer's translation applies —
+// so the result is byte-identical to live execution.
 func (r *Rewriter) evaluate(q *cq.Query, chosen []*View) (*nested.Relation, error) {
 	aliasIdx := make(map[string]int, len(q.From))
 	for i, a := range q.From {
@@ -441,44 +409,20 @@ func (r *Rewriter) evaluate(q *cq.Query, chosen []*View) (*nested.Relation, erro
 			return nil, err
 		}
 	}
-	// Final projection and rename, mirroring the optimizer's translation:
-	// project the (deduplicated) source columns, then rename to the output
-	// names. Two outputs projecting the same source attribute under
-	// different names is the same error the optimizer reports — decline so
-	// the live path surfaces it.
-	cols := make([]string, len(q.Select))
-	ren := make(map[string]string, len(q.Select))
-	for i, out := range q.Select {
-		col := out.Attr.Atom + "." + out.Attr.Attr
-		cols[i] = col
-		if col != out.EffName() {
-			if prev, dup := ren[col]; dup && prev != out.EffName() {
-				return nil, fmt.Errorf("vanswer: output columns %q and %q project the same source attribute %s", prev, out.EffName(), out.Attr)
-			}
-			ren[col] = out.EffName()
-		}
-	}
-	out, err := joined.Project(dedupCols(cols))
+	// An output rule error is the one the optimizer reports too; returning
+	// it declines, so the live path surfaces it.
+	cols, ren, err := cq.Output(q.Select, func(u cq.AttrUse) (string, error) { return u.String(), nil })
 	if err != nil {
 		return nil, err
 	}
-	if len(ren) > 0 {
-		out, err = out.Rename(ren)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return projectOut(joined, cols, ren)
 }
 
-func dedupCols(cols []string) []string {
-	seen := make(map[string]bool, len(cols))
-	out := make([]string, 0, len(cols))
-	for _, c := range cols {
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
+// projectOut applies an output rule's projection and rename to a relation.
+func projectOut(rel *nested.Relation, cols []string, ren map[string]string) (*nested.Relation, error) {
+	out, err := rel.Project(cols)
+	if err != nil || len(ren) == 0 {
+		return out, err
 	}
-	return out
+	return out.Rename(ren)
 }

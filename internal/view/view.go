@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"ulixes/internal/adm"
+	"ulixes/internal/cq"
 	"ulixes/internal/nalg"
 )
 
@@ -96,3 +97,35 @@ func (r *Registry) Relation(name string) *ExternalRelation { return r.relations[
 
 // Names returns the relation names in registration order.
 func (r *Registry) Names() []string { return r.order }
+
+// ExpandStar rewrites SELECT * into the explicit attribute list: every
+// attribute of every atom, in FROM order, prefixed with the atom alias when
+// the bare name would collide. Live plans and view answers both expand
+// through it, so a SELECT * has the same output columns either way.
+func (r *Registry) ExpandStar(q *cq.Query) (*cq.Query, error) {
+	if !q.Star {
+		return q, nil
+	}
+	counts := make(map[string]int)
+	for _, atom := range q.From {
+		rel := r.Relation(atom.Relation)
+		if rel == nil {
+			return nil, fmt.Errorf("view: unknown external relation %q", atom.Relation)
+		}
+		for _, a := range rel.Attrs {
+			counts[a]++
+		}
+	}
+	out := *q
+	out.Star = false
+	for _, atom := range q.From {
+		for _, a := range r.Relation(atom.Relation).Attrs {
+			col := cq.OutCol{Attr: cq.AttrUse{Atom: atom.EffAlias(), Attr: a}}
+			if counts[a] > 1 {
+				col.As = atom.EffAlias() + "_" + a
+			}
+			out.Select = append(out.Select, col)
+		}
+	}
+	return &out, nil
+}

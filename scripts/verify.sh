@@ -23,9 +23,7 @@ echo "== access path under many schedules (-count=20 -cpu=1,2,8, plain and -race
 go test -count=20 -cpu=1,2,8 -timeout 10m ./internal/pagecache/ ./internal/site/ ./internal/engine/ ./internal/matview/ ./internal/nalg/
 go test -race -count=20 -cpu=1,2,8 -timeout 25m ./internal/pagecache/ ./internal/site/ ./internal/engine/ ./internal/matview/ ./internal/nalg/
 echo "== fuzz smoke (seed corpora plus a short generated burst)"
-go test ./internal/hypertext/ -run=NONE -fuzz='FuzzTokenize$' -fuzztime=2s >/dev/null
-go test ./internal/hypertext/ -run=NONE -fuzz='FuzzLexer$' -fuzztime=2s >/dev/null
-go test ./internal/hypertext/ -run=NONE -fuzz='FuzzUnescapeHTML$' -fuzztime=2s >/dev/null
+make fuzz-smoke FUZZTIME=2s >/dev/null
 echo "== bench smoke (every benchmark compiles and runs once)"
 go test -run=NONE -bench=. -benchtime=1x ./... >/dev/null
 echo "== guard (race-enabled breaker/bulkhead/hedge suite)"
