@@ -42,7 +42,8 @@ bench:
 # bytes/tuple gate metrics). Override BENCH_LABEL to record e.g. "before",
 # BENCH_NOTE to say what was measured, and BENCH to record part of the suite
 # (BENCH=Optimize is the cold-planning pair of runs pr16-parent / pr16-change;
-# BENCH='RTTSuite|PipelinedVsSequential|PreparedQuery' is PR 21's).
+# BENCH='RTTSuite|PipelinedVsSequential|PreparedQuery' is PR 21's;
+# BENCH='WarmSuite|RTTSuite' is prepared-plans-parent / prepared-plans-change).
 BENCH_LABEL ?= after
 BENCH_NOTE ?=
 BENCH ?= .

@@ -463,6 +463,54 @@ func BenchmarkRTTSuite(b *testing.B) {
 	b.ReportMetric(float64(peak), "peak_inflight")
 }
 
+// BenchmarkWarmSuite is the in-process part of the warm_repeat workload:
+// the ten E4 shapes over the 400-course university, behind the guard, on
+// one shared page store that already holds every page, with every shape's
+// plan cached — so each query is a plan-cache hit over resident pages, and
+// its answer is sorted as ulixesd sorts it for the response. One op is one
+// pass over the suite; tuples is the answer rows of a pass.
+func BenchmarkWarmSuite(b *testing.B) {
+	u, err := sitegen.GenerateUniversity(sitegen.UniversityParams{Courses: 400, Profs: 120, Depts: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ms, err := site.NewMemSite(u.Instance, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	server := guard.New(ms, guard.Config{})
+	sys := ulixes.OpenWithStats(server, u.Scheme, view.UniversityView(u.Scheme), stats.CollectInstance(u.Instance))
+	sys.EnablePlanCache(ulixes.PlanCacheConfig{})
+	opts := ulixes.ExecOptions{
+		Pipelined: true,
+		Cache:     pagecache.New(server, u.Scheme, pagecache.Config{DefaultTTL: pagecache.Forever}),
+	}
+	queries := make([]*ulixes.Query, len(exp.QuerySuite))
+	for i, q := range exp.QuerySuite {
+		if queries[i], err = ulixes.ParseQuery(q.Query); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run := func() (tuples int) {
+		for _, q := range queries {
+			ans, err := sys.QueryCQOptsCtx(context.Background(), q, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tuples += len(ans.Result.Sorted())
+		}
+		return tuples
+	}
+	run() // plan every shape and fetch every page once
+	b.ReportAllocs()
+	b.ResetTimer()
+	var tuples int
+	for i := 0; i < b.N; i++ {
+		tuples = run()
+	}
+	b.ReportMetric(float64(tuples), "tuples")
+}
+
 // BenchmarkMaterializedQuery measures a warm materialized-view query (only
 // light connections).
 func BenchmarkMaterializedQuery(b *testing.B) {

@@ -369,12 +369,18 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		DeadlineExpired: expired,
 		StalePages:      st.StalePages,
 	}
-	for _, t := range ans.Result.Sorted() {
-		row := make([]string, t.Arity())
-		for i := range row {
-			row[i] = t.At(i).String()
+	if tuples := ans.Result.Sorted(); len(tuples) > 0 {
+		// One backing array for every cell: the rows of an answer share
+		// its arity.
+		resp.Rows = make([][]string, len(tuples))
+		cells := make([]string, 0, len(tuples)*tuples[0].Arity())
+		for r, t := range tuples {
+			start := len(cells)
+			for i := 0; i < t.Arity(); i++ {
+				cells = append(cells, t.At(i).String())
+			}
+			resp.Rows[r] = cells[start:len(cells):len(cells)]
 		}
-		resp.Rows = append(resp.Rows, row)
 	}
 	for _, f := range st.Failures {
 		resp.Failures = append(resp.Failures, queryFailure{

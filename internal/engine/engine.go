@@ -224,8 +224,10 @@ func New(views *view.Registry, server site.Server, st *stats.Stats) *Engine {
 // Answer is the result of a query: the relation, the plan that produced it,
 // all candidates considered, and the measured network cost.
 type Answer struct {
-	Result     *nested.Relation
-	Plan       optimizer.Plan
+	Result *nested.Relation
+	Plan   optimizer.Plan
+	// Candidates are the plans Algorithm 1 kept for this query, cheapest
+	// first. A plan-cache hit planned nothing and leaves them nil.
 	Candidates []optimizer.Plan
 	// PagesFetched is the measured number of distinct page downloads the
 	// execution performed — the quantity the paper's cost model estimates.
@@ -293,26 +295,29 @@ func (e *Engine) QueryCQOptsCtx(ctx context.Context, q *cq.Query, opts ExecOptio
 			return &Answer{Result: rel, Exec: st, FromView: true}, nil
 		}
 	}
-	var res *optimizer.Result
-	var cached bool
+	var b plancache.Bound
 	var err error
 	if e.Plans != nil {
 		// Scope cached plans to the optimizer configuration: an ablation
 		// or beam change must not resurrect plans chosen under other rules.
 		scope := fmt.Sprintf("%+v", e.Opt.Opts)
-		res, cached, err = e.Plans.Prepare(q, e.Stats, scope, e.Opt.Optimize)
+		b, err = e.Plans.Bind(q, e.Stats, scope, e.Opt.Optimize, e.prepare)
 	} else {
-		res, err = e.Opt.Optimize(q)
+		b.Result, err = e.Opt.Optimize(q)
+		if err == nil {
+			b.Exec, err = e.prepare(b.Result.Best.Expr)
+		}
 	}
 	if err != nil {
 		return nil, err
 	}
 	planWall := time.Since(planStart)
-	rel, st, err := e.ExecuteOptsCtx(ctx, res.Best.Expr, opts)
+	res := b.Result
+	rel, st, err := e.run(ctx, res.Best.Expr, b.Exec, opts)
 	if err != nil {
 		return nil, err
 	}
-	st.PlanCached = cached
+	st.PlanCached = b.Cached
 	st.PlanWall = planWall
 	e.record(q, st)
 	return &Answer{
@@ -359,17 +364,34 @@ func (e *Engine) ExecuteOpts(expr nalg.Expr, opts ExecOptions) (*nested.Relation
 }
 
 // ExecuteOptsCtx is ExecuteOpts under the caller's context: the deadline
-// and cancellation propagate to every page access the plan performs. Every
-// plan runs through one pagecache.Session — on the shared store when the
-// options carry one, on a private store otherwise — so physical fetches are
-// deduplicated and the session's ledger is the single source of ExecStats.
+// and cancellation propagate to every page access the plan performs.
 func (e *Engine) ExecuteOptsCtx(ctx context.Context, expr nalg.Expr, opts ExecOptions) (*nested.Relation, ExecStats, error) {
+	prep, err := e.prepare(expr)
+	if err != nil {
+		return nil, ExecStats{}, err
+	}
+	return e.run(ctx, expr, prep, opts)
+}
+
+// prepare is a plan's per-shape execution work: the computability and
+// typing gates every plan passes before touching the network, and
+// nalg.Prepare's schema inference, hash-join build sides and kept columns.
+// A plan-cache entry runs it once for its shape.
+func (e *Engine) prepare(expr nalg.Expr) (*nalg.Prepared, error) {
 	if !nalg.Computable(expr) {
-		return nil, ExecStats{}, fmt.Errorf("engine: plan is not computable: %s", expr)
+		return nil, fmt.Errorf("engine: plan is not computable: %s", expr)
 	}
 	if diags := nalg.Check(expr, e.Views.Scheme); len(diags) > 0 {
-		return nil, ExecStats{}, fmt.Errorf("engine: plan is ill-typed (%d diagnostics): %s", len(diags), diags[0])
+		return nil, fmt.Errorf("engine: plan is ill-typed (%d diagnostics): %s", len(diags), diags[0])
 	}
+	return nalg.Prepare(expr, e.Views.Scheme, e.cardEstimator())
+}
+
+// run evaluates a prepared plan. Every plan runs through one
+// pagecache.Session — on the shared store when the options carry one, on a
+// private store otherwise — so physical fetches are deduplicated and the
+// session's ledger is the single source of ExecStats.
+func (e *Engine) run(ctx context.Context, expr nalg.Expr, prep *nalg.Prepared, opts ExecOptions) (*nested.Relation, ExecStats, error) {
 	store := opts.Cache
 	if store == nil {
 		// No shared store: the query gets a private one — nothing expires,
@@ -393,11 +415,14 @@ func (e *Engine) ExecuteOptsCtx(ctx context.Context, expr nalg.Expr, opts ExecOp
 		Workers:    opts.Workers,
 	})
 	start := time.Now()
-	rel, err := nalg.EvalWithOptions(expr, e.Views.Scheme, nalg.FetcherSource{F: sess, Ctx: ctx}, nalg.EvalOptions{
-		Pipelined:    opts.Pipelined,
-		Workers:      opts.Workers,
-		EstimateCard: e.cardEstimator(),
-	})
+	src := nalg.FetcherSource{F: sess, Ctx: ctx}
+	var rel *nested.Relation
+	var err error
+	if opts.Pipelined {
+		rel, err = prep.Run(expr, src, nalg.EvalOptions{Workers: opts.Workers})
+	} else {
+		rel, err = nalg.Eval(expr, e.Views.Scheme, src)
+	}
 	if err != nil {
 		return nil, ExecStats{}, err
 	}

@@ -2,6 +2,7 @@ package nalg
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 
 	"ulixes/internal/adm"
@@ -46,37 +47,196 @@ type EvalOptions struct {
 // the same relation (as a set of tuples) and perform the same set of page
 // accesses; the pipelined evaluator overlaps fetching, wrapping and local
 // computation. A Source used with the pipelined evaluator must tolerate
-// concurrent EntryPage/FollowPages calls.
+// concurrent EntryPage/FollowPages calls. A pipelined evaluation is Prepare
+// followed by Run.
 func EvalWithOptions(e Expr, ws *adm.Scheme, src Source, opts EvalOptions) (*nested.Relation, error) {
 	if !opts.Pipelined {
 		return Eval(e, ws, src)
 	}
-	if _, err := InferSchema(e, ws); err != nil {
+	p, err := Prepare(e, ws, opts.EstimateCard)
+	if err != nil {
 		return nil, err
 	}
+	return p.Run(e, src, opts)
+}
+
+// Prepared is a plan's per-shape execution work, done once: the schema
+// inference that validates the plan, each hash join's build side, chosen
+// from estimated cardinalities, and the columns each row-building stage
+// must keep. Run executes the plan it was prepared from, or any plan of the
+// same shape — the same tree with other selection constants, as the plan
+// cache binds them — repeating none of it. A Prepared is immutable and safe
+// for concurrent Runs.
+type Prepared struct {
+	ws    *adm.Scheme
+	nodes []prepNode // one per plan node, in preorder
+}
+
+// prepNode is one plan node's share of a Prepared.
+type prepNode struct {
+	op        reflect.Type // the node's operator, to check Run's plan against
+	buildLeft bool         // Join: hash the left operand
+	// keep is what an Unnest, Follow or Join stage keeps of the rows it
+	// builds: the columns some operator above reads, or that the plan
+	// outputs. Dropping the rest as the rows are built is what saves the
+	// copying; nil keeps every column.
+	keep nested.Columns
+}
+
+// Prepare does e's execution work against ws. estimateCard, when non-nil,
+// estimates a subplan's output cardinality, and each join builds its hash
+// table on the side with the smaller estimate; without it (or without an
+// estimate for both sides) a join builds on its right operand, like
+// Relation.Join's tie-break.
+//
+// Column liveness runs top-down over the inferred schemas: the root needs
+// all its columns; a projection needs its list, a selection its
+// predicate's attributes beyond what its consumer needs, a rename the
+// originals of the needed names, and unnest, follow and join the needed
+// columns of each operand plus the list, link or condition columns they
+// read. Since only columns no operator reads are dropped, and rows are
+// deduplicated only at the sink, the answer is the one the full rows give.
+func Prepare(e Expr, ws *adm.Scheme, estimateCard func(Expr) (float64, bool)) (*Prepared, error) {
+	pr := &preparer{p: &Prepared{ws: ws}, est: estimateCard}
+	root, err := pr.infer(e)
+	if err != nil {
+		return nil, err
+	}
+	pr.live(e, 0, columnSet(root.Names()))
+	return pr.p, nil
+}
+
+// preparer carries Prepare's two passes: the bottom-up inference and the
+// top-down liveness, which reads the schemas the first pass kept.
+type preparer struct {
+	p       *Prepared
+	est     func(Expr) (float64, bool)
+	schemas []*Schema // per node, in preorder
+}
+
+func (pr *preparer) infer(e Expr) (*Schema, error) {
+	i := len(pr.p.nodes)
+	pr.p.nodes = append(pr.p.nodes, prepNode{op: reflect.TypeOf(e)})
+	pr.schemas = append(pr.schemas, nil)
+	kids := e.Children()
+	in := make([]*Schema, len(kids))
+	for k, kid := range kids {
+		s, err := pr.infer(kid)
+		if err != nil {
+			return nil, err
+		}
+		in[k] = s
+	}
+	s, err := InferNode(e, pr.p.ws, in)
+	if err != nil {
+		return nil, err
+	}
+	pr.schemas[i] = s
+	if j, ok := e.(*Join); ok && pr.est != nil {
+		lc, lok := pr.est(j.L)
+		rc, rok := pr.est(j.R)
+		pr.p.nodes[i].buildLeft = lok && rok && lc < rc
+	}
+	return s, nil
+}
+
+// live records what node i (e) keeps, given the columns its consumer
+// needs, recurses into its operands with the columns they must deliver,
+// and returns the index of the node after e's subtree.
+func (pr *preparer) live(e Expr, i int, need nested.Columns) int {
+	next := i + 1
+	switch e.(type) {
+	case *Unnest, *Follow, *Join:
+		for _, n := range pr.schemas[i].Names() {
+			if !need[n] {
+				pr.p.nodes[i].keep = need
+				break
+			}
+		}
+	}
+	switch x := e.(type) {
+	case *Unnest:
+		next = pr.live(x.In, next, pr.operandNeeds(next, need, x.Attr))
+	case *Follow:
+		next = pr.live(x.In, next, pr.operandNeeds(next, need, x.Link))
+	case *Join:
+		l, r := make([]string, len(x.Conds)), make([]string, len(x.Conds))
+		for k, c := range x.Conds {
+			l[k], r[k] = c.Left, c.Right
+		}
+		next = pr.live(x.L, next, pr.operandNeeds(next, need, l...))
+		next = pr.live(x.R, next, pr.operandNeeds(next, need, r...))
+	case *Select:
+		in := columnSet(predAttrs(x.Pred, nil))
+		for n := range need {
+			in[n] = true
+		}
+		next = pr.live(x.In, next, in)
+	case *Project:
+		next = pr.live(x.In, next, columnSet(x.Cols))
+	case *Rename:
+		in := nested.Columns{}
+		for _, n := range pr.schemas[next].Names() {
+			out := n
+			if nn, ok := x.Map[n]; ok {
+				out = nn
+			}
+			if need[out] {
+				in[n] = true
+			}
+		}
+		next = pr.live(x.In, next, in)
+	}
+	return next
+}
+
+// operandNeeds is what operand node i must deliver: the needed columns it
+// has, plus the ones its consumer reads itself.
+func (pr *preparer) operandNeeds(i int, need nested.Columns, reads ...string) nested.Columns {
+	in := columnSet(reads)
+	for _, n := range pr.schemas[i].Names() {
+		if need[n] {
+			in[n] = true
+		}
+	}
+	return in
+}
+
+func columnSet(names []string) nested.Columns {
+	c := make(nested.Columns, len(names))
+	for _, n := range names {
+		c[n] = true
+	}
+	return c
+}
+
+// Run evaluates e, a plan of the shape p was prepared from, with the
+// pipelined evaluator; opts supplies Workers and BatchSize.
+func (p *Prepared) Run(e Expr, src Source, opts EvalOptions) (*nested.Relation, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = DefaultWorkers
 	}
 	if opts.BatchSize <= 0 {
 		opts.BatchSize = DefaultBatchSize
 	}
-	p := &pipeline{
-		ws:   ws,
+	pl := &pipeline{
+		ws:   p.ws,
+		prep: p,
 		src:  src,
 		opts: opts,
 		sem:  make(chan struct{}, opts.Workers),
 		done: make(chan struct{}),
 	}
-	out := p.node(e)
+	out := pl.node(e)
 	rel := nested.NewRelation(nil)
 	for batch := range out {
 		for _, t := range batch {
 			rel.Insert(t)
 		}
 	}
-	p.wg.Wait()
-	if p.err != nil {
-		return nil, p.err
+	pl.wg.Wait()
+	if pl.err != nil {
+		return nil, pl.err
 	}
 	return rel, nil
 }
@@ -85,6 +245,8 @@ func EvalWithOptions(e Expr, ws *adm.Scheme, src Source, opts EvalOptions) (*nes
 // connected by tuple-batch channels, with first-error-wins propagation.
 type pipeline struct {
 	ws   *adm.Scheme
+	prep *Prepared
+	next int // nodes compiled so far: the next one's preorder index
 	src  Source
 	opts EvalOptions
 	sem  chan struct{} // bounds concurrent follow fetch tasks
@@ -146,13 +308,17 @@ func (p *pipeline) emitChunks(out chan<- []nested.Tuple, tuples []nested.Tuple) 
 // node compiles an expression into a running stage producing tuple batches.
 func (p *pipeline) node(e Expr) <-chan []nested.Tuple {
 	out := make(chan []nested.Tuple)
-	switch x := e.(type) {
-	case *ExtScan:
+	i := p.next
+	p.next++
+	if i >= len(p.prep.nodes) || p.prep.nodes[i].op != reflect.TypeOf(e) {
 		p.spawn(func() {
 			defer close(out)
-			p.fail(fmt.Errorf("nalg: cannot evaluate external relation %q", x.Relation))
+			p.fail(fmt.Errorf("nalg: plan does not have the shape it was prepared for: %s", e))
 		})
-
+		return out
+	}
+	pn := p.prep.nodes[i]
+	switch x := e.(type) {
 	case *EntryScan:
 		p.spawn(func() {
 			defer close(out)
@@ -166,7 +332,7 @@ func (p *pipeline) node(e Expr) <-chan []nested.Tuple {
 
 	case *Unnest, *Select, *Project, *Rename:
 		in := p.node(localInput(e))
-		op := localOp(e)
+		op := localOp(e, pn.keep)
 		p.spawn(func() {
 			defer close(out)
 			for batch := range in {
@@ -182,10 +348,10 @@ func (p *pipeline) node(e Expr) <-chan []nested.Tuple {
 		})
 
 	case *Follow:
-		p.followNode(x, out)
+		p.followNode(x, pn.keep, out)
 
 	case *Join:
-		p.joinNode(x, out)
+		p.joinNode(x, pn, out)
 
 	default:
 		p.spawn(func() {
@@ -217,12 +383,12 @@ func localInput(e Expr) Expr {
 // evaluator; intra-batch duplicates are harmless for the same reason, so
 // no relation (with its per-tuple canonical keys) is materialized per
 // batch. Per-stage state — the Unnester's shared output names, the
-// Renamer's renamed names — lives in the returned closure, which the
-// single stage goroutine owns.
-func localOp(e Expr) func(batch []nested.Tuple) ([]nested.Tuple, error) {
+// Projector's column positions, the Renamer's renamed names — lives in the
+// returned closure, which the single stage goroutine owns.
+func localOp(e Expr, keep nested.Columns) func(batch []nested.Tuple) ([]nested.Tuple, error) {
 	switch x := e.(type) {
 	case *Unnest:
-		var u nested.Unnester
+		u := nested.Unnester{Keep: keep}
 		return func(batch []nested.Tuple) ([]nested.Tuple, error) {
 			var out []nested.Tuple
 			var err error
@@ -249,10 +415,11 @@ func localOp(e Expr) func(batch []nested.Tuple) ([]nested.Tuple, error) {
 			return out, nil
 		}
 	case *Project:
+		pr := nested.NewProjector(x.Cols)
 		return func(batch []nested.Tuple) ([]nested.Tuple, error) {
 			out := make([]nested.Tuple, 0, len(batch))
 			for _, t := range batch {
-				pt, err := t.Project(x.Cols)
+				pt, err := pr.Apply(t)
 				if err != nil {
 					return nil, err
 				}
@@ -308,7 +475,7 @@ type followTask struct {
 // the distinct not-yet-seen link URLs are prefetched concurrently (bounded
 // by the pipeline's worker semaphore) while earlier tasks are being joined
 // with their target pages.
-func (p *pipeline) followNode(x *Follow, out chan<- []nested.Tuple) {
+func (p *pipeline) followNode(x *Follow, keep nested.Columns, out chan<- []nested.Tuple) {
 	in := p.node(x.In)
 	tasks := make(chan *followTask, p.opts.Workers)
 	pages := &pageMap{m: make(map[string]nested.Tuple)}
@@ -341,11 +508,12 @@ func (p *pipeline) followNode(x *Follow, out chan<- []nested.Tuple) {
 	p.spawn(func() {
 		defer close(tasks)
 		seen := make(map[string]bool)
+		link := nested.NewColumn(x.Link)
 		for batch := range in {
 			var urls []string
 			start := 0
 			for i, t := range batch {
-				lv, ok := t.Get(x.Link)
+				lv, ok := link.Get(t)
 				if !ok {
 					p.fail(fmt.Errorf("nalg: follow: no column %q", x.Link))
 					return
@@ -379,13 +547,14 @@ func (p *pipeline) followNode(x *Follow, out chan<- []nested.Tuple) {
 	// navigation join of its batch.
 	p.spawn(func() {
 		defer close(out)
+		j := followJoiner{link: nested.NewColumn(x.Link), cat: nested.Concatenator{Keep: keep}}
 		for ft := range tasks {
 			select {
 			case <-ft.fetched:
 			case <-p.done:
 				return
 			}
-			joined, err := joinFollowBatch(x, ft.batch, pages)
+			joined, err := j.join(x, ft.batch, pages)
 			if err != nil {
 				p.fail(err)
 				return
@@ -421,12 +590,20 @@ func (p *pipeline) fetchTask(x *Follow, urls []string, pages *pageMap, qual *nes
 	}
 }
 
-// joinFollowBatch expands each tuple of a batch with its target page,
-// exactly as the sequential evalFollow does.
-func joinFollowBatch(x *Follow, batch []nested.Tuple, pages *pageMap) ([]nested.Tuple, error) {
+// followJoiner is a Follow stage's joiner state: the link column's position
+// and the concatenated names and kept columns, resolved once per input
+// shape rather than per tuple.
+type followJoiner struct {
+	link *nested.Column
+	cat  nested.Concatenator
+}
+
+// join expands each tuple of a batch with its target page, exactly as the
+// sequential evalFollow does.
+func (j *followJoiner) join(x *Follow, batch []nested.Tuple, pages *pageMap) ([]nested.Tuple, error) {
 	out := make([]nested.Tuple, 0, len(batch))
 	for _, t := range batch {
-		lv, ok := t.Get(x.Link)
+		lv, ok := j.link.Get(t)
 		if !ok {
 			return nil, fmt.Errorf("nalg: follow: no column %q", x.Link)
 		}
@@ -437,7 +614,7 @@ func joinFollowBatch(x *Follow, batch []nested.Tuple, pages *pageMap) ([]nested.
 		if !ok {
 			continue // dangling link: navigation yields nothing for it
 		}
-		joined, err := t.Concat(page)
+		joined, err := j.cat.Concat(t, page)
 		if err != nil {
 			return nil, err
 		}
@@ -450,15 +627,15 @@ func joinFollowBatch(x *Follow, batch []nested.Tuple, pages *pageMap) ([]nested.
 // overlap — hashing the build side incrementally as its batches arrive.
 // Probe batches arriving early are buffered; once the build side is
 // exhausted they stream through the hash table and out.
-func (p *pipeline) joinNode(x *Join, out chan<- []nested.Tuple) {
+func (p *pipeline) joinNode(x *Join, pn prepNode, out chan<- []nested.Tuple) {
 	lin := p.node(x.L)
 	rin := p.node(x.R)
 	p.spawn(func() {
 		defer close(out)
-		buildLeft := p.chooseBuildLeft(x)
-		h := nested.NewHashJoiner(x.Conds, buildLeft)
+		h := nested.NewHashJoiner(x.Conds, pn.buildLeft)
+		h.KeepOnly(pn.keep)
 		build, probe := rin, lin
-		if buildLeft {
+		if pn.buildLeft {
 			build, probe = lin, rin
 		}
 		// Drain both sides at once so neither subtree ever stalls on a
@@ -515,16 +692,4 @@ func (p *pipeline) joinNode(x *Join, out chan<- []nested.Tuple) {
 			}
 		}
 	})
-}
-
-// chooseBuildLeft picks the hash-join build side from estimated
-// cardinalities when available (the smaller estimated side), defaulting to
-// the right operand like Relation.Join's tie-break.
-func (p *pipeline) chooseBuildLeft(x *Join) bool {
-	if p.opts.EstimateCard == nil {
-		return false
-	}
-	lc, lok := p.opts.EstimateCard(x.L)
-	rc, rok := p.opts.EstimateCard(x.R)
-	return lok && rok && lc < rc
 }

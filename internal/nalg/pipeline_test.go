@@ -285,3 +285,81 @@ func TestPipelinedDeterministicAcrossRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestPreparedRunsPlansOfItsShape runs one Prepared over a plan of the same
+// shape with another selection constant, as the plan cache does: the answer
+// equals a fresh evaluation of that plan. A plan of another shape is
+// refused instead of run with another plan's build sides and kept columns.
+func TestPreparedRunsPlansOfItsShape(t *testing.T) {
+	u, ms, _ := fixture(t)
+	dept := func(name string) Expr {
+		return From(u.Scheme, sitegen.DeptListPage).
+			Unnest("DeptList").
+			Where(nested.Eq("DeptListPage.DeptList.DeptName", name)).
+			Follow("ToDept").
+			Unnest("ProfList").
+			MustBuild()
+	}
+	prep, err := Prepare(dept("Computer Science"), u.Scheme, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := dept(sitegen.DeptName(1))
+	want, err := Eval(other, u.Scheme, FetcherSource{F: privateSession(ms, u.Scheme, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := prep.Run(other, FetcherSource{F: privateSession(ms, u.Scheme, 4)}, EvalOptions{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() == 0 || got.String() != want.String() {
+		t.Fatalf("prepared run of a same-shape plan:\ngot:  %s\nwant: %s", got, want)
+	}
+
+	// One plan with more nodes, one with as many but other operators.
+	courses := From(u.Scheme, sitegen.ProfListPage).Unnest("ProfList").Follow("ToProf").Unnest("CourseList").
+		Project("ProfPage.CourseList.CName").MustBuild()
+	for _, e := range []Expr{pipelinePlans(t, u)["join of paths"], courses} {
+		_, err = prep.Run(e, FetcherSource{F: privateSession(ms, u.Scheme, 4)}, EvalOptions{})
+		if err == nil || !strings.Contains(err.Error(), "shape") {
+			t.Fatalf("running a plan of another shape: err = %v, want a shape error", err)
+		}
+	}
+}
+
+// TestPrepareChoosesBuildSides fixes each join's build side once, from the
+// estimates: the smaller estimated operand, the right one without
+// estimates for both.
+func TestPrepareChoosesBuildSides(t *testing.T) {
+	u, _, _ := fixture(t)
+	join := pipelinePlans(t, u)["join of paths"].(*Join)
+	for _, tc := range []struct {
+		name string
+		est  func(Expr) (float64, bool)
+		want bool
+	}{
+		{"no estimator", nil, false},
+		{"left smaller", func(x Expr) (float64, bool) {
+			if x == join.L {
+				return 1, true
+			}
+			return 2, true
+		}, true},
+		{"right smaller", func(x Expr) (float64, bool) {
+			if x == join.L {
+				return 2, true
+			}
+			return 1, true
+		}, false},
+		{"no estimate", func(Expr) (float64, bool) { return 0, false }, false},
+	} {
+		p, err := Prepare(join, u.Scheme, tc.est)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.nodes[0].buildLeft; got != tc.want {
+			t.Errorf("%s: build left %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

@@ -18,16 +18,16 @@ type HashJoiner struct {
 	buildLeft  bool
 	buildAttrs []string
 	probeAttrs []string
-	// table buckets rows by join key behind a pointer, so probe lookups
-	// via string(buf) stay allocation-free and appends to a bucket do not
-	// rewrite the map entry.
-	table      map[string]*joinBucket
+	// table maps a join key to its bucket's index in buckets, so probe
+	// lookups via string(buf) stay allocation-free, appends to a bucket do
+	// not rewrite the map entry, and the buckets share one growing slice.
+	table      map[string]int32
+	buckets    []joinBucket
 	buildCount int
-	// names caches the concatenated (and disjointness-checked) output
-	// names per (left names, right names) slice pair: tuples flowing
-	// through a plan overwhelmingly share name arrays, so the result
-	// tuples of a join can share one names slice too.
-	names concatNames
+	// out builds the result tuples: tuples flowing through a plan
+	// overwhelmingly share name arrays, so the result tuples of a join
+	// share one concatenated names slice too.
+	out Concatenator
 }
 
 type joinBucket struct {
@@ -55,9 +55,13 @@ func NewHashJoiner(conds []EqCond, buildLeft bool) *HashJoiner {
 		buildLeft:  buildLeft,
 		buildAttrs: buildAttrs,
 		probeAttrs: probeAttrs,
-		table:      make(map[string]*joinBucket),
+		table:      make(map[string]int32),
 	}
 }
+
+// KeepOnly makes the join build its tuples with the given attributes only
+// (nil keeps all); call it before probing.
+func (h *HashJoiner) KeepOnly(cols Columns) { h.out.Keep = cols }
 
 // BuildLeft reports which side is hashed.
 func (h *HashJoiner) BuildLeft() bool { return h.buildLeft }
@@ -74,12 +78,13 @@ func (h *HashJoiner) Build(t Tuple) error {
 		putKeyBuf(kb)
 		return err // nulls never join
 	}
-	b, ok := h.table[string(k)]
+	i, ok := h.table[string(k)]
 	if !ok {
-		b = &joinBucket{}
-		h.table[string(k)] = b
+		i = int32(len(h.buckets))
+		h.buckets = append(h.buckets, joinBucket{})
+		h.table[string(k)] = i
 	}
-	b.rows = append(b.rows, t)
+	h.buckets[i].rows = append(h.buckets[i].rows, t)
 	h.buildCount++
 	putKeyBuf(kb)
 	return nil
@@ -101,23 +106,21 @@ func (h *HashJoiner) ProbeAppend(t Tuple, dst []Tuple) ([]Tuple, error) {
 		putKeyBuf(kb)
 		return dst, err
 	}
-	b := h.table[string(k)]
+	i, ok := h.table[string(k)]
 	putKeyBuf(kb)
-	if b == nil || len(b.rows) == 0 {
+	if !ok {
 		return dst, nil
 	}
-	for _, u := range b.rows {
+	for _, u := range h.buckets[i].rows {
 		left, right := t, u
 		if h.buildLeft {
 			left, right = u, t
 		}
-		names, err := h.names.concat(left.names, right.names)
+		joined, err := h.out.Concat(left, right)
 		if err != nil {
 			return dst, err
 		}
-		vals := make([]Value, 0, len(left.vals)+len(right.vals))
-		vals = append(append(vals, left.vals...), right.vals...)
-		dst = append(dst, Tuple{names: names, vals: vals})
+		dst = append(dst, joined)
 	}
 	return dst, nil
 }

@@ -68,6 +68,20 @@ func cmpHolds(op CmpOp, c int) bool {
 	}
 }
 
+// holds reports whether a op b for two non-null values. Equality of two
+// scalars — every selection a conjunctive query makes — compares their
+// strings; anything else goes through CompareValues.
+func holds(op CmpOp, a, b Value) bool {
+	if op == OpEq || op == OpNe {
+		if as, ok := scalarString(a); ok {
+			if bs, ok := scalarString(b); ok {
+				return (a.Kind() == b.Kind() && as == bs) == (op == OpEq)
+			}
+		}
+	}
+	return cmpHolds(op, CompareValues(a, b))
+}
+
 // ConstPred compares an attribute against a constant: A op 'v'.
 // Comparisons against null are false except A ≠ v, which is false too
 // (three-valued logic collapsed to false, as usual for conjunctive queries).
@@ -86,7 +100,7 @@ func (p ConstPred) Eval(t Tuple) (bool, error) {
 	if v.IsNull() || p.Val.IsNull() {
 		return false, nil
 	}
-	return cmpHolds(p.Op, CompareValues(v, p.Val)), nil
+	return holds(p.Op, v, p.Val), nil
 }
 
 // Attrs implements Predicate.
@@ -117,7 +131,7 @@ func (p AttrPred) Eval(t Tuple) (bool, error) {
 	if l.IsNull() || r.IsNull() {
 		return false, nil
 	}
-	return cmpHolds(p.Op, CompareValues(l, r)), nil
+	return holds(p.Op, l, r), nil
 }
 
 // Attrs implements Predicate.

@@ -2,7 +2,7 @@ package nested
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -12,7 +12,11 @@ import (
 type Relation struct {
 	typ    *TupleType
 	tuples []Tuple
-	index  map[string]bool // tuple keys, for set semantics
+	// keys[i] is tuples[i]'s canonical key, rendered once by Insert: the
+	// set-semantics index and the canonical order of Sorted share it.
+	keys  []string
+	index map[string]bool // tuple keys, for set semantics
+	order keyOrder
 }
 
 // NewRelation creates an empty relation with the given tuple type.
@@ -46,13 +50,16 @@ func (r *Relation) Tuples() []Tuple { return r.tuples }
 // Insert adds a tuple unless an equal tuple is already present. It reports
 // whether the tuple was added. The duplicate check renders the canonical
 // key into a pooled buffer and looks it up via string(buf), so only the
-// first occurrence of a key pays a string allocation.
+// first occurrence of a key pays a string allocation, and that one string
+// is both the index entry and the tuple's sort key.
 func (r *Relation) Insert(t Tuple) bool {
 	b := getKeyBuf()
-	*b = t.appendKey(*b)
+	*b = t.appendKeyIn(*b, r.order.of(t.names))
 	added := false
 	if !r.index[string(*b)] {
-		r.index[string(*b)] = true
+		k := string(*b)
+		r.index[k] = true
+		r.keys = append(r.keys, k)
 		r.tuples = append(r.tuples, t)
 		added = true
 	}
@@ -60,7 +67,8 @@ func (r *Relation) Insert(t Tuple) bool {
 	return added
 }
 
-// Contains reports whether an equal tuple is present.
+// Contains reports whether an equal tuple is present. Like every read of a
+// relation it writes nothing, so concurrent readers are safe.
 func (r *Relation) Contains(t Tuple) bool {
 	b := getKeyBuf()
 	*b = t.appendKey(*b)
@@ -373,10 +381,18 @@ func (r *Relation) DistinctValues(attr string) ([]Value, error) {
 }
 
 // Sorted returns the tuples ordered by their canonical keys, for
-// deterministic display and golden tests.
+// deterministic display and golden tests. The keys are the ones Insert
+// rendered, so sorting compares strings and renders nothing.
 func (r *Relation) Sorted() []Tuple {
-	out := append([]Tuple(nil), r.tuples...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	perm := make([]int32, len(r.tuples))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int { return strings.Compare(r.keys[a], r.keys[b]) })
+	out := make([]Tuple, len(perm))
+	for i, j := range perm {
+		out[i] = r.tuples[j]
+	}
 	return out
 }
 

@@ -33,32 +33,183 @@ func sameNames(a, b []string) bool {
 	return true
 }
 
-// concatNames caches the concatenation of a (left, right) names pair,
-// validating disjointness once per distinct pair instead of once per
-// output tuple.
-type concatNames struct {
-	left, right []string
-	out         []string
+// valueChunks carves tuple value slices out of shared chunks, so an
+// operator emitting many tuples pays one allocation per chunk instead of
+// one per tuple. Chunks double from one tuple up to maxChunkTuples, so an
+// operator that emits few tuples wastes little. Every slice it hands out is
+// capacity-capped, so appending to one can never write into its
+// neighbour. Not safe for concurrent use.
+type valueChunks struct {
+	free   []Value
+	tuples int // tuples the last chunk was sized for
 }
 
-func (c *concatNames) concat(left, right []string) ([]string, error) {
-	if c.out != nil && sameNames(c.left, left) && sameNames(c.right, right) {
-		return c.out, nil
+// maxChunkTuples bounds a chunk: the tuples of one chunk keep all of it
+// reachable.
+const maxChunkTuples = 64
+
+// take returns an empty slice with capacity n.
+func (c *valueChunks) take(n int) []Value {
+	if cap(c.free)-len(c.free) < n {
+		c.tuples = min(max(2*c.tuples, 1), maxChunkTuples)
+		c.free = make([]Value, 0, n*c.tuples)
 	}
-	out := make([]string, 0, len(left)+len(right))
-	out = append(append(out, left...), right...)
-	seen := make(map[string]bool, len(out))
-	for i, n := range out {
+	start := len(c.free)
+	c.free = c.free[:start+n]
+	return c.free[start : start : start+n]
+}
+
+// Columns is a set of attribute names an operator's output keeps. A nil
+// Columns keeps every attribute.
+type Columns map[string]bool
+
+// Has reports whether the set keeps the named attribute.
+func (c Columns) Has(name string) bool { return c == nil || c[name] }
+
+// Concatenator concatenates tuples whose attribute sets are disjoint. The
+// concatenated names are built and checked once per (left, right) names
+// pair and shared by every tuple it builds, whose values come from shared
+// chunks. Not safe for concurrent use.
+type Concatenator struct {
+	// Keep is the set of attributes the concatenations keep; the others
+	// are dropped as each tuple is built (nil keeps all).
+	Keep Columns
+
+	left, right []string // the names pair the fields below are for
+	names       []string
+	li, ri      []int // kept positions of left and right; nil keeps all
+	vals        valueChunks
+}
+
+// Concat returns the concatenation of t and u, like Tuple.Concat, keeping
+// the attributes in Keep.
+func (c *Concatenator) Concat(t, u Tuple) (Tuple, error) {
+	if c.names == nil || !sameNames(c.left, t.names) || !sameNames(c.right, u.names) {
+		if err := c.reshape(t.names, u.names); err != nil {
+			return Tuple{}, err
+		}
+	}
+	vals := c.vals.take(len(c.names))
+	vals = appendKept(vals, t.vals, c.li)
+	vals = appendKept(vals, u.vals, c.ri)
+	return Tuple{names: c.names, vals: vals}, nil
+}
+
+// reshape validates the disjointness of a new (left, right) names pair
+// over every attribute, kept or not, and derives the kept names and
+// positions.
+func (c *Concatenator) reshape(left, right []string) error {
+	seen := make(map[string]bool, len(left)+len(right))
+	for i, n := range append(append([]string(nil), left...), right...) {
 		if n == "" {
-			return nil, fmt.Errorf("nested: empty attribute name at position %d", i)
+			return fmt.Errorf("nested: empty attribute name at position %d", i)
 		}
 		if seen[n] {
-			return nil, fmt.Errorf("nested: duplicate attribute %q", n)
+			return fmt.Errorf("nested: duplicate attribute %q", n)
 		}
 		seen[n] = true
 	}
-	c.left, c.right, c.out = left, right, out
-	return out, nil
+	names := make([]string, 0, len(left)+len(right))
+	var li, ri []int
+	names, li = c.keep(names, left)
+	names, ri = c.keep(names, right)
+	c.left, c.right, c.names, c.li, c.ri = left, right, names, li, ri
+	return nil
+}
+
+// keep appends the kept names of in to names, with their positions in in,
+// or nil positions when every name is kept.
+func (c *Concatenator) keep(names, in []string) ([]string, []int) {
+	idx := make([]int, 0, len(in))
+	for i, n := range in {
+		if c.Keep.Has(n) {
+			idx = append(idx, i)
+			names = append(names, n)
+		}
+	}
+	if len(idx) == len(in) {
+		return names, nil
+	}
+	return names, idx
+}
+
+// appendKept appends vals[i] for every i in idx to dst, or all of vals when
+// idx is nil.
+func appendKept(dst, vals []Value, idx []int) []Value {
+	if idx == nil {
+		return append(dst, vals...)
+	}
+	for _, i := range idx {
+		dst = append(dst, vals[i])
+	}
+	return dst
+}
+
+// Projector projects tuples onto a list of attributes, finding their
+// positions once per input names slice instead of by name per tuple. The
+// projected tuples share the attribute list as their names. Not safe for
+// concurrent use.
+type Projector struct {
+	cols []string
+	in   []string
+	idx  []int
+	vals valueChunks
+}
+
+// NewProjector creates a projector onto cols.
+func NewProjector(cols []string) *Projector { return &Projector{cols: cols} }
+
+// Apply returns t projected onto the projector's attributes, like
+// Tuple.Project.
+func (p *Projector) Apply(t Tuple) (Tuple, error) {
+	if p.idx == nil || !sameNames(p.in, t.names) {
+		idx := make([]int, len(p.cols))
+		for i, c := range p.cols {
+			idx[i] = indexOf(t.names, c)
+			if idx[i] < 0 {
+				return Tuple{}, fmt.Errorf("nested: project on missing attribute %q", c)
+			}
+		}
+		p.in, p.idx = t.names, idx
+	}
+	vals := p.vals.take(len(p.idx))
+	for _, i := range p.idx {
+		vals = append(vals, t.vals[i])
+	}
+	return Tuple{names: p.cols, vals: vals}, nil
+}
+
+// Column reads one named attribute of tuples, finding its position once
+// per input names slice instead of by name per tuple. Not safe for
+// concurrent use.
+type Column struct {
+	name string
+	in   []string
+	i    int
+}
+
+// NewColumn creates a reader of the named attribute.
+func NewColumn(name string) *Column { return &Column{name: name, i: -1} }
+
+// Get returns t's value of the attribute and whether t has it, like
+// Tuple.Get.
+func (c *Column) Get(t Tuple) (Value, bool) {
+	if c.in == nil || !sameNames(c.in, t.names) {
+		c.in, c.i = t.names, indexOf(t.names, c.name)
+	}
+	if c.i < 0 {
+		return nil, false
+	}
+	return t.vals[c.i], true
+}
+
+func indexOf(names []string, name string) int {
+	for i, n := range names {
+		if n == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // Qualifier prefixes every attribute name of a tuple with "alias.",
@@ -126,12 +277,17 @@ func (r *Renamer) Apply(t Tuple) Tuple {
 // element shape stay the same. The zero value is ready to use; an
 // Unnester is not safe for concurrent use.
 type Unnester struct {
+	// Keep is the set of attributes the rows keep; the others are dropped
+	// as each row is built (nil keeps all).
+	Keep Columns
+
 	attr      string
 	inNames   []string
 	elemNames []string
-	keep      []int    // indices of input attributes other than attr
-	rowNames  []string // kept names followed by "attr.field" names
-	ok        bool     // rowNames passed the uniqueness check
+	keep      []int    // kept input attributes other than attr
+	elemKeep  []int    // kept element fields; nil keeps all
+	rowNames  []string // kept names followed by kept "attr.field" names
+	ok        bool     // the unpruned row names passed the uniqueness check
 }
 
 // Unnest appends one row per element of t's list attribute attr to dst,
@@ -157,6 +313,9 @@ func (u *Unnester) Unnest(t Tuple, attr string, dst []Tuple) ([]Tuple, error) {
 	if !ok {
 		return dst, fmt.Errorf("nested: unnest on non-list value for %q", attr)
 	}
+	// The rows of one list usually share one width: their values come
+	// from one allocation, cut capacity-capped.
+	var block []Value
 	for _, elem := range lv {
 		if u.attr != attr || !sameNames(u.inNames, t.names) || !sameNames(u.elemNames, elem.names) {
 			u.reshape(t, attr, elem.names)
@@ -171,11 +330,14 @@ func (u *Unnester) Unnest(t Tuple, attr string, dst []Tuple) ([]Tuple, error) {
 			dst = append(dst, row)
 			continue
 		}
-		vals := make([]Value, 0, len(u.rowNames))
-		for _, i := range u.keep {
-			vals = append(vals, t.vals[i])
+		w := len(u.rowNames)
+		if cap(block)-len(block) < w {
+			block = make([]Value, 0, w*len(lv))
 		}
-		vals = append(vals, elem.vals...)
+		vals := block[len(block) : len(block) : len(block)+w]
+		block = block[:len(block)+w]
+		vals = appendKept(vals, t.vals, u.keep)
+		vals = appendKept(vals, elem.vals, u.elemKeep)
 		dst = append(dst, Tuple{names: u.rowNames, vals: vals})
 	}
 	return dst, nil
@@ -188,25 +350,45 @@ func (u *Unnester) reshape(t Tuple, attr string, elemNames []string) {
 	u.attr = attr
 	u.inNames = t.names
 	u.elemNames = elemNames
-	u.keep = u.keep[:0]
-	rowNames := make([]string, 0, len(t.names)-1+len(elemNames))
+	u.keep = make([]int, 0, len(t.names))
+	all := make([]string, 0, len(t.names)-1+len(elemNames))
 	for i, n := range t.names {
 		if n != attr {
-			u.keep = append(u.keep, i)
-			rowNames = append(rowNames, n)
+			all = append(all, n)
+			if u.Keep.Has(n) {
+				u.keep = append(u.keep, i)
+			}
 		}
 	}
 	for _, n := range elemNames {
-		rowNames = append(rowNames, attr+"."+n)
+		all = append(all, attr+"."+n)
 	}
-	u.rowNames = rowNames
-	seen := make(map[string]bool, len(rowNames))
+	seen := make(map[string]bool, len(all))
 	u.ok = true
-	for _, n := range rowNames {
+	for _, n := range all {
 		if seen[n] {
 			u.ok = false
 			break
 		}
 		seen[n] = true
+	}
+	u.rowNames, u.elemKeep = all, nil
+	if u.Keep == nil {
+		return
+	}
+	rowNames := make([]string, 0, len(all))
+	for _, i := range u.keep {
+		rowNames = append(rowNames, t.names[i])
+	}
+	elemKeep := make([]int, 0, len(elemNames))
+	for j, n := range elemNames {
+		if u.Keep.Has(attr + "." + n) {
+			elemKeep = append(elemKeep, j)
+			rowNames = append(rowNames, attr+"."+n)
+		}
+	}
+	u.rowNames = rowNames
+	if len(elemKeep) < len(elemNames) {
+		u.elemKeep = elemKeep
 	}
 }

@@ -184,28 +184,49 @@ func (t Tuple) Key() string {
 // string(buf) without materializing the key.
 func (t Tuple) appendKey(dst []byte) []byte {
 	var stack [16]int
-	var idx []int
-	if len(t.names) <= len(stack) {
-		idx = stack[:len(t.names)]
-	} else {
-		idx = make([]int, len(t.names))
-	}
-	for i := range idx {
-		idx[i] = i
-	}
-	// Insertion sort by name: tuples are small.
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && t.names[idx[j-1]] > t.names[idx[j]]; j-- {
-			idx[j-1], idx[j] = idx[j], idx[j-1]
-		}
-	}
-	for _, i := range idx {
+	return t.appendKeyIn(dst, canonicalOrder(t.names, stack[:0]))
+}
+
+// appendKeyIn is appendKey with the canonical attribute order of t's names
+// already computed (by canonicalOrder).
+func (t Tuple) appendKeyIn(dst []byte, order []int) []byte {
+	for _, i := range order {
 		dst = append(dst, t.names[i]...)
 		dst = append(dst, '=')
 		dst = t.vals[i].appendKey(dst)
 		dst = append(dst, '|')
 	}
 	return dst
+}
+
+// canonicalOrder appends to idx the positions of names sorted by name: the
+// attribute order of canonical keys, independent of the tuple's own order.
+func canonicalOrder(names []string, idx []int) []int {
+	for i := range names {
+		idx = append(idx, i)
+	}
+	// Insertion sort by name: tuples are small.
+	for i := 1; i < len(idx); i++ {
+		for j := i; j > 0 && names[idx[j-1]] > names[idx[j]]; j-- {
+			idx[j-1], idx[j] = idx[j], idx[j-1]
+		}
+	}
+	return idx
+}
+
+// keyOrder caches the canonical attribute order of the last names slice a
+// relation keyed: the tuples of one relation overwhelmingly share one
+// names slice, so the order is sorted once, not once per tuple.
+type keyOrder struct {
+	names []string
+	idx   []int
+}
+
+func (o *keyOrder) of(names []string) []int {
+	if o.idx == nil || !sameNames(o.names, names) {
+		o.names, o.idx = names, canonicalOrder(names, make([]int, 0, len(names)))
+	}
+	return o.idx
 }
 
 // Equal reports whether two tuples have the same attributes with equal

@@ -136,6 +136,19 @@ func (v ListValue) appendKey(dst []byte) []byte {
 	return append(dst, '}')
 }
 
+// scalarString returns the string a text, image or link value carries.
+func scalarString(v Value) (string, bool) {
+	switch x := v.(type) {
+	case TextValue:
+		return string(x), true
+	case ImageValue:
+		return string(x), true
+	case LinkValue:
+		return string(x), true
+	}
+	return "", false
+}
+
 // ValueEqual reports equality of two values. Nulls equal only nulls; lists
 // compare as sets of tuples.
 func ValueEqual(a, b Value) bool {
@@ -182,15 +195,13 @@ func CompareValues(a, b Value) int {
 	if a.Kind() != b.Kind() {
 		return int(a.Kind()) - int(b.Kind())
 	}
-	ka, kb := ValueKey(a), ValueKey(b)
-	switch {
-	case ka < kb:
-		return -1
-	case ka > kb:
-		return 1
-	default:
-		return 0
-	}
+	ka, kb := getKeyBuf(), getKeyBuf()
+	*ka = a.appendKey(*ka)
+	*kb = b.appendKey(*kb)
+	c := bytes.Compare(*ka, *kb)
+	putKeyBuf(ka)
+	putKeyBuf(kb)
+	return c
 }
 
 // ConformsTo reports whether value v is a valid instance of type t,

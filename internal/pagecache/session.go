@@ -286,7 +286,10 @@ type pending struct {
 // — except a budget overrun, which always aborts.
 func (s *Session) FetchAllCtx(ctx context.Context, schemeName string, urls []string) ([]nested.Tuple, error) {
 	out := make([]nested.Tuple, len(urls))
-	errs := make([]error, len(urls))
+	var errs []error // the pages degraded mode leaves out
+	if s.opts.Degraded {
+		errs = make([]error, len(urls))
+	}
 	keep := func(i int, t nested.Tuple, err error) error {
 		if err != nil && s.opts.Degraded && !errors.Is(err, ErrBudgetExceeded) {
 			// Leave the page out and keep going: the batch degrades
@@ -297,6 +300,9 @@ func (s *Session) FetchAllCtx(ctx context.Context, schemeName string, urls []str
 		out[i] = t
 		return err
 	}
+	// Inline hits are settled on the spot; their resolutions share one
+	// allocation.
+	var hits []resolution
 	var leads, waits []pending
 	for i, u := range urls {
 		s.mu.Lock()
@@ -305,7 +311,11 @@ func (s *Session) FetchAllCtx(ctx context.Context, schemeName string, urls []str
 			var now instant
 			if res, ok := s.c.hit(u, &now); ok {
 				s.recordLocked(res, nil)
-				r = &resolution{done: settled, tuple: res.tuple}
+				if hits == nil {
+					hits = make([]resolution, 0, len(urls)-i)
+				}
+				hits = append(hits, resolution{done: settled, tuple: res.tuple})
+				r = &hits[len(hits)-1]
 				s.pages[u] = r
 			} else {
 				if leads == nil {
@@ -373,7 +383,7 @@ func (s *Session) finish(urls []string, out []nested.Tuple, errs []error) ([]nes
 	var staleList []string
 	s.mu.Lock()
 	for i, u := range urls {
-		if errs[i] != nil {
+		if errs != nil && errs[i] != nil {
 			s.failed[u] = errs[i]
 			failures = append(failures, site.FetchFailure{URL: u, Err: errs[i], Retries: s.c.RetriesFor(u)})
 			continue

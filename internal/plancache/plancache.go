@@ -5,9 +5,16 @@
 // the cost model charges a constant selection the selectivity 1/c_A of its
 // *attribute*, whatever the constant. So the cache keys plans by the
 // query's canonicalized shape (constants parameterized out), optimizes the
-// parameterized query once, and specializes the cached plan by
-// substituting the actual constants back — a pure tree rebuild, orders of
-// magnitude cheaper than re-planning.
+// parameterized query once, and binds the cached plan to each query's
+// constants by substituting them back.
+//
+// A cache entry carries the rest of its shape's work too. Which candidate
+// is best can depend on the constants only through the rendering
+// tie-break among equal-cost plans, and Prepare works out once which tied
+// candidates that can happen to (usually none), so a hit binds one plan,
+// not every candidate, and sorts nothing. The best plan's execution work —
+// the typing gates, the hash-join build sides and the columns each stage
+// keeps, see nalg.Prepared — is done once per entry too.
 //
 // Cached plans embed the site statistics they were costed against. Before
 // reuse the current statistics are compared with the entry's snapshot;
@@ -63,19 +70,47 @@ type Counters struct {
 	Entries int
 }
 
+// entry is one cached shape: the parameterized optimizer result and the
+// work done on it once for every query of the shape.
 type entry struct {
-	res     *optimizer.Result
+	res *optimizer.Result
+	// ties are the candidates that cost as much as res.Best and whose
+	// tie-break against it depends on the constants (see tieDependsOnParams),
+	// in candidate order; when empty, res.Best is best for any constants.
+	ties []optimizer.Plan
+	// exec is the execution work of the parameterized candidate execOf,
+	// from the compile function of the request that planned the shape (nil
+	// when it had none).
+	exec    *nalg.Prepared
+	execOf  nalg.Expr
 	snap    stats.Snapshot
 	lastUse uint64
 }
 
 // flight is one run of the optimizer on a shape that other requests for
-// the same shape wait for instead of planning it again. res and err are
+// the same shape wait for instead of planning it again. e and err are
 // written before done is closed.
 type flight struct {
 	done chan struct{}
-	res  *optimizer.Result
+	e    *entry
 	err  error
+}
+
+// Bound is the cache's answer for one query: its plan bound to its
+// constants.
+type Bound struct {
+	// Result is the optimizer result. Best is always bound to the query's
+	// constants. Candidates is filled only for the request that ran the
+	// optimizer: a request answered from the cache planned nothing, and
+	// binding every alternative would cost more than running the plan.
+	Result *optimizer.Result
+	// Cached reports that this request skipped the planning pipeline — a
+	// stored plan or another request's planning answered it.
+	Cached bool
+	// Exec is Best's execution work from Bind's compile function, done once
+	// per cached shape and shared by every query bound to it (nil without
+	// a compile function).
+	Exec *nalg.Prepared
 }
 
 // Cache is a prepared-plan cache. It is safe for concurrent use.
@@ -135,18 +170,35 @@ func (c *Cache) Peek(q *cq.Query, scope string) (cost float64, ok bool) {
 // Prepare returns an optimizer result for q: from the cache when a plan
 // for q's shape is present and its statistics snapshot has not drifted,
 // otherwise by running optimize on the parameterized shape and caching the
-// outcome. Concurrent requests for one uncached shape plan it once: the
-// first runs optimize and the others wait for its result. cached reports
-// that this request skipped the planning pipeline — a stored plan or
-// another request's planning answered it — and such requests count as
-// hits. scope distinguishes plans produced under different optimizer
-// options.
+// outcome. It is Bind without execution work.
 func (c *Cache) Prepare(q *cq.Query, st *stats.Stats, scope string, optimize func(*cq.Query) (*optimizer.Result, error)) (res *optimizer.Result, cached bool, err error) {
+	b, err := c.Bind(q, st, scope, optimize, nil)
+	return b.Result, b.Cached, err
+}
+
+// Bind returns q's plan bound to q's constants: from the cache when a plan
+// for q's shape is present and its statistics snapshot has not drifted,
+// otherwise by running optimize on the parameterized shape and caching the
+// outcome. Concurrent requests for one uncached shape plan it once: the
+// first runs optimize and the others wait for its result, and count as
+// hits. compile, when non-nil, does the best plan's execution work; the
+// planning request runs it once for the shape and every later query of the
+// shape shares the outcome. A compile error fails the planning request and
+// its waiters and caches nothing. scope distinguishes plans produced under
+// different optimizer options.
+func (c *Cache) Bind(q *cq.Query, st *stats.Stats, scope string, optimize func(*cq.Query) (*optimizer.Result, error), compile func(nalg.Expr) (*nalg.Prepared, error)) (Bound, error) {
 	canon, params, ok := Canonicalize(q)
 	if !ok {
 		// A constant collides with the sentinel alphabet; plan directly.
 		r, err := optimize(q)
-		return r, false, err
+		if err != nil {
+			return Bound{}, err
+		}
+		b := Bound{Result: r}
+		if compile != nil {
+			b.Exec, err = compile(r.Best.Expr)
+		}
+		return b, err
 	}
 	key := scope + "\n" + canon.String()
 
@@ -161,9 +213,8 @@ func (c *Cache) Prepare(q *cq.Query, st *stats.Stats, scope string, optimize fun
 		c.hits++
 		c.clock++
 		e.lastUse = c.clock
-		r := e.res
 		c.mu.Unlock()
-		return specializeResult(r, params), true, nil
+		return e.bind(params, compile)
 	}
 	if f := c.flights[key]; f != nil {
 		c.hits++
@@ -175,9 +226,9 @@ func (c *Cache) Prepare(q *cq.Query, st *stats.Stats, scope string, optimize fun
 			c.hits--
 			c.misses++
 			c.mu.Unlock()
-			return nil, false, f.err
+			return Bound{}, f.err
 		}
-		return specializeResult(f.res, params), true, nil
+		return f.e.bind(params, compile)
 	}
 	f := &flight{done: make(chan struct{}), err: errPlanningAbandoned}
 	c.flights[key] = f
@@ -193,17 +244,32 @@ func (c *Cache) Prepare(q *cq.Query, st *stats.Stats, scope string, optimize fun
 
 	// Optimize the parameterized shape, so the cached trees carry the
 	// sentinels and any constants can be substituted on later hits.
-	f.res, f.err = optimize(canon)
-	if f.err != nil {
-		return nil, false, f.err
+	res, err := optimize(canon)
+	if err != nil {
+		f.err = err
+		return Bound{}, err
 	}
-	var snap stats.Snapshot
+	e = &entry{res: res, ties: constantTies(res.Candidates)}
+	out := Bound{Result: specializeResult(res, params)}
+	if compile != nil {
+		// The work is done on the candidate hits will bind, so it is theirs
+		// whatever the planning request's own sort put first; a Prepared
+		// refuses to run a plan of another shape.
+		e.execOf = e.best(params).Expr
+		if e.exec, err = compile(substExpr(e.execOf, params)); err != nil {
+			f.err = err
+			return Bound{}, err
+		}
+		out.Exec = e.exec
+	}
 	if st != nil {
-		snap = st.Snapshot()
+		e.snap = st.Snapshot()
 	}
+	f.e, f.err = e, nil
 	c.mu.Lock()
 	c.clock++
-	c.entries[key] = &entry{res: f.res, snap: snap, lastUse: c.clock}
+	e.lastUse = c.clock
+	c.entries[key] = e
 	for len(c.entries) > c.cfg.MaxEntries {
 		var lruKey string
 		var lru uint64
@@ -216,7 +282,109 @@ func (c *Cache) Prepare(q *cq.Query, st *stats.Stats, scope string, optimize fun
 		delete(c.entries, lruKey)
 	}
 	c.mu.Unlock()
-	return specializeResult(f.res, params), false, nil
+	return out, nil
+}
+
+// bind answers one query of the entry's shape: the best candidate for its
+// constants, bound to them, with the entry's execution work when it was
+// done for that candidate.
+func (e *entry) bind(params []string, compile func(nalg.Expr) (*nalg.Prepared, error)) (Bound, error) {
+	best := e.best(params)
+	b := Bound{Cached: true, Exec: e.exec}
+	if best.Expr != e.execOf {
+		b.Exec = nil
+	}
+	best.Expr = substExpr(best.Expr, params)
+	b.Result = &optimizer.Result{Best: best, PlansConsidered: e.res.PlansConsidered}
+	if compile != nil && b.Exec == nil {
+		var err error
+		if b.Exec, err = compile(best.Expr); err != nil {
+			return Bound{}, err
+		}
+	}
+	return b, nil
+}
+
+// best returns the parameterized candidate that is best once params are
+// substituted: what planning the concrete query would have put first.
+// Only the tied candidates whose order can change are bound and rendered.
+func (e *entry) best(params []string) optimizer.Plan {
+	best := e.res.Best
+	if len(e.ties) == 0 {
+		return best
+	}
+	lowest := substExpr(best.Expr, params).String()
+	for _, t := range e.ties {
+		if r := substExpr(t.Expr, params).String(); r < lowest {
+			best, lowest = t, r
+		}
+	}
+	return best
+}
+
+// constantTies returns the candidates after the first (cands is sorted by
+// optimizer.ComparePlans) that cost as much as it and whose tie-break
+// against it depends on the constants.
+func constantTies(cands []optimizer.Plan) []optimizer.Plan {
+	var ties []optimizer.Plan
+	first := cands[0].Expr.String()
+	for _, c := range cands[1:] {
+		if c.Cost != cands[0].Cost {
+			break
+		}
+		if tieDependsOnParams(first, c.Expr.String()) {
+			ties = append(ties, c)
+		}
+	}
+	return ties
+}
+
+// tieDependsOnParams reports whether substituting constants for the
+// placeholders of two renderings can change how they compare. Up to their
+// first difference the renderings are equal, placeholders included, so
+// they stay equal after substitution; if that difference lies outside every
+// placeholder, the differing bytes (or the end of the shorter rendering)
+// survive substitution unchanged and decide the comparison as before.
+func tieDependsOnParams(a, b string) bool {
+	p := 0
+	for p < len(a) && p < len(b) && a[p] == b[p] {
+		p++
+	}
+	return inPlaceholder(a, p) || inPlaceholder(b, p)
+}
+
+// inPlaceholder reports whether byte p of a rendering lies inside a
+// placeholder.
+func inPlaceholder(s string, p int) bool {
+	for i := 0; i < len(s) && i <= p; {
+		n, ok := placeholderAt(s, i)
+		if ok && p < i+n {
+			return true
+		}
+		if ok {
+			i += n
+		} else {
+			i++
+		}
+	}
+	return false
+}
+
+// placeholderAt reports whether a placeholder starts at byte i of s, and
+// its length.
+func placeholderAt(s string, i int) (int, bool) {
+	if s[i] != '\x00' {
+		return 0, false
+	}
+	end := strings.IndexByte(s[i+1:], '\x00')
+	if end < 0 {
+		return 0, false
+	}
+	n := end + 2
+	if _, ok := sentinelIndex(s[i : i+n]); !ok {
+		return 0, false
+	}
+	return n, true
 }
 
 // errPlanningAbandoned is what waiters get when the request planning their

@@ -3,6 +3,8 @@ package plancache
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -335,5 +337,91 @@ func TestFailedFlightReleasesWaiters(t *testing.T) {
 	}
 	if _, cached, err := c.Prepare(q, st, "", fakeOptimize(nil)); err != nil || cached {
 		t.Errorf("planning the shape again: cached=%v err=%v", cached, err)
+	}
+}
+
+// tiedOptimize returns an optimize function producing two candidates of
+// equal cost, sorted as the optimizer sorts them: σ[p.A=<constant>] and
+// σ[p.A='m']. On the parameterized shape the first sorts first (a
+// placeholder starts with NUL), but with a constant above "m" the second
+// is best: the tie-break depends on the constant.
+func tiedOptimize() func(*cq.Query) (*optimizer.Result, error) {
+	return func(q *cq.Query) (*optimizer.Result, error) {
+		scan := &nalg.EntryScan{Scheme: "P", URL: "u", Alias: "p"}
+		sel := func(v string) optimizer.Plan {
+			return optimizer.Plan{Cost: 1, Expr: &nalg.Select{
+				In:   scan,
+				Pred: nested.ConstPred{Attr: "p.A", Op: nested.OpEq, Val: nested.TextValue(v)},
+			}}
+		}
+		cands := []optimizer.Plan{sel(q.Consts[0].Val), sel("m")}
+		slices.SortStableFunc(cands, optimizer.ComparePlans)
+		return &optimizer.Result{Best: cands[0], Candidates: cands, PlansConsidered: 2}, nil
+	}
+}
+
+// TestBindTieBreakFollowsConstants: a hit binds only the best plan, and
+// picks it as planning the concrete query would — including when the
+// constants reorder tied candidates. Execution work is done once for the
+// shape's usual best plan and again only for a plan the constants promote.
+func TestBindTieBreakFollowsConstants(t *testing.T) {
+	c := New(Config{})
+	st := stats.New()
+	var compiled []string
+	compile := func(e nalg.Expr) (*nalg.Prepared, error) {
+		compiled = append(compiled, e.String())
+		return &nalg.Prepared{}, nil
+	}
+	query := func(v string) *cq.Query {
+		return parse(t, fmt.Sprintf("SELECT p.PName FROM Professor p WHERE p.Rank = '%s'", v))
+	}
+	for i, v := range []string{"a", "b", "z", "c", "m", "zz"} {
+		b, err := c.Bind(query(v), st, "", tiedOptimize(), compile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := tiedOptimize()(query(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := b.Result.Best.Expr.String(), fresh.Best.Expr.String(); got != want {
+			t.Errorf("constant %q: best %s, planning the query gives %s", v, got, want)
+		}
+		if b.Exec == nil {
+			t.Errorf("constant %q: no execution work", v)
+		}
+		if hit := i > 0; b.Cached != hit || hit && b.Result.Candidates != nil || !hit && len(b.Result.Candidates) != 2 {
+			t.Errorf("constant %q: cached=%v with %d candidates", v, b.Cached, len(b.Result.Candidates))
+		}
+	}
+	// The shape's plan was compiled once when planned; "z" and "zz" make
+	// σ[p.A='m'] best, which is compiled for each of them.
+	if len(compiled) != 3 || !strings.Contains(compiled[1], "'m'") || !strings.Contains(compiled[2], "'m'") {
+		t.Errorf("compiled %q, want the planned shape once and the promoted tie twice", compiled)
+	}
+}
+
+// TestTieDependsOnParams: two renderings' order depends on the constants
+// exactly when their first difference falls inside a placeholder.
+func TestTieDependsOnParams(t *testing.T) {
+	p0, p1 := sentinel(0), sentinel(1)
+	for _, tc := range []struct {
+		a, b string
+		want bool
+	}{
+		{"σ[A='" + p0 + "'](R)", "σ[A='" + p0 + "'](S)", false}, // differ after the placeholder
+		{"σ[A='" + p0 + "'](R)", "σ[A='m'](R)", true},           // differ at its start
+		{"σ[A='" + p0 + "'](R)", "σ[A='" + p1 + "'](R)", true},  // differ inside it
+		{"π[A](R)", "π[B](R)", false},                           // no placeholder
+		{"σ[A='x']", "σ[A='x']" + p0, true},                     // one ends where the other's placeholder starts
+		{"σ[A='x']", "σ[A='x'](R)", false},                      // a prefix of the other
+		{"a\x00b", "a\x00c", false},                             // a NUL that is no placeholder
+	} {
+		if got := tieDependsOnParams(tc.a, tc.b); got != tc.want {
+			t.Errorf("tieDependsOnParams(%q, %q) = %v, want %v", tc.a, tc.b, got, tc.want)
+		}
+		if got := tieDependsOnParams(tc.b, tc.a); got != tc.want {
+			t.Errorf("tieDependsOnParams(%q, %q) = %v, want %v", tc.b, tc.a, got, tc.want)
+		}
 	}
 }
