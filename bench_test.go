@@ -201,7 +201,7 @@ var coldShapes = []struct{ name, query string }{
 }
 
 // BenchmarkOptimizeCold measures one uncached run of Algorithm 1 per join
-// width — what a new query shape, a statistics-drift invalidation or a
+// width — what a new query shape, a new statistics value or a
 // cold view-selection estimate pays. plans/op is the number of plans the
 // search considered, so ns/op and B/op divide into per-plan figures.
 func BenchmarkOptimizeCold(b *testing.B) {

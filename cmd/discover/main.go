@@ -97,7 +97,8 @@ func crawl(name string) (*adm.Instance, error) {
 	default:
 		return nil, fmt.Errorf("unknown site %q", name)
 	}
-	return stats.Crawl(ms, ws)
+	inst, _, err := stats.CrawlWithSizes(ms, ws)
+	return inst, err
 }
 
 func fail(err error) {

@@ -12,7 +12,7 @@
 //	        [-deadline 0] [-deadline-max 0]
 //	        [-guard] [-breaker-threshold 0.5] [-breaker-open-for 30s]
 //	        [-host-fetches N] [-hedge-after 0]
-//	        [-plan-cache] [-plan-cache-entries N] [-plan-drift 0.25]
+//	        [-plan-cache] [-plan-cache-entries N]
 //	        [-views-auto] [-views-budget N] [-views-horizon 5m]
 //	        [-views-stale] [-views-every 50]
 //	        [-feed off|hook|poll] [-feed-budget N] [-feed-interval 10s]
@@ -62,9 +62,11 @@
 // With -plan-cache (the default) queries repeating an already-seen shape —
 // the same query with different constants — skip Algorithm 1 entirely and
 // reuse the cached typechecked, rewritten, cost-selected plan, specialized
-// with the actual constants. Cached plans are invalidated when the site
-// statistics drift past -plan-drift relative change. Per-query responses
-// report planCached; /stats reports the hit/miss/invalidation counters.
+// with the actual constants. Plans are cached per statistics value, which
+// the server collects once at start-up and never edits; at most
+// -plan-cache-entries shapes are kept, least recently used evicted first.
+// Per-query responses report planCached; /stats reports the hit/miss/entry
+// counters.
 //
 // With -views-auto every query's canonicalized shape and measured cost is
 // recorded, and every -views-every served queries a benefit-per-byte
@@ -149,7 +151,6 @@ func main() {
 	hedgeAfter := flag.Duration("hedge-after", 0, "hedge straggler GETs after this delay (0 = no hedging)")
 	planCache := flag.Bool("plan-cache", true, "cache prepared plans by query shape (constants parameterized out)")
 	planCacheEntries := flag.Int("plan-cache-entries", 0, "max cached plan shapes (0 = default)")
-	planDrift := flag.Float64("plan-drift", 0, "relative statistics drift that invalidates a cached plan (0 = default, negative = never)")
 	viewsAuto := flag.Bool("views-auto", false, "record the workload and materialize the most beneficial views automatically")
 	viewsBudget := flag.Int64("views-budget", 0, "storage budget in bytes for materialized view extents (0 = unlimited)")
 	viewsHorizon := flag.Duration("views-horizon", 0, "freshness horizon: views older than this stop answering (0 = never expire)")
@@ -211,10 +212,7 @@ func main() {
 		PageBudget: *pageBudget,
 	})
 	if *planCache {
-		sys.EnablePlanCache(ulixes.PlanCacheConfig{
-			MaxEntries:     *planCacheEntries,
-			DriftThreshold: *planDrift,
-		})
+		sys.EnablePlanCache(ulixes.PlanCacheConfig{MaxEntries: *planCacheEntries})
 	}
 
 	srv := newServer(sys, cache, *maxQueries)

@@ -779,7 +779,6 @@ type storeStats struct {
 	MemBytes          int64              `json:"memBytes,omitempty"`
 	PlanHits          uint64             `json:"planHits"`
 	PlanMisses        uint64             `json:"planMisses"`
-	PlanInvalidations uint64             `json:"planInvalidations,omitempty"`
 	PlanEntries       int                `json:"planEntries"`
 	ViewHits          int                `json:"viewHits,omitempty"`
 	ViewMisses        int                `json:"viewMisses,omitempty"`
@@ -954,7 +953,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		pcs := pc.Counters()
 		out.PlanHits = pcs.Hits
 		out.PlanMisses = pcs.Misses
-		out.PlanInvalidations = pcs.Invalidations
 		out.PlanEntries = pcs.Entries
 	}
 	if vm := s.sys.ViewManager(); vm != nil {

@@ -27,7 +27,7 @@ func TestChaosRetriesRecoverQuery(t *testing.T) {
 
 	// Every page fails its first two GET attempts, deterministically.
 	chaos := faults.New(ms, 42, faults.Rule{Kind: faults.Transient, First: 2})
-	e := New(base.Views, chaos, base.Stats)
+	e := New(base.Views, chaos, base.Opt.Stats)
 
 	e.Exec = ExecOptions{Sleeper: &site.InstantSleeper{}}
 	if _, err := e.Query(query); err == nil {
@@ -78,7 +78,7 @@ func TestChaosDegradedPartialAnswer(t *testing.T) {
 	}
 
 	chaos := faults.New(ms, 7, faults.Rule{Pattern: "prof/3.html", Kind: faults.NotFound, Rate: 1})
-	e := New(base.Views, chaos, base.Stats)
+	e := New(base.Views, chaos, base.Opt.Stats)
 
 	// Strict mode: the vanished page aborts the query.
 	e.Exec = ExecOptions{Sleeper: &site.InstantSleeper{}}
@@ -146,7 +146,7 @@ func TestChaosBreakerStaleDegradedQuery(t *testing.T) {
 		Retry:      site.RetryPolicy{MaxRetries: 5, Seed: 7},
 		Sleeper:    &site.InstantSleeper{},
 	})
-	e := New(base.Views, g, base.Stats)
+	e := New(base.Views, g, base.Opt.Stats)
 	e.Exec = ExecOptions{Cache: cache, Workers: 1}
 
 	warm, err := e.Query(query)

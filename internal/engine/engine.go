@@ -184,8 +184,10 @@ func (s *ExecStats) Add(o ExecStats) {
 type Engine struct {
 	Views  *view.Registry
 	Server site.Server
-	Stats  *stats.Stats
-	Opt    *optimizer.Optimizer
+	// Opt plans queries; Opt.Stats are the site statistics it costs
+	// against. They are read-only: refreshed statistics are a new value
+	// assigned to Opt.Stats, under which cached plans miss and re-plan.
+	Opt *optimizer.Optimizer
 	// Exec is the execution configuration used by Query/QueryCQ/Execute.
 	Exec ExecOptions
 	// Plans, when non-nil, caches prepared plans by query shape: repeated
@@ -216,7 +218,6 @@ func New(views *view.Registry, server site.Server, st *stats.Stats) *Engine {
 	return &Engine{
 		Views:  views,
 		Server: server,
-		Stats:  st,
 		Opt:    optimizer.New(views, st),
 	}
 }
@@ -277,7 +278,7 @@ func (e *Engine) EstimatedPages(q *cq.Query) (float64, bool) {
 		return 0, false
 	}
 	scope := fmt.Sprintf("%+v", e.Opt.Opts)
-	return e.Plans.Peek(q, scope)
+	return e.Plans.Peek(q, e.Opt.Stats, scope)
 }
 
 // QueryCQOptsCtx is QueryCQCtx with per-query execution options: the server
@@ -301,7 +302,7 @@ func (e *Engine) QueryCQOptsCtx(ctx context.Context, q *cq.Query, opts ExecOptio
 		// Scope cached plans to the optimizer configuration: an ablation
 		// or beam change must not resurrect plans chosen under other rules.
 		scope := fmt.Sprintf("%+v", e.Opt.Opts)
-		b, err = e.Plans.Bind(q, e.Stats, scope, e.Opt.Optimize, e.prepare)
+		b, err = e.Plans.Bind(q, e.Opt.Stats, scope, e.Opt.Optimize, e.prepare)
 	} else {
 		b.Result, err = e.Opt.Optimize(q)
 		if err == nil {

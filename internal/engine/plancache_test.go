@@ -90,10 +90,12 @@ func TestPlanCacheEquivalence(t *testing.T) {
 	}
 }
 
-// TestPlanCacheStatsDriftInvalidation mutates the statistics past the
-// drift threshold: the cached entry must be invalidated and re-planned,
-// and the query must still answer correctly.
-func TestPlanCacheStatsDriftInvalidation(t *testing.T) {
+// TestPlanCacheNewStatsReplan hands the engine new statistics — a copy
+// with every page-scheme cardinality doubled — the way a refresh does: the
+// cached plan, keyed to the old value, must not be reused, the query must
+// be re-planned and still answer the same, and the new plan must serve
+// hits again.
+func TestPlanCacheNewStatsReplan(t *testing.T) {
 	cached, _ := twinEngines(t)
 	const src = "SELECT p.PName FROM Professor p WHERE p.Rank = 'Full'"
 	first, err := cached.Query(src)
@@ -106,30 +108,31 @@ func TestPlanCacheStatsDriftInvalidation(t *testing.T) {
 	if c := cached.Plans.Counters(); c.Hits != 1 || c.Misses != 1 {
 		t.Fatalf("warm counters = %+v, want 1 hit / 1 miss", c)
 	}
-	// Double every page-scheme cardinality: relative drift 1.0 > 0.25.
-	for k := range cached.Stats.Card {
-		cached.Stats.Card[k] *= 2
+	refreshed := *cached.Opt.Stats
+	refreshed.Card = make(map[string]float64, len(refreshed.Card))
+	for k, v := range cached.Opt.Stats.Card {
+		refreshed.Card[k] = 2 * v
 	}
+	cached.Opt.Stats = &refreshed
 	again, err := cached.Query(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := cached.Plans.Counters()
-	if c.Invalidations != 1 {
-		t.Fatalf("invalidations = %d, want 1", c.Invalidations)
+	if again.Exec.PlanCached {
+		t.Fatal("a plan costed under the old statistics was reused")
 	}
-	if c.Misses != 2 {
-		t.Fatalf("misses = %d, want 2 (re-plan after invalidation)", c.Misses)
+	if c := cached.Plans.Counters(); c.Misses != 2 {
+		t.Fatalf("misses = %d, want 2 (re-plan under the new statistics)", c.Misses)
 	}
 	if again.Result.String() != first.Result.String() {
-		t.Fatalf("answer changed after invalidation:\n%s\nwant:\n%s", again.Result, first.Result)
+		t.Fatalf("answer changed under the new statistics:\n%s\nwant:\n%s", again.Result, first.Result)
 	}
 	// The re-planned entry serves hits again.
-	if _, err := cached.Query(src); err != nil {
-		t.Fatal(err)
+	if a, err := cached.Query(src); err != nil || !a.Exec.PlanCached {
+		t.Fatalf("query after the re-plan: err=%v, want a plan-cache hit", err)
 	}
-	if c := cached.Plans.Counters(); c.Hits != 2 {
-		t.Fatalf("hits = %d, want 2 after re-plan", c.Hits)
+	if c := cached.Plans.Counters(); c.Hits != 2 || c.Misses != 2 {
+		t.Fatalf("counters = %+v, want 2 hits / 2 misses after the re-plan", c)
 	}
 }
 

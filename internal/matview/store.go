@@ -175,42 +175,21 @@ func MaterializeSchemes(server site.Server, ws *adm.Scheme, schemes []string) (*
 			s.scoped[name] = true
 		}
 	}
-	type item struct{ scheme, url string }
-	var queue []item
-	seen := make(map[string]bool)
-	for _, ep := range ws.Entry {
-		queue = append(queue, item{ep.Scheme, ep.URL})
-		seen[ep.URL] = true
-	}
-	links := ws.Links()
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+	err := ws.Walk(func(scheme, url string) (nested.Tuple, error) {
 		var t nested.Tuple
 		var err error
-		if s.Materialized(cur.scheme) {
-			t, err = s.download(cur.url, cur.scheme)
+		if s.Materialized(scheme) {
+			t, err = s.download(url, scheme)
 		} else {
-			t, _, err = s.liveFetch(cur.url, cur.scheme)
+			t, _, err = s.liveFetch(url, scheme)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("matview: initial materialization of %s: %w", cur.url, err)
+			return nested.Tuple{}, fmt.Errorf("matview: initial materialization of %s: %w", url, err)
 		}
-		for _, ref := range links {
-			if ref.Scheme != cur.scheme {
-				continue
-			}
-			tgt, err := ws.LinkTarget(ref)
-			if err != nil {
-				return nil, err
-			}
-			for _, v := range adm.PathValues(t, ref.Path) {
-				if u := v.String(); !seen[u] {
-					seen[u] = true
-					queue = append(queue, item{tgt, u})
-				}
-			}
-		}
+		return t, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	// The initial crawl is not an update pass.
 	s.counters.UpdatesApplied = 0
@@ -277,18 +256,7 @@ func (s *Store) MissingQueue() []string {
 // link attributes, with their target schemes.
 func (s *Store) outlinks(scheme string, t nested.Tuple) map[string]string {
 	out := make(map[string]string)
-	for _, ref := range s.ws.Links() {
-		if ref.Scheme != scheme {
-			continue
-		}
-		tgt, err := s.ws.LinkTarget(ref)
-		if err != nil {
-			continue
-		}
-		for _, v := range adm.PathValues(t, ref.Path) {
-			out[v.String()] = tgt
-		}
-	}
+	s.ws.Outlinks(scheme, t, func(url, target string) { out[url] = target })
 	return out
 }
 

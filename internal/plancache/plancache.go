@@ -16,11 +16,10 @@
 // the typing gates, the hash-join build sides and the columns each stage
 // keeps, see nalg.Prepared — is done once per entry too.
 //
-// Cached plans embed the site statistics they were costed against. Before
-// reuse the current statistics are compared with the entry's snapshot;
-// entries whose statistics drifted past a configurable relative threshold
-// are invalidated and re-planned, since the cost ranking that selected the
-// plan may no longer hold.
+// A cached plan was costed against one statistics value, and the key
+// holds that value's pointer: statistics are never edited under a running
+// planner, so a refresh is a new *stats.Stats, whose requests miss and plan
+// afresh while the entries of the old value age out through the LRU.
 package plancache
 
 import (
@@ -37,22 +36,14 @@ import (
 	"ulixes/internal/stats"
 )
 
-// Defaults for Config's zero values.
-const (
-	DefaultMaxEntries     = 256
-	DefaultDriftThreshold = 0.25
-)
+// DefaultMaxEntries is Config.MaxEntries' zero value.
+const DefaultMaxEntries = 256
 
 // Config tunes the cache.
 type Config struct {
 	// MaxEntries bounds the number of cached plan shapes; the least
 	// recently used entry is evicted beyond it (0 = DefaultMaxEntries).
 	MaxEntries int
-	// DriftThreshold is the maximum relative statistics drift (see
-	// stats.DriftFrom) a cached plan survives; entries past it are
-	// invalidated (0 = DefaultDriftThreshold; negative disables
-	// invalidation).
-	DriftThreshold float64
 }
 
 // Counters are the cache's cumulative observability counters.
@@ -61,11 +52,9 @@ type Counters struct {
 	// only — no parse, typecheck, rewrite or costing).
 	Hits uint64
 	// Misses counts queries that ran the full optimizer (first sight of a
-	// shape, post-invalidation re-planning, or an uncacheable query).
+	// shape under a statistics value and scope, a shape evicted since, or
+	// an uncacheable query).
 	Misses uint64
-	// Invalidations counts entries dropped because statistics drifted
-	// past the threshold.
-	Invalidations uint64
 	// Entries is the current number of cached shapes.
 	Entries int
 }
@@ -83,8 +72,15 @@ type entry struct {
 	// when it had none).
 	exec    *nalg.Prepared
 	execOf  nalg.Expr
-	snap    stats.Snapshot
 	lastUse uint64
+}
+
+// key identifies a cached shape: the statistics value its plans were costed
+// against, the optimizer scope, and the canonical query.
+type key struct {
+	st    *stats.Stats
+	scope string
+	shape string
 }
 
 // flight is one run of the optimizer on a shape that other requests for
@@ -118,12 +114,11 @@ type Cache struct {
 	cfg Config
 
 	mu      sync.Mutex
-	entries map[string]*entry  // guarded by mu
-	flights map[string]*flight // shapes being planned right now; guarded by mu
-	clock   uint64             // logical LRU clock; guarded by mu
-	hits    uint64             // guarded by mu
-	misses  uint64             // guarded by mu
-	invals  uint64             // guarded by mu
+	entries map[key]*entry  // guarded by mu
+	flights map[key]*flight // shapes being planned right now; guarded by mu
+	clock   uint64          // logical LRU clock; guarded by mu
+	hits    uint64          // guarded by mu
+	misses  uint64          // guarded by mu
 }
 
 // New creates a cache.
@@ -131,36 +126,31 @@ func New(cfg Config) *Cache {
 	if cfg.MaxEntries <= 0 {
 		cfg.MaxEntries = DefaultMaxEntries
 	}
-	if cfg.DriftThreshold == 0 {
-		cfg.DriftThreshold = DefaultDriftThreshold
-	}
-	return &Cache{cfg: cfg, entries: make(map[string]*entry), flights: make(map[string]*flight)}
+	return &Cache{cfg: cfg, entries: make(map[key]*entry), flights: make(map[key]*flight)}
 }
 
 // Counters returns a snapshot of the cache's counters.
 func (c *Cache) Counters() Counters {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return Counters{Hits: c.hits, Misses: c.misses, Invalidations: c.invals, Entries: len(c.entries)}
+	return Counters{Hits: c.hits, Misses: c.misses, Entries: len(c.entries)}
 }
 
-// Peek returns the estimated page cost of the cached plan for q's shape,
-// without optimizing on a miss, counting a hit, or refreshing LRU order.
-// Admission control uses it as a free advisory estimate before deciding
-// whether the query fits the remaining capacity: a shape the cache has
-// never planned returns ok=false and the caller treats the cost as
-// unknown. Drift is deliberately not re-checked here — a slightly stale
-// estimate is still the right order of magnitude for a capacity gate, and
-// Prepare re-validates before the plan actually runs.
-func (c *Cache) Peek(q *cq.Query, scope string) (cost float64, ok bool) {
+// Peek returns the estimated page cost of the cached plan for q's shape
+// under st and scope — the entry Bind would hit — without optimizing on a
+// miss, counting a hit, or refreshing LRU order. Admission control uses it
+// as a free advisory estimate before deciding whether the query fits the
+// remaining capacity: a shape the cache has not planned under these
+// statistics returns ok=false and the caller treats the cost as unknown.
+func (c *Cache) Peek(q *cq.Query, st *stats.Stats, scope string) (cost float64, ok bool) {
 	canon, _, okc := Canonicalize(q)
 	if !okc {
 		return 0, false
 	}
-	key := scope + "\n" + canon.String()
+	k := key{st, scope, canon.String()}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.entries[key]
+	e := c.entries[k]
 	if e == nil {
 		return 0, false
 	}
@@ -168,28 +158,32 @@ func (c *Cache) Peek(q *cq.Query, scope string) (cost float64, ok bool) {
 }
 
 // Prepare returns an optimizer result for q: from the cache when a plan
-// for q's shape is present and its statistics snapshot has not drifted,
-// otherwise by running optimize on the parameterized shape and caching the
-// outcome. It is Bind without execution work.
+// for q's shape under st and scope is present, otherwise by running
+// optimize on the parameterized shape and caching the outcome. It is Bind
+// without execution work.
 func (c *Cache) Prepare(q *cq.Query, st *stats.Stats, scope string, optimize func(*cq.Query) (*optimizer.Result, error)) (res *optimizer.Result, cached bool, err error) {
 	b, err := c.Bind(q, st, scope, optimize, nil)
 	return b.Result, b.Cached, err
 }
 
 // Bind returns q's plan bound to q's constants: from the cache when a plan
-// for q's shape is present and its statistics snapshot has not drifted,
-// otherwise by running optimize on the parameterized shape and caching the
-// outcome. Concurrent requests for one uncached shape plan it once: the
-// first runs optimize and the others wait for its result, and count as
-// hits. compile, when non-nil, does the best plan's execution work; the
-// planning request runs it once for the shape and every later query of the
-// shape shares the outcome. A compile error fails the planning request and
-// its waiters and caches nothing. scope distinguishes plans produced under
-// different optimizer options.
+// for q's shape under st and scope is present, otherwise by running
+// optimize on the parameterized shape and caching the outcome. st is the
+// statistics value optimize costs against, which must not change while the
+// cache holds plans for it; scope distinguishes plans produced under
+// different optimizer options. Concurrent requests for one uncached shape
+// plan it once: the first runs optimize and the others wait for its result,
+// and count as hits. compile, when non-nil, does the best plan's execution
+// work; the planning request runs it once for the shape and every later
+// query of the shape shares the outcome. A compile error fails the planning
+// request and its waiters and caches nothing.
 func (c *Cache) Bind(q *cq.Query, st *stats.Stats, scope string, optimize func(*cq.Query) (*optimizer.Result, error), compile func(nalg.Expr) (*nalg.Prepared, error)) (Bound, error) {
 	canon, params, ok := Canonicalize(q)
 	if !ok {
 		// A constant collides with the sentinel alphabet; plan directly.
+		c.mu.Lock()
+		c.misses++
+		c.mu.Unlock()
 		r, err := optimize(q)
 		if err != nil {
 			return Bound{}, err
@@ -200,23 +194,17 @@ func (c *Cache) Bind(q *cq.Query, st *stats.Stats, scope string, optimize func(*
 		}
 		return b, err
 	}
-	key := scope + "\n" + canon.String()
+	k := key{st, scope, canon.String()}
 
 	c.mu.Lock()
-	e := c.entries[key]
-	if e != nil && c.cfg.DriftThreshold >= 0 && st != nil && st.DriftFrom(e.snap) > c.cfg.DriftThreshold {
-		delete(c.entries, key)
-		c.invals++
-		e = nil
-	}
-	if e != nil {
+	if e := c.entries[k]; e != nil {
 		c.hits++
 		c.clock++
 		e.lastUse = c.clock
 		c.mu.Unlock()
 		return e.bind(params, compile)
 	}
-	if f := c.flights[key]; f != nil {
+	if f := c.flights[k]; f != nil {
 		c.hits++
 		c.mu.Unlock()
 		<-f.done
@@ -231,13 +219,13 @@ func (c *Cache) Bind(q *cq.Query, st *stats.Stats, scope string, optimize func(*
 		return f.e.bind(params, compile)
 	}
 	f := &flight{done: make(chan struct{}), err: errPlanningAbandoned}
-	c.flights[key] = f
+	c.flights[k] = f
 	c.misses++
 	c.mu.Unlock()
 	// Whatever happens to optimize, the waiters are released.
 	defer func() {
 		c.mu.Lock()
-		delete(c.flights, key)
+		delete(c.flights, k)
 		c.mu.Unlock()
 		close(f.done)
 	}()
@@ -249,7 +237,7 @@ func (c *Cache) Bind(q *cq.Query, st *stats.Stats, scope string, optimize func(*
 		f.err = err
 		return Bound{}, err
 	}
-	e = &entry{res: res, ties: constantTies(res.Candidates)}
+	e := &entry{res: res, ties: constantTies(res.Candidates)}
 	out := Bound{Result: specializeResult(res, params)}
 	if compile != nil {
 		// The work is done on the candidate hits will bind, so it is theirs
@@ -262,16 +250,13 @@ func (c *Cache) Bind(q *cq.Query, st *stats.Stats, scope string, optimize func(*
 		}
 		out.Exec = e.exec
 	}
-	if st != nil {
-		e.snap = st.Snapshot()
-	}
 	f.e, f.err = e, nil
 	c.mu.Lock()
 	c.clock++
 	e.lastUse = c.clock
-	c.entries[key] = e
+	c.entries[k] = e
 	for len(c.entries) > c.cfg.MaxEntries {
-		var lruKey string
+		var lruKey key
 		var lru uint64
 		first := true
 		for k, e := range c.entries {

@@ -84,8 +84,8 @@ func TestCanonicalizeNULBypass(t *testing.T) {
 	if err != nil || cached || res == nil {
 		t.Fatalf("bypass Prepare = (%v, %v, %v)", res, cached, err)
 	}
-	if n := c.Counters(); n.Entries != 0 || n.Hits != 0 {
-		t.Fatalf("bypass should not populate the cache: %+v", n)
+	if n := c.Counters(); n.Entries != 0 || n.Hits != 0 || n.Misses != 1 {
+		t.Fatalf("bypass should count a miss and not populate the cache: %+v", n)
 	}
 }
 
@@ -143,41 +143,31 @@ func TestPrepareHitSpecializes(t *testing.T) {
 	if n := c.Counters(); n.Hits != 1 || n.Misses != 1 || n.Entries != 1 {
 		t.Fatalf("counters = %+v", n)
 	}
-	// A different scope misses even for the same shape.
-	if _, cached, _ := c.Prepare(q1, st, "other-scope", opt); cached {
-		t.Fatal("scope change should miss")
+	// The key is (statistics, scope, shape): the same statistics value and
+	// scope hit, another scope or another statistics value — even one equal
+	// to the first — misses, and each keeps its own entry.
+	for _, tc := range []struct {
+		name  string
+		st    *stats.Stats
+		scope string
+		hit   bool
+	}{
+		{"same statistics and scope", st, "scope", true},
+		{"different scope", st, "other-scope", false},
+		{"different statistics value", stats.New(), "scope", false},
+	} {
+		if _, cached, err := c.Prepare(q1, tc.st, tc.scope, opt); err != nil || cached != tc.hit {
+			t.Fatalf("%s: cached=%v err=%v, want cached=%v", tc.name, cached, err, tc.hit)
+		}
+		if cost, ok := c.Peek(q2, tc.st, tc.scope); !ok || cost != 1 {
+			t.Errorf("%s: Peek after Prepare = (%v, %v), want (1, true)", tc.name, cost, ok)
+		}
 	}
-}
-
-func TestPrepareDriftInvalidation(t *testing.T) {
-	c := New(Config{DriftThreshold: 0.25})
-	st := stats.New()
-	st.Card["P"] = 100
-	q := parse(t, "SELECT p.PName FROM Professor p WHERE p.Rank = 'Full'")
-	opt := fakeOptimize(nil)
-
-	if _, cached, _ := c.Prepare(q, st, "", opt); cached {
-		t.Fatal("cold Prepare hit")
+	if n := c.Counters(); n.Hits != 2 || n.Misses != 3 || n.Entries != 3 || len(calls) != 3 {
+		t.Fatalf("counters = %+v after %d optimizer runs, want 2 hits, 3 misses, entries and runs", n, len(calls))
 	}
-	st.Card["P"] = 110 // 10% drift: under threshold
-	if _, cached, _ := c.Prepare(q, st, "", opt); !cached {
-		t.Fatal("10% drift should still hit")
-	}
-	st.Card["P"] = 200 // 100% drift vs snapshot at 100
-	if _, cached, _ := c.Prepare(q, st, "", opt); cached {
-		t.Fatal("100% drift should invalidate")
-	}
-	if n := c.Counters(); n.Invalidations != 1 || n.Misses != 2 || n.Hits != 1 {
-		t.Fatalf("counters = %+v", n)
-	}
-	// Negative threshold disables invalidation entirely.
-	c2 := New(Config{DriftThreshold: -1})
-	st2 := stats.New()
-	st2.Card["P"] = 100
-	c2.Prepare(q, st2, "", opt)
-	st2.Card["P"] = 1e9
-	if _, cached, _ := c2.Prepare(q, st2, "", opt); !cached {
-		t.Fatal("negative threshold should never invalidate")
+	if _, ok := c.Peek(q1, stats.New(), "scope"); ok {
+		t.Error("Peek under statistics never planned with found an entry")
 	}
 }
 

@@ -2,13 +2,14 @@
 // paper: page-scheme cardinalities |P|, average list fan-outs |L|, distinct
 // attribute counts c_A and join selectivities. The paper assumes they "have
 // been initially estimated exploring the site by means of a tool such as
-// WebSQL"; here a crawler walks the simulated site once (downloading and
-// wrapping every reachable page) and derives them exactly.
+// WebSQL" and updated "on a regular basis"; here a crawler walks the
+// simulated site once (downloading and wrapping every reachable page) and
+// derives them exactly. An update is a new walk yielding a new Stats value:
+// a Stats in use is never edited.
 package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -17,7 +18,10 @@ import (
 )
 
 // Stats holds the collected parameters, keyed by scheme name and by
-// "Scheme.Attr.Path" strings.
+// "Scheme.Attr.Path" strings. A Stats is built whole (CollectSite,
+// CollectInstance) and is read-only once an optimizer or engine holds it:
+// plan caches key plans to its pointer, so refreshed statistics are a new
+// Stats handed to the engine, never edits to the maps of one in use.
 type Stats struct {
 	// Card is |P|: the number of pages per page-scheme.
 	Card map[string]float64
@@ -122,66 +126,6 @@ func joinKey(a, b adm.AttrRef) string {
 		ka, kb = kb, ka
 	}
 	return ka + "|" + kb
-}
-
-// Snapshot is a frozen copy of the statistics, taken when a derived
-// artifact (a cached plan) is produced, so later drift can be measured.
-type Snapshot struct {
-	maps []map[string]float64
-}
-
-// Snapshot captures the current statistics.
-func (s *Stats) Snapshot() Snapshot {
-	src := []map[string]float64{s.Card, s.Fanout, s.Distinct, s.Occurrences, s.JoinSel, s.PageBytes}
-	out := make([]map[string]float64, len(src))
-	for i, m := range src {
-		c := make(map[string]float64, len(m))
-		for k, v := range m {
-			c[k] = v
-		}
-		out[i] = c
-	}
-	return Snapshot{maps: out}
-}
-
-// DriftFrom returns the maximum relative change of any parameter since the
-// snapshot: |new−old| / max(|old|, 1), with parameters present on only one
-// side compared against zero. A plan cache invalidates entries whose
-// snapshot has drifted past its threshold, since the cost ranking that
-// selected the plan may no longer hold.
-func (s *Stats) DriftFrom(snap Snapshot) float64 {
-	cur := []map[string]float64{s.Card, s.Fanout, s.Distinct, s.Occurrences, s.JoinSel, s.PageBytes}
-	if len(snap.maps) != len(cur) {
-		return math.Inf(1)
-	}
-	drift := 0.0
-	rel := func(old, new float64) float64 {
-		d := math.Abs(new - old)
-		if d == 0 {
-			return 0
-		}
-		den := math.Abs(old)
-		if den < 1 {
-			den = 1
-		}
-		return d / den
-	}
-	for i, m := range cur {
-		old := snap.maps[i]
-		for k, v := range m {
-			if r := rel(old[k], v); r > drift {
-				drift = r
-			}
-		}
-		for k, v := range old {
-			if _, ok := m[k]; !ok {
-				if r := rel(v, 0); r > drift {
-					drift = r
-				}
-			}
-		}
-	}
-	return drift
 }
 
 // CollectInstance derives exact statistics from an ADM instance. It is the

@@ -134,7 +134,7 @@ func TestCrawlReconstructsInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := Crawl(ms, u.Scheme)
+	inst, _, err := CrawlWithSizes(ms, u.Scheme)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestCrawlReconstructsInstance(t *testing.T) {
 			t.Errorf("crawled %s differs from ground truth", name)
 		}
 	}
-	// Crawl downloads each page exactly once.
+	// CrawlWithSizes downloads each page exactly once.
 	if got := ms.Counters().Gets(); got != u.Instance.TotalPages() {
 		t.Errorf("crawl cost = %d, want %d", got, u.Instance.TotalPages())
 	}
@@ -199,7 +199,7 @@ func TestCrawlFailsOnBrokenSite(t *testing.T) {
 			break
 		}
 	}
-	if _, err := Crawl(ms, u.Scheme); err == nil {
+	if _, _, err := CrawlWithSizes(ms, u.Scheme); err == nil {
 		t.Error("crawl over dangling link should fail")
 	}
 }
@@ -215,7 +215,7 @@ func TestCrawlBibliography(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := Crawl(ms, b.Scheme)
+	inst, _, err := CrawlWithSizes(ms, b.Scheme)
 	if err != nil {
 		t.Fatal(err)
 	}

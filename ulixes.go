@@ -68,10 +68,9 @@ type (
 	// PlanCache caches prepared plans by query shape (constants
 	// parameterized out), so repeated shapes skip Algorithm 1.
 	PlanCache = plancache.Cache
-	// PlanCacheConfig tunes the prepared-plan cache (entry bound and the
-	// statistics-drift invalidation threshold).
+	// PlanCacheConfig tunes the prepared-plan cache (its entry bound).
 	PlanCacheConfig = plancache.Config
-	// PlanCacheCounters are the cache's hit/miss/invalidation counters.
+	// PlanCacheCounters are the cache's hit/miss/entry counters.
 	PlanCacheCounters = plancache.Counters
 	// ViewManager materializes views and answers matching queries from
 	// them (see internal/vanswer).
@@ -127,8 +126,10 @@ func (s *System) SetOptions(opts Options) { s.eng.Opt.Opts = opts }
 // only wall time changes.
 func (s *System) SetExec(opts ExecOptions) { s.eng.Exec = opts }
 
-// Stats returns the site statistics in use.
-func (s *System) Stats() *Stats { return s.eng.Stats }
+// Stats returns the site statistics the optimizer costs plans against.
+// They are read-only: cached plans are keyed to this value, so editing it
+// would let plans costed under other figures be reused.
+func (s *System) Stats() *Stats { return s.eng.Opt.Stats }
 
 // EnablePlanCache attaches a prepared-plan cache: queries repeating an
 // already-seen shape (same query with different constants) reuse the
@@ -266,7 +267,7 @@ func (s *System) Materialize() (*MatSystem, error) {
 		return nil, err
 	}
 	return &MatSystem{
-		eng:   matview.New(s.eng.Views, store, s.eng.Stats),
+		eng:   matview.New(s.eng.Views, store, s.eng.Opt.Stats),
 		store: store,
 	}, nil
 }
