@@ -138,30 +138,106 @@ func (in *Instance) Validate() error {
 		}
 	}
 	for _, c := range in.Scheme.LinkCs {
-		if err := in.checkLinkConstraint(c); err != nil {
-			return err
+		r, err := in.CheckLink(c)
+		if err != nil {
+			return fmt.Errorf("adm: link constraint %s: %v", c, err)
+		}
+		if r.Violations > 0 {
+			return fmt.Errorf("adm: link constraint %s violated: %s", c, r.Example)
 		}
 	}
 	for _, c := range in.Scheme.InclCs {
-		if err := in.checkInclusion(c); err != nil {
-			return err
+		if r := in.CheckInclusion(c); r.Violations > 0 {
+			return fmt.Errorf("adm: inclusion %s violated: %s", c, r.Example)
 		}
 	}
 	return nil
 }
 
-// LinkAnchorPairs collects, for every occurrence of the link attribute in
-// a page tuple, the pair (anchor value, link value). The anchor path must
-// be in scope of the link: either at an ancestor level or in the same list
-// element. It is used by constraint checking and by constraint discovery.
-func LinkAnchorPairs(t nested.Tuple, link, anchor Path) ([][2]nested.Value, error) {
-	return linkAnchorPairs(t, link, anchor)
+// ConstraintCheck is the outcome of checking one link or inclusion
+// constraint against an instance.
+type ConstraintCheck struct {
+	// Violations counts the occurrences that break the constraint.
+	Violations int
+	// Example describes the first violation; empty when there is none.
+	Example string
+	// Support counts the occurrences that witness the constraint: for a
+	// link constraint, the (anchor, link) pairs whose anchor and target
+	// values are both non-null; for an inclusion, the distinct values of
+	// the contained link.
+	Support int
 }
 
-// ScalarEqual compares two scalar values for constraint purposes: links and
+// CheckLink checks a link constraint extensionally (§3.2): for every
+// (anchor, link) pair of the source pages, the page the link points to
+// must exist and its target attribute must equal the anchor. A dangling
+// link is a violation, and so is a null on one side only. The error
+// reports a constraint that cannot be evaluated, such as an anchor that is
+// not single-valued in the link's scope.
+func (in *Instance) CheckLink(c LinkConstraint) (ConstraintCheck, error) {
+	var r ConstraintCheck
+	tgt, err := in.Scheme.LinkTarget(c.Link)
+	if err != nil {
+		return r, err
+	}
+	idx := pageByURL(in.rels[tgt])
+	for _, t := range in.rels[c.Link.Scheme].Tuples() {
+		pairs, err := linkAnchorPairs(t, c.Link.Path, c.SrcAttr)
+		if err != nil {
+			return r, err
+		}
+		for _, pr := range pairs {
+			anchor, link := pr[0], pr[1]
+			tgtTuple, ok := idx[link.String()]
+			if !ok {
+				r.violation("dangling link %s", link)
+				continue
+			}
+			tv, _ := tgtTuple.Get(c.TgtAttr)
+			if !scalarEqual(anchor, tv) {
+				r.violation("%v ≠ %v at %s", anchor, tv, link)
+			} else if !anchor.IsNull() {
+				r.Support++
+			}
+		}
+	}
+	return r, nil
+}
+
+// CheckInclusion checks an inclusion constraint extensionally: every value
+// of the contained link must also be a value of the containing one.
+func (in *Instance) CheckInclusion(c InclusionConstraint) ConstraintCheck {
+	var r ConstraintCheck
+	super := make(map[string]bool)
+	for _, t := range in.rels[c.Super.Scheme].Tuples() {
+		for _, v := range PathValues(t, c.Super.Path) {
+			super[v.String()] = true
+		}
+	}
+	sub := make(map[string]bool)
+	for _, t := range in.rels[c.Sub.Scheme].Tuples() {
+		for _, v := range PathValues(t, c.Sub.Path) {
+			sub[v.String()] = true
+			if !super[v.String()] {
+				r.violation("%s not reachable via %s", v, c.Super)
+			}
+		}
+	}
+	r.Support = len(sub)
+	return r
+}
+
+func (r *ConstraintCheck) violation(format string, args ...any) {
+	if r.Violations == 0 {
+		r.Example = fmt.Sprintf(format, args...)
+	}
+	r.Violations++
+}
+
+// scalarEqual compares two scalar values for constraint purposes: links and
 // images compare equal to text with the same payload (an anchor is text
 // even when the target attribute is typed differently).
-func ScalarEqual(a, b nested.Value) bool {
+func scalarEqual(a, b nested.Value) bool {
 	return nested.ValueEqual(stripKind(a), stripKind(b))
 }
 
@@ -170,11 +246,6 @@ func ScalarEqual(a, b nested.Value) bool {
 // in scope of the link: either at an ancestor level or in the same list
 // element.
 func linkAnchorPairs(t nested.Tuple, link, anchor Path) ([][2]nested.Value, error) {
-	// Descend along the common prefix of the two paths.
-	common := 0
-	for common < len(link)-1 && common < len(anchor)-1 && link[common] == anchor[common] {
-		common++
-	}
 	var walk func(tup nested.Tuple, lp, ap Path) ([][2]nested.Value, error)
 	walk = func(tup nested.Tuple, lp, ap Path) ([][2]nested.Value, error) {
 		if len(lp) == 1 {
@@ -228,34 +299,7 @@ func linkAnchorPairs(t nested.Tuple, link, anchor Path) ([][2]nested.Value, erro
 		}
 		return out, nil
 	}
-	_ = common
 	return walk(t, link, anchor)
-}
-
-func (in *Instance) checkLinkConstraint(c LinkConstraint) error {
-	tgt, err := in.Scheme.LinkTarget(c.Link)
-	if err != nil {
-		return err
-	}
-	idx := pageByURL(in.rels[tgt])
-	for _, t := range in.rels[c.Link.Scheme].Tuples() {
-		pairs, err := linkAnchorPairs(t, c.Link.Path, c.SrcAttr)
-		if err != nil {
-			return fmt.Errorf("adm: link constraint %s: %v", c, err)
-		}
-		for _, pr := range pairs {
-			anchor, link := pr[0], pr[1]
-			tgtTuple, ok := idx[link.String()]
-			if !ok {
-				return fmt.Errorf("adm: link constraint %s: dangling link %q", c, link)
-			}
-			tv, _ := tgtTuple.Get(c.TgtAttr)
-			if !nested.ValueEqual(stripKind(anchor), stripKind(tv)) {
-				return fmt.Errorf("adm: link constraint %s violated: %v ≠ %v (page %q)", c, anchor, tv, link)
-			}
-		}
-	}
-	return nil
 }
 
 // stripKind converts scalar values to text for cross-kind comparison:
@@ -274,23 +318,6 @@ func stripKind(v nested.Value) nested.Value {
 	default:
 		return v
 	}
-}
-
-func (in *Instance) checkInclusion(c InclusionConstraint) error {
-	super := make(map[string]bool)
-	for _, t := range in.rels[c.Super.Scheme].Tuples() {
-		for _, v := range PathValues(t, c.Super.Path) {
-			super[v.String()] = true
-		}
-	}
-	for _, t := range in.rels[c.Sub.Scheme].Tuples() {
-		for _, v := range PathValues(t, c.Sub.Path) {
-			if !super[v.String()] {
-				return fmt.Errorf("adm: inclusion %s violated: %q not reachable via %s", c, v, c.Super)
-			}
-		}
-	}
-	return nil
 }
 
 // TotalPages returns the number of pages in the instance across all

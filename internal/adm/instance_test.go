@@ -320,7 +320,7 @@ func TestStripKind(t *testing.T) {
 	}
 }
 
-func TestLinkAnchorPairsExported(t *testing.T) {
+func TestLinkAnchorPairs(t *testing.T) {
 	tup := nested.T(
 		"Session", nested.TextValue("Fall"),
 		"CourseList", nested.ListValue{
@@ -329,7 +329,7 @@ func TestLinkAnchorPairsExported(t *testing.T) {
 		},
 	)
 	// Sibling anchor inside the list.
-	pairs, err := LinkAnchorPairs(tup, ParsePath("CourseList.ToCourse"), ParsePath("CourseList.CName"))
+	pairs, err := linkAnchorPairs(tup, ParsePath("CourseList.ToCourse"), ParsePath("CourseList.CName"))
 	if err != nil || len(pairs) != 2 {
 		t.Fatalf("pairs = %v, err = %v", pairs, err)
 	}
@@ -337,18 +337,18 @@ func TestLinkAnchorPairsExported(t *testing.T) {
 		t.Errorf("pair = %v", pairs[0])
 	}
 	// Page-level anchor.
-	pairs, err = LinkAnchorPairs(tup, ParsePath("CourseList.ToCourse"), ParsePath("Session"))
+	pairs, err = linkAnchorPairs(tup, ParsePath("CourseList.ToCourse"), ParsePath("Session"))
 	if err != nil || len(pairs) != 2 || pairs[1][0].String() != "Fall" {
 		t.Fatalf("page-level pairs = %v, err = %v", pairs, err)
 	}
 	// Null link at top level contributes nothing.
 	tn := nested.T("L", nested.Null, "A", nested.TextValue("x"))
-	pairs, err = LinkAnchorPairs(tn, ParsePath("L"), ParsePath("A"))
+	pairs, err = linkAnchorPairs(tn, ParsePath("L"), ParsePath("A"))
 	if err != nil || len(pairs) != 0 {
 		t.Errorf("null link pairs = %v, err = %v", pairs, err)
 	}
 	// Missing link attribute errors.
-	if _, err := LinkAnchorPairs(tn, ParsePath("Ghost"), ParsePath("A")); err == nil {
+	if _, err := linkAnchorPairs(tn, ParsePath("Ghost"), ParsePath("A")); err == nil {
 		t.Error("missing link attr should error")
 	}
 	// A multi-valued anchor (several values in scope) errors; a list
@@ -361,19 +361,19 @@ func TestLinkAnchorPairsExported(t *testing.T) {
 			nested.T("A", nested.TextValue("2")),
 		},
 	)
-	if _, err := LinkAnchorPairs(multi, ParsePath("L"), ParsePath("M.A")); err == nil {
+	if _, err := linkAnchorPairs(multi, ParsePath("L"), ParsePath("M.A")); err == nil {
 		t.Error("multi-valued anchor should error")
 	}
 }
 
-func TestScalarEqualExported(t *testing.T) {
-	if !ScalarEqual(nested.TextValue("u"), nested.LinkValue("u")) {
+func TestScalarEqual(t *testing.T) {
+	if !scalarEqual(nested.TextValue("u"), nested.LinkValue("u")) {
 		t.Error("text and link with same payload should be scalar-equal")
 	}
-	if ScalarEqual(nested.TextValue("a"), nested.TextValue("b")) {
+	if scalarEqual(nested.TextValue("a"), nested.TextValue("b")) {
 		t.Error("different payloads differ")
 	}
-	if !ScalarEqual(nested.Null, nested.Null) {
+	if !scalarEqual(nested.Null, nested.Null) {
 		t.Error("null equals null")
 	}
 }

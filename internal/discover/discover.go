@@ -39,90 +39,26 @@ type Verification struct {
 func Verify(in *adm.Instance) ([]Verification, error) {
 	var out []Verification
 	for _, c := range in.Scheme.LinkCs {
-		v, err := verifyLink(in, c)
+		r, err := in.CheckLink(c)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("discover: %s: %v", c, err)
 		}
-		out = append(out, v)
+		out = append(out, verification("link", c.String(), r))
 	}
 	for _, c := range in.Scheme.InclCs {
-		v := verifyInclusion(in, c)
-		out = append(out, v)
+		out = append(out, verification("inclusion", c.String(), in.CheckInclusion(c)))
 	}
 	return out, nil
 }
 
-func verifyLink(in *adm.Instance, c adm.LinkConstraint) (Verification, error) {
-	v := Verification{Kind: "link", Constraint: c.String(), Holds: true}
-	tgt, err := in.Scheme.LinkTarget(c.Link)
-	if err != nil {
-		return Verification{}, err
+func verification(kind, constraint string, r adm.ConstraintCheck) Verification {
+	return Verification{
+		Kind:       kind,
+		Constraint: constraint,
+		Holds:      r.Violations == 0,
+		Violations: r.Violations,
+		Example:    r.Example,
 	}
-	idx := indexByURL(in, tgt)
-	for _, t := range in.Relation(c.Link.Scheme).Tuples() {
-		pairs, err := adm.LinkAnchorPairs(t, c.Link.Path, c.SrcAttr)
-		if err != nil {
-			return Verification{}, fmt.Errorf("discover: %s: %v", c, err)
-		}
-		for _, pr := range pairs {
-			anchor, link := pr[0], pr[1]
-			tgtTuple, ok := idx[link.String()]
-			if !ok {
-				v.Holds = false
-				v.Violations++
-				if v.Example == "" {
-					v.Example = fmt.Sprintf("dangling link %s", link)
-				}
-				continue
-			}
-			tv, _ := tgtTuple.Get(c.TgtAttr)
-			if !adm.ScalarEqual(anchor, tv) {
-				v.Holds = false
-				v.Violations++
-				if v.Example == "" {
-					v.Example = fmt.Sprintf("%v ≠ %v at %s", anchor, tv, link)
-				}
-			}
-		}
-	}
-	return v, nil
-}
-
-func verifyInclusion(in *adm.Instance, c adm.InclusionConstraint) Verification {
-	v := Verification{Kind: "inclusion", Constraint: c.String(), Holds: true}
-	super := linkSet(in, c.Super)
-	for _, t := range in.Relation(c.Sub.Scheme).Tuples() {
-		for _, val := range adm.PathValues(t, c.Sub.Path) {
-			if !super[val.String()] {
-				v.Holds = false
-				v.Violations++
-				if v.Example == "" {
-					v.Example = fmt.Sprintf("%s not reachable via %s", val, c.Super)
-				}
-			}
-		}
-	}
-	return v
-}
-
-func indexByURL(in *adm.Instance, scheme string) map[string]nested.Tuple {
-	idx := make(map[string]nested.Tuple)
-	for _, t := range in.Relation(scheme).Tuples() {
-		if u, ok := t.Get(adm.URLAttr); ok && !u.IsNull() {
-			idx[u.String()] = t
-		}
-	}
-	return idx
-}
-
-func linkSet(in *adm.Instance, ref adm.AttrRef) map[string]bool {
-	set := make(map[string]bool)
-	for _, t := range in.Relation(ref.Scheme).Tuples() {
-		for _, v := range adm.PathValues(t, ref.Path) {
-			set[v.String()] = true
-		}
-	}
-	return set
 }
 
 // Proposal is one mined constraint with its support (the number of
@@ -155,9 +91,10 @@ func (p Proposal) String() string {
 // MineLinkConstraints finds every anchor redundancy that holds on the
 // instance: for each link attribute L from S to T, each mono-valued source
 // attribute A in L's scope and each mono-valued target attribute B of T
-// such that A = B across all occurrences (with at least minSupport
-// occurrences). The URL/reference identity (§3.3: "implicit in the notion
-// of reference") is excluded.
+// such that adm.Instance.CheckLink finds no violation of A = B, with at
+// least minSupport occurrences where both sides are non-null. The
+// URL/reference identity (§3.3: "implicit in the notion of reference") is
+// excluded.
 func MineLinkConstraints(in *adm.Instance, minSupport int) ([]Proposal, error) {
 	if minSupport < 1 {
 		minSupport = 1
@@ -169,20 +106,18 @@ func MineLinkConstraints(in *adm.Instance, minSupport int) ([]Proposal, error) {
 		if err != nil {
 			return nil, err
 		}
-		idx := indexByURL(in, tgt)
 		tgtAttrs := monoTopAttrs(ws.Page(tgt))
 		for _, src := range sourceCandidates(ws.Page(link.Scheme), link.Path) {
 			for _, tgtAttr := range tgtAttrs {
-				support, holds, err := checkLinkPair(in, link, src, tgtAttr, idx)
-				if err != nil {
-					return nil, err
-				}
-				if !holds || support < minSupport {
+				c := adm.LinkConstraint{Link: link, SrcAttr: src, TgtAttr: tgtAttr}
+				// An anchor that is not single-valued in scope simply
+				// disqualifies the candidate.
+				r, err := in.CheckLink(c)
+				if err != nil || r.Violations > 0 || r.Support < minSupport {
 					continue
 				}
-				c := adm.LinkConstraint{Link: link, SrcAttr: src, TgtAttr: tgtAttr}
 				_, declared := declaredLink(ws, c)
-				out = append(out, Proposal{Kind: "link", Link: &c, Support: support, Declared: declared})
+				out = append(out, Proposal{Kind: "link", Link: &c, Support: r.Support, Declared: declared})
 			}
 		}
 	}
@@ -247,34 +182,6 @@ func monoTopAttrs(ps *adm.PageScheme) []string {
 	return out
 }
 
-func checkLinkPair(in *adm.Instance, link adm.AttrRef, src adm.Path, tgtAttr string, idx map[string]nested.Tuple) (int, bool, error) {
-	support := 0
-	for _, t := range in.Relation(link.Scheme).Tuples() {
-		pairs, err := adm.LinkAnchorPairs(t, link.Path, src)
-		if err != nil {
-			// An anchor that is not single-valued in scope simply
-			// disqualifies the candidate.
-			return 0, false, nil
-		}
-		for _, pr := range pairs {
-			anchor, lv := pr[0], pr[1]
-			tgtTuple, ok := idx[lv.String()]
-			if !ok {
-				return 0, false, nil
-			}
-			tv, _ := tgtTuple.Get(tgtAttr)
-			if anchor.IsNull() || tv == nil || tv.IsNull() {
-				continue
-			}
-			if !adm.ScalarEqual(anchor, tv) {
-				return 0, false, nil
-			}
-			support++
-		}
-	}
-	return support, true, nil
-}
-
 // MineInclusions finds every containment between two link attributes with
 // the same target that holds on the instance. Reflexive containments are
 // skipped; both directions of an equivalence are reported.
@@ -284,7 +191,6 @@ func MineInclusions(in *adm.Instance, minSupport int) ([]Proposal, error) {
 	}
 	ws := in.Scheme
 	links := ws.Links()
-	sets := make([]map[string]bool, len(links))
 	targets := make([]string, len(links))
 	for i, ref := range links {
 		tgt, err := ws.LinkTarget(ref)
@@ -292,7 +198,6 @@ func MineInclusions(in *adm.Instance, minSupport int) ([]Proposal, error) {
 			return nil, err
 		}
 		targets[i] = tgt
-		sets[i] = linkSet(in, ref)
 	}
 	var out []Proposal
 	for i, sub := range links {
@@ -300,24 +205,15 @@ func MineInclusions(in *adm.Instance, minSupport int) ([]Proposal, error) {
 			if i == j || targets[i] != targets[j] {
 				continue
 			}
-			if len(sets[i]) < minSupport {
-				continue
-			}
-			contained := true
-			for v := range sets[i] {
-				if !sets[j][v] {
-					contained = false
-					break
-				}
-			}
-			if !contained {
-				continue
-			}
 			c := adm.InclusionConstraint{Sub: sub, Super: super}
+			r := in.CheckInclusion(c)
+			if r.Violations > 0 || r.Support < minSupport {
+				continue
+			}
 			out = append(out, Proposal{
 				Kind:      "inclusion",
 				Inclusion: &c,
-				Support:   len(sets[i]),
+				Support:   r.Support,
 				Declared:  declaredInclusion(ws, c),
 			})
 		}

@@ -196,17 +196,11 @@ func TestMineLinkConstraintsNoFalsePositives(t *testing.T) {
 	}
 	// Every mined link constraint must verify cleanly.
 	for _, p := range proposals {
-		ws := in.Scheme
-		tgt, err := ws.LinkTarget(p.Link.Link)
+		r, err := in.CheckLink(*p.Link)
 		if err != nil {
 			t.Fatal(err)
 		}
-		idx := indexByURL(in, tgt)
-		support, holds, err := checkLinkPair(in, p.Link.Link, p.Link.SrcAttr, p.Link.TgtAttr, idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !holds || support != p.Support {
+		if r.Violations != 0 || r.Support != p.Support {
 			t.Errorf("mined constraint does not re-verify: %s", p)
 		}
 	}
@@ -297,5 +291,98 @@ func TestMineBibliography(t *testing.T) {
 	if declared != len(b.Scheme.LinkCs)+len(b.Scheme.InclCs) {
 		t.Errorf("mined %d declared constraints, scheme has %d",
 			declared, len(b.Scheme.LinkCs)+len(b.Scheme.InclCs))
+	}
+}
+
+// nullTargetInstance is a two-item list whose second item links to a page
+// with a null Nick: Nick = Nick via ToItem has support 1 (the first item)
+// and one violation (z against a null).
+func nullTargetInstance(t *testing.T) *adm.Instance {
+	t.Helper()
+	ws, err := adm.ParseScheme(`
+page ListPage {
+  Items: list of {
+    Name: text
+    Nick?: text
+    ToItem: link ItemPage
+  }
+}
+page ItemPage {
+  Name: text
+  Nick?: text
+}
+entry ListPage "http://x/l"
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := adm.NewInstance(ws)
+	item := func(name, nick, url string) nested.Tuple {
+		return nested.T("Name", nested.TextValue(name), "Nick", nested.TextValue(nick), "ToItem", nested.LinkValue(url))
+	}
+	pages := []struct {
+		scheme string
+		t      nested.Tuple
+	}{
+		{"ListPage", nested.T(adm.URLAttr, nested.LinkValue("http://x/l"), "Items", nested.ListValue{
+			item("a", "x", "http://x/1"),
+			item("b", "z", "http://x/2"),
+		})},
+		{"ItemPage", nested.T(adm.URLAttr, nested.LinkValue("http://x/1"), "Name", nested.TextValue("a"), "Nick", nested.TextValue("x"))},
+		{"ItemPage", nested.T(adm.URLAttr, nested.LinkValue("http://x/2"), "Name", nested.TextValue("b"), "Nick", nested.Null)},
+	}
+	for _, p := range pages {
+		if err := in.AddPage(p.scheme, p.t); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return in
+}
+
+// TestMinedConstraintsVerify requires the miner and the verifier to agree:
+// every constraint mined from an instance, once declared, verifies on that
+// same instance, and the instance still validates.
+func TestMinedConstraintsVerify(t *testing.T) {
+	bib, err := sitegen.GenerateBibliography(sitegen.BibliographyParams{
+		Authors: 60, Confs: 5, DBConfs: 2, Years: 3, PapersPerEdition: 3, AuthorsPerPaper: 2, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		in   *adm.Instance
+	}{
+		{"null-target", nullTargetInstance(t)},
+		{"university", univInstance(t)},
+		{"bibliography", bib.Instance},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			proposals, err := Mine(tc.in, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws := tc.in.Scheme
+			ws.LinkCs, ws.InclCs = nil, nil
+			for _, p := range proposals {
+				if p.Link != nil {
+					ws.LinkCs = append(ws.LinkCs, *p.Link)
+				} else {
+					ws.InclCs = append(ws.InclCs, *p.Inclusion)
+				}
+			}
+			checks, err := Verify(tc.in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range checks {
+				if !v.Holds {
+					t.Errorf("mined %s %s does not verify: %d violations (%s)", v.Kind, v.Constraint, v.Violations, v.Example)
+				}
+			}
+			if err := tc.in.Validate(); err != nil {
+				t.Errorf("instance with its mined constraints declared does not validate: %v", err)
+			}
+		})
 	}
 }

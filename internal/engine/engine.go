@@ -374,14 +374,11 @@ func (e *Engine) ExecuteOptsCtx(ctx context.Context, expr nalg.Expr, opts ExecOp
 	return e.run(ctx, expr, prep, opts)
 }
 
-// prepare is a plan's per-shape execution work: the computability and
-// typing gates every plan passes before touching the network, and
-// nalg.Prepare's schema inference, hash-join build sides and kept columns.
-// A plan-cache entry runs it once for its shape.
+// prepare is a plan's per-shape execution work: the typing gate every plan
+// passes before touching the network (an ExtScan leaf fails it as
+// not-computable), and nalg.Prepare's schema inference, hash-join build
+// sides and kept columns. A plan-cache entry runs it once for its shape.
 func (e *Engine) prepare(expr nalg.Expr) (*nalg.Prepared, error) {
-	if !nalg.Computable(expr) {
-		return nil, fmt.Errorf("engine: plan is not computable: %s", expr)
-	}
 	if diags := nalg.Check(expr, e.Views.Scheme); len(diags) > 0 {
 		return nil, fmt.Errorf("engine: plan is ill-typed (%d diagnostics): %s", len(diags), diags[0])
 	}

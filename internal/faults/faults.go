@@ -13,7 +13,7 @@
 // that gate the resilient fetch path.
 //
 // The package never reads the ambient clock: injected latency is delegated
-// to an injectable sleep function (nil means latency is recorded but not
+// to an injectable site.Sleeper (nil means latency is recorded but not
 // slept), and stalls block on the caller's context rather than on a timer —
 // so chaos tests run instantly and the nowallclock analyzer stays clean.
 package faults
@@ -153,8 +153,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	rules    []Rule
-	sleep    func(time.Duration) // nil: latency recorded, not slept
-	sleeper  site.Sleeper        // preferred over sleep: cancelable latency
+	sleeper  site.Sleeper // nil: latency recorded, not slept
 	attempts map[string]int
 	injected map[Kind]int
 	faulted  map[string]bool
@@ -172,19 +171,11 @@ func New(inner site.Server, seed uint64, rules ...Rule) *Server {
 	}
 }
 
-// SetSleep installs the function used to realize Latency faults. Leaving it
+// SetSleeper installs the sleeper that realizes Latency faults. Leaving it
 // nil (the default) keeps chaos runs instant: delays are counted but not
-// slept, which is what deterministic tests want.
-func (s *Server) SetSleep(fn func(time.Duration)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sleep = fn
-}
-
-// SetSleeper installs a context-aware sleeper for Latency faults, taking
-// precedence over SetSleep. Unlike a plain sleep function, the delay is
-// abandoned the moment the caller's context ends — a hedged request whose
-// loser was canceled must not keep a goroutine parked in the fault layer.
+// slept, which is what deterministic tests want. The delay is abandoned the
+// moment the caller's context ends — a hedged request whose loser was
+// canceled must not keep a goroutine parked in the fault layer.
 func (s *Server) SetSleeper(slp site.Sleeper) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -290,14 +281,12 @@ func (s *Server) GetContext(ctx context.Context, url string) (site.Page, error) 
 			return site.Page{}, fmt.Errorf("%w: %s (injected)", site.ErrNotFound, url)
 		case Latency:
 			s.mu.Lock()
-			sleep, sleeper := s.sleep, s.sleeper
+			sleeper := s.sleeper
 			s.mu.Unlock()
 			if sleeper != nil {
 				if err := sleeper.Sleep(ctx, rule.Latency); err != nil {
 					return site.Page{}, fmt.Errorf("faults: delayed GET %s: %w", url, err)
 				}
-			} else if sleep != nil {
-				sleep(rule.Latency)
 			}
 		}
 	}

@@ -226,7 +226,7 @@ func TestHeadIsolation(t *testing.T) {
 }
 
 // TestLatencyUsesInjectedSleep: latency is realized through the injected
-// sleep function only — with none installed the fault is recorded but the
+// sleeper only — with none installed the fault is recorded but the
 // call returns immediately (the wall clock is never read).
 func TestLatencyUsesInjectedSleep(t *testing.T) {
 	s := New(testServer(), 17, Rule{Kind: Latency, First: 1, Latency: 250 * time.Millisecond})
@@ -237,13 +237,13 @@ func TestLatencyUsesInjectedSleep(t *testing.T) {
 		t.Errorf("Injected(Latency) = %d, want 1", got)
 	}
 
-	var slept []time.Duration
+	slp := &site.InstantSleeper{}
 	s2 := New(testServer(), 17, Rule{Kind: Latency, First: 1, Latency: 250 * time.Millisecond})
-	s2.SetSleep(func(d time.Duration) { slept = append(slept, d) })
+	s2.SetSleeper(slp)
 	if _, err := s2.Get(testURL); err != nil {
 		t.Fatal(err)
 	}
-	if len(slept) != 1 || slept[0] != 250*time.Millisecond {
+	if slept := slp.Slept(); len(slept) != 1 || slept[0] != 250*time.Millisecond {
 		t.Errorf("injected sleep calls = %v, want [250ms]", slept)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ulixes/internal/adm"
-	"ulixes/internal/nested"
 )
 
 // DiagKind classifies a static plan diagnostic.
@@ -92,14 +91,18 @@ func (d Diagnostic) String() string {
 }
 
 // Check statically typechecks a plan against a web scheme, without any page
-// access. Unlike InferSchema, which stops at the first error, Check
-// accumulates every diagnostic it can establish, recovering where an
-// operator's input schema is still known. Beyond the schema-inference
-// checks it also re-validates column provenance: the (scheme, path) origin
-// recorded on each navigated column must resolve in the ADM scheme to a
-// declaration agreeing with the plan — so a plan produced by a buggy
-// rewrite that, say, retargets a follow past its declared link is rejected
-// here rather than by a wrong answer at runtime.
+// access. The typing rules are InferNode's: Check walks the plan bottom-up,
+// infers each node whose operands typed, and records an inference failure
+// as a Diagnostic on that node. A failed node's ancestors are not checked,
+// so within one operator chain only the first failure is reported, while
+// failures in independent branches of a join are all reported. Beyond
+// inference, Check re-validates column provenance where a plan depends on
+// it: the (scheme, path) origin of each unnested list column must resolve
+// to the declared type, and each followed link's origin must declare the
+// follow's target — so a plan produced by a buggy rewrite that, say,
+// retargets a follow past its declared link is rejected here rather than
+// by a wrong answer at runtime. (Provenance stays out of InferNode because
+// the plan memo infers every subexpression it interns.)
 //
 // A nil result means the plan is well-typed; engines use that as the
 // pre-execution gate.
@@ -118,71 +121,35 @@ func (c *checker) errf(kind DiagKind, node Expr, format string, args ...interfac
 	c.diags = append(c.diags, Diagnostic{Kind: kind, Node: node, Msg: fmt.Sprintf(format, args...)})
 }
 
-// check computes the schema of e, accumulating diagnostics. It returns nil
-// when the schema could not be established; callers skip the checks that
-// need it and keep going elsewhere.
+// check returns the schema of e, or nil when e or one of its operands
+// failed to type; the failure is recorded once, on the node that failed.
 func (c *checker) check(e Expr) *Schema {
-	switch x := e.(type) {
-	case *ExtScan:
-		c.errf(DiagNotComputable, e, "external relation %q is not computable; apply Rule 1 (default navigation) first", x.Relation)
+	kids := e.Children()
+	in := make([]*Schema, len(kids))
+	typed := true
+	for i, k := range kids {
+		in[i] = c.check(k)
+		typed = typed && in[i] != nil
+	}
+	if !typed {
 		return nil
-
-	case *EntryScan:
-		ps := c.ws.Page(x.Scheme)
-		if ps == nil {
-			c.errf(DiagUnknownScheme, e, "unknown page-scheme %q", x.Scheme)
-			return nil
-		}
-		ep, ok := c.ws.EntryPoint(x.Scheme)
-		if !ok {
-			c.errf(DiagNotEntryPoint, e, "page-scheme %q is not an entry point", x.Scheme)
-		} else if x.URL != "" && x.URL != ep.URL {
-			c.errf(DiagEntryURLMismatch, e, "entry scan of %q at %q, but the scheme declares %q", x.Scheme, x.URL, ep.URL)
-		}
-		return &Schema{Cols: noBlocks.pageCols(ps, x.EffAlias())}
-
+	}
+	s, err := InferNode(e, c.ws, in)
+	if err != nil {
+		te := err.(*typeError)
+		c.diags = append(c.diags, Diagnostic{Kind: te.kind, Node: e, Msg: te.msg})
+		return nil
+	}
+	n := len(c.diags)
+	switch x := e.(type) {
 	case *Unnest:
-		in := c.check(x.In)
-		if in == nil {
-			return nil
-		}
-		at := in.Index(x.Attr)
-		if at < 0 {
-			c.errf(DiagUnknownColumn, e, "unnest: no column %q in %s", x.Attr, in)
-			return nil
-		}
-		col := in.Cols[at]
-		if col.Type.Kind != nested.KindList {
-			c.errf(DiagNotList, e, "unnest: column %q is not a list (type %s)", x.Attr, col.Type)
-			return nil
-		}
-		c.checkProvenance(e, *col)
-		var cols []*Col
-		cols = append(cols, in.Cols[:at]...)
-		cols = append(cols, in.Cols[at+1:]...)
-		cols = append(cols, noBlocks.promotedCols(col)...)
-		return &Schema{Cols: cols}
-
+		col, _ := in[0].Col(x.Attr)
+		c.checkProvenance(e, col)
 	case *Follow:
-		in := c.check(x.In)
-		if in == nil {
-			return nil
-		}
-		col, ok := in.Col(x.Link)
-		if !ok {
-			c.errf(DiagUnknownColumn, e, "follow: no column %q in %s", x.Link, in)
-			return nil
-		}
-		if col.Type.Kind != nested.KindLink {
-			c.errf(DiagNotLink, e, "follow: column %q is not a link (type %s)", x.Link, col.Type)
-			return nil
-		}
-		if col.Type.Target != x.Target {
-			c.errf(DiagLinkTargetMismatch, e, "follow: link %q targets %q, expression says %q", x.Link, col.Type.Target, x.Target)
-		}
 		// Re-resolve the link's declared target from its recorded origin:
 		// a rewrite bug that retargets a follow shows up here even when the
 		// in-schema link type was rewritten consistently.
+		col, _ := in[0].Col(x.Link)
 		if col.Scheme != "" && len(col.Path) > 0 {
 			if declared, err := c.ws.LinkTarget(col.Ref()); err != nil {
 				c.errf(DiagBadProvenance, e, "follow: link %q: %v", x.Link, err)
@@ -190,131 +157,19 @@ func (c *checker) check(e Expr) *Schema {
 				c.errf(DiagLinkTargetMismatch, e, "follow: link %q is declared to target %q, expression says %q", x.Link, declared, x.Target)
 			}
 		}
-		ps := c.ws.Page(x.Target)
-		if ps == nil {
-			c.errf(DiagUnknownScheme, e, "follow: unknown target page-scheme %q", x.Target)
-			return nil
-		}
-		cols := append([]*Col(nil), in.Cols...)
-		for _, pc := range noBlocks.pageCols(ps, x.EffAlias()) {
-			for _, existing := range cols {
-				if existing.Name == pc.Name {
-					c.errf(DiagDuplicateColumn, e, "follow: column %q already present; use a distinct alias", pc.Name)
-				}
-			}
-			cols = append(cols, pc)
-		}
-		return &Schema{Cols: cols}
-
-	case *Select:
-		in := c.check(x.In)
-		if in == nil {
-			return nil
-		}
-		for _, a := range x.Pred.Attrs(nil) {
-			col, ok := in.Col(a)
-			if !ok {
-				c.errf(DiagUnknownColumn, e, "select: no column %q in %s", a, in)
-				continue
-			}
-			if !col.Type.Mono() {
-				c.errf(DiagNotMono, e, "select: column %q is not mono-valued", a)
-			}
-		}
-		return in
-
-	case *Project:
-		if len(x.Cols) == 0 {
-			c.errf(DiagEmptyProjection, e, "empty projection")
-		}
-		in := c.check(x.In)
-		if in == nil {
-			return nil
-		}
-		var cols []*Col
-		for _, name := range x.Cols {
-			at := in.Index(name)
-			if at < 0 {
-				c.errf(DiagUnknownColumn, e, "project: no column %q in %s", name, in)
-				continue
-			}
-			cols = append(cols, in.Cols[at])
-		}
-		return &Schema{Cols: cols}
-
-	case *Join:
-		l, r := c.check(x.L), c.check(x.R)
-		for _, cond := range x.Conds {
-			var lc, rc Col
-			lok, rok := false, false
-			if l != nil {
-				if lc, lok = l.Col(cond.Left); !lok {
-					c.errf(DiagUnknownColumn, e, "join: no column %q on the left", cond.Left)
-				}
-			}
-			if r != nil {
-				if rc, rok = r.Col(cond.Right); !rok {
-					c.errf(DiagUnknownColumn, e, "join: no column %q on the right", cond.Right)
-				}
-			}
-			if lok && !lc.Type.Mono() {
-				c.errf(DiagNotMono, e, "join: condition %s on multi-valued column %q", cond, cond.Left)
-			}
-			if rok && !rc.Type.Mono() {
-				c.errf(DiagNotMono, e, "join: condition %s on multi-valued column %q", cond, cond.Right)
-			}
-		}
-		if l == nil || r == nil {
-			return nil
-		}
-		cols := append([]*Col(nil), l.Cols...)
-		for _, rc := range r.Cols {
-			for _, existing := range cols {
-				if existing.Name == rc.Name {
-					c.errf(DiagDuplicateColumn, e, "join: column %q on both sides; use distinct aliases", rc.Name)
-				}
-			}
-			cols = append(cols, rc)
-		}
-		return &Schema{Cols: cols}
-
-	case *Rename:
-		in := c.check(x.In)
-		if in == nil {
-			return nil
-		}
-		for old := range x.Map {
-			if !in.Has(old) {
-				c.errf(DiagUnknownColumn, e, "rename: no column %q in %s", old, in)
-			}
-		}
-		cols := make([]*Col, len(in.Cols))
-		seen := make(map[string]bool, len(in.Cols))
-		for i, col := range in.Cols {
-			if nn, ok := x.Map[col.Name]; ok {
-				renamed := *col
-				renamed.Name = nn
-				col = &renamed
-			}
-			if seen[col.Name] {
-				c.errf(DiagDuplicateColumn, e, "rename: duplicate output column %q", col.Name)
-			}
-			seen[col.Name] = true
-			cols[i] = col
-		}
-		return &Schema{Cols: cols}
-
-	default:
-		c.errf(DiagUnknownNode, e, "unknown expression node %T", e)
+	}
+	if len(c.diags) > n {
 		return nil
 	}
+	return s
 }
 
 // CheckCols validates recorded column provenance against the web scheme:
 // every column with an origin must resolve to a declaration of the same
-// type. Check applies this to the schemas it infers itself; the rewrite
-// engine applies it to the column maps its rules build by hand, where a
-// buggy rule really can record an origin the scheme does not declare.
+// type. Check applies the same test to the list columns it sees unnested;
+// the optimizer's candidate tests apply CheckCols to the whole inferred
+// schema of every candidate plan, where a buggy rewrite rule really can
+// record an origin the scheme does not declare.
 func CheckCols(cols []*Col, ws *adm.Scheme) []Diagnostic {
 	c := &checker{ws: ws}
 	for _, col := range cols {

@@ -311,24 +311,37 @@ func InferNode(e Expr, ws *adm.Scheme, kids []*Schema) (*Schema, error) {
 	return &Schema{Cols: cols}, nil
 }
 
+// typeError is an inference failure, classified the way Check reports it.
+type typeError struct {
+	kind DiagKind
+	msg  string
+}
+
+func (e *typeError) Error() string { return "nalg: " + e.msg }
+
 // inferNode returns the node's output columns, or, when the operator passes
-// its operand's schema through unchanged, that schema as same.
+// its operand's schema through unchanged, that schema as same. It holds the
+// operator typing rules; every failure is a *typeError.
 func inferNode(e Expr, ws *adm.Scheme, kids []*Schema, blocks *colBlocks) ([]*Col, *Schema, error) {
 	child := func(i int) *Schema { return kids[i] }
-	fail := func(format string, args ...any) ([]*Col, *Schema, error) {
-		return nil, nil, fmt.Errorf(format, args...)
+	fail := func(kind DiagKind, format string, args ...any) ([]*Col, *Schema, error) {
+		return nil, nil, &typeError{kind: kind, msg: fmt.Sprintf(format, args...)}
 	}
 	switch x := e.(type) {
 	case *ExtScan:
-		return fail("nalg: external relation %q has no navigational schema (apply Rule 1 first)", x.Relation)
+		return fail(DiagNotComputable, "external relation %q is not computable; apply Rule 1 (default navigation) first", x.Relation)
 
 	case *EntryScan:
 		ps := ws.Page(x.Scheme)
 		if ps == nil {
-			return fail("nalg: unknown page-scheme %q", x.Scheme)
+			return fail(DiagUnknownScheme, "unknown page-scheme %q", x.Scheme)
 		}
-		if _, ok := ws.EntryPoint(x.Scheme); !ok {
-			return fail("nalg: page-scheme %q is not an entry point", x.Scheme)
+		ep, ok := ws.EntryPoint(x.Scheme)
+		if !ok {
+			return fail(DiagNotEntryPoint, "page-scheme %q is not an entry point", x.Scheme)
+		}
+		if x.URL != "" && x.URL != ep.URL {
+			return fail(DiagEntryURLMismatch, "entry scan of %q at %q, but the scheme declares %q", x.Scheme, x.URL, ep.URL)
 		}
 		return blocks.pageCols(ps, x.EffAlias()), nil, nil
 
@@ -336,11 +349,11 @@ func inferNode(e Expr, ws *adm.Scheme, kids []*Schema, blocks *colBlocks) ([]*Co
 		in := child(0)
 		at := in.Index(x.Attr)
 		if at < 0 {
-			return fail("nalg: unnest: no column %q in %s", x.Attr, in)
+			return fail(DiagUnknownColumn, "unnest: no column %q in %s", x.Attr, in)
 		}
 		col := in.Cols[at]
 		if col.Type.Kind != nested.KindList {
-			return fail("nalg: unnest: column %q is not a list (type %s)", x.Attr, col.Type)
+			return fail(DiagNotList, "unnest: column %q is not a list (type %s)", x.Attr, col.Type)
 		}
 		promoted := blocks.promotedCols(col)
 		cols := blocks.newCols(len(in.Cols) - 1 + len(promoted))
@@ -353,18 +366,18 @@ func inferNode(e Expr, ws *adm.Scheme, kids []*Schema, blocks *colBlocks) ([]*Co
 		in := child(0)
 		at := in.Index(x.Link)
 		if at < 0 {
-			return fail("nalg: follow: no column %q in %s", x.Link, in)
+			return fail(DiagUnknownColumn, "follow: no column %q in %s", x.Link, in)
 		}
 		col := in.Cols[at]
 		if col.Type.Kind != nested.KindLink {
-			return fail("nalg: follow: column %q is not a link (type %s)", x.Link, col.Type)
+			return fail(DiagNotLink, "follow: column %q is not a link (type %s)", x.Link, col.Type)
 		}
 		if col.Type.Target != x.Target {
-			return fail("nalg: follow: link %q targets %q, expression says %q", x.Link, col.Type.Target, x.Target)
+			return fail(DiagLinkTargetMismatch, "follow: link %q targets %q, expression says %q", x.Link, col.Type.Target, x.Target)
 		}
 		ps := ws.Page(x.Target)
 		if ps == nil {
-			return fail("nalg: follow: unknown target page-scheme %q", x.Target)
+			return fail(DiagUnknownScheme, "follow: unknown target page-scheme %q", x.Target)
 		}
 		// The page's columns are all qualified by the follow's alias, so
 		// only input columns under the same alias can collide with them.
@@ -376,7 +389,7 @@ func inferNode(e Expr, ws *adm.Scheme, kids []*Schema, blocks *colBlocks) ([]*Co
 			}
 			for _, c := range page {
 				if existing.Name == c.Name {
-					return fail("nalg: follow: column %q already present; use a distinct alias", c.Name)
+					return fail(DiagDuplicateColumn, "follow: column %q already present; use a distinct alias", c.Name)
 				}
 			}
 		}
@@ -390,10 +403,10 @@ func inferNode(e Expr, ws *adm.Scheme, kids []*Schema, blocks *colBlocks) ([]*Co
 		for _, a := range predAttrs(x.Pred, buf[:0]) {
 			at := in.Index(a)
 			if at < 0 {
-				return fail("nalg: select: no column %q in %s", a, in)
+				return fail(DiagUnknownColumn, "select: no column %q in %s", a, in)
 			}
 			if !in.Cols[at].Type.Mono() {
-				return fail("nalg: select: column %q is not mono-valued", a)
+				return fail(DiagNotMono, "select: column %q is not mono-valued", a)
 			}
 		}
 		return nil, in, nil
@@ -401,13 +414,13 @@ func inferNode(e Expr, ws *adm.Scheme, kids []*Schema, blocks *colBlocks) ([]*Co
 	case *Project:
 		in := child(0)
 		if len(x.Cols) == 0 {
-			return fail("nalg: empty projection")
+			return fail(DiagEmptyProjection, "empty projection")
 		}
 		cols := blocks.newCols(len(x.Cols))[:len(x.Cols)]
 		for i, name := range x.Cols {
 			at := in.Index(name)
 			if at < 0 {
-				return fail("nalg: project: no column %q in %s", name, in)
+				return fail(DiagUnknownColumn, "project: no column %q in %s", name, in)
 			}
 			cols[i] = in.Cols[at]
 		}
@@ -418,17 +431,17 @@ func inferNode(e Expr, ws *adm.Scheme, kids []*Schema, blocks *colBlocks) ([]*Co
 		for _, c := range x.Conds {
 			li, ri := l.Index(c.Left), r.Index(c.Right)
 			if li < 0 {
-				return fail("nalg: join: no column %q on the left", c.Left)
+				return fail(DiagUnknownColumn, "join: no column %q on the left", c.Left)
 			}
 			if ri < 0 {
-				return fail("nalg: join: no column %q on the right", c.Right)
+				return fail(DiagUnknownColumn, "join: no column %q on the right", c.Right)
 			}
 			if !l.Cols[li].Type.Mono() || !r.Cols[ri].Type.Mono() {
-				return fail("nalg: join: condition %s on multi-valued column", c)
+				return fail(DiagNotMono, "join: condition %s on multi-valued column", c)
 			}
 		}
 		if name, dup := sharedName(l.Cols, r.Cols); dup {
-			return fail("nalg: join: column %q on both sides; use distinct aliases", name)
+			return fail(DiagDuplicateColumn, "join: column %q on both sides; use distinct aliases", name)
 		}
 		cols := blocks.newCols(len(l.Cols) + len(r.Cols))
 		cols = append(append(cols, l.Cols...), r.Cols...)
@@ -444,16 +457,16 @@ func inferNode(e Expr, ws *adm.Scheme, kids []*Schema, blocks *colBlocks) ([]*Co
 			cols[i] = c
 		}
 		if name, dup := repeatedName(cols); dup {
-			return fail("nalg: rename: duplicate output column %q", name)
+			return fail(DiagDuplicateColumn, "rename: duplicate output column %q", name)
 		}
 		for old := range x.Map {
 			if !in.Has(old) {
-				return fail("nalg: rename: no column %q in %s", old, in)
+				return fail(DiagUnknownColumn, "rename: no column %q in %s", old, in)
 			}
 		}
 		return cols, nil, nil
 
 	default:
-		return fail("nalg: unknown expression node %T", e)
+		return fail(DiagUnknownNode, "unknown expression node %T", e)
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"ulixes/internal/adm"
 	"ulixes/internal/nalg"
-	"ulixes/internal/nested"
 )
 
 // step is one element of a pure navigation chain: an entry scan, an unnest,
@@ -200,7 +199,8 @@ func InstantiateAliases(e nalg.Expr, atom string) (nalg.Expr, map[string]string)
 			aliasMap[x.EffAlias()] = atom + "$" + x.EffAlias()
 		}
 	})
-	return realias(e, aliasMap), aliasMap
+	col := func(name string) string { return realiasCol(name, aliasMap) }
+	return fold(e, col, mapName(aliasMap)), aliasMap
 }
 
 // realiasCol rewrites a qualified column under an alias map.
@@ -211,48 +211,4 @@ func realiasCol(name string, aliasMap map[string]string) string {
 		}
 	}
 	return name
-}
-
-// realias rewrites scan/follow aliases and all column references of a
-// navigation expression under an alias map.
-func realias(e nalg.Expr, aliasMap map[string]string) nalg.Expr {
-	col := func(name string) string { return realiasCol(name, aliasMap) }
-	switch x := e.(type) {
-	case *nalg.EntryScan:
-		a := x.EffAlias()
-		if nn, ok := aliasMap[a]; ok {
-			a = nn
-		}
-		return &nalg.EntryScan{Scheme: x.Scheme, URL: x.URL, Alias: a}
-	case *nalg.Unnest:
-		return &nalg.Unnest{In: realias(x.In, aliasMap), Attr: col(x.Attr)}
-	case *nalg.Follow:
-		a := x.EffAlias()
-		if nn, ok := aliasMap[a]; ok {
-			a = nn
-		}
-		return &nalg.Follow{In: realias(x.In, aliasMap), Link: col(x.Link), Target: x.Target, Alias: a}
-	case *nalg.Select:
-		return &nalg.Select{In: realias(x.In, aliasMap), Pred: substPredFn(x.Pred, col)}
-	case *nalg.Project:
-		cols := make([]string, len(x.Cols))
-		for i, c := range x.Cols {
-			cols[i] = col(c)
-		}
-		return &nalg.Project{In: realias(x.In, aliasMap), Cols: cols}
-	case *nalg.Join:
-		conds := make([]nested.EqCond, len(x.Conds))
-		for i, c := range x.Conds {
-			conds[i] = nested.EqCond{Left: col(c.Left), Right: col(c.Right)}
-		}
-		return &nalg.Join{L: realias(x.L, aliasMap), R: realias(x.R, aliasMap), Conds: conds}
-	case *nalg.Rename:
-		nm := make(map[string]string, len(x.Map))
-		for old, nn := range x.Map {
-			nm[col(old)] = nn
-		}
-		return &nalg.Rename{In: realias(x.In, aliasMap), Map: nm}
-	default:
-		return e
-	}
 }

@@ -63,9 +63,6 @@ func (r *Registry) Add(rel *ExternalRelation) error {
 		return fmt.Errorf("view: relation %q has no default navigation", rel.Name)
 	}
 	for i, nav := range rel.Navs {
-		if !nalg.Computable(nav.Expr) {
-			return fmt.Errorf("view: %s navigation %d is not computable", rel.Name, i)
-		}
 		sch, err := nalg.InferSchema(nav.Expr, r.Scheme)
 		if err != nil {
 			return fmt.Errorf("view: %s navigation %d: %v", rel.Name, i, err)

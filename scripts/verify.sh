@@ -20,12 +20,15 @@ go test -race ./...
 # under the race detector. The plan cache (internal/plancache) runs with
 # them: it coalesces concurrent misses of one (statistics, scope, shape)
 # key through planning flights, whose waiters and counters only interleave
-# on such schedules; its tests take milliseconds. On 2 cores the plain leg
-# takes about two minutes and the -race leg about six and a half; the
+# on such schedules; its tests take milliseconds. The other packages
+# outside internal/exp that start goroutines run here too: internal/guard
+# races hedged requests and cancels the losers, and cmd/ulixesd serves
+# concurrent clients, drains and streams to SSE watchers. On 2 cores the
+# plain leg takes about two minutes and the -race leg about seven; the
 # timeouts leave a few times that.
 echo "== access path under many schedules (-count=20 -cpu=1,2,8, plain and -race)"
-go test -count=20 -cpu=1,2,8 -timeout 10m ./internal/pagecache/ ./internal/site/ ./internal/engine/ ./internal/matview/ ./internal/nalg/ ./internal/plancache/
-go test -race -count=20 -cpu=1,2,8 -timeout 25m ./internal/pagecache/ ./internal/site/ ./internal/engine/ ./internal/matview/ ./internal/nalg/ ./internal/plancache/
+go test -count=20 -cpu=1,2,8 -timeout 10m ./internal/pagecache/ ./internal/site/ ./internal/engine/ ./internal/matview/ ./internal/nalg/ ./internal/plancache/ ./internal/guard/ ./cmd/ulixesd/
+go test -race -count=20 -cpu=1,2,8 -timeout 25m ./internal/pagecache/ ./internal/site/ ./internal/engine/ ./internal/matview/ ./internal/nalg/ ./internal/plancache/ ./internal/guard/ ./cmd/ulixesd/
 echo "== fuzz smoke (seed corpora plus a short generated burst)"
 make fuzz-smoke FUZZTIME=2s >/dev/null
 echo "== bench smoke (every benchmark compiles and runs once)"
