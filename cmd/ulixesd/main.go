@@ -27,6 +27,14 @@
 //	GET  /watch?id=N&after=M deltas with seq>M: long-poll JSON, SSE with &sse=1
 //	POST /mutate?n=K apply K deterministic site mutations (university + -feed)
 //
+// /stats serializes each subsystem's own counter struct under the wire
+// names its JSON tags declare: pagecache.Stats at top level next to the
+// server's admission and memory ledger, matview.Counters, changefeed.Counters
+// and standing.Counters under matview, feed and standing, and one
+// guard.HostHealth per host under hosts. queryTotals sums every served
+// query's stats in the same wire type as a /query response's stats, and
+// keeps counters only: the per-URL lists stay in each response.
+//
 // Admission control is cost-aware and bounded: at most -max-queries queries
 // run at once, up to -queue more wait FIFO, and a waiter whose sojourn
 // exceeds -queue-wait is dropped (429, Retry-After) even if a slot frees —

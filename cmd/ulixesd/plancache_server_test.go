@@ -11,13 +11,15 @@ import (
 )
 
 // comparable strips the timing fields (the only non-deterministic parts of
-// a response) so two runs of the same workload can be compared byte for
-// byte — answer rows, chosen plan, estimated cost and every access counter
-// included.
+// a response: wall and plan times, and the store's peak of simultaneous
+// accesses, which depends on goroutine scheduling) so two runs of the same
+// workload can be compared byte for byte — answer rows, chosen plan,
+// estimated cost and every access counter included.
 func comparable(t *testing.T, r queryResponse) string {
 	t.Helper()
 	r.Stats.WallMs = 0
 	r.Stats.PlanMs = 0
+	r.Stats.PeakInFlight = 0
 	r.Stats.PlanCached = false
 	b, err := json.Marshal(r)
 	if err != nil {

@@ -18,6 +18,7 @@ import (
 	"ulixes/internal/changefeed"
 	"ulixes/internal/engine"
 	"ulixes/internal/guard"
+	"ulixes/internal/matview"
 	"ulixes/internal/overload"
 	"ulixes/internal/pagecache"
 	"ulixes/internal/sitegen"
@@ -88,8 +89,9 @@ type server struct {
 
 	mu sync.Mutex
 	// totals accumulates every served query's ExecStats via ExecStats.Add,
-	// so /stats can report the query-side cost ledger (the paper's C(E)
-	// summed over the workload) next to the store's own counters.
+	// which folds counters only, so /stats can report the query-side cost
+	// ledger (the paper's C(E) summed over the workload) next to the store's
+	// own counters in memory that does not grow with the queries served.
 	totals engine.ExecStats // guarded by mu
 }
 
@@ -189,12 +191,14 @@ func (s *server) drain() {
 	s.stopWatch()
 }
 
-// queryStats is the per-query accounting exposed to clients. Accesses is
-// the session's own count of distinct pages touched — the paper's C(E),
-// invariant across cold and warm stores — and a complete answer reconciles
-// it with Pages + CacheHits + Revalidations + Stale; Pages alone is what
-// this query cost the network, SharedFetches of them on a GET a concurrent
-// query issued.
+// queryStats is the wire form of an engine.ExecStats: a query's own
+// accounting in its response, and the sum over every served query in
+// /stats queryTotals. Accesses is the session's own count of distinct pages
+// touched — the paper's C(E), invariant across cold and warm stores — and a
+// complete answer reconciles it with Pages + CacheHits + Revalidations +
+// Stale; Pages alone is what this query cost the network, SharedFetches of
+// them on a GET a concurrent query issued. PeakInFlight is the store's
+// high-water mark of simultaneous network accesses.
 type queryStats struct {
 	Accesses         int     `json:"accesses"`
 	Pages            int     `json:"pages"`
@@ -207,14 +211,37 @@ type queryStats struct {
 	Stale            int     `json:"stale,omitempty"`
 	Hedges           int     `json:"hedges,omitempty"`
 	BreakerFastFails int     `json:"breakerFastFails,omitempty"`
+	PeakInFlight     int     `json:"peakInFlight"`
 	// PlanCached reports that the plan came from the prepared-plan cache
 	// (Algorithm 1 skipped); PlanMs is the time spent obtaining the plan
 	// either way.
 	PlanCached bool    `json:"planCached,omitempty"`
 	PlanMs     float64 `json:"planMs"`
 	// FromView reports that the answer came from materialized views: no
-	// plan was built and no page was accessed.
+	// plan was built and no page was accessed. In queryTotals, PlanCached
+	// and FromView say whether any served query was.
 	FromView bool `json:"fromView,omitempty"`
+}
+
+// newQueryStats converts an execution's statistics to their wire form.
+func newQueryStats(st engine.ExecStats) queryStats {
+	return queryStats{
+		Accesses:         st.Accesses,
+		Pages:            st.Pages,
+		SharedFetches:    st.SharedFetches,
+		CacheHits:        st.CacheHits,
+		Revalidations:    st.Revalidations,
+		LightConnections: st.LightConnections,
+		Bytes:            st.Bytes,
+		WallMs:           float64(st.Wall) / float64(time.Millisecond),
+		Stale:            st.Stale,
+		Hedges:           st.Hedges,
+		BreakerFastFails: st.BreakerFastFails,
+		PeakInFlight:     st.PeakInFlight,
+		PlanCached:       st.PlanCached,
+		PlanMs:           float64(st.PlanWall) / float64(time.Millisecond),
+		FromView:         st.AnsweredFromView,
+	}
 }
 
 type queryFailure struct {
@@ -346,25 +373,10 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		planText, planCost = ans.Plan.Expr.String(), ans.Plan.Cost
 	}
 	resp := queryResponse{
-		Plan:          planText,
-		EstimatedCost: planCost,
-		Columns:       ans.Result.Names(),
-		Stats: queryStats{
-			Accesses:         st.Accesses,
-			Pages:            st.Pages,
-			SharedFetches:    st.SharedFetches,
-			CacheHits:        st.CacheHits,
-			Revalidations:    st.Revalidations,
-			LightConnections: st.LightConnections,
-			Bytes:            st.Bytes,
-			WallMs:           float64(st.Wall) / float64(time.Millisecond),
-			Stale:            st.Stale,
-			Hedges:           st.Hedges,
-			BreakerFastFails: st.BreakerFastFails,
-			PlanCached:       st.PlanCached,
-			PlanMs:           float64(st.PlanWall) / float64(time.Millisecond),
-			FromView:         st.AnsweredFromView,
-		},
+		Plan:            planText,
+		EstimatedCost:   planCost,
+		Columns:         ans.Result.Names(),
+		Stats:           newQueryStats(st),
 		Degraded:        st.Degraded,
 		DeadlineExpired: expired,
 		StalePages:      st.StalePages,
@@ -739,147 +751,58 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// storeStats is the /stats payload: the shared store's global counters, the
-// server's admission ledger, and (with the guard on) per-host breaker and
-// bulkhead health.
+// storeStats is the /stats payload: the shared store's own counters, the
+// server's admission ledger, the subsystems' own counters and (with the
+// guard on) per-host breaker and bulkhead health.
 type storeStats struct {
-	Fetches          int   `json:"fetches"`
-	Hits             int   `json:"hits"`
-	Revalidations    int   `json:"revalidations"`
-	LightConnections int   `json:"lightConnections"`
-	Retries          int   `json:"retries"`
-	Evictions        int   `json:"evictions"`
-	BytesFetched     int64 `json:"bytesFetched"`
-	EntryCount       int   `json:"entryCount"`
-	EntryBytes       int64 `json:"entryBytes"`
-	Inflight         int64 `json:"inflight"`
-	Served           int64 `json:"served"`
-	Rejected         int64 `json:"rejected"`
-	Stale            int   `json:"stale,omitempty"`
-	Hedges           int   `json:"hedges,omitempty"`
-	BreakerFastFails int   `json:"breakerFastFails,omitempty"`
-	Invalidations    int   `json:"invalidations,omitempty"`
-	PushStale        int   `json:"pushStale,omitempty"`
-	Shed             int64 `json:"shed,omitempty"`
+	pagecache.Stats
+	EntryCount int   `json:"entryCount"`
+	EntryBytes int64 `json:"entryBytes"`
+	Inflight   int64 `json:"inflight"`
+	Served     int64 `json:"served"`
+	Rejected   int64 `json:"rejected"`
+	Shed       int64 `json:"shed,omitempty"`
 	// Overload-resilience ledger: the admission queue's live depth and
-	// drop totals, expired per-query deadline budgets, recovered panics
-	// (handler middleware + wrapper), dropped slow /watch clients, and the
-	// shared memory ledger by subsystem.
-	QueueDepth        int                `json:"queueDepth"`
-	QueueDropped      int                `json:"queueDropped"`
-	QueueAdmitted     int                `json:"queueAdmitted,omitempty"`
-	QueueSojournDrops int                `json:"queueSojournDropped,omitempty"`
-	QueueCostRejected int                `json:"queueCostRejected,omitempty"`
-	QueuePeakDepth    int                `json:"queuePeakDepth,omitempty"`
-	DeadlineExpired   int64              `json:"deadlineExpired"`
-	PanicsRecovered   int64              `json:"panicsRecovered"`
-	WrapPanics        int                `json:"wrapPanics,omitempty"`
-	WatchDropped      int64              `json:"watchDropped,omitempty"`
-	MemLedger         map[string]int64   `json:"memLedger,omitempty"`
-	MemBytes          int64              `json:"memBytes,omitempty"`
-	PlanHits          uint64             `json:"planHits"`
-	PlanMisses        uint64             `json:"planMisses"`
-	PlanEntries       int                `json:"planEntries"`
-	ViewHits          int                `json:"viewHits,omitempty"`
-	ViewMisses        int                `json:"viewMisses,omitempty"`
-	ViewBytes         int64              `json:"viewBytes,omitempty"`
-	SelectorRuns      int                `json:"selectorRuns,omitempty"`
-	Matview           *matviewStats      `json:"matview,omitempty"`
-	Feed              *feedStats         `json:"feed,omitempty"`
-	Standing          *standingStats     `json:"standing,omitempty"`
-	Totals            *queryTotals       `json:"queryTotals,omitempty"`
-	Hosts             []guard.HostHealth `json:"hosts,omitempty"`
-}
-
-// feedStats is the change monitor's ledger (-feed): how many mutation
-// events were pushed, by kind, and what poll-mode sweeps cost the network.
-type feedStats struct {
-	Events       int `json:"events"`
-	Updates      int `json:"updates,omitempty"`
-	Additions    int `json:"additions,omitempty"`
-	Removals     int `json:"removals,omitempty"`
-	Touches      int `json:"touches,omitempty"`
-	Heads        int `json:"heads,omitempty"`
-	Sweeps       int `json:"sweeps,omitempty"`
-	CleanSweeps  int `json:"cleanSweeps,omitempty"`
-	Deferred     int `json:"deferred,omitempty"`
-	BreakerSkips int `json:"breakerSkips,omitempty"`
-	Errors       int `json:"errors,omitempty"`
-	Watched      int `json:"watched,omitempty"`
-}
-
-// standingStats is the standing-query registry's ledger (-feed): live and
-// lifetime subscriptions, and the delta traffic pushed to watchers.
-type standingStats struct {
-	Live          int   `json:"live"`
-	Subscribes    int   `json:"subscribes"`
-	Unsubscribes  int   `json:"unsubscribes,omitempty"`
-	Rejections    int   `json:"rejections,omitempty"`
-	Events        int   `json:"events"`
-	Reanswers     int   `json:"reanswers"`
-	AnswerErrors  int   `json:"answerErrors,omitempty"`
-	Deltas        int   `json:"deltas"`
-	AddedTuples   int   `json:"addedTuples"`
-	RemovedTuples int   `json:"removedTuples"`
-	RingDropped   int   `json:"ringDropped,omitempty"`
-	RingBytes     int64 `json:"ringBytes,omitempty"`
-}
-
-// matviewStats surfaces the backing materialized store's maintenance
-// counters (§8's lazy-maintenance ledger, including stale serves under open
-// breakers) once view answering has materialized anything.
-type matviewStats struct {
-	LightConnections int `json:"lightConnections"`
-	Downloads        int `json:"downloads"`
-	UpdatesApplied   int `json:"updatesApplied"`
-	DeletionsApplied int `json:"deletionsApplied"`
-	StaleServes      int `json:"staleServes,omitempty"`
-}
-
-// queryTotals is the sum of every served query's per-query stats — the
-// workload-level view of the same cost ledger queryStats reports per
-// request. Accesses is the summed distinct-access cost C(E).
-type queryTotals struct {
-	Accesses         int     `json:"accesses"`
-	Pages            int     `json:"pages"`
-	SharedFetches    int     `json:"sharedFetches,omitempty"`
-	CacheHits        int     `json:"cacheHits"`
-	Revalidations    int     `json:"revalidations"`
-	LightConnections int     `json:"lightConnections"`
-	Bytes            int64   `json:"bytes"`
-	WallMs           float64 `json:"wallMs"`
-	Stale            int     `json:"stale,omitempty"`
-	Hedges           int     `json:"hedges,omitempty"`
-	BreakerFastFails int     `json:"breakerFastFails,omitempty"`
-	PlanMs           float64 `json:"planMs"`
-	PeakInFlight     int     `json:"peakInFlight"`
+	// drop totals, expired per-query deadline budgets, recovered handler
+	// panics, dropped slow /watch clients, and the shared memory ledger by
+	// subsystem.
+	QueueDepth        int                  `json:"queueDepth"`
+	QueueDropped      int                  `json:"queueDropped"`
+	QueueAdmitted     int                  `json:"queueAdmitted,omitempty"`
+	QueueSojournDrops int                  `json:"queueSojournDropped,omitempty"`
+	QueueCostRejected int                  `json:"queueCostRejected,omitempty"`
+	QueuePeakDepth    int                  `json:"queuePeakDepth,omitempty"`
+	DeadlineExpired   int64                `json:"deadlineExpired"`
+	PanicsRecovered   int64                `json:"panicsRecovered"`
+	WatchDropped      int64                `json:"watchDropped,omitempty"`
+	MemLedger         map[string]int64     `json:"memLedger,omitempty"`
+	MemBytes          int64                `json:"memBytes,omitempty"`
+	PlanHits          uint64               `json:"planHits"`
+	PlanMisses        uint64               `json:"planMisses"`
+	PlanEntries       int                  `json:"planEntries"`
+	ViewHits          int                  `json:"viewHits,omitempty"`
+	ViewMisses        int                  `json:"viewMisses,omitempty"`
+	ViewBytes         int64                `json:"viewBytes,omitempty"`
+	SelectorRuns      int                  `json:"selectorRuns,omitempty"`
+	Matview           *matview.Counters    `json:"matview,omitempty"`
+	Feed              *changefeed.Counters `json:"feed,omitempty"`
+	Standing          *standing.Counters   `json:"standing,omitempty"`
+	Totals            *queryStats          `json:"queryTotals,omitempty"`
+	Hosts             []guard.HostHealth   `json:"hosts,omitempty"`
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	cs := s.cache.Stats()
 	out := storeStats{
-		Fetches:          cs.Fetches,
-		Hits:             cs.Hits,
-		Revalidations:    cs.Revalidations,
-		LightConnections: cs.LightConnections,
-		Retries:          cs.Retries,
-		Evictions:        cs.Evictions,
-		BytesFetched:     cs.BytesFetched,
-		EntryCount:       s.cache.Len(),
-		EntryBytes:       s.cache.Bytes(),
-		Inflight:         s.inflight.Load(),
-		Served:           s.served.Load(),
-		Rejected:         s.rejected.Load(),
-		Stale:            cs.Stale,
-		Hedges:           cs.Hedges,
-		BreakerFastFails: cs.BreakerFastFails,
-		Invalidations:    cs.Invalidations,
-		PushStale:        cs.PushStale,
-		Shed:             s.shed.Load(),
-		WrapPanics:       cs.WrapPanics,
-		DeadlineExpired:  s.deadlineExpired.Load(),
-		PanicsRecovered:  s.panics.Load(),
-		WatchDropped:     s.watchDropped.Load(),
+		Stats:           s.cache.Stats(),
+		EntryCount:      s.cache.Len(),
+		EntryBytes:      s.cache.Bytes(),
+		Inflight:        s.inflight.Load(),
+		Served:          s.served.Load(),
+		Rejected:        s.rejected.Load(),
+		Shed:            s.shed.Load(),
+		DeadlineExpired: s.deadlineExpired.Load(),
+		PanicsRecovered: s.panics.Load(),
+		WatchDropped:    s.watchDropped.Load(),
 	}
 	qc := s.queue.Counters()
 	out.QueueDepth = s.queue.Depth()
@@ -897,57 +820,17 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.feed != nil {
 		fc := s.feed.Counters()
-		out.Feed = &feedStats{
-			Events:       fc.Events,
-			Updates:      fc.Updates,
-			Additions:    fc.Additions,
-			Removals:     fc.Removals,
-			Touches:      fc.Touches,
-			Heads:        fc.Heads,
-			Sweeps:       fc.Sweeps,
-			CleanSweeps:  fc.CleanSweeps,
-			Deferred:     fc.Deferred,
-			BreakerSkips: fc.BreakerSkips,
-			Errors:       fc.Errors,
-			Watched:      s.feed.Watched(),
-		}
+		out.Feed = &fc
 	}
 	if s.standing != nil {
 		sc := s.standing.Counters()
-		out.Standing = &standingStats{
-			Live:          s.standing.Len(),
-			Subscribes:    sc.Subscribes,
-			Unsubscribes:  sc.Unsubscribes,
-			Rejections:    sc.Rejections,
-			Events:        sc.Events,
-			Reanswers:     sc.Reanswers,
-			AnswerErrors:  sc.AnswerErrors,
-			Deltas:        sc.Deltas,
-			AddedTuples:   sc.AddedTuples,
-			RemovedTuples: sc.RemovedTuples,
-			RingDropped:   sc.RingDropped,
-			RingBytes:     s.standing.RingBytes(),
-		}
+		out.Standing = &sc
 	}
-	s.mu.Lock()
-	tot := s.totals
-	s.mu.Unlock()
-	if served := s.served.Load(); served > 0 {
-		out.Totals = &queryTotals{
-			Accesses:         tot.Accesses,
-			Pages:            tot.Pages,
-			SharedFetches:    tot.SharedFetches,
-			CacheHits:        tot.CacheHits,
-			Revalidations:    tot.Revalidations,
-			LightConnections: tot.LightConnections,
-			Bytes:            tot.Bytes,
-			WallMs:           float64(tot.Wall) / float64(time.Millisecond),
-			Stale:            tot.Stale,
-			Hedges:           tot.Hedges,
-			BreakerFastFails: tot.BreakerFastFails,
-			PlanMs:           float64(tot.PlanWall) / float64(time.Millisecond),
-			PeakInFlight:     tot.PeakInFlight,
-		}
+	if out.Served > 0 {
+		s.mu.Lock()
+		tot := newQueryStats(s.totals)
+		s.mu.Unlock()
+		out.Totals = &tot
 	}
 	if pc := s.sys.PlanCache(); pc != nil {
 		pcs := pc.Counters()
@@ -962,13 +845,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		out.ViewBytes = vm.Bytes()
 		if vm.Store() != nil {
 			mc := vm.StoreCounters()
-			out.Matview = &matviewStats{
-				LightConnections: mc.LightConnections,
-				Downloads:        mc.Downloads,
-				UpdatesApplied:   mc.UpdatesApplied,
-				DeletionsApplied: mc.DeletionsApplied,
-				StaleServes:      mc.StaleServes,
-			}
+			out.Matview = &mc
 		}
 	}
 	if s.selector != nil {

@@ -548,6 +548,41 @@ func TestLowPriorityShedWhileBreakerOpen(t *testing.T) {
 	}
 }
 
+// TestTotalsKeepNoPerQueryURLs: stale answers served under an open breaker
+// each list their stale pages, but the server's running totals keep only
+// counters — their size does not grow with the queries served.
+func TestTotalsKeepNoPerQueryURLs(t *testing.T) {
+	srv, chaos, _, advance := guardedFixture(t)
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+
+	const q = "SELECT p.PName FROM Professor p WHERE p.Rank = 'Full'"
+	resp, warm := doQuery(t, ts, q)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm query status %d", resp.StatusCode)
+	}
+	advance(11 * time.Second)
+	chaos.SetRules(faults.Rule{Kind: faults.Transient, Rate: 1})
+	const n = 20
+	for i := 0; i < n; i++ {
+		resp, body := doQuery(t, ts, q)
+		if resp.StatusCode != http.StatusOK || !body.Degraded || len(body.StalePages) == 0 {
+			t.Fatalf("query %d: status %d degraded %v, %d stale pages; want a stale answer",
+				i, resp.StatusCode, body.Degraded, len(body.StalePages))
+		}
+	}
+	srv.mu.Lock()
+	tot := srv.totals
+	srv.mu.Unlock()
+	if len(tot.StalePages) != 0 || len(tot.FailedPages) != 0 || len(tot.Failures) != 0 {
+		t.Fatalf("totals retain %d stale pages, %d failed pages, %d failures; want none",
+			len(tot.StalePages), len(tot.FailedPages), len(tot.Failures))
+	}
+	if tot.Stale != n*warm.Stats.Accesses {
+		t.Fatalf("totals count %d stale accesses, want %d", tot.Stale, n*warm.Stats.Accesses)
+	}
+}
+
 // getTestJSON fetches one of the server's own JSON endpoints.
 func getTestJSON(t *testing.T, ts *httptest.Server, path string, v any) error {
 	t.Helper()

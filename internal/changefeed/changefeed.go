@@ -105,11 +105,12 @@ type SweepReport struct {
 	OldestVerified time.Time
 }
 
-// Default adaptive-cadence bounds.
-const (
-	DefaultMinInterval = 10 * time.Second
-	DefaultMaxInterval = 10 * time.Minute
-)
+// DefaultMinInterval is the adaptive per-URL check cadence's lower bound
+// when Config.MinInterval is zero.
+const DefaultMinInterval = 10 * time.Second
+
+// MaxInterval is the cadence's upper bound, unless MinInterval is above it.
+const MaxInterval = 10 * time.Minute
 
 // Config tunes a Monitor.
 type Config struct {
@@ -120,33 +121,34 @@ type Config struct {
 	// Budget caps the light connections one Sweep may issue (0 = unlimited).
 	// Due URLs beyond the budget are deferred, most-overdue first.
 	Budget int
-	// MinInterval and MaxInterval bound the adaptive per-URL check cadence
-	// (zero means the defaults).
+	// MinInterval is the adaptive per-URL check cadence's lower bound (zero
+	// means DefaultMinInterval).
 	MinInterval time.Duration
-	MaxInterval time.Duration
 }
 
 // Counters tallies the monitor's traffic and feed volume.
 type Counters struct {
 	// Heads is the light connections sweeps issued (hook-mode events cost
 	// none).
-	Heads int
+	Heads int `json:"heads,omitempty"`
 	// Sweeps is the number of poll passes run; CleanSweeps how many verified
 	// every due URL.
-	Sweeps      int
-	CleanSweeps int
+	Sweeps      int `json:"sweeps,omitempty"`
+	CleanSweeps int `json:"cleanSweeps,omitempty"`
 	// Events is the total events emitted to sinks, split by kind below.
-	Events    int
-	Updates   int
-	Additions int
-	Removals  int
-	Touches   int
+	Events    int `json:"events"`
+	Updates   int `json:"updates,omitempty"`
+	Additions int `json:"additions,omitempty"`
+	Removals  int `json:"removals,omitempty"`
+	Touches   int `json:"touches,omitempty"`
 	// Deferred is the due checks pushed to a later sweep by the budget.
-	Deferred int
+	Deferred int `json:"deferred,omitempty"`
 	// BreakerSkips is the checks fast-failed by an open circuit breaker;
 	// Errors the checks failed for other reasons.
-	BreakerSkips int
-	Errors       int
+	BreakerSkips int `json:"breakerSkips,omitempty"`
+	Errors       int `json:"errors,omitempty"`
+	// Watched is the number of URLs under poll-mode watch.
+	Watched int `json:"watched,omitempty"`
 }
 
 // watchState is the poll-mode bookkeeping for one URL.
@@ -185,12 +187,6 @@ func New(server site.Server, cfg Config) *Monitor {
 	if cfg.MinInterval <= 0 {
 		cfg.MinInterval = DefaultMinInterval
 	}
-	if cfg.MaxInterval < cfg.MinInterval {
-		cfg.MaxInterval = DefaultMaxInterval
-	}
-	if cfg.MaxInterval < cfg.MinInterval {
-		cfg.MaxInterval = cfg.MinInterval
-	}
 	return &Monitor{
 		net:     site.NewTransport(server, nil, site.RetryPolicy{}, nil, 0),
 		cfg:     cfg,
@@ -218,7 +214,9 @@ func (m *Monitor) SubscribeSweep(s SweepSink) {
 func (m *Monitor) Counters() Counters {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.counters
+	c := m.counters
+	c.Watched = len(m.watched)
+	return c
 }
 
 func (m *Monitor) now() time.Time { return m.cfg.Clock() }
@@ -276,13 +274,6 @@ func (m *Monitor) Unwatch(url string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	delete(m.watched, url)
-}
-
-// Watched returns the number of URLs under poll-mode watch.
-func (m *Monitor) Watched() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.watched)
 }
 
 // WatchMemSite registers every URL the site currently serves, seeding each
@@ -427,10 +418,7 @@ func (m *Monitor) Sweep(ctx context.Context) SweepReport {
 					ws.interval = m.cfg.MinInterval
 				}
 			} else {
-				ws.interval = ws.interval * 2
-				if ws.interval > m.cfg.MaxInterval {
-					ws.interval = m.cfg.MaxInterval
-				}
+				ws.interval = min(ws.interval*2, max(MaxInterval, m.cfg.MinInterval))
 			}
 			ws.lastMod = meta.LastModified
 			ws.lastChecked = now

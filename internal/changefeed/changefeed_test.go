@@ -127,13 +127,13 @@ func TestHookModeEmitsEveryMutation(t *testing.T) {
 func TestPollSweepDetectsChangeAndAdapts(t *testing.T) {
 	u, ms := testSite(t)
 	clk := newManualClock()
-	min, max := 10*time.Second, 80*time.Second
-	m := New(ms, Config{Clock: clk.Now, MinInterval: min, MaxInterval: max})
+	min := 10 * time.Second
+	m := New(ms, Config{Clock: clk.Now, MinInterval: min})
 	var got collector
 	m.Subscribe(&got)
 	m.WatchMemSite(ms)
-	if m.Watched() != ms.Len() {
-		t.Fatalf("Watched = %d, want %d", m.Watched(), ms.Len())
+	if w := m.Counters().Watched; w != ms.Len() {
+		t.Fatalf("Watched = %d, want %d", w, ms.Len())
 	}
 	if _, ok := m.VerifiedBound(); ok {
 		t.Fatal("VerifiedBound should not exist before the first full sweep")
@@ -226,8 +226,8 @@ func TestPollSweepRemovesGonePages(t *testing.T) {
 	if rm.URL != url || rm.Scheme != sitegen.CoursePage {
 		t.Fatalf("removal event = %+v", rm)
 	}
-	if m.Watched() != ms.Len() {
-		t.Errorf("Watched = %d after removal, want %d", m.Watched(), ms.Len())
+	if w := m.Counters().Watched; w != ms.Len() {
+		t.Errorf("Watched = %d after removal, want %d", w, ms.Len())
 	}
 }
 

@@ -136,7 +136,6 @@ func TestChaosBreakerStaleDegradedQuery(t *testing.T) {
 		Clock: clock,
 		// The warm query leaves the EWMA near zero, so with Alpha = 0.5
 		// exactly two failures (0.5, then 0.75) cross a 0.6 threshold.
-		MinSamples:     3,
 		ErrorThreshold: 0.6,
 		OpenFor:        30 * time.Second,
 	})

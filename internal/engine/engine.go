@@ -148,12 +148,14 @@ type ExecStats struct {
 	AnsweredFromView bool
 }
 
-// Add folds another execution's statistics into s: counters and byte/time
-// totals accumulate, failure lists concatenate, flags OR, and PeakInFlight
-// takes the maximum (peaks do not sum across executions). It is how a server
-// maintains running totals across queries. TestExecStatsAddFoldsEveryField
-// holds this method to folding every ExecStats field, so a new counter
-// cannot be silently dropped from aggregation.
+// Add folds another execution's counters into s: counts and byte/time
+// totals accumulate, flags OR, and PeakInFlight takes the maximum (peaks do
+// not sum across executions). The per-URL lists (FailedPages, Failures,
+// StalePages) describe one answer and are not folded, so a running total
+// across queries — a server's — stays the same size however many it sums.
+// TestExecStatsAddFoldsEveryField holds this method to folding every other
+// ExecStats field, so a new counter cannot be silently dropped from
+// aggregation.
 func (s *ExecStats) Add(o ExecStats) {
 	s.Accesses += o.Accesses
 	s.Pages += o.Pages
@@ -164,14 +166,11 @@ func (s *ExecStats) Add(o ExecStats) {
 		s.PeakInFlight = o.PeakInFlight
 	}
 	s.Retries += o.Retries
-	s.FailedPages = append(s.FailedPages, o.FailedPages...)
-	s.Failures = append(s.Failures, o.Failures...)
 	s.Degraded = s.Degraded || o.Degraded
 	s.CacheHits += o.CacheHits
 	s.Revalidations += o.Revalidations
 	s.LightConnections += o.LightConnections
 	s.Stale += o.Stale
-	s.StalePages = append(s.StalePages, o.StalePages...)
 	s.Hedges += o.Hedges
 	s.HedgeWins += o.HedgeWins
 	s.BreakerFastFails += o.BreakerFastFails

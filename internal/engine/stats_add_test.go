@@ -11,7 +11,7 @@ import (
 
 // TestExecStatsAdd pins the aggregation semantics the ulixesd server relies
 // on for its running totals: counters sum, PeakInFlight takes the maximum,
-// failure lists concatenate, and flags OR. TestExecStatsAddFoldsEveryField
+// flags OR, and the per-URL lists of the added execution are dropped. TestExecStatsAddFoldsEveryField
 // guarantees no field is missing from Add; this test guarantees each field
 // is folded with the right operator.
 func TestExecStatsAdd(t *testing.T) {
@@ -55,14 +55,13 @@ func TestExecStatsAdd(t *testing.T) {
 		Wall:             3 * time.Second,
 		PeakInFlight:     4,
 		Retries:          3,
-		FailedPages:      []string{"http://a/1", "http://b/2"},
-		Failures:         []site.FetchFailure{{URL: "http://a/1", Err: errA, Retries: 1}, {URL: "http://b/2", Err: errA}},
+		FailedPages:      []string{"http://a/1"},
+		Failures:         []site.FetchFailure{{URL: "http://a/1", Err: errA, Retries: 1}},
 		Degraded:         true,
 		CacheHits:        3,
 		Revalidations:    3,
 		LightConnections: 4,
 		Stale:            1,
-		StalePages:       []string{"http://c/3"},
 		Hedges:           2,
 		HedgeWins:        1,
 		BreakerFastFails: 1,
@@ -88,13 +87,14 @@ func TestExecStatsAddPeakRaises(t *testing.T) {
 }
 
 // TestExecStatsAddFoldsEveryField fills every ExecStats field with a distinct
-// non-zero value and folds it into a zero total: any field Add forgets (or
-// folds from the wrong source) leaves the total different from the input.
+// non-zero value and folds it into a zero total: any counter or flag Add
+// forgets (or folds from the wrong source) leaves the total different from
+// the input, and any per-URL list it keeps leaves the total's list non-nil.
 // A field of a kind fill does not know fails the test, so a new field type
 // is a conscious extension rather than a silent gap.
 func TestExecStatsAddFoldsEveryField(t *testing.T) {
-	var full ExecStats
-	v := reflect.ValueOf(&full).Elem()
+	var full, want ExecStats
+	v, w := reflect.ValueOf(&full).Elem(), reflect.ValueOf(&want).Elem()
 	for i := 0; i < v.NumField(); i++ {
 		f := v.Field(i)
 		switch f.Kind() {
@@ -104,13 +104,15 @@ func TestExecStatsAddFoldsEveryField(t *testing.T) {
 			f.SetBool(true)
 		case reflect.Slice:
 			f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+			continue // lists are not folded: want keeps nil
 		default:
 			t.Fatalf("field %s: fill does not handle kind %s", v.Type().Field(i).Name, f.Kind())
 		}
+		w.Field(i).Set(f)
 	}
 	var total ExecStats
 	total.Add(full)
-	if !reflect.DeepEqual(total, full) {
-		t.Errorf("Add into zero lost a field:\n got %+v\nwant %+v", total, full)
+	if !reflect.DeepEqual(total, want) {
+		t.Errorf("Add into zero folded the wrong fields:\n got %+v\nwant %+v", total, want)
 	}
 }

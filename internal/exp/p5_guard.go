@@ -107,7 +107,6 @@ func P5(params sitegen.UniversityParams) (*Table, error) {
 		// so with Alpha=0.5 one failure reaches 0.5 and a second 0.75: the
 		// 0.6 threshold deterministically requires exactly two failures.
 		ErrorThreshold: 0.6,
-		MinSamples:     3,
 		OpenFor:        30 * time.Second,
 	})
 	cache := pagecache.New(g, u.Scheme, pagecache.Config{

@@ -32,22 +32,26 @@ import (
 // so guard callers need not import site just to classify errors.
 var ErrBreakerOpen = site.ErrBreakerOpen
 
+// The breaker's fixed parameters.
+const (
+	// Alpha is the EWMA smoothing factor for error rate and latency.
+	Alpha = 0.5
+	// MinSamples is the minimum number of recorded attempts before the
+	// breaker may open: one unlucky error must not blacklist a host.
+	MinSamples = 3
+	// CloseAfter is the number of consecutive successful half-open probes
+	// required to close the breaker again.
+	CloseAfter = 2
+)
+
 // Defaults for Config's zero fields.
 const (
-	// DefaultAlpha is the EWMA smoothing factor for error rate and latency.
-	DefaultAlpha = 0.5
 	// DefaultErrorThreshold opens the breaker when the smoothed error rate
 	// reaches it (with at least MinSamples observations).
 	DefaultErrorThreshold = 0.5
-	// DefaultMinSamples is the minimum number of recorded attempts before
-	// the breaker may open: one unlucky error must not blacklist a host.
-	DefaultMinSamples = 3
 	// DefaultOpenFor is how long an open breaker rejects before allowing a
 	// half-open probe.
 	DefaultOpenFor = 30 * time.Second
-	// DefaultCloseAfter is the number of consecutive successful half-open
-	// probes required to close the breaker again.
-	DefaultCloseAfter = 2
 )
 
 // State is a host's circuit-breaker state.
@@ -106,20 +110,12 @@ type Config struct {
 	// Sleeper waits out the hedge delay; injectable for tests. Nil means
 	// site.StdSleeper.
 	Sleeper site.Sleeper
-	// Alpha is the EWMA smoothing factor in (0,1]; 0 means DefaultAlpha.
-	Alpha float64
 	// ErrorThreshold opens the breaker when the smoothed error rate reaches
 	// it; 0 means DefaultErrorThreshold.
 	ErrorThreshold float64
-	// MinSamples is the minimum recorded attempts before the breaker may
-	// open; 0 means DefaultMinSamples.
-	MinSamples int
 	// OpenFor is the rejection window of an open breaker before a half-open
 	// probe is allowed; 0 means DefaultOpenFor.
 	OpenFor time.Duration
-	// CloseAfter is the number of consecutive successful probes that close
-	// a half-open breaker; 0 means DefaultCloseAfter.
-	CloseAfter int
 	// MaxPerHost bounds concurrently in-flight requests per host (the
 	// bulkhead); 0 disables the bound.
 	MaxPerHost int
@@ -201,20 +197,11 @@ func New(inner site.Server, cfg Config) *Guard {
 	if cfg.HostOf == nil {
 		cfg.HostOf = HostOf
 	}
-	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
-		cfg.Alpha = DefaultAlpha
-	}
 	if cfg.ErrorThreshold <= 0 {
 		cfg.ErrorThreshold = DefaultErrorThreshold
 	}
-	if cfg.MinSamples <= 0 {
-		cfg.MinSamples = DefaultMinSamples
-	}
 	if cfg.OpenFor <= 0 {
 		cfg.OpenFor = DefaultOpenFor
-	}
-	if cfg.CloseAfter <= 0 {
-		cfg.CloseAfter = DefaultCloseAfter
 	}
 	g := &Guard{
 		inner:   inner,
@@ -285,14 +272,14 @@ func (h *hostState) recordLocked(failure bool, lat time.Duration, probe bool, no
 	if h.samples == 0 {
 		h.errRate = x
 	} else {
-		h.errRate = cfg.Alpha*x + (1-cfg.Alpha)*h.errRate
+		h.errRate = Alpha*x + (1-Alpha)*h.errRate
 	}
 	if !failure {
 		s := lat.Seconds()
 		if h.samples == 0 || h.latency == 0 {
 			h.latency = s
 		} else {
-			h.latency = cfg.Alpha*s + (1-cfg.Alpha)*h.latency
+			h.latency = Alpha*s + (1-Alpha)*h.latency
 		}
 	}
 	h.samples++
@@ -303,14 +290,14 @@ func (h *hostState) recordLocked(failure bool, lat time.Duration, probe bool, no
 			h.tripLocked(now)
 		} else {
 			h.closeStreak++
-			if h.closeStreak >= cfg.CloseAfter {
+			if h.closeStreak >= CloseAfter {
 				h.state = Closed
 				h.errRate = 0
 				h.samples = 0
 			}
 		}
 	case Closed:
-		if h.samples >= cfg.MinSamples && h.errRate >= cfg.ErrorThreshold {
+		if h.samples >= MinSamples && h.errRate >= cfg.ErrorThreshold {
 			h.tripLocked(now)
 		}
 	}

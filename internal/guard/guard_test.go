@@ -97,16 +97,16 @@ func TestBreakerOpensAfterMinSamplesAndFastFails(t *testing.T) {
 	srv := &fakeServer{fn: func(ctx context.Context, call int, url string) (site.Page, error) {
 		return site.Page{}, errBoom
 	}}
-	g := New(srv, Config{Clock: clock.Now, MinSamples: 3})
+	g := New(srv, Config{Clock: clock.Now})
 
-	for i := 0; i < 3; i++ {
+	for i := 0; i < MinSamples; i++ {
 		_, out, err := g.GetOutcome(context.Background(), "http://sick.example.org/p.html")
 		if !errors.Is(err, errBoom) || out.FastFailed {
 			t.Fatalf("attempt %d: err=%v fastFailed=%v, want boom over the network", i, err, out.FastFailed)
 		}
 	}
 	if st := g.StateOf("http://sick.example.org"); st != Open {
-		t.Fatalf("after 3 failures state = %v, want open", st)
+		t.Fatalf("after %d failures state = %v, want open", MinSamples, st)
 	}
 	calls := srv.getCalls()
 	_, out, err := g.GetOutcome(context.Background(), "http://sick.example.org/p.html")
@@ -137,10 +137,10 @@ func TestBreakerHalfOpenProbeRecovery(t *testing.T) {
 		}
 		return site.Page{}, errBoom
 	}}
-	g := New(srv, Config{Clock: clock.Now, MinSamples: 2, OpenFor: 10 * time.Second, CloseAfter: 2})
+	g := New(srv, Config{Clock: clock.Now, OpenFor: 10 * time.Second})
 	url := "http://a.example.org/p.html"
 
-	for i := 0; i < 2; i++ {
+	for i := 0; i < MinSamples; i++ {
 		g.GetOutcome(context.Background(), url)
 	}
 	if st := g.StateOf("http://a.example.org"); st != Open {
@@ -162,18 +162,18 @@ func TestBreakerHalfOpenProbeRecovery(t *testing.T) {
 		t.Fatalf("after failed probe state = %v, want open again", st)
 	}
 
-	// Recovery: two successful probes close it.
+	// Recovery: CloseAfter successful probes close it.
 	mu.Lock()
 	healthy = true
 	mu.Unlock()
 	clock.Advance(11 * time.Second)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < CloseAfter; i++ {
 		if _, _, err := g.GetOutcome(context.Background(), url); err != nil {
 			t.Fatalf("probe %d: %v", i, err)
 		}
 	}
 	if st := g.StateOf("http://a.example.org"); st != Closed {
-		t.Fatalf("after %d good probes state = %v, want closed", 2, st)
+		t.Fatalf("after %d good probes state = %v, want closed", CloseAfter, st)
 	}
 	// And a closed breaker admits everything again.
 	if _, out, err := g.GetOutcome(context.Background(), url); err != nil || out.FastFailed {
@@ -185,15 +185,15 @@ func TestHalfOpenAdmitsOneProbeAtATime(t *testing.T) {
 	clock := newTestClock()
 	release := make(chan struct{})
 	srv := &fakeServer{fn: func(ctx context.Context, call int, url string) (site.Page, error) {
-		if call < 2 {
+		if call < MinSamples {
 			return site.Page{}, errBoom
 		}
 		<-release
 		return site.Page{HTML: "<html/>"}, nil
 	}}
-	g := New(srv, Config{Clock: clock.Now, MinSamples: 2, OpenFor: time.Second})
+	g := New(srv, Config{Clock: clock.Now, OpenFor: time.Second})
 	url := "http://a.example.org/p.html"
-	for i := 0; i < 2; i++ {
+	for i := 0; i < MinSamples; i++ {
 		g.GetOutcome(context.Background(), url)
 	}
 	clock.Advance(2 * time.Second)
@@ -230,7 +230,7 @@ func TestNotFoundCountsAsHealthy(t *testing.T) {
 	srv := &fakeServer{fn: func(ctx context.Context, call int, url string) (site.Page, error) {
 		return site.Page{}, fmt.Errorf("%w: %s", site.ErrNotFound, url)
 	}}
-	g := New(srv, Config{Clock: clock.Now, MinSamples: 2})
+	g := New(srv, Config{Clock: clock.Now})
 	for i := 0; i < 10; i++ {
 		if _, _, err := g.GetOutcome(context.Background(), "http://a.example.org/gone.html"); !errors.Is(err, site.ErrNotFound) {
 			t.Fatalf("want ErrNotFound, got %v", err)
@@ -247,7 +247,7 @@ func TestCallerCancellationNotRecorded(t *testing.T) {
 		<-ctx.Done()
 		return site.Page{}, ctx.Err()
 	}}
-	g := New(srv, Config{Clock: clock.Now, MinSamples: 1})
+	g := New(srv, Config{Clock: clock.Now})
 	for i := 0; i < 5; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
@@ -427,7 +427,7 @@ func TestHostIsolation(t *testing.T) {
 		}
 		return site.Page{HTML: "<html/>"}, nil
 	}}
-	g := New(srv, Config{Clock: clock.Now, MinSamples: 2})
+	g := New(srv, Config{Clock: clock.Now})
 	for i := 0; i < 4; i++ {
 		g.GetOutcome(context.Background(), fmt.Sprintf("http://sick.example.org/p%d.html", i))
 		if _, out, err := g.GetOutcome(context.Background(), fmt.Sprintf("http://ok.example.org/p%d.html", i)); err != nil || out.FastFailed {
@@ -461,9 +461,9 @@ func TestHeadOutcomeThroughBreaker(t *testing.T) {
 	srv := &fakeServer{fn: func(ctx context.Context, call int, url string) (site.Page, error) {
 		return site.Page{}, errBoom
 	}}
-	g := New(srv, Config{Clock: clock.Now, MinSamples: 2})
+	g := New(srv, Config{Clock: clock.Now})
 	url := "http://a.example.org/p.html"
-	for i := 0; i < 2; i++ {
+	for i := 0; i < MinSamples; i++ {
 		if _, _, err := g.HeadOutcome(context.Background(), url); !errors.Is(err, errBoom) {
 			t.Fatalf("HEAD %d: %v", i, err)
 		}

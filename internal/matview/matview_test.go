@@ -259,6 +259,74 @@ func TestProcessMissingKeepsLivePages(t *testing.T) {
 	}
 }
 
+// headBlocker holds every HEAD of one URL until released, so a test can
+// keep a probe of that URL in flight.
+type headBlocker struct {
+	*site.MemSite
+	url     string
+	blocked chan struct{}
+	release chan struct{}
+}
+
+func (h *headBlocker) Head(url string) (site.Meta, error) {
+	if url == h.url {
+		h.blocked <- struct{}{}
+		<-h.release
+	}
+	return h.MemSite.Head(url) //lint:allow fetchgate test double forwarding to the wrapped site
+}
+
+// TestProcessMissingProbesOutsideLock: while the off-line pass waits on a
+// queued URL's HEAD, a check of another URL runs to completion instead of
+// stalling behind the store lock.
+func TestProcessMissingProbesOutsideLock(t *testing.T) {
+	u, err := sitegen.GenerateUniversity(sitegen.PaperUniversityParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := site.NewMemSite(u.Instance, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, other := profPageURL(t, u, 1), profPageURL(t, u, 2)
+	hb := &headBlocker{MemSite: ms, url: queued, blocked: make(chan struct{}, 1), release: make(chan struct{})}
+	store, err := Materialize(hb, u.Scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.mu.Lock()
+	store.missing[queued] = true
+	store.mu.Unlock()
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := store.ProcessMissing()
+		done <- err
+	}()
+	<-hb.blocked
+	checked := make(chan error, 1)
+	go func() {
+		_, _, err := store.URLCheck(other, sitegen.ProfPage)
+		checked <- err
+	}()
+	select {
+	case err := <-checked:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		close(hb.release)
+		t.Fatal("URLCheck of another URL stalled behind ProcessMissing's HEAD")
+	}
+	close(hb.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if len(store.MissingQueue()) != 0 {
+		t.Error("queue should be drained")
+	}
+}
+
 func TestEntryPointDeletedFails(t *testing.T) {
 	_, ms, _, eng := fixture(t)
 	ms.RemovePage(sitegen.UnivProfListURL)
@@ -611,7 +679,6 @@ func TestStaleServeWhenBreakerOpen(t *testing.T) {
 	// two real failures to trip.
 	g := guard.New(chaos, guard.Config{
 		Clock:          clock,
-		MinSamples:     3,
 		ErrorThreshold: 0.6,
 		OpenFor:        30 * time.Second,
 	})

@@ -134,7 +134,6 @@ func TestRefreshURLBreakerKeepsStaleRow(t *testing.T) {
 	chaos := faults.New(ms, 7)
 	g := guard.New(chaos, guard.Config{
 		Clock:          clock,
-		MinSamples:     3,
 		ErrorThreshold: 0.6,
 		OpenFor:        30 * time.Second,
 	})

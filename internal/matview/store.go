@@ -64,18 +64,18 @@ type StoredPage struct {
 // Counters tallies the maintenance traffic of the store.
 type Counters struct {
 	// LightConnections is the number of HEAD checks issued.
-	LightConnections int
+	LightConnections int `json:"lightConnections"`
 	// Downloads is the number of full page downloads.
-	Downloads int
+	Downloads int `json:"downloads"`
 	// UpdatesApplied counts pages found changed and re-wrapped.
-	UpdatesApplied int
+	UpdatesApplied int `json:"updatesApplied"`
 	// DeletionsApplied counts pages found removed from the site.
-	DeletionsApplied int
+	DeletionsApplied int `json:"deletionsApplied"`
 	// StaleServes counts checks answered from the stored copy without
 	// confirmation because the origin's circuit breaker was open: lazy
 	// maintenance degrades to trusting the materialization until the site
 	// heals, instead of failing the query.
-	StaleServes int
+	StaleServes int `json:"staleServes,omitempty"`
 }
 
 // DefaultCheckWorkers bounds the concurrent URLCheck light connections a
@@ -563,28 +563,36 @@ func (s *Store) FollowPages(scheme string, urls []string) ([]nested.Tuple, error
 }
 
 // ProcessMissing performs the deferred off-line check of CheckMissing URLs
-// (§8): each queued URL is probed; pages that are indeed gone are removed
-// from the view. It returns the number of deletions applied.
+// (§8): each queued URL is probed, in sorted order and outside the store
+// lock; pages that are indeed gone are removed from the view. A probe that
+// fails for another reason stops the pass with that URL and the rest still
+// queued. It returns the number of deletions applied.
 func (s *Store) ProcessMissing() (int, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	deleted := 0
+	queue := make([]string, 0, len(s.missing))
 	for u := range s.missing {
+		queue = append(queue, u)
+	}
+	s.mu.Unlock()
+	sort.Strings(queue)
+	deleted := 0
+	for _, u := range queue {
 		_, tr, err := s.net.Head(background(), u)
+		s.mu.Lock()
 		s.counters.LightConnections += tr.Heads
-		if err == nil {
-			continue // still alive: some other page may still link to it
-		}
-		if !isNotFound(err) {
+		if err != nil && !isNotFound(err) {
+			s.mu.Unlock()
 			return deleted, err
 		}
-		if _, ok := s.pages[u]; ok {
+		delete(s.missing, u)
+		// A page still alive stays: some other page may still link to it.
+		if _, ok := s.pages[u]; ok && isNotFound(err) {
 			delete(s.pages, u)
 			s.counters.DeletionsApplied++
 			deleted++
 		}
+		s.mu.Unlock()
 	}
-	s.missing = make(map[string]bool)
 	return deleted, nil
 }
 

@@ -8,8 +8,8 @@
 // accesses.
 //
 // Freshness follows §8 of the paper. Every entry carries the Last-Modified
-// date the site reported and a per-scheme TTL lease. Within the lease the
-// page is served straight from the store (a cache hit — zero network
+// date the site reported and a lease of Config.DefaultTTL. Within the lease
+// the page is served straight from the store (a cache hit — zero network
 // accesses). When the lease expires the store does NOT blindly re-download:
 // it opens a "light connection" (HTTP HEAD, exchanging just an error flag
 // and the modification date) and re-GETs the page only if it actually
@@ -64,9 +64,6 @@ type Config struct {
 	// immediately — every re-access revalidates with a light connection,
 	// the strict §8 behaviour. Forever disables expiry.
 	DefaultTTL time.Duration
-	// SchemeTTL overrides the TTL per page-scheme: a volatile leaf scheme
-	// can expire fast while stable hub pages are kept long.
-	SchemeTTL map[string]time.Duration
 	// Clock supplies the store's notion of time (nil means a deterministic
 	// logical clock advancing one second per reading; servers inject
 	// time.Now, tests a manual clock).
@@ -107,33 +104,33 @@ type ByteMeter interface {
 type Stats struct {
 	// Fetches is the number of physical page downloads (GETs that reached
 	// the site).
-	Fetches int
+	Fetches int `json:"fetches"`
 	// Hits is the number of accesses served from the store within their
 	// freshness lease — zero network cost.
-	Hits int
+	Hits int `json:"hits"`
 	// Revalidations is the number of expired entries a light connection
 	// confirmed unchanged (served from the store after one HEAD).
-	Revalidations int
+	Revalidations int `json:"revalidations"`
 	// LightConnections is the number of HEADs issued (revalidations plus
 	// the HEADs that discovered a change and triggered a re-GET).
-	LightConnections int
+	LightConnections int `json:"lightConnections"`
 	// Retries is the number of retry attempts physical fetches spent.
-	Retries int
+	Retries int `json:"retries"`
 	// Evictions is the number of entries dropped by the byte bound.
-	Evictions int
+	Evictions int `json:"evictions"`
 	// BytesFetched is the total HTML bytes physically downloaded.
-	BytesFetched int64
+	BytesFetched int64 `json:"bytesFetched"`
 	// Stale is the number of accesses answered from an expired entry
 	// because the origin's circuit breaker was open (stale-serving
 	// degradation; the guard layer must wrap the server for this to occur).
-	Stale int
+	Stale int `json:"stale,omitempty"`
 	// Hedges is the number of extra (hedged) requests the guard issued for
 	// this store's fetches; HedgeWins is how many answered first.
-	Hedges    int
-	HedgeWins int
+	Hedges    int `json:"hedges,omitempty"`
+	HedgeWins int `json:"hedgeWins,omitempty"`
 	// BreakerFastFails is the number of access attempts an open breaker
 	// rejected without touching the network.
-	BreakerFastFails int
+	BreakerFastFails int `json:"breakerFastFails,omitempty"`
 	// Invalidations is the number of entries dropped by push invalidation
 	// (a change feed reported the page changed or removed); PushStale is the
 	// number of entries force-expired by MarkStale (the page was touched —
@@ -141,22 +138,21 @@ type Stats struct {
 	// re-downloading). Neither is an access: they only change how the NEXT
 	// access classifies, so the per-query invariant
 	// Accesses = Fetches + Hits + Revalidations + Stale is untouched.
-	Invalidations int
-	PushStale     int
+	Invalidations int `json:"invalidations,omitempty"`
+	PushStale     int `json:"pushStale,omitempty"`
 	// WrapPanics is the number of fetched pages whose wrapper panicked
 	// (hostile or pathological HTML): the panic is recovered and converted
 	// to a per-query fetch error, so one bad page fails one access instead
 	// of the process.
-	WrapPanics int
+	WrapPanics int `json:"wrapPanics,omitempty"`
 	// PeakInFlight is the maximum number of simultaneous network accesses
 	// the store's transport has observed — a high-water mark, not a sum.
-	PeakInFlight int
+	PeakInFlight int `json:"peakInFlight"`
 }
 
 // entry is one cached page.
 type entry struct {
 	url     string
-	scheme  string
 	tuple   nested.Tuple
 	size    int
 	lastMod time.Time // site-reported Last-Modified at fetch time
@@ -291,17 +287,9 @@ func (c *Cache) MarkStale(url string) bool {
 	return true
 }
 
-// ttlFor returns the freshness lease of a page-scheme.
-func (c *Cache) ttlFor(scheme string) time.Duration {
-	if d, ok := c.cfg.SchemeTTL[scheme]; ok {
-		return d
-	}
-	return c.cfg.DefaultTTL
-}
-
-// leaseLocked stamps the expiry of an entry from its scheme's TTL.
+// leaseLocked stamps the expiry of an entry from DefaultTTL.
 func (c *Cache) leaseLocked(e *entry, now time.Time) {
-	ttl := c.ttlFor(e.scheme)
+	ttl := c.cfg.DefaultTTL
 	if ttl == Forever {
 		e.expires = time.Time{}
 		return
@@ -490,7 +478,7 @@ func (c *Cache) fetch(ctx context.Context, schemeName, url string) (access, erro
 	if old, ok := c.entries[url]; ok {
 		c.removeLocked(old) // replacement, not a capacity eviction
 	}
-	e := &entry{url: url, scheme: schemeName, tuple: page.Tuple, size: page.Size, lastMod: page.LastModified}
+	e := &entry{url: url, tuple: page.Tuple, size: page.Size, lastMod: page.LastModified}
 	c.leaseLocked(e, now)
 	e.elem = c.lru.PushFront(e)
 	c.entries[url] = e

@@ -185,39 +185,6 @@ func TestTTLRevalidationProperty(t *testing.T) {
 	}
 }
 
-func TestSchemeTTLOverride(t *testing.T) {
-	ms, u := testSite(t)
-	clk := newManualClock()
-	scheme, url := pageOf(t, ms, 0)
-	c := New(ms, u.Scheme, Config{
-		DefaultTTL: 0, // expire immediately
-		SchemeTTL:  map[string]time.Duration{scheme: Forever},
-		Clock:      clk.Now,
-	})
-	fetchOne(t, c, scheme, url)
-	clk.Advance(1000 * time.Hour)
-	st := fetchOne(t, c, scheme, url)
-	if st.CacheHits != 1 {
-		t.Fatalf("Forever-scheme access %+v, want a hit", st)
-	}
-
-	// Another scheme falls back to the immediate-expiry default.
-	var other, otherURL string
-	for i := 1; ; i++ {
-		s, uu := pageOf(t, ms, i)
-		if s != scheme {
-			other, otherURL = s, uu
-			break
-		}
-	}
-	fetchOne(t, c, other, otherURL)
-	clk.Advance(time.Second)
-	st = fetchOne(t, c, other, otherURL)
-	if st.Revalidations != 1 || st.LightConnections != 1 {
-		t.Fatalf("zero-TTL access %+v, want a revalidation", st)
-	}
-}
-
 func TestEvictionByteBound(t *testing.T) {
 	ms, u := testSite(t)
 	clk := newManualClock()
@@ -436,7 +403,6 @@ func TestStaleServeWhenBreakerOpen(t *testing.T) {
 	chaos := faults.New(ms, 7)
 	g := guard.New(chaos, guard.Config{
 		Clock:          clk.Now,
-		MinSamples:     3,
 		ErrorThreshold: 0.5,
 		OpenFor:        30 * time.Second,
 	})

@@ -10,13 +10,13 @@ import (
 	"time"
 )
 
-// Resilient-fetching defaults.
+// The retry backoff schedule.
 const (
-	// DefaultBaseBackoff is the first retry's backoff when the policy does
-	// not set one.
-	DefaultBaseBackoff = 50 * time.Millisecond
-	// DefaultMaxBackoff caps the exponential backoff growth.
-	DefaultMaxBackoff = 2 * time.Second
+	// BaseBackoff is the backoff before the first retry; it doubles per
+	// retry.
+	BaseBackoff = 50 * time.Millisecond
+	// MaxBackoff caps the exponential backoff growth.
+	MaxBackoff = 2 * time.Second
 )
 
 // ErrAttemptTimeout marks a fetch attempt that exceeded the policy's
@@ -79,11 +79,6 @@ type RetryPolicy struct {
 	// MaxRetries is the number of extra attempts after the first (0 means
 	// a single attempt, no retries).
 	MaxRetries int
-	// BaseBackoff is the backoff before the first retry; it doubles per
-	// retry (0 means DefaultBaseBackoff).
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth (0 means DefaultMaxBackoff).
-	MaxBackoff time.Duration
 	// AttemptTimeout bounds each individual attempt; a stalled download is
 	// abandoned and retried. 0 disables the per-attempt deadline.
 	AttemptTimeout time.Duration
@@ -98,20 +93,12 @@ type RetryPolicy struct {
 // deterministic half-interval jitter so synchronized retry storms spread
 // out reproducibly.
 func (p RetryPolicy) Backoff(url string, retry int) time.Duration {
-	base := p.BaseBackoff
-	if base <= 0 {
-		base = DefaultBaseBackoff
-	}
-	max := p.MaxBackoff
-	if max <= 0 {
-		max = DefaultMaxBackoff
-	}
-	d := base
-	for i := 0; i < retry && d < max; i++ {
+	d := BaseBackoff
+	for i := 0; i < retry && d < MaxBackoff; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
+	if d > MaxBackoff {
+		d = MaxBackoff
 	}
 	// Equal jitter: keep half, hash the other half into [0, d/2). The
 	// murmur-style finalizer fixes FNV's weak high-bit avalanche, so the

@@ -59,10 +59,10 @@ func (s *failNServer) count(url string) int {
 }
 
 func TestBackoffScheduleDeterministic(t *testing.T) {
-	pol := RetryPolicy{BaseBackoff: 100 * time.Millisecond, MaxBackoff: 400 * time.Millisecond, Seed: 1}
+	pol := RetryPolicy{Seed: 1}
 	const url = "http://x/p.html"
-	for retry, want := range []time.Duration{100 * time.Millisecond, 200 * time.Millisecond,
-		400 * time.Millisecond, 400 * time.Millisecond} {
+	for retry, want := range []time.Duration{BaseBackoff, 2 * BaseBackoff, 4 * BaseBackoff,
+		8 * BaseBackoff, 16 * BaseBackoff, 32 * BaseBackoff, MaxBackoff, MaxBackoff} {
 		d := pol.Backoff(url, retry)
 		if d < want/2 || d >= want {
 			t.Errorf("Backoff(retry=%d) = %v, want in [%v, %v)", retry, d, want/2, want)
@@ -73,10 +73,6 @@ func TestBackoffScheduleDeterministic(t *testing.T) {
 	}
 	if pol.Backoff(url, 0) == pol.Backoff("http://x/q.html", 0) {
 		t.Error("jitter should differ across URLs")
-	}
-	zero := RetryPolicy{}
-	if d := zero.Backoff(url, 0); d < DefaultBaseBackoff/2 || d >= DefaultBaseBackoff {
-		t.Errorf("zero-policy Backoff = %v, want in [%v, %v)", d, DefaultBaseBackoff/2, DefaultBaseBackoff)
 	}
 }
 
@@ -274,10 +270,10 @@ func TestAttemptTimeoutBreaksStall(t *testing.T) {
 
 	// A plain server cannot be canceled, so an instantly-firing deadline
 	// would race the healed second attempt too: this one waits on a real,
-	// short timer and backs off instantly.
+	// short timer and backs off on a real one (under BaseBackoff).
 	plain := &hangOnceServer{MemSite: ms, hung: make(map[string]bool), release: make(chan struct{})}
 	defer close(plain.release)
-	tr = NewTransport(plain, u.Scheme, RetryPolicy{MaxRetries: 1, AttemptTimeout: 50 * time.Millisecond, BaseBackoff: time.Nanosecond}, nil, 0)
+	tr = NewTransport(plain, u.Scheme, RetryPolicy{MaxRetries: 1, AttemptTimeout: 50 * time.Millisecond}, nil, 0)
 	if _, traffic, err := tr.Get(ctx, sitegen.ProfPage, urls[2]); err != nil || traffic.Retries != 1 {
 		t.Fatalf("GET on a plain server after a hung attempt: err %v, %d retries; want success after 1", err, traffic.Retries)
 	}

@@ -36,8 +36,8 @@ type AnswerFunc func(q *cq.Query) (*nested.Relation, error)
 // DefaultMaxSubs bounds concurrent subscriptions when Config.MaxSubs is 0.
 const DefaultMaxSubs = 64
 
-// DefaultRing is how many deltas a subscription retains for slow consumers.
-const DefaultRing = 64
+// Ring is how many deltas a subscription retains for slow consumers.
+const Ring = 64
 
 // Config wires a registry.
 type Config struct {
@@ -48,8 +48,6 @@ type Config struct {
 	Answer AnswerFunc
 	// MaxSubs caps concurrent subscriptions (0 = DefaultMaxSubs).
 	MaxSubs int
-	// Ring caps retained deltas per subscription (0 = DefaultRing).
-	Ring int
 	// MaxRingBytes caps the retained delta bytes per subscription (0 =
 	// unbounded). When a slow consumer lets deltas pile up past the cap,
 	// the oldest are dropped (Counters.RingDropped) — bounded memory
@@ -74,29 +72,33 @@ type ByteMeter interface {
 // Counters tallies the registry's activity.
 type Counters struct {
 	// Subscribes counts accepted subscriptions.
-	Subscribes int
+	Subscribes int `json:"subscribes"`
 	// Unsubscribes counts explicit cancellations.
-	Unsubscribes int
+	Unsubscribes int `json:"unsubscribes,omitempty"`
 	// Rejections counts subscriptions refused (parse error, unknown
 	// relation, or the MaxSubs cap).
-	Rejections int
+	Rejections int `json:"rejections,omitempty"`
 	// Events counts feed events delivered to the registry.
-	Events int
+	Events int `json:"events"`
 	// Reanswers counts query re-evaluations triggered by footprint hits.
-	Reanswers int
+	Reanswers int `json:"reanswers"`
 	// AnswerErrors counts re-evaluations that failed (the previous answer
 	// is kept; the next footprint hit retries).
-	AnswerErrors int
+	AnswerErrors int `json:"answerErrors,omitempty"`
 	// Deltas counts pushed deltas (non-empty diffs plus each initial
 	// snapshot).
-	Deltas int
+	Deltas int `json:"deltas"`
 	// AddedTuples and RemovedTuples total the tuple-level churn pushed.
-	AddedTuples   int
-	RemovedTuples int
+	AddedTuples   int `json:"addedTuples"`
+	RemovedTuples int `json:"removedTuples"`
 	// RingDropped counts deltas dropped from rings before any client
 	// consumed them — the count bound or MaxRingBytes trimming the oldest
 	// entries under a slow consumer.
-	RingDropped int
+	RingDropped int `json:"ringDropped,omitempty"`
+	// Live is the number of live subscriptions; RingBytes the retained
+	// delta bytes across their rings.
+	Live      int   `json:"live"`
+	RingBytes int64 `json:"ringBytes,omitempty"`
 }
 
 // Delta is one pushed difference. Added and Removed hold canonical tuple
@@ -156,27 +158,23 @@ func New(cfg Config) *Registry {
 	if cfg.MaxSubs <= 0 {
 		cfg.MaxSubs = DefaultMaxSubs
 	}
-	if cfg.Ring <= 0 {
-		cfg.Ring = DefaultRing
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = site.LogicalClock()
 	}
 	return &Registry{cfg: cfg, subs: make(map[int]*sub)}
 }
 
-// Counters returns a snapshot of the activity counters.
+// Counters returns a snapshot of the activity counters, with the live
+// subscriptions and their retained ring bytes.
 func (r *Registry) Counters() Counters {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.counters
-}
-
-// Len returns the number of live subscriptions.
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.subs)
+	c := r.counters
+	c.Live = len(r.subs)
+	for _, s := range r.subs {
+		c.RingBytes += int64(s.ringBytes)
+	}
+	return c
 }
 
 // Subs lists the live subscriptions, ordered by ID.
@@ -304,17 +302,6 @@ func (r *Registry) Unsubscribe(id int) bool {
 	return true
 }
 
-// RingBytes returns the retained delta bytes across all live rings.
-func (r *Registry) RingBytes() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var total int64
-	for _, s := range r.subs {
-		total += int64(s.ringBytes)
-	}
-	return total
-}
-
 // OnChange implements changefeed.Sink: events landing on a subscription's
 // footprint trigger its re-answer. Touched subscriptions are processed in ID
 // order, so concurrent clients observe deltas in a deterministic order.
@@ -413,7 +400,7 @@ func deltaBytes(d Delta) int {
 func (r *Registry) trimLocked(s *sub) {
 	drop := 0
 	bytes := s.ringBytes
-	for len(s.deltas)-drop > r.cfg.Ring {
+	for len(s.deltas)-drop > Ring {
 		bytes -= deltaBytes(s.deltas[drop])
 		drop++
 	}

@@ -321,13 +321,14 @@ func TestRingByteBoundDropsOldest(t *testing.T) {
 	for _, d := range ds {
 		retained += deltaBytes(d)
 	}
-	if int64(retained) != reg.RingBytes() {
-		t.Fatalf("RingBytes() = %d, deltas sum to %d", reg.RingBytes(), retained)
+	c := reg.Counters()
+	if int64(retained) != c.RingBytes {
+		t.Fatalf("RingBytes = %d, deltas sum to %d", c.RingBytes, retained)
 	}
-	if got := m.Load(); got != reg.RingBytes() {
-		t.Fatalf("meter %d != RingBytes %d", got, reg.RingBytes())
+	if got := m.Load(); got != c.RingBytes {
+		t.Fatalf("meter %d != RingBytes %d", got, c.RingBytes)
 	}
-	dropped := reg.Counters().RingDropped
+	dropped := c.RingDropped
 	if dropped != 9-len(ds) {
 		t.Fatalf("RingDropped = %d, want %d", dropped, 9-len(ds))
 	}
@@ -339,7 +340,7 @@ func TestRingByteBoundDropsOldest(t *testing.T) {
 	if got := m.Load(); got != 0 {
 		t.Fatalf("meter %d after unsubscribe, want 0", got)
 	}
-	if got := reg.RingBytes(); got != 0 {
+	if got := reg.Counters().RingBytes; got != 0 {
 		t.Fatalf("RingBytes %d after unsubscribe, want 0", got)
 	}
 }

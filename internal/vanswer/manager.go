@@ -24,10 +24,6 @@ type ManagerConfig struct {
 	// unlimited. Apply keeps the given order (callers pass candidates best
 	// first) and skips views that would exceed the budget.
 	Budget int64
-	// Schemes, when non-empty, scopes the backing matview store to those
-	// page-schemes (§8's "views over portions of the Web"); nil materializes
-	// the whole site.
-	Schemes []string
 }
 
 // Manager owns the machinery behind view answering: a lazily created
@@ -123,7 +119,7 @@ func (m *Manager) ensureStore() (*matview.Store, error) {
 		return st, nil
 	}
 	at := m.now()
-	st, err := matview.MaterializeSchemes(m.server, m.scheme, m.cfg.Schemes)
+	st, err := matview.Materialize(m.server, m.scheme)
 	if err != nil {
 		return nil, fmt.Errorf("vanswer: materialization crawl: %w", err)
 	}

@@ -2,16 +2,17 @@
 // benefit-driven selection of "View Selection in Semantic Web Databases":
 // under a storage budget, greedily pick the candidates with the highest
 // benefit per byte, where benefit is the navigation cost the recorded
-// workload would stop paying and the charge is the view's refresh traffic
-// (cost.Model's warm estimate — one light connection per page plus a
-// download per changed page).
+// workload would stop paying and the charge is the view's refresh traffic.
+// The charge is cost.Model's warm estimate at change rate 0: the light
+// connections a refresh pass spends confirming every page of the extent
+// unchanged, each at a tenth of a download.
 //
 // Candidates come from the workload recorder: the unbound extent of every
 // external relation the workload touches, plus bound variants (extents
 // filtered by a binding pattern) for single-relation shapes whose constant
 // selections repeat. The selector is deterministic — same summaries, same
 // decision — and re-runs only when the workload's shape-frequency vector
-// has drifted past a threshold, so a stable workload never thrashes the
+// has drifted past DriftThreshold, so a stable workload never thrashes the
 // store.
 package vselect
 
@@ -26,14 +27,14 @@ import (
 	"ulixes/internal/workload"
 )
 
-// DefaultTupleBytes is the per-tuple storage estimate used to predict an
-// extent's footprint before it is built (the manager enforces the budget on
-// measured bytes afterwards).
-const DefaultTupleBytes = 64
+// TupleBytes is the per-tuple storage estimate used to predict an extent's
+// footprint before it is built (the manager enforces the budget on measured
+// bytes afterwards).
+const TupleBytes = 64
 
-// DefaultDriftThreshold re-runs selection when the workload's relative
-// frequency drift reaches one half.
-const DefaultDriftThreshold = 0.5
+// DriftThreshold re-runs selection when the workload's relative frequency
+// drift reaches one half.
+const DriftThreshold = 0.5
 
 // Config tunes the selector.
 type Config struct {
@@ -47,18 +48,6 @@ type Config struct {
 	// cardinalities predict storage, and warm refresh traffic is charged
 	// against each candidate's benefit.
 	Model *cost.Model
-	// ChangeRate is the expected fraction of pages changed between
-	// refreshes, for the warm refresh charge.
-	ChangeRate float64
-	// TupleBytes overrides the per-tuple storage estimate
-	// (DefaultTupleBytes when 0).
-	TupleBytes int64
-	// DriftThreshold overrides when ShouldRun re-triggers
-	// (DefaultDriftThreshold when 0; negative = only the first run).
-	DriftThreshold float64
-	// MinSamples is the minimum number of recorded samples before the
-	// selector produces any candidates (default 1).
-	MinSamples int
 }
 
 // Candidate is one scored view definition.
@@ -100,15 +89,6 @@ type Selector struct {
 
 // New creates a selector.
 func New(cfg Config) *Selector {
-	if cfg.TupleBytes == 0 {
-		cfg.TupleBytes = DefaultTupleBytes
-	}
-	if cfg.DriftThreshold == 0 {
-		cfg.DriftThreshold = DefaultDriftThreshold
-	}
-	if cfg.MinSamples <= 0 {
-		cfg.MinSamples = 1
-	}
 	return &Selector{cfg: cfg}
 }
 
@@ -119,9 +99,10 @@ func (s *Selector) Runs() int {
 	return s.runs
 }
 
-// ShouldRun reports whether selection is due: it has never run, or the
-// workload's shape-frequency vector has drifted (relative L1 distance) past
-// the threshold since the last decision.
+// ShouldRun reports whether selection is due: the workload is not empty and
+// selection has never run, or the workload's shape-frequency vector has
+// drifted (relative L1 distance) past DriftThreshold since the last
+// decision.
 func (s *Selector) ShouldRun(summaries []workload.ShapeSummary) bool {
 	total := 0
 	cur := make(map[string]int, len(summaries))
@@ -129,16 +110,13 @@ func (s *Selector) ShouldRun(summaries []workload.ShapeSummary) bool {
 		cur[sum.Shape] = sum.Freq
 		total += sum.Freq
 	}
-	if total < s.cfg.MinSamples {
+	if total == 0 {
 		return false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.lastFreq == nil {
 		return true
-	}
-	if s.cfg.DriftThreshold < 0 {
-		return false
 	}
 	l1 := 0
 	for shape, f := range cur {
@@ -153,7 +131,7 @@ func (s *Selector) ShouldRun(summaries []workload.ShapeSummary) bool {
 			l1 += f
 		}
 	}
-	return float64(l1) >= s.cfg.DriftThreshold*float64(total)
+	return float64(l1) >= DriftThreshold*float64(total)
 }
 
 // perQueryPages estimates what one live execution of the shape costs: the
@@ -184,8 +162,8 @@ func (s *Selector) perQueryPages(sum workload.ShapeSummary) float64 {
 }
 
 // refreshCharge estimates one refresh pass's traffic for a relation's
-// extent (warm estimate: light connections count a small fraction of a
-// download, changed pages a whole one). Without a model the charge is zero.
+// extent: the warm estimate at change rate 0, whose light connections count
+// a tenth of a download each. Without a model the charge is zero.
 func (s *Selector) refreshCharge(relation string) float64 {
 	if s.cfg.Model == nil {
 		return 0
@@ -194,13 +172,11 @@ func (s *Selector) refreshCharge(relation string) float64 {
 	if ext == nil {
 		return 0
 	}
-	w, err := s.cfg.Model.Warm(ext.Navs[0].Expr, s.cfg.ChangeRate)
+	w, err := s.cfg.Model.Warm(ext.Navs[0].Expr, 0)
 	if err != nil {
 		return 0
 	}
-	// A light connection is far cheaper than a download; charge it at a
-	// tenth of a page.
-	return 0.1*w.LightConnections + w.Downloads
+	return 0.1 * w.LightConnections
 }
 
 // estBytes predicts an extent's footprint from the model's cardinality
@@ -218,7 +194,7 @@ func (s *Selector) estBytes(relation string, distinctBindings int) int64 {
 	if distinctBindings > 1 {
 		card /= float64(distinctBindings)
 	}
-	b := int64(card * float64(s.cfg.TupleBytes))
+	b := int64(card * TupleBytes)
 	if b < 1 {
 		b = 1
 	}

@@ -9,6 +9,10 @@ go build ./...
 echo "== go vet ./..."
 # vet's lostcancel pass is the gate on context cancel discipline.
 go vet ./...
+# benchmark/ is its own module importing a dozen internal packages; nothing
+# else compiles it, so an internal API change would break it unnoticed.
+echo "== (cd benchmark && go vet ./...)"
+(cd benchmark && go vet ./...)
 echo "== ulixes-vet ./..."
 go run ./cmd/ulixes-vet ./...
 echo "== go test -race ./..."
