@@ -463,6 +463,31 @@ func BenchmarkRTTSuite(b *testing.B) {
 	b.ReportMetric(float64(peak), "peak_inflight")
 }
 
+// BenchmarkCollectSite is the statistics crawl rtt_navigate's set-up pays in
+// ulixes.Open: stats.CollectSite over the benchmark's university behind the
+// site-health guard, with a 2 ms round trip per GET. pages is the pages one
+// crawl downloads.
+func BenchmarkCollectSite(b *testing.B) {
+	u, err := sitegen.GenerateUniversity(sitegen.UniversityParams{Courses: 400, Profs: 120, Depts: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ms, err := site.NewMemSite(u.Instance, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ms.SetLatency(2 * time.Millisecond)
+	server := guard.New(ms, guard.Config{})
+	b.ResetTimer()
+	var pages int
+	for i := 0; i < b.N; i++ {
+		if _, pages, err = stats.CollectSite(server, u.Scheme); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(pages), "pages")
+}
+
 // BenchmarkWarmSuite is the in-process part of the warm_repeat workload:
 // the ten E4 shapes over the 400-course university, behind the guard, on
 // one shared page store that already holds every page, with every shape's

@@ -91,3 +91,14 @@ func TestWrapPageAllocBudget(t *testing.T) {
 		t.Errorf("WrapPage allocated %.0f times, budget 300", n)
 	}
 }
+
+// TestEscapeHTMLNoEscapeAllocs: text with nothing to escape is returned
+// as-is, without building a replacer or copying.
+func TestEscapeHTMLNoEscapeAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counting is skewed under -race")
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = EscapeHTML("plain text") }); n != 0 {
+		t.Errorf("EscapeHTML(%q) allocated %.0f times, want 0", "plain text", n)
+	}
+}

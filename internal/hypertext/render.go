@@ -21,18 +21,19 @@ import (
 // SchemeMeta is the <meta> name carrying the page-scheme name.
 const SchemeMeta = "page-scheme"
 
+// htmlEscaper escapes the five HTML special characters. A Replacer is safe
+// for concurrent use, so one serves every call.
+var htmlEscaper = strings.NewReplacer(
+	"&", "&amp;",
+	"<", "&lt;",
+	">", "&gt;",
+	`"`, "&quot;",
+	"'", "&#39;",
+)
+
 // EscapeHTML escapes the five HTML special characters in text content and
 // attribute values.
-func EscapeHTML(s string) string {
-	r := strings.NewReplacer(
-		"&", "&amp;",
-		"<", "&lt;",
-		">", "&gt;",
-		`"`, "&quot;",
-		"'", "&#39;",
-	)
-	return r.Replace(s)
-}
+func EscapeHTML(s string) string { return htmlEscaper.Replace(s) }
 
 // RenderPage renders one page tuple of the given page-scheme to HTML.
 // Null-valued optional attributes are simply omitted from the page, the way

@@ -66,6 +66,30 @@ func TestMaterializeStoresWholesite(t *testing.T) {
 	}
 }
 
+// TestMaterializeSkipsDanglingLink: a page removed from the site while a
+// link to it remains is not stored, and the crawl goes on; a missing entry
+// point still fails it.
+func TestMaterializeSkipsDanglingLink(t *testing.T) {
+	u, ms, _, _ := fixtureParts(t)
+	for _, url := range ms.URLs() {
+		if scheme, _ := ms.SchemeOf(url); scheme == sitegen.CoursePage {
+			ms.RemovePage(url)
+			break
+		}
+	}
+	store, err := Materialize(ms, u.Scheme)
+	if err != nil {
+		t.Fatalf("materialization over a dangling link: %v", err)
+	}
+	if got, want := store.Len(), u.Instance.TotalPages()-1; got != want {
+		t.Errorf("store holds %d pages, want %d", got, want)
+	}
+	ms.RemovePage(sitegen.UnivProfListURL)
+	if _, err := Materialize(ms, u.Scheme); !errors.Is(err, site.ErrNotFound) {
+		t.Errorf("materialization from a missing entry point: err = %v, want not found", err)
+	}
+}
+
 func TestQueryOnFreshViewUsesOnlyLightConnections(t *testing.T) {
 	_, ms, store, eng := fixture(t)
 	store.ResetCounters()

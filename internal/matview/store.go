@@ -79,7 +79,8 @@ type Counters struct {
 }
 
 // DefaultCheckWorkers bounds the concurrent URLCheck light connections a
-// batched FollowPages issues.
+// batched FollowPages issues, and the concurrent GETs of one level of the
+// initial crawl.
 const DefaultCheckWorkers = 8
 
 // Store is the local materialization of a site's ADM representation. It is
@@ -155,12 +156,16 @@ func Materialize(server site.Server, ws *adm.Scheme) (*Store, error) {
 // are downloaded live whenever a query touches them, with no maintenance
 // cost. A nil or empty scheme list materializes the whole site. The initial
 // crawl still traverses every page (links must be followed to reach the
-// portion of interest), but only the selected schemes are stored.
+// portion of interest), but only the selected schemes are stored. It
+// fetches each breadth-first level with up to DefaultCheckWorkers GETs in
+// flight; a page the site does not have, reached by a dangling link, is
+// skipped, while a missing entry point fails the materialization.
 func MaterializeSchemes(server site.Server, ws *adm.Scheme, schemes []string) (*Store, error) {
+	const workers = DefaultCheckWorkers
 	s := &Store{
 		ws:       ws,
 		net:      site.NewTransport(server, ws, site.RetryPolicy{}, nil, 0),
-		workers:  DefaultCheckWorkers,
+		workers:  workers,
 		pages:    make(map[string]*StoredPage),
 		status:   make(map[string]Status),
 		missing:  make(map[string]bool),
@@ -175,18 +180,26 @@ func MaterializeSchemes(server site.Server, ws *adm.Scheme, schemes []string) (*
 			s.scoped[name] = true
 		}
 	}
-	err := ws.Walk(func(scheme, url string) (nested.Tuple, error) {
-		var t nested.Tuple
-		var err error
-		if s.Materialized(scheme) {
-			t, err = s.download(url, scheme)
-		} else {
-			t, _, err = s.liveFetch(url, scheme)
-		}
-		if err != nil {
-			return nested.Tuple{}, fmt.Errorf("matview: initial materialization of %s: %w", url, err)
-		}
-		return t, nil
+	err := ws.Walk(func(level []adm.PageRef) ([]nested.Tuple, error) {
+		out := make([]nested.Tuple, len(level))
+		err := site.Batch(len(level), workers, func(i int) error {
+			p := level[i]
+			var t nested.Tuple
+			var err error
+			if s.Materialized(p.Scheme) {
+				t, err = s.download(p.URL, p.Scheme)
+			} else {
+				t, _, err = s.liveFetch(p.URL, p.Scheme)
+			}
+			// A page the site does not have is a dangling link: it is
+			// not stored and has no links to follow.
+			if err != nil && (!isNotFound(err) || ws.IsEntry(p)) {
+				return fmt.Errorf("matview: initial materialization of %s: %w", p.URL, err)
+			}
+			out[i] = t
+			return nil
+		})
+		return out, err
 	})
 	if err != nil {
 		return nil, err

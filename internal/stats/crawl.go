@@ -2,6 +2,7 @@ package stats
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"ulixes/internal/adm"
@@ -19,35 +20,108 @@ import (
 // Pages are classified by the scheme of the link that reaches them: entry
 // points have declared schemes, and every link attribute declares its
 // target page-scheme.
+//
+// Each breadth-first level is fetched as one batch per page-scheme through
+// a private page store, so up to site.DefaultFetchWorkers GETs are in
+// flight at once, and its pages are added to the instance in the walk's
+// order: the instance, and so the statistics, are the ones a crawl of one
+// page at a time builds. A page the site does not have is a dangling link,
+// as navigation treats it: absent from the instance, with no links to
+// follow. A missing entry point, or any other failure, fails the crawl.
 func CrawlWithSizes(server site.Server, ws *adm.Scheme) (*adm.Instance, map[string]float64, error) {
 	ctx := context.Background()
-	sess := pagecache.New(server, ws, pagecache.Config{DefaultTTL: pagecache.Forever}).NewSession(pagecache.SessionOptions{})
+	sess := pagecache.New(server, ws, pagecache.Config{DefaultTTL: pagecache.Forever}).NewSession(pagecache.SessionOptions{Degraded: true})
 	inst := adm.NewInstance(ws)
 	bytesBy := make(map[string]float64)
 	countBy := make(map[string]float64)
-	err := ws.Walk(func(scheme, url string) (nested.Tuple, error) {
-		before := sess.Stats().Bytes
-		tup, err := sess.FetchCtx(ctx, scheme, url)
-		if err != nil {
-			return nested.Tuple{}, fmt.Errorf("stats: crawl %s (%s): %w", url, scheme, err)
+	err := ws.Walk(func(level []adm.PageRef) ([]nested.Tuple, error) {
+		tuples := make([]nested.Tuple, len(level))
+		found := make([]bool, len(level))
+		for _, b := range byScheme(level) {
+			urls := make([]string, len(b.idx))
+			for k, i := range b.idx {
+				urls[k] = level[i].URL
+			}
+			// Batches run one after another, so the byte delta is this
+			// scheme's pages.
+			before := sess.Stats().Bytes
+			got, err := sess.FetchAllCtx(ctx, b.scheme, urls)
+			missing, err := dangling(err, ws, b.scheme)
+			if err != nil {
+				return nil, fmt.Errorf("stats: crawl of %d %s pages: %w", len(urls), b.scheme, err)
+			}
+			bytesBy[b.scheme] += float64(sess.Stats().Bytes - before)
+			for k, i := range b.idx {
+				if !missing[urls[k]] { // got holds the pages found, in order
+					tuples[i], found[i] = got[0], true
+					got = got[1:]
+				}
+			}
 		}
-		if err := inst.AddPage(scheme, tup); err != nil {
-			return nested.Tuple{}, err
+		for i, p := range level {
+			if !found[i] {
+				continue
+			}
+			if err := inst.AddPage(p.Scheme, tuples[i]); err != nil {
+				return nil, err
+			}
+			countBy[p.Scheme]++
 		}
-		// The walk is sequential and visits each URL once, so the byte
-		// delta is this page's size.
-		bytesBy[scheme] += float64(sess.Stats().Bytes - before)
-		countBy[scheme]++
-		return tup, nil
+		return tuples, nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	avg := make(map[string]float64, len(bytesBy))
-	for scheme, total := range bytesBy {
-		avg[scheme] = total / countBy[scheme]
+	avg := make(map[string]float64, len(countBy))
+	for scheme, n := range countBy {
+		avg[scheme] = bytesBy[scheme] / n
 	}
 	return inst, avg, nil
+}
+
+// schemeBatch is the pages of one page-scheme in a level: their indices, in
+// level order.
+type schemeBatch struct {
+	scheme string
+	idx    []int
+}
+
+// byScheme splits a level into one batch per page-scheme, in the order the
+// schemes first appear.
+func byScheme(level []adm.PageRef) []schemeBatch {
+	var out []schemeBatch
+	pos := make(map[string]int)
+	for i, p := range level {
+		k, ok := pos[p.Scheme]
+		if !ok {
+			k = len(out)
+			pos[p.Scheme] = k
+			out = append(out, schemeBatch{scheme: p.Scheme})
+		}
+		out[k].idx = append(out[k].idx, i)
+	}
+	return out
+}
+
+// dangling accepts a degraded batch's error when every page it left out is
+// a dangling link — not found on the site and not an entry point — and
+// returns those URLs. Any other error is returned as it is.
+func dangling(err error, ws *adm.Scheme, scheme string) (map[string]bool, error) {
+	if err == nil {
+		return nil, nil
+	}
+	var pe *site.PartialError
+	if !errors.As(err, &pe) {
+		return nil, err
+	}
+	missing := make(map[string]bool, len(pe.Failures))
+	for _, f := range pe.Failures {
+		if !errors.Is(f.Err, site.ErrNotFound) || ws.IsEntry(adm.PageRef{Scheme: scheme, URL: f.URL}) {
+			return nil, err
+		}
+		missing[f.URL] = true
+	}
+	return missing, nil
 }
 
 // CollectSite crawls the site and derives its statistics in one step,

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ulixes/internal/adm"
-	"ulixes/internal/site"
 	"ulixes/internal/sitegen"
 )
 
@@ -122,104 +121,5 @@ func TestStatsString(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("stats string missing %q", want)
 		}
-	}
-}
-
-func TestCrawlReconstructsInstance(t *testing.T) {
-	u, err := sitegen.GenerateUniversity(sitegen.PaperUniversityParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, err := site.NewMemSite(u.Instance, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, _, err := CrawlWithSizes(ms, u.Scheme)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range u.Scheme.PageNames() {
-		if !inst.Relation(name).Equal(u.Instance.Relation(name)) {
-			t.Errorf("crawled %s differs from ground truth", name)
-		}
-	}
-	// CrawlWithSizes downloads each page exactly once.
-	if got := ms.Counters().Gets(); got != u.Instance.TotalPages() {
-		t.Errorf("crawl cost = %d, want %d", got, u.Instance.TotalPages())
-	}
-}
-
-func TestCollectSiteMatchesInstanceStats(t *testing.T) {
-	u, err := sitegen.GenerateUniversity(sitegen.PaperUniversityParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, err := site.NewMemSite(u.Instance, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crawled, pages, err := CollectSite(ms, u.Scheme)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pages != u.Instance.TotalPages() {
-		t.Errorf("pages = %d", pages)
-	}
-	direct := CollectInstance(u.Instance)
-	for k, v := range direct.Card {
-		if crawled.Card[k] != v {
-			t.Errorf("card %s: crawled %v, direct %v", k, crawled.Card[k], v)
-		}
-	}
-	for k, v := range direct.Distinct {
-		if crawled.Distinct[k] != v {
-			t.Errorf("distinct %s: crawled %v, direct %v", k, crawled.Distinct[k], v)
-		}
-	}
-	for k, v := range direct.Fanout {
-		if math.Abs(crawled.Fanout[k]-v) > 1e-9 {
-			t.Errorf("fanout %s: crawled %v, direct %v", k, crawled.Fanout[k], v)
-		}
-	}
-}
-
-func TestCrawlFailsOnBrokenSite(t *testing.T) {
-	u, err := sitegen.GenerateUniversity(sitegen.UniversityParams{Depts: 2, Profs: 4, Courses: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, err := site.NewMemSite(u.Instance, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Remove a professor page: the crawl hits a dangling link.
-	for _, url := range ms.URLs() {
-		if scheme, _ := ms.SchemeOf(url); scheme == sitegen.ProfPage {
-			ms.RemovePage(url)
-			break
-		}
-	}
-	if _, _, err := CrawlWithSizes(ms, u.Scheme); err == nil {
-		t.Error("crawl over dangling link should fail")
-	}
-}
-
-func TestCrawlBibliography(t *testing.T) {
-	b, err := sitegen.GenerateBibliography(sitegen.BibliographyParams{
-		Authors: 30, Confs: 4, DBConfs: 2, Years: 2, PapersPerEdition: 2, AuthorsPerPaper: 2, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, err := site.NewMemSite(b.Instance, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, _, err := CrawlWithSizes(ms, b.Scheme)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inst.TotalPages() != b.Instance.TotalPages() {
-		t.Errorf("crawled %d pages, want %d", inst.TotalPages(), b.Instance.TotalPages())
 	}
 }

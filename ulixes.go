@@ -104,7 +104,12 @@ type System struct {
 
 // Open builds a query system over a site, crawling it once to collect
 // statistics. The crawl's page count is the statistics-gathering cost the
-// paper assumes is amortized over many queries.
+// paper assumes is amortized over many queries. The crawl fetches each
+// breadth-first level as one batch per page-scheme, up to
+// site.DefaultFetchWorkers GETs at a time, so its wall time is about one
+// round trip per level per page-scheme, times the batch's pages over the
+// workers. A page the site no longer has while a link to it remains is left
+// out of the statistics, as navigation leaves it out of answers.
 func Open(server Server, ws *Scheme, views *Views) (*System, error) {
 	st, _, err := stats.CollectSite(server, ws)
 	if err != nil {
