@@ -43,8 +43,10 @@ bench:
 # BENCH_NOTE to say what was measured, and BENCH to record part of the suite
 # (BENCH=Optimize is the cold-planning pair of runs pr16-parent / pr16-change;
 # BENCH='RTTSuite|PipelinedVsSequential|PreparedQuery' is PR 21's;
-# BENCH='WarmSuite|RTTSuite' is prepared-plans-parent / prepared-plans-change;
-# BENCH=CollectSite is crawl-parent / crawl-change, the statistics crawl).
+# BENCH='WarmSuite|RTTSuite' is prepared-plans-parent / prepared-plans-change
+# and inline-hits-parent / inline-hits-change, store hits resolved without a
+# fetch task; BENCH=CollectSite is crawl-parent / crawl-change, the
+# statistics crawl).
 BENCH_LABEL ?= after
 BENCH_NOTE ?=
 BENCH ?= .

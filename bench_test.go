@@ -488,20 +488,21 @@ func BenchmarkCollectSite(b *testing.B) {
 	b.ReportMetric(float64(pages), "pages")
 }
 
-// BenchmarkWarmSuite is the in-process part of the warm_repeat workload:
-// the ten E4 shapes over the 400-course university, behind the guard, on
-// one shared page store that already holds every page, with every shape's
-// plan cached — so each query is a plan-cache hit over resident pages, and
-// its answer is sorted as ulixesd sorts it for the response. One op is one
-// pass over the suite; tuples is the answer rows of a pass.
-func BenchmarkWarmSuite(b *testing.B) {
+// warmSuite builds the in-process part of the warm_repeat workload: the
+// ten E4 shapes over the 400-course university, behind the guard, on one
+// shared page store that already holds every page, with every shape's plan
+// cached. It returns one pass over the suite — each query a plan-cache hit
+// over resident pages, its answer sorted as ulixesd sorts it for the
+// response — which reports the answer rows of the pass.
+func warmSuite(tb testing.TB) func() (tuples int) {
+	tb.Helper()
 	u, err := sitegen.GenerateUniversity(sitegen.UniversityParams{Courses: 400, Profs: 120, Depts: 8})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	ms, err := site.NewMemSite(u.Instance, nil)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	server := guard.New(ms, guard.Config{})
 	sys := ulixes.OpenWithStats(server, u.Scheme, view.UniversityView(u.Scheme), stats.CollectInstance(u.Instance))
@@ -513,20 +514,27 @@ func BenchmarkWarmSuite(b *testing.B) {
 	queries := make([]*ulixes.Query, len(exp.QuerySuite))
 	for i, q := range exp.QuerySuite {
 		if queries[i], err = ulixes.ParseQuery(q.Query); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	run := func() (tuples int) {
 		for _, q := range queries {
 			ans, err := sys.QueryCQOptsCtx(context.Background(), q, opts)
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			tuples += len(ans.Result.Sorted())
 		}
 		return tuples
 	}
 	run() // plan every shape and fetch every page once
+	return run
+}
+
+// BenchmarkWarmSuite times warmSuite's pass. One op is one pass over the
+// suite; tuples is the answer rows of a pass.
+func BenchmarkWarmSuite(b *testing.B) {
+	run := warmSuite(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var tuples int

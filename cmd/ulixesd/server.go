@@ -315,7 +315,9 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// The estimate is advisory: a never-seen shape prices as 0 ("unknown,
 	// admit on slots alone"); a cached shape's plan cost gates it against
 	// the page capacity the admitted set already holds.
-	est, _ := s.sys.EstimatedPages(q)
+	// The shape is worked out once, for the estimate and the plan.
+	shape := ulixes.ShapeOf(q)
+	est, _ := s.sys.EstimatedPages(shape)
 	ticket, err := s.queue.Acquire(r.Context(), pri, est)
 	if err != nil {
 		s.refuse(w, err)
@@ -336,7 +338,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// listed per URL) instead of hanging or failing outright.
 		opts.Degraded = true
 	}
-	ans, err := s.sys.QueryCQOptsCtx(ctx, q, opts)
+	ans, err := s.sys.QueryShapeOptsCtx(ctx, shape, opts)
 	switch {
 	case err == nil:
 	case errors.Is(err, pagecache.ErrBudgetExceeded):

@@ -7,6 +7,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"ulixes/internal/cq"
@@ -29,7 +30,9 @@ type ExecOptions struct {
 	// evaluator runs one batch at a time; the pipelined one runs up to
 	// Workers follow fetch tasks at once, each a batch of up to Workers new
 	// URLs, so a pipelined query keeps up to Workers × Workers GETs in
-	// flight on a store without MaxInFlight (a shared Cache). The private
+	// flight on a store without MaxInFlight (a shared Cache). A store hit
+	// never occupies a task slot: the follow stage resolves it before it
+	// spawns a task, and a task carries only the URLs left. The private
 	// store built when Cache is nil sets MaxInFlight = Workers, bounding
 	// the whole query at Workers. With Workers=1 and Pipelined=false the
 	// execution is the paper's fully sequential navigation.
@@ -202,6 +205,8 @@ type Engine struct {
 	// and measured cost — the input to benefit-driven view selection (see
 	// internal/workload and internal/vselect).
 	Workload *workload.Recorder
+
+	scopes atomic.Pointer[optScope] // the plan-cache scope of Opt.Opts
 }
 
 // ViewAnswerer is the view-rewriting hook (implemented by
@@ -268,16 +273,34 @@ func (e *Engine) QueryCQCtx(ctx context.Context, q *cq.Query) (*Answer, error) {
 }
 
 // EstimatedPages returns the prepared-plan cache's page-cost estimate for
-// q's shape, when the engine has a plan cache and has already planned that
-// shape. It never optimizes: a cold shape returns ok=false and admission
-// control treats its cost as unknown rather than paying Algorithm 1 at the
-// door.
-func (e *Engine) EstimatedPages(q *cq.Query) (float64, bool) {
+// a query's shape, when the engine has a plan cache and has already planned
+// that shape. It never optimizes: a cold shape returns ok=false and
+// admission control treats its cost as unknown rather than paying
+// Algorithm 1 at the door. A server that prices a request here and then
+// runs it with QueryShapeOptsCtx canonicalizes the query once.
+func (e *Engine) EstimatedPages(sh plancache.Shape) (float64, bool) {
 	if e.Plans == nil {
 		return 0, false
 	}
-	scope := fmt.Sprintf("%+v", e.Opt.Opts)
-	return e.Plans.Peek(q, e.Opt.Stats, scope)
+	return e.Plans.Peek(sh, e.Opt.Stats, e.scope())
+}
+
+// optScope is the plan-cache scope of one optimizer configuration.
+type optScope struct {
+	opts optimizer.Options
+	text string
+}
+
+// scope scopes cached plans to the optimizer configuration, so an ablation
+// or beam change never resurrects plans chosen under other rules. The
+// scope string is formatted once per configuration, not per request.
+func (e *Engine) scope() string {
+	if sc := e.scopes.Load(); sc != nil && sc.opts == e.Opt.Opts {
+		return sc.text
+	}
+	sc := &optScope{opts: e.Opt.Opts, text: fmt.Sprintf("%+v", e.Opt.Opts)}
+	e.scopes.Store(sc)
+	return sc.text
 }
 
 // QueryCQOptsCtx is QueryCQCtx with per-query execution options: the server
@@ -285,6 +308,13 @@ func (e *Engine) EstimatedPages(q *cq.Query) (float64, bool) {
 // yields a partial answer instead of an error) without changing the
 // engine-wide configuration other callers share.
 func (e *Engine) QueryCQOptsCtx(ctx context.Context, q *cq.Query, opts ExecOptions) (*Answer, error) {
+	return e.QueryShapeOptsCtx(ctx, plancache.ShapeOf(q), opts)
+}
+
+// QueryShapeOptsCtx is QueryCQOptsCtx for a query whose shape the caller
+// has already worked out, for admission's EstimatedPages.
+func (e *Engine) QueryShapeOptsCtx(ctx context.Context, sh plancache.Shape, opts ExecOptions) (*Answer, error) {
+	q := sh.Query()
 	planStart := time.Now()
 	if e.ViewAnswers != nil {
 		// A decline (ok=false) or a local-evaluation error both fall back
@@ -298,10 +328,7 @@ func (e *Engine) QueryCQOptsCtx(ctx context.Context, q *cq.Query, opts ExecOptio
 	var b plancache.Bound
 	var err error
 	if e.Plans != nil {
-		// Scope cached plans to the optimizer configuration: an ablation
-		// or beam change must not resurrect plans chosen under other rules.
-		scope := fmt.Sprintf("%+v", e.Opt.Opts)
-		b, err = e.Plans.Bind(q, e.Opt.Stats, scope, e.Opt.Optimize, e.prepare)
+		b, err = e.Plans.Bind(sh, e.Opt.Stats, e.scope(), e.Opt.Optimize, e.prepare)
 	} else {
 		b.Result, err = e.Opt.Optimize(q)
 		if err == nil {

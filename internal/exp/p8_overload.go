@@ -178,13 +178,14 @@ func P8(params sitegen.UniversityParams) (*Table, error) {
 					defer wg.Done()
 					var r p8Result
 					shape := idx % len(queries)
-					est, _ := eng.EstimatedPages(queries[shape])
+					sh := plancache.ShapeOf(queries[shape])
+					est, _ := eng.EstimatedPages(sh)
 					ticket, err := q.Acquire(context.Background(), overload.Normal, est)
 					if err != nil {
 						r.dropped = true
 					} else {
 						r.sojourn = ticket.Sojourn()
-						ans, err := eng.QueryCQ(queries[shape])
+						ans, err := eng.QueryShapeOptsCtx(context.Background(), sh, eng.Exec)
 						ticket.Release()
 						switch {
 						case err != nil:
@@ -291,7 +292,7 @@ func P8(params sitegen.UniversityParams) (*Table, error) {
 	gate := overload.NewQueue(overload.QueueConfig{
 		Slots: p8Slots, MaxQueue: p8Queue, MaxWait: p8MaxWait, CapacityPages: 30,
 	})
-	est, ok := eng.EstimatedPages(queries[2])
+	est, ok := eng.EstimatedPages(plancache.ShapeOf(queries[2]))
 	if !ok || est <= 30 {
 		return nil, fmt.Errorf("P8: course estimate %.0f (ok=%v), want a cached estimate above the 30-page capacity", est, ok)
 	}

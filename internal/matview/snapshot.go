@@ -152,6 +152,22 @@ func (s *SnapshotSource) FollowPages(scheme string, urls []string) ([]nested.Tup
 	return out, nil
 }
 
+// ReadyPages implements nalg.Source: every page the snapshot holds is
+// ready. A URL it does not hold is left for FollowPages, which reports it.
+func (s *SnapshotSource) ReadyPages(scheme string, urls []string, pages []nested.Tuple) (int, error) {
+	n := 0
+	for i, u := range urls {
+		t, err := s.lookup(scheme, u)
+		if err != nil {
+			pages[i] = nested.Tuple{}
+			continue
+		}
+		pages[i] = t
+		n++
+	}
+	return n, nil
+}
+
 func (s *SnapshotSource) lookup(scheme, url string) (nested.Tuple, error) {
 	p, ok := s.sn.pages[url]
 	if !ok || p.Scheme != scheme {

@@ -575,6 +575,11 @@ func (s *Store) FollowPages(scheme string, urls []string) ([]nested.Tuple, error
 	return out, nil
 }
 
+// ReadyPages implements nalg.Source: Algorithm 3 URL-checks every page it
+// follows, with a light connection, so no page is ready without a wait and
+// every access goes through FollowPages.
+func (s *Store) ReadyPages(string, []string, []nested.Tuple) (int, error) { return 0, nil }
+
 // ProcessMissing performs the deferred off-line check of CheckMissing URLs
 // (§8): each queued URL is probed, in sorted order and outside the store
 // lock; pages that are indeed gone are removed from the view. A probe that

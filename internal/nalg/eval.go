@@ -25,6 +25,16 @@ type Source interface {
 	// A URL whose page no longer exists may be silently omitted (the link
 	// dangles and the navigation join simply produces nothing for it).
 	FollowPages(scheme string, urls []string) ([]nested.Tuple, error)
+	// ReadyPages is the part of FollowPages that needs no wait, run on the
+	// caller's goroutine: it stores in pages[i] (len(pages) == len(urls))
+	// the page of each urls[i] the source can give at once, accessed and
+	// counted exactly as FollowPages would, and returns how many it gave.
+	// When that is fewer than len(urls), pages[i] is the zero Tuple for
+	// each URL it left, and the caller hands those to FollowPages. A
+	// source that cannot tell which pages are ready returns 0 and leaves
+	// pages alone. The pipelined evaluator calls it before it spends a
+	// fetch task on a follow's URLs; the sequential one never does.
+	ReadyPages(scheme string, urls []string, pages []nested.Tuple) (int, error)
 }
 
 // FetcherSource adapts a site.PageSource — a pagecache.Session, one query's
@@ -53,6 +63,24 @@ func (s FetcherSource) EntryPage(scheme, url string) (nested.Tuple, error) {
 // FollowPages implements Source.
 func (s FetcherSource) FollowPages(scheme string, urls []string) ([]nested.Tuple, error) {
 	return s.F.FetchAllCtx(s.context(), scheme, urls)
+}
+
+// readyFetcher is the inline pass of a page source's batch:
+// pagecache.Session.FetchReady, which the session's own FetchAllCtx runs
+// first.
+type readyFetcher interface {
+	FetchReady(urls []string, pages []nested.Tuple) (int, error)
+}
+
+// ReadyPages implements Source with the session's inline pass: the pages
+// the query has pinned and the ones the store holds fresh. A
+// site.PageSource without that pass — a decorator around a session —
+// resolves nothing inline, and every access goes through FetchAllCtx.
+func (s FetcherSource) ReadyPages(scheme string, urls []string, pages []nested.Tuple) (int, error) {
+	if r, ok := s.F.(readyFetcher); ok {
+		return r.FetchReady(urls, pages)
+	}
+	return 0, nil
 }
 
 // qualifyPage renames a page tuple's attributes to alias-qualified column

@@ -21,16 +21,20 @@ const (
 
 // EvalOptions tunes plan evaluation.
 type EvalOptions struct {
-	// Pipelined selects the streaming parallel evaluator: operators are
-	// connected by tuple-batch channels, Follow issues prefetches as soon
-	// as input batches arrive, and Join branches run concurrently. The
-	// result relation and the number of page accesses are identical to the
-	// sequential evaluator's — parallelism only changes wall time.
+	// Pipelined selects the streaming parallel evaluator: the stages that
+	// can wait for the page source — entry scans, follows, joins — are
+	// goroutines connected by tuple-batch channels, and the local operators
+	// between them run inside the stage that consumes their output. Follow
+	// resolves the pages the source has at once on its producer and
+	// issues fetch tasks for the rest as soon as input batches arrive, and
+	// Join branches run concurrently. The result relation and the number of
+	// page accesses are identical to the sequential evaluator's —
+	// parallelism only changes wall time.
 	Pipelined bool
 	// Workers is the pipeline's fan-out (0 means DefaultWorkers): the
 	// number of follow-link fetch tasks in flight, and the number of new
-	// URLs each task carries, so that a task is one round of the source's
-	// batch. What that bounds per query is stated once, at
+	// URLs a follow cuts a task at, so that a task is one round of the
+	// source's batch. What that bounds per query is stated once, at
 	// engine.ExecOptions.Workers.
 	Workers int
 	// BatchSize is the tuple-batch granularity (0 means DefaultBatchSize).
@@ -227,10 +231,17 @@ func (p *Prepared) Run(e Expr, src Source, opts EvalOptions) (*nested.Relation, 
 		sem:  make(chan struct{}, opts.Workers),
 		done: make(chan struct{}),
 	}
+	// The sink is the root stream's consumer: the local operators at the
+	// top of the plan run here, on the caller's goroutine.
 	out := pl.node(e)
 	rel := nested.NewRelation(nil)
-	for batch := range out {
-		for _, t := range batch {
+	for batch := range out.ch {
+		res, err := out.apply(batch)
+		if err != nil {
+			pl.fail(err)
+			break
+		}
+		for _, t := range res {
 			rel.Insert(t)
 		}
 	}
@@ -243,6 +254,10 @@ func (p *Prepared) Run(e Expr, src Source, opts EvalOptions) (*nested.Relation, 
 
 // pipeline is one running dataflow evaluation: a tree of goroutines
 // connected by tuple-batch channels, with first-error-wins propagation.
+// Only work that can wait for the page source gets a goroutine: an entry
+// scan, a follow stage's producer and joiner, a fetch task for the URLs
+// the source cannot give at once, and a join. Local operators run inside
+// the stage that consumes them.
 type pipeline struct {
 	ws   *adm.Scheme
 	prep *Prepared
@@ -286,10 +301,11 @@ func (p *pipeline) emit(out chan<- []nested.Tuple, batch []nested.Tuple) bool {
 	}
 }
 
-// emitChunks re-batches and sends a tuple slice downstream, so an Unnest
-// blowing one page into hundreds of tuples hands the next stage several
-// BatchSize units instead of one. (A downstream Follow cuts its fetch tasks
-// finer still, at Workers new URLs each.)
+// emitChunks re-batches and sends a stage's output downstream, so a join's
+// matches or a follow task carrying a whole unnested page reach the
+// consumer as several BatchSize units it can start on, and the local
+// operators fused into that consumer run a batch at a time. (A downstream
+// Follow cuts its fetch tasks finer still, at Workers new URLs each.)
 func (p *pipeline) emitChunks(out chan<- []nested.Tuple, tuples []nested.Tuple) bool {
 	n := p.opts.BatchSize
 	for len(tuples) > 0 {
@@ -305,21 +321,50 @@ func (p *pipeline) emitChunks(out chan<- []nested.Tuple, tuples []nested.Tuple) 
 	return true
 }
 
-// node compiles an expression into a running stage producing tuple batches.
-func (p *pipeline) node(e Expr) <-chan []nested.Tuple {
-	out := make(chan []nested.Tuple)
+// stream is a plan node's output as its one consumer reads it: the batches
+// of the nearest goroutine stage below the node, and the local operators
+// between that stage and the node, composed into op (nil when there are
+// none), which the consumer applies to each batch it receives.
+type stream struct {
+	ch <-chan []nested.Tuple
+	op localOp
+}
+
+// apply runs the stream's local operators over one received batch.
+func (s stream) apply(batch []nested.Tuple) ([]nested.Tuple, error) {
+	if s.op == nil {
+		return batch, nil
+	}
+	return s.op(batch)
+}
+
+// then is the stream with op applied after its local operators.
+func (s stream) then(op localOp) stream {
+	first := s.op
+	if first == nil {
+		return stream{ch: s.ch, op: op}
+	}
+	return stream{ch: s.ch, op: func(batch []nested.Tuple) ([]nested.Tuple, error) {
+		batch, err := first(batch)
+		if err != nil || len(batch) == 0 {
+			return nil, err
+		}
+		return op(batch)
+	}}
+}
+
+// node compiles an expression into the stream its consumer reads. A local
+// operator adds no stage: it is composed onto its operand's stream.
+func (p *pipeline) node(e Expr) stream {
 	i := p.next
 	p.next++
 	if i >= len(p.prep.nodes) || p.prep.nodes[i].op != reflect.TypeOf(e) {
-		p.spawn(func() {
-			defer close(out)
-			p.fail(fmt.Errorf("nalg: plan does not have the shape it was prepared for: %s", e))
-		})
-		return out
+		return p.failed(fmt.Errorf("nalg: plan does not have the shape it was prepared for: %s", e))
 	}
 	pn := p.prep.nodes[i]
 	switch x := e.(type) {
 	case *EntryScan:
+		out := make(chan []nested.Tuple)
 		p.spawn(func() {
 			defer close(out)
 			t, err := p.src.EntryPage(x.Scheme, x.URL)
@@ -329,37 +374,26 @@ func (p *pipeline) node(e Expr) <-chan []nested.Tuple {
 			}
 			p.emit(out, []nested.Tuple{qualifyPage(t, x.EffAlias())})
 		})
+		return stream{ch: out}
 
 	case *Unnest, *Select, *Project, *Rename:
-		in := p.node(localInput(e))
-		op := localOp(e, pn.keep)
-		p.spawn(func() {
-			defer close(out)
-			for batch := range in {
-				res, err := op(batch)
-				if err != nil {
-					p.fail(err)
-					return
-				}
-				if !p.emitChunks(out, res) {
-					return
-				}
-			}
-		})
+		return p.node(localInput(e)).then(compileLocal(e, pn.keep))
 
 	case *Follow:
-		p.followNode(x, pn.keep, out)
+		return p.followNode(x, pn.keep)
 
 	case *Join:
-		p.joinNode(x, pn, out)
-
-	default:
-		p.spawn(func() {
-			defer close(out)
-			p.fail(fmt.Errorf("nalg: unknown expression node %T", e))
-		})
+		return p.joinNode(x, pn)
 	}
-	return out
+	return p.failed(fmt.Errorf("nalg: unknown expression node %T", e))
+}
+
+// failed fails the pipeline and returns an empty stream.
+func (p *pipeline) failed(err error) stream {
+	p.fail(err)
+	ch := make(chan []nested.Tuple)
+	close(ch)
+	return stream{ch: ch}
 }
 
 // localInput returns the operand of a unary local operator.
@@ -377,15 +411,20 @@ func localInput(e Expr) Expr {
 	panic("nalg: not a local operator")
 }
 
-// localOp compiles a tuple-at-a-time operator into a batch transform.
-// These operators distribute over union, so applying them batch by batch
-// and deduping once at the sink computes the same set as the sequential
-// evaluator; intra-batch duplicates are harmless for the same reason, so
-// no relation (with its per-tuple canonical keys) is materialized per
-// batch. Per-stage state — the Unnester's shared output names, the
-// Projector's column positions, the Renamer's renamed names — lives in the
-// returned closure, which the single stage goroutine owns.
-func localOp(e Expr, keep nested.Columns) func(batch []nested.Tuple) ([]nested.Tuple, error) {
+// localOp is a local operator — Unnest, Select, Project or Rename —
+// compiled into a batch transform. Its per-operator state — the Unnester's
+// shared output names, the Projector's column positions, the Renamer's
+// renamed names — lives in the closure, which one goroutine owns: the one
+// consuming the operator's stream, a follow producer, a join, or Run's
+// sink. Each stream has exactly one consumer, so no closure is shared.
+type localOp func(batch []nested.Tuple) ([]nested.Tuple, error)
+
+// compileLocal compiles a local operator. These operators distribute over
+// union, so applying them batch by batch and deduping once at the sink
+// computes the same set as the sequential evaluator; intra-batch duplicates
+// are harmless for the same reason, so no relation (with its per-tuple
+// canonical keys) is materialized per batch.
+func compileLocal(e Expr, keep nested.Columns) localOp {
 	switch x := e.(type) {
 	case *Unnest:
 		u := nested.Unnester{Keep: keep}
@@ -444,16 +483,24 @@ func localOp(e Expr, keep nested.Columns) func(batch []nested.Tuple) ([]nested.T
 }
 
 // pageMap is the shared URL → qualified page tuple map a Follow stage's
-// fetch tasks fill and its joiner reads.
+// producer and fetch tasks fill and its joiner reads.
 type pageMap struct {
 	mu sync.Mutex
 	m  map[string]nested.Tuple
 }
 
-func (pm *pageMap) set(url string, t nested.Tuple) {
+// add qualifies a target page and files it under its own URL, as the
+// sequential evalFollow does.
+func (pm *pageMap) add(x *Follow, qual *nested.Qualifier, pg nested.Tuple) error {
+	u, ok := pg.Get(adm.URLAttr)
+	if !ok || u.IsNull() {
+		return fmt.Errorf("nalg: follow %s: target page without URL", x.Link)
+	}
+	t := qual.Apply(pg)
 	pm.mu.Lock()
-	pm.m[url] = t
+	pm.m[u.String()] = t
 	pm.mu.Unlock()
+	return nil
 }
 
 func (pm *pageMap) get(url string) (nested.Tuple, bool) {
@@ -463,54 +510,100 @@ func (pm *pageMap) get(url string) (nested.Tuple, bool) {
 	return t, ok
 }
 
-// followTask is one sub-batch moving through a Follow stage: its page fetch
-// runs asynchronously; the joiner consumes tasks in order, so when task i
-// is joined every URL first seen in tasks 0..i has been resolved.
+// followTask is one sub-batch moving through a Follow stage: the joiner
+// consumes tasks in order, so when task i is joined every URL first seen in
+// tasks 0..i has been resolved. fetched closes once the task's pages are in
+// the page map.
 type followTask struct {
 	batch   []nested.Tuple
-	fetched chan struct{}
+	fetched <-chan struct{}
 }
 
+// resolved is the fetched channel of every task with nothing left to
+// fetch: closed once, shared.
+var resolved = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
+
 // followNode streams the follow-link operator: as input batches arrive,
-// the distinct not-yet-seen link URLs are prefetched concurrently (bounded
-// by the pipeline's worker semaphore) while earlier tasks are being joined
-// with their target pages.
-func (p *pipeline) followNode(x *Follow, keep nested.Columns, out chan<- []nested.Tuple) {
+// the distinct not-yet-seen link URLs are resolved — inline when the source
+// has their pages at once, otherwise by fetch tasks running concurrently
+// (bounded by the pipeline's worker semaphore) — while earlier tasks are
+// being joined with their target pages.
+func (p *pipeline) followNode(x *Follow, keep nested.Columns) stream {
 	in := p.node(x.In)
-	tasks := make(chan *followTask, p.opts.Workers)
+	out := make(chan []nested.Tuple)
+	tasks := make(chan followTask, p.opts.Workers)
 	pages := &pageMap{m: make(map[string]nested.Tuple)}
 	// One qualifier for the whole stage: concurrent fetch tasks share the
 	// alias-qualified names slice instead of renaming page by page.
 	qual := nested.NewQualifier(x.EffAlias())
 
-	// launch starts one fetch task and queues it for the joiner.
-	launch := func(batch []nested.Tuple, urls []string) bool {
-		ft := &followTask{batch: batch, fetched: make(chan struct{})}
-		if len(urls) == 0 {
-			close(ft.fetched)
-		} else {
-			p.spawn(func() { p.fetchTask(x, urls, pages, qual, ft) })
-		}
-		select {
-		case tasks <- ft:
-			return true
-		case <-p.done:
-			return false
-		}
-	}
-
-	// Producer: dedup link URLs across batches and cut fetch tasks. A task
-	// closes as soon as it holds Workers new URLs, so it is one round of the
-	// page source's batch — one round trip — and carries the sub-batch of
-	// tuples that introduced them. A tuple whose link an earlier task
-	// fetched rides in the current one: the in-order joiner reaches it after
-	// that task.
+	// Producer: apply the input's local operators, dedup link URLs across
+	// batches and cut tasks. A task closes as soon as it holds Workers new
+	// URLs, so its fetch is one round of the page source's batch — one
+	// round trip — and carries the sub-batch of tuples that introduced
+	// them. A tuple whose link an earlier task resolved rides in the current
+	// one: the in-order joiner reaches it after that task.
 	p.spawn(func() {
 		defer close(tasks)
 		seen := make(map[string]bool)
 		link := nested.NewColumn(x.Link)
-		for batch := range in {
-			var urls []string
+		var urls []string        // the current task's new URLs
+		var ready []nested.Tuple // their pages, as the source gives them at once
+
+		// launch queues the current task for the joiner. The pages the
+		// source can give without waiting are resolved here, on the
+		// producer; only the URLs left get a fetch task, with its goroutine
+		// and its semaphore slot, and take the urls buffer with them.
+		launch := func(batch []nested.Tuple) bool {
+			ft := followTask{batch: batch, fetched: resolved}
+			if len(urls) > 0 {
+				if ready == nil {
+					ready = make([]nested.Tuple, p.opts.Workers)
+				}
+				n, err := p.src.ReadyPages(x.Target, urls, ready[:len(urls)])
+				if err != nil {
+					p.fail(fmt.Errorf("nalg: follow %s: %w", x.Link, err))
+					return false
+				}
+				left := urls
+				if n > 0 {
+					left = urls[:0] // compacted in place: left never overtakes the index read
+					for i, u := range urls {
+						if ready[i].Arity() == 0 { // left by the source: a page has its URL
+							left = append(left, u)
+						} else if err := pages.add(x, qual, ready[i]); err != nil {
+							p.fail(err)
+							return false
+						}
+					}
+				}
+				if len(left) > 0 {
+					fetched := make(chan struct{})
+					ft.fetched = fetched
+					p.spawn(func() { p.fetchTask(x, left, pages, qual, fetched) })
+					urls = nil
+				} else {
+					urls = urls[:0]
+				}
+			}
+			select {
+			case tasks <- ft:
+				return true
+			case <-p.done:
+				return false
+			}
+		}
+
+		for batch := range in.ch {
+			batch, err := in.apply(batch)
+			if err != nil {
+				p.fail(err)
+				return
+			}
 			start := 0
 			for i, t := range batch {
 				lv, ok := link.Get(t)
@@ -531,13 +624,13 @@ func (p *pipeline) followNode(x *Follow, keep nested.Columns, out chan<- []neste
 				}
 				urls = append(urls, u)
 				if len(urls) == p.opts.Workers {
-					if !launch(batch[start:i+1:i+1], urls) {
+					if !launch(batch[start : i+1 : i+1]) {
 						return
 					}
-					start, urls = i+1, nil
+					start = i + 1
 				}
 			}
-			if start < len(batch) && !launch(batch[start:], urls) {
+			if start < len(batch) && !launch(batch[start:]) {
 				return
 			}
 		}
@@ -564,11 +657,13 @@ func (p *pipeline) followNode(x *Follow, keep nested.Columns, out chan<- []neste
 			}
 		}
 	})
+	return stream{ch: out}
 }
 
-// fetchTask resolves one task's new URLs into the shared page map.
-func (p *pipeline) fetchTask(x *Follow, urls []string, pages *pageMap, qual *nested.Qualifier, ft *followTask) {
-	defer close(ft.fetched)
+// fetchTask fetches the URLs of one task the source could not give at once
+// into the shared page map, holding one of the pipeline's Workers slots.
+func (p *pipeline) fetchTask(x *Follow, urls []string, pages *pageMap, qual *nested.Qualifier, fetched chan<- struct{}) {
+	defer close(fetched)
 	select {
 	case p.sem <- struct{}{}:
 	case <-p.done:
@@ -581,12 +676,10 @@ func (p *pipeline) fetchTask(x *Follow, urls []string, pages *pageMap, qual *nes
 		return
 	}
 	for _, pg := range got {
-		u, ok := pg.Get(adm.URLAttr)
-		if !ok || u.IsNull() {
-			p.fail(fmt.Errorf("nalg: follow %s: target page without URL", x.Link))
+		if err := pages.add(x, qual, pg); err != nil {
+			p.fail(err)
 			return
 		}
-		pages.set(u.String(), qual.Apply(pg))
 	}
 }
 
@@ -626,10 +719,12 @@ func (j *followJoiner) join(x *Follow, batch []nested.Tuple, pages *pageMap) ([]
 // joinNode evaluates both operands concurrently — their page fetches
 // overlap — hashing the build side incrementally as its batches arrive.
 // Probe batches arriving early are buffered; once the build side is
-// exhausted they stream through the hash table and out.
-func (p *pipeline) joinNode(x *Join, pn prepNode, out chan<- []nested.Tuple) {
+// exhausted they stream through the hash table and out. The join goroutine
+// consumes both operand streams, so it runs their local operators.
+func (p *pipeline) joinNode(x *Join, pn prepNode) stream {
 	lin := p.node(x.L)
 	rin := p.node(x.R)
+	out := make(chan []nested.Tuple)
 	p.spawn(func() {
 		defer close(out)
 		h := nested.NewHashJoiner(x.Conds, pn.buildLeft)
@@ -642,13 +737,18 @@ func (p *pipeline) joinNode(x *Join, pn prepNode, out chan<- []nested.Tuple) {
 		// full channel; probe batches queue until the hash table is
 		// complete.
 		var queued [][]nested.Tuple
-		probeOpen := true
-		for build != nil {
+		bch, pch := build.ch, probe.ch
+		for bch != nil {
 			select {
-			case b, ok := <-build:
+			case b, ok := <-bch:
 				if !ok {
-					build = nil
+					bch = nil
 					continue
+				}
+				b, err := build.apply(b)
+				if err != nil {
+					p.fail(err)
+					return
 				}
 				for _, t := range b {
 					if err := h.Build(t); err != nil {
@@ -656,10 +756,9 @@ func (p *pipeline) joinNode(x *Join, pn prepNode, out chan<- []nested.Tuple) {
 						return
 					}
 				}
-			case b, ok := <-probe:
+			case b, ok := <-pch:
 				if !ok {
-					probeOpen = false
-					probe = nil
+					pch = nil
 					continue
 				}
 				queued = append(queued, b)
@@ -668,8 +767,12 @@ func (p *pipeline) joinNode(x *Join, pn prepNode, out chan<- []nested.Tuple) {
 			}
 		}
 		probeBatch := func(b []nested.Tuple) bool {
+			b, err := probe.apply(b)
+			if err != nil {
+				p.fail(err)
+				return false
+			}
 			var res []nested.Tuple
-			var err error
 			for _, t := range b {
 				res, err = h.ProbeAppend(t, res)
 				if err != nil {
@@ -684,12 +787,13 @@ func (p *pipeline) joinNode(x *Join, pn prepNode, out chan<- []nested.Tuple) {
 				return
 			}
 		}
-		if probeOpen {
-			for b := range probe {
+		if pch != nil {
+			for b := range pch {
 				if !probeBatch(b) {
 					return
 				}
 			}
 		}
 	})
+	return stream{ch: out}
 }

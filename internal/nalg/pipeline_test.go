@@ -1,6 +1,7 @@
 package nalg
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -361,5 +362,83 @@ func TestPrepareChoosesBuildSides(t *testing.T) {
 		if got := p.nodes[0].buildLeft; got != tc.want {
 			t.Errorf("%s: build left %v, want %v", tc.name, got, tc.want)
 		}
+	}
+}
+
+// followCounter counts the FollowPages calls that reach a source: the
+// follow accesses that took a fetch task.
+type followCounter struct {
+	Source
+	mu      sync.Mutex
+	follows int
+}
+
+func (c *followCounter) FollowPages(scheme string, urls []string) ([]nested.Tuple, error) {
+	c.mu.Lock()
+	c.follows++
+	c.mu.Unlock()
+	return c.Source.FollowPages(scheme, urls)
+}
+
+// warmSession is a session on a store that already holds every page of the
+// site, fresh.
+func warmSession(t *testing.T, ms *site.MemSite, ws *adm.Scheme, opts pagecache.SessionOptions) *pagecache.Session {
+	t.Helper()
+	c := pagecache.New(ms, ws, pagecache.Config{DefaultTTL: pagecache.Forever})
+	for _, url := range ms.URLs() {
+		scheme, _ := ms.SchemeOf(url)
+		if _, err := c.NewSession(pagecache.SessionOptions{}).FetchCtx(context.Background(), scheme, url); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c.NewSession(opts)
+}
+
+// TestStoreHitsTakeNoFetchTask: over a source that has every page at once,
+// the pipelined evaluator resolves every follow on its producers — no
+// FollowPages call, so no fetch task — and answers as Eval does, with the
+// same ledger.
+func TestStoreHitsTakeNoFetchTask(t *testing.T) {
+	u, ms, _ := fixture(t)
+	for name, e := range pipelinePlans(t, u) {
+		seq := warmSession(t, ms, u.Scheme, pagecache.SessionOptions{})
+		want, err := Eval(e, u.Scheme, FetcherSource{F: seq})
+		if err != nil {
+			t.Fatalf("%s: sequential: %v", name, err)
+		}
+		for _, workers := range []int{1, 4, 16} {
+			sess := warmSession(t, ms, u.Scheme, pagecache.SessionOptions{})
+			src := &followCounter{Source: FetcherSource{F: sess}}
+			got, err := EvalWithOptions(e, u.Scheme, src, EvalOptions{Pipelined: true, Workers: workers, BatchSize: 3})
+			if err != nil {
+				t.Fatalf("%s w=%d: %v", name, workers, err)
+			}
+			if got.String() != want.String() {
+				t.Errorf("%s w=%d: pipelined answer differs from sequential", name, workers)
+			}
+			if src.follows != 0 {
+				t.Errorf("%s w=%d: %d FollowPages calls over an all-hit store, want 0", name, workers, src.follows)
+			}
+			if sess.Stats() != seq.Stats() {
+				t.Errorf("%s w=%d: ledger %+v, sequential %+v", name, workers, sess.Stats(), seq.Stats())
+			}
+		}
+	}
+}
+
+// TestInlineHitOverrunsBudget: a page budget that the store's hits overrun
+// fails the pipelined evaluation with ErrBudgetExceeded, although no
+// access ever reached a fetch task.
+func TestInlineHitOverrunsBudget(t *testing.T) {
+	u, ms, _ := fixture(t)
+	e := From(u.Scheme, sitegen.ProfListPage).Unnest("ProfList").Follow("ToProf").MustBuild()
+	sess := warmSession(t, ms, u.Scheme, pagecache.SessionOptions{PageBudget: 5})
+	src := &followCounter{Source: FetcherSource{F: sess}}
+	_, err := EvalWithOptions(e, u.Scheme, src, EvalOptions{Pipelined: true, Workers: 4})
+	if !errors.Is(err, pagecache.ErrBudgetExceeded) {
+		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
+	}
+	if src.follows != 0 {
+		t.Errorf("%d FollowPages calls: the overrun should come from an inline hit", src.follows)
 	}
 }

@@ -305,7 +305,8 @@ func fresh(e *entry, now time.Time) bool {
 // instant is the moment one access classifies its entry at. The clock is
 // read on first need and the reading reused, so an access that is checked
 // for a hit twice — inline by a session batch, then again before it leads a
-// fill — reads the clock exactly as often as a single Access does. A logical
+// fill — reads the clock exactly as often as a single Access does. (A
+// pipelined follow producer's own FetchReady pass is a check of its own.) A logical
 // clock advances per reading, so an extra reading would shift every lease
 // after it.
 type instant struct {

@@ -77,7 +77,9 @@ type SessionStats struct {
 // Session is one query's handle on a page store and the single resolve-once
 // layer of the access path. It implements site.PageSource: the engine
 // evaluates every plan through one, over the shared cross-query store or
-// over a private store built for the query.
+// over a private store built for the query. FetchReady is the part of a
+// batch that needs no wait, on its own: the pipelined evaluator resolves
+// store hits through it before it spends a fetch task.
 //
 // Within a session every URL is resolved at most once, however many
 // pipeline branches ask for it at the same time: the first asker accesses
@@ -177,8 +179,8 @@ var errAborted = errors.New("pagecache: batch aborted")
 func (s *Session) askLocked(url string) (*resolution, error) {
 	r, asked := s.pages[url]
 	if !asked {
-		if s.opts.PageBudget > 0 && len(s.pages) >= s.opts.PageBudget {
-			return nil, fmt.Errorf("%w: budget %d, next page %s", ErrBudgetExceeded, s.opts.PageBudget, url)
+		if err := s.budgetLocked(url); err != nil {
+			return nil, err
 		}
 		s.stats.Accesses++
 		return nil, nil
@@ -189,6 +191,15 @@ func (s *Session) askLocked(url string) (*resolution, error) {
 		return nil, nil
 	}
 	return r, nil
+}
+
+// budgetLocked refuses a first access of url that the page budget has no
+// room for. The caller holds s.mu.
+func (s *Session) budgetLocked(url string) error {
+	if s.opts.PageBudget > 0 && len(s.pages) >= s.opts.PageBudget {
+		return fmt.Errorf("%w: budget %d, next page %s", ErrBudgetExceeded, s.opts.PageBudget, url)
+	}
+	return nil
 }
 
 // leadLocked registers the caller as the resolver of url; the caller holds
@@ -267,25 +278,90 @@ func (s *Session) FetchCtx(ctx context.Context, schemeName, url string) (nested.
 	return s.wait(ctx, r)
 }
 
+// FetchReady is the half of a batch that never waits, run on the calling
+// goroutine: every access of urls the query has pinned, or the store holds
+// fresh, is resolved and counted exactly as FetchCtx counts it, and its page
+// stored in pages[i] (len(pages) must be len(urls)). A first access is
+// budget-checked, and an overrun ends the pass with ErrBudgetExceeded. Every
+// other access — a miss, an expired entry, a page served stale or pinned as
+// failed, one another branch of the query is still resolving — is left
+// unasked and uncounted for FetchAllCtx, with pages[i] the zero Tuple. It
+// returns the number of accesses it resolved.
+//
+// FetchAllCtx runs this pass first, so a caller that hands the accesses
+// left to FetchAllCtx counts and pins every page exactly as one FetchAllCtx
+// over all of urls would.
+func (s *Session) FetchReady(urls []string, pages []nested.Tuple) (int, error) {
+	return s.ready(urls, pages, nil)
+}
+
+// ready is FetchReady. When nows is non-nil, nows[i] keeps the instant of
+// each access it left, so a lead FetchAllCtx resolves reads the clock once
+// for both checks (see instant).
+func (s *Session) ready(urls []string, pages []nested.Tuple, nows []instant) (int, error) {
+	var hits []resolution // the pins of the pass's hits share one allocation
+	n := 0
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, u := range urls {
+		pages[i] = nested.Tuple{}
+		if r, asked := s.pages[u]; asked {
+			select {
+			case <-r.done:
+				if r.err == nil && !r.stale {
+					pages[i] = r.tuple
+					n++
+				}
+			default:
+			}
+			continue
+		}
+		if err := s.budgetLocked(u); err != nil {
+			return n, err
+		}
+		now := &instant{}
+		if nows != nil {
+			now = &nows[i]
+		}
+		res, ok := s.c.hit(u, now)
+		if !ok {
+			continue
+		}
+		s.stats.Accesses++
+		s.recordLocked(res, nil)
+		if hits == nil {
+			hits = make([]resolution, 0, len(urls)-i)
+		}
+		hits = append(hits, resolution{done: settled, tuple: res.tuple})
+		s.pages[u] = &hits[len(hits)-1]
+		pages[i] = res.tuple
+		n++
+	}
+	return n, nil
+}
+
 // pending is one access of a batch left after the inline pass: a lead to
 // resolve through the store, or another asker's resolution to wait on.
 type pending struct {
-	i   int // index in the batch
-	r   *resolution
-	now instant
+	i int // index in the batch
+	r *resolution
 }
 
 // FetchAllCtx implements site.PageSource: a batch of accesses preserving
-// input order. Every access the query has already pinned or the store holds
-// fresh is resolved on the calling goroutine, counted exactly as FetchCtx
-// counts it; only the accesses that need the network — misses, expired
-// entries, retries after a transient failure — go to a pool of at most
-// Workers goroutines, and URLs another branch of the query is resolving are
-// waited on. In strict mode the first error aborts the batch; in degraded
-// mode unreachable pages are left out and reported in a *site.PartialError
-// — except a budget overrun, which always aborts.
+// input order. FetchReady resolves every access that needs no wait on the
+// calling goroutine; only the accesses that need the network — misses,
+// expired entries, retries after a transient failure — go to a pool of at
+// most Workers goroutines, and URLs another branch of the query is
+// resolving are waited on. In strict mode the first error aborts the batch;
+// in degraded mode unreachable pages are left out and reported in a
+// *site.PartialError — except a budget overrun, which always aborts.
 func (s *Session) FetchAllCtx(ctx context.Context, schemeName string, urls []string) ([]nested.Tuple, error) {
 	out := make([]nested.Tuple, len(urls))
+	nows := make([]instant, len(urls))
+	n, err := s.ready(urls, out, nows)
+	if err != nil {
+		return nil, err
+	}
 	var errs []error // the pages degraded mode leaves out
 	if s.opts.Degraded {
 		errs = make([]error, len(urls))
@@ -300,29 +376,18 @@ func (s *Session) FetchAllCtx(ctx context.Context, schemeName string, urls []str
 		out[i] = t
 		return err
 	}
-	// Inline hits are settled on the spot; their resolutions share one
-	// allocation.
-	var hits []resolution
 	var leads, waits []pending
 	for i, u := range urls {
+		if out[i].Arity() > 0 {
+			continue // resolved inline: a page always has its URL attribute
+		}
 		s.mu.Lock()
 		r, err := s.askLocked(u)
 		if err == nil && r == nil {
-			var now instant
-			if res, ok := s.c.hit(u, &now); ok {
-				s.recordLocked(res, nil)
-				if hits == nil {
-					hits = make([]resolution, 0, len(urls)-i)
-				}
-				hits = append(hits, resolution{done: settled, tuple: res.tuple})
-				r = &hits[len(hits)-1]
-				s.pages[u] = r
-			} else {
-				if leads == nil {
-					leads = make([]pending, 0, len(urls)-i)
-				}
-				leads = append(leads, pending{i: i, r: s.leadLocked(u), now: now})
+			if leads == nil {
+				leads = make([]pending, 0, len(urls)-n)
 			}
+			leads = append(leads, pending{i: i, r: s.leadLocked(u)})
 		}
 		s.mu.Unlock()
 		if r != nil {
@@ -340,8 +405,8 @@ func (s *Session) FetchAllCtx(ctx context.Context, schemeName string, urls []str
 	}
 	if len(leads) > 0 {
 		err := site.Batch(len(leads), s.opts.Workers, func(k int) error {
-			l := &leads[k]
-			t, err := s.resolve(ctx, schemeName, urls[l.i], l.r, &l.now)
+			l := leads[k]
+			t, err := s.resolve(ctx, schemeName, urls[l.i], l.r, &nows[l.i])
 			return keep(l.i, t, err)
 		})
 		if err != nil {

@@ -777,3 +777,51 @@ func TestPrivateStoreBoundsInFlight(t *testing.T) {
 		t.Errorf("peak in-flight = %d, want within [1, 3]", peak)
 	}
 }
+
+// TestSessionReadyLeavesTheRest: FetchReady resolves the accesses the store
+// holds fresh and leaves every other one unasked and uncounted, so handing
+// the rest to FetchAllCtx counts the query exactly as one FetchAllCtx over
+// the whole batch does, on an identical store.
+func TestSessionReadyLeavesTheRest(t *testing.T) {
+	onStores(t, func(t *testing.T, u *sitegen.University, ms *site.MemSite, mk func(site.Server, Config) *Cache) {
+		urls := profURLs(t, u)
+		ctx := context.Background()
+		warm := urls[:len(urls)/2]
+
+		s := warmStore(t, mk, ms, warm).NewSession(SessionOptions{})
+		pages := make([]nested.Tuple, len(urls))
+		n, err := s.FetchReady(urls, pages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != len(warm) {
+			t.Fatalf("FetchReady resolved %d accesses, want the %d the store holds", n, len(warm))
+		}
+		var rest []string
+		for i, p := range pages {
+			if p.Arity() == 0 {
+				rest = append(rest, urls[i])
+			} else if got := p.MustGet(adm.URLAttr).String(); got != urls[i] {
+				t.Fatalf("pages[%d] is the page of %s, want %s", i, got, urls[i])
+			}
+		}
+		if want := (SessionStats{Accesses: n, CacheHits: n}); s.Stats() != want {
+			t.Fatalf("after FetchReady: ledger %+v, want %+v", s.Stats(), want)
+		}
+		if _, err := s.FetchAllCtx(ctx, sitegen.ProfPage, rest); err != nil {
+			t.Fatal(err)
+		}
+
+		whole := warmStore(t, mk, ms, warm).NewSession(SessionOptions{})
+		if _, err := whole.FetchAllCtx(ctx, sitegen.ProfPage, urls); err != nil {
+			t.Fatal(err)
+		}
+		if s.Stats() != whole.Stats() {
+			t.Errorf("split ledger %+v, one batch %+v", s.Stats(), whole.Stats())
+		}
+		// A pinned page is ready too, without a second access.
+		if n, err := s.FetchReady(urls, pages); err != nil || n != len(urls) || s.Stats() != whole.Stats() {
+			t.Errorf("pinned pages: FetchReady = %d, %v; ledger %+v", n, err, s.Stats())
+		}
+	})
+}

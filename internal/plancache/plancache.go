@@ -136,21 +136,43 @@ func (c *Cache) Counters() Counters {
 	return Counters{Hits: c.hits, Misses: c.misses, Entries: len(c.entries)}
 }
 
-// Peek returns the estimated page cost of the cached plan for q's shape
+// Shape is a query's canonical form: the query, its constants
+// parameterized out (see Canonicalize), and the rendered key the cache
+// files its plans under. Working it out is the cache's per-request work; a
+// request that is both priced (Peek) and planned (Bind) computes it once,
+// with ShapeOf, and hands the same Shape to both.
+type Shape struct {
+	q      *cq.Query
+	canon  *cq.Query // nil: a constant holds NUL and q bypasses the cache
+	params []string
+	key    string
+}
+
+// ShapeOf canonicalizes q and renders its key.
+func ShapeOf(q *cq.Query) Shape {
+	canon, params, ok := Canonicalize(q)
+	if !ok {
+		return Shape{q: q}
+	}
+	return Shape{q: q, canon: canon, params: params, key: canon.String()}
+}
+
+// Query returns the query the shape was worked out for.
+func (sh Shape) Query() *cq.Query { return sh.q }
+
+// Peek returns the estimated page cost of the cached plan for the shape
 // under st and scope — the entry Bind would hit — without optimizing on a
 // miss, counting a hit, or refreshing LRU order. Admission control uses it
 // as a free advisory estimate before deciding whether the query fits the
 // remaining capacity: a shape the cache has not planned under these
 // statistics returns ok=false and the caller treats the cost as unknown.
-func (c *Cache) Peek(q *cq.Query, st *stats.Stats, scope string) (cost float64, ok bool) {
-	canon, _, okc := Canonicalize(q)
-	if !okc {
+func (c *Cache) Peek(sh Shape, st *stats.Stats, scope string) (cost float64, ok bool) {
+	if sh.canon == nil {
 		return 0, false
 	}
-	k := key{st, scope, canon.String()}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.entries[k]
+	e := c.entries[key{st, scope, sh.key}]
 	if e == nil {
 		return 0, false
 	}
@@ -162,29 +184,29 @@ func (c *Cache) Peek(q *cq.Query, st *stats.Stats, scope string) (cost float64, 
 // optimize on the parameterized shape and caching the outcome. It is Bind
 // without execution work.
 func (c *Cache) Prepare(q *cq.Query, st *stats.Stats, scope string, optimize func(*cq.Query) (*optimizer.Result, error)) (res *optimizer.Result, cached bool, err error) {
-	b, err := c.Bind(q, st, scope, optimize, nil)
+	b, err := c.Bind(ShapeOf(q), st, scope, optimize, nil)
 	return b.Result, b.Cached, err
 }
 
-// Bind returns q's plan bound to q's constants: from the cache when a plan
-// for q's shape under st and scope is present, otherwise by running
-// optimize on the parameterized shape and caching the outcome. st is the
-// statistics value optimize costs against, which must not change while the
-// cache holds plans for it; scope distinguishes plans produced under
-// different optimizer options. Concurrent requests for one uncached shape
-// plan it once: the first runs optimize and the others wait for its result,
-// and count as hits. compile, when non-nil, does the best plan's execution
-// work; the planning request runs it once for the shape and every later
-// query of the shape shares the outcome. A compile error fails the planning
-// request and its waiters and caches nothing.
-func (c *Cache) Bind(q *cq.Query, st *stats.Stats, scope string, optimize func(*cq.Query) (*optimizer.Result, error), compile func(nalg.Expr) (*nalg.Prepared, error)) (Bound, error) {
-	canon, params, ok := Canonicalize(q)
-	if !ok {
+// Bind returns the plan of the shape's query, bound to its constants: from
+// the cache when a plan for the shape under st and scope is present, or by
+// running optimize on the parameterized shape and caching the outcome. st
+// is the statistics value optimize costs against, which must not change
+// while the cache holds plans for it; scope distinguishes plans produced
+// under different optimizer options. Concurrent requests for one uncached
+// shape plan it once: the first runs optimize and the others wait for its
+// result, and count as hits. compile, when non-nil, does the best plan's
+// execution work; the planning request runs it once for the shape and
+// every later query of the shape shares the outcome. A compile error fails
+// the planning request and its waiters and caches nothing.
+func (c *Cache) Bind(sh Shape, st *stats.Stats, scope string, optimize func(*cq.Query) (*optimizer.Result, error), compile func(nalg.Expr) (*nalg.Prepared, error)) (Bound, error) {
+	canon, params := sh.canon, sh.params
+	if canon == nil {
 		// A constant collides with the sentinel alphabet; plan directly.
 		c.mu.Lock()
 		c.misses++
 		c.mu.Unlock()
-		r, err := optimize(q)
+		r, err := optimize(sh.q)
 		if err != nil {
 			return Bound{}, err
 		}
@@ -194,7 +216,7 @@ func (c *Cache) Bind(q *cq.Query, st *stats.Stats, scope string, optimize func(*
 		}
 		return b, err
 	}
-	k := key{st, scope, canon.String()}
+	k := key{st, scope, sh.key}
 
 	c.mu.Lock()
 	if e := c.entries[k]; e != nil {

@@ -159,14 +159,14 @@ func TestPrepareHitSpecializes(t *testing.T) {
 		if _, cached, err := c.Prepare(q1, tc.st, tc.scope, opt); err != nil || cached != tc.hit {
 			t.Fatalf("%s: cached=%v err=%v, want cached=%v", tc.name, cached, err, tc.hit)
 		}
-		if cost, ok := c.Peek(q2, tc.st, tc.scope); !ok || cost != 1 {
+		if cost, ok := c.Peek(ShapeOf(q2), tc.st, tc.scope); !ok || cost != 1 {
 			t.Errorf("%s: Peek after Prepare = (%v, %v), want (1, true)", tc.name, cost, ok)
 		}
 	}
 	if n := c.Counters(); n.Hits != 2 || n.Misses != 3 || n.Entries != 3 || len(calls) != 3 {
 		t.Fatalf("counters = %+v after %d optimizer runs, want 2 hits, 3 misses, entries and runs", n, len(calls))
 	}
-	if _, ok := c.Peek(q1, stats.New(), "scope"); ok {
+	if _, ok := c.Peek(ShapeOf(q1), stats.New(), "scope"); ok {
 		t.Error("Peek under statistics never planned with found an entry")
 	}
 }
@@ -366,7 +366,7 @@ func TestBindTieBreakFollowsConstants(t *testing.T) {
 		return parse(t, fmt.Sprintf("SELECT p.PName FROM Professor p WHERE p.Rank = '%s'", v))
 	}
 	for i, v := range []string{"a", "b", "z", "c", "m", "zz"} {
-		b, err := c.Bind(query(v), st, "", tiedOptimize(), compile)
+		b, err := c.Bind(ShapeOf(query(v)), st, "", tiedOptimize(), compile)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,6 +15,13 @@ import (
 //
 // Implementations must be safe for concurrent use: the pipelined evaluator
 // calls both methods from concurrent goroutines.
+//
+// The session also has the network-free half of FetchAllCtx on its own,
+// pagecache.Session.FetchReady, through which nalg.FetcherSource resolves
+// store hits before the pipelined evaluator spends a fetch task. It is not
+// part of this interface: a PageSource without it, such as a decorator
+// around a session, resolves nothing inline and sends every access through
+// FetchAllCtx.
 type PageSource interface {
 	// FetchCtx returns the page at url wrapped as an instance of the named
 	// page-scheme.

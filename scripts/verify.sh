@@ -30,12 +30,16 @@ go test -race ./...
 # concurrent clients, drains and streams to SSE watchers. internal/stats
 # runs here because its statistics crawl fetches each breadth-first level
 # through FetchAllCtx, whose worker goroutines fill one instance that must
-# come out the same on every schedule. On 2 cores the plain leg takes about
+# come out the same on every schedule. Standing queries, the change feed
+# and view answering re-answer through the pipelined evaluator over the
+# shared store, whose follow producers resolve store hits on their own
+# goroutines while invalidations run; their suites take under 0.2 s each.
+# On 2 cores the plain leg takes about
 # three minutes and the -race leg about eleven; the timeouts leave a few
 # times that.
 echo "== access path under many schedules (-count=20 -cpu=1,2,8, plain and -race)"
-go test -count=20 -cpu=1,2,8 -timeout 10m ./internal/pagecache/ ./internal/site/ ./internal/engine/ ./internal/matview/ ./internal/nalg/ ./internal/plancache/ ./internal/guard/ ./internal/stats/ ./cmd/ulixesd/
-go test -race -count=20 -cpu=1,2,8 -timeout 25m ./internal/pagecache/ ./internal/site/ ./internal/engine/ ./internal/matview/ ./internal/nalg/ ./internal/plancache/ ./internal/guard/ ./internal/stats/ ./cmd/ulixesd/
+go test -count=20 -cpu=1,2,8 -timeout 10m ./internal/pagecache/ ./internal/site/ ./internal/engine/ ./internal/matview/ ./internal/nalg/ ./internal/plancache/ ./internal/guard/ ./internal/stats/ ./internal/standing/ ./internal/changefeed/ ./internal/vanswer/ ./cmd/ulixesd/
+go test -race -count=20 -cpu=1,2,8 -timeout 25m ./internal/pagecache/ ./internal/site/ ./internal/engine/ ./internal/matview/ ./internal/nalg/ ./internal/plancache/ ./internal/guard/ ./internal/stats/ ./internal/standing/ ./internal/changefeed/ ./internal/vanswer/ ./cmd/ulixesd/
 echo "== fuzz smoke (seed corpora plus a short generated burst)"
 make fuzz-smoke FUZZTIME=2s >/dev/null
 echo "== bench smoke (every benchmark compiles and runs once)"

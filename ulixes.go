@@ -72,6 +72,9 @@ type (
 	PlanCacheConfig = plancache.Config
 	// PlanCacheCounters are the cache's hit/miss/entry counters.
 	PlanCacheCounters = plancache.Counters
+	// QueryShape is a query's plan-cache shape: its canonical form and
+	// the key the cache files its plans under.
+	QueryShape = plancache.Shape
 	// ViewManager materializes views and answers matching queries from
 	// them (see internal/vanswer).
 	ViewManager = vanswer.Manager
@@ -91,6 +94,11 @@ type (
 // ParseQuery parses the conjunctive-query concrete syntax
 // (SELECT … FROM … WHERE … with equality predicates).
 func ParseQuery(src string) (*Query, error) { return cq.Parse(src) }
+
+// ShapeOf works out q's plan-cache shape once, for a request that is both
+// priced at admission (System.EstimatedPages) and run
+// (System.QueryShapeOptsCtx).
+func ShapeOf(q *Query) QueryShape { return plancache.ShapeOf(q) }
 
 // ParseNav parses the textual navigation language (the paper's Ulixes
 // expressions): "ProfListPage / ProfList -> ToProf [Rank='Full']".
@@ -206,15 +214,22 @@ func (s *System) QueryCQOptsCtx(ctx context.Context, q *Query, opts ExecOptions)
 	return s.eng.QueryCQOptsCtx(ctx, q, opts)
 }
 
+// QueryShapeOptsCtx is QueryCQOptsCtx for a query whose shape the caller
+// has already worked out with ShapeOf.
+func (s *System) QueryShapeOptsCtx(ctx context.Context, sh QueryShape, opts ExecOptions) (*Answer, error) {
+	return s.eng.QueryShapeOptsCtx(ctx, sh, opts)
+}
+
 // ExecOpts returns the system-wide execution options (the baseline a
 // per-query override starts from).
 func (s *System) ExecOpts() ExecOptions { return s.eng.Exec }
 
 // EstimatedPages returns the prepared-plan cache's page-cost estimate for
-// q's shape, ok=false when there is no plan cache or the shape has never
-// been planned. Cost-aware admission consults it before spending anything.
-func (s *System) EstimatedPages(q *Query) (float64, bool) {
-	return s.eng.EstimatedPages(q)
+// a query's shape, ok=false when there is no plan cache or the shape has
+// never been planned. Cost-aware admission consults it before spending
+// anything.
+func (s *System) EstimatedPages(sh QueryShape) (float64, bool) {
+	return s.eng.EstimatedPages(sh)
 }
 
 // Plan optimizes a query without executing it, returning the chosen plan

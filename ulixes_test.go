@@ -1,11 +1,13 @@
 package ulixes_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
 	"ulixes"
 	"ulixes/internal/cost"
+	"ulixes/internal/race"
 	"ulixes/internal/rewrite"
 	"ulixes/internal/site"
 	"ulixes/internal/sitegen"
@@ -174,4 +176,44 @@ func TestFacadeByteCostUnit(t *testing.T) {
 	if bytes.Best.Cost < 100*pages.Best.Cost {
 		t.Errorf("byte cost %v should dwarf page cost %v", bytes.Best.Cost, pages.Best.Cost)
 	}
+}
+
+// warmSuiteAllocCeiling is the warm path's allocation budget: what one
+// warmSuite pass — ten plan-cache hits over resident pages — may allocate.
+// The pass allocated 5,018 objects at GOMAXPROCS 1 and 5,025 at 2 and 8
+// when the ceiling was set (6,245 before store hits were resolved without
+// fetch tasks); the ceiling is under 10 % above that. Lowering it never needs justification; raising it always
+// does.
+const warmSuiteAllocCeiling = 5500
+
+// TestWarmSuiteAllocs gates the warm path's allocations at GOMAXPROCS 1, 2
+// and 8, so neither a new allocation per tuple nor one that only a
+// parallel schedule takes can land unnoticed.
+func TestWarmSuiteAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	run := warmSuite(t)
+	for _, procs := range []int{1, 2, 8} {
+		if n := allocsPerRun(procs, 10, func() { run() }); n > warmSuiteAllocCeiling {
+			t.Errorf("GOMAXPROCS=%d: a warm pass allocates %.0f objects, ceiling %d", procs, n, warmSuiteAllocCeiling)
+		} else {
+			t.Logf("GOMAXPROCS=%d: %.0f allocations a pass", procs, n)
+		}
+	}
+}
+
+// allocsPerRun is testing.AllocsPerRun at a chosen GOMAXPROCS.
+// AllocsPerRun itself pins GOMAXPROCS to 1 while it measures, so it cannot
+// show what a parallel schedule adds.
+func allocsPerRun(procs, runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }
