@@ -25,14 +25,16 @@ verify:
 	sh scripts/verify.sh
 
 # fuzz-smoke runs each fuzz target briefly (seed corpus plus a short burst
-# of generated inputs) so a regression in the lexer/tokenizer agreement or
-# the entity-decoding inverse is caught without a long fuzzing session.
+# of generated inputs) so a regression in the lexer/tokenizer agreement, the
+# entity-decoding inverse or the one-pass wrapper's agreement with the tree
+# oracle is caught without a long fuzzing session.
 # Override FUZZTIME for longer local runs, e.g. FUZZTIME=30s.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test ./internal/hypertext/ -run=NONE -fuzz=FuzzTokenize$$ -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/hypertext/ -run=NONE -fuzz=FuzzLexer$$ -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/hypertext/ -run=NONE -fuzz=FuzzUnescapeHTML$$ -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/hypertext/ -run=NONE -fuzz=FuzzWrapPage$$ -fuzztime=$(FUZZTIME)
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
@@ -46,7 +48,8 @@ bench:
 # BENCH='WarmSuite|RTTSuite' is prepared-plans-parent / prepared-plans-change
 # and inline-hits-parent / inline-hits-change, store hits resolved without a
 # fetch task; BENCH=CollectSite is crawl-parent / crawl-change, the
-# statistics crawl).
+# statistics crawl; BENCH=RTTSuite is wrap-parent / wrap-change, pages
+# wrapped in one pass with no element tree).
 BENCH_LABEL ?= after
 BENCH_NOTE ?=
 BENCH ?= .

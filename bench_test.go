@@ -410,29 +410,29 @@ func BenchmarkPipelinedVsSequential(b *testing.B) {
 	}
 }
 
-// BenchmarkRTTSuite is rtt_navigate in the root suite: one op runs the ten
-// E4 shapes on the benchmark's university behind the site-health guard,
-// with a 2 ms round trip per GET, plans cached, and a fresh page store
-// without MaxInFlight per query, pipelined at Workers 8. Wall time follows
-// each plan's chain of dependent round trips; pages and peak_inflight show
-// what was fetched and how much of it overlapped.
-func BenchmarkRTTSuite(b *testing.B) {
+// rttSuite builds rtt_navigate's rig: the ten E4 shapes on the benchmark's
+// university behind the site-health guard, with rtt per GET, plans cached,
+// and a fresh page store without MaxInFlight per query, pipelined at
+// Workers 8. It returns one pass over the suite, which reports the pages
+// fetched, the answer tuples and the peak number of GETs in flight.
+func rttSuite(tb testing.TB, rtt time.Duration) func() (pages, tuples, peak int) {
+	tb.Helper()
 	u, err := sitegen.GenerateUniversity(sitegen.UniversityParams{Courses: 400, Profs: 120, Depts: 8})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	ms, err := site.NewMemSite(u.Instance, nil)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	ms.SetLatency(2 * time.Millisecond)
+	ms.SetLatency(rtt)
 	server := guard.New(ms, guard.Config{})
 	sys := ulixes.OpenWithStats(server, u.Scheme, view.UniversityView(u.Scheme), stats.CollectInstance(u.Instance))
 	sys.EnablePlanCache(ulixes.PlanCacheConfig{})
 	queries := make([]*ulixes.Query, len(exp.QuerySuite))
 	for i, q := range exp.QuerySuite {
 		if queries[i], err = ulixes.ParseQuery(q.Query); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	const workers = 8
@@ -444,7 +444,7 @@ func BenchmarkRTTSuite(b *testing.B) {
 				Cache:     pagecache.New(server, u.Scheme, pagecache.Config{DefaultTTL: pagecache.Forever, Workers: workers}),
 			})
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			pages += ans.Exec.Pages
 			tuples += ans.Result.Len()
@@ -453,6 +453,15 @@ func BenchmarkRTTSuite(b *testing.B) {
 		return pages, tuples, peak
 	}
 	run() // plan every shape once: the measured passes are plan-cache hits
+	return run
+}
+
+// BenchmarkRTTSuite is rtt_navigate in the root suite: one op is one pass
+// of rttSuite with a 2 ms round trip per GET. Wall time follows each plan's
+// chain of dependent round trips; pages and peak_inflight show what was
+// fetched and how much of it overlapped.
+func BenchmarkRTTSuite(b *testing.B) {
+	run := rttSuite(b, 2*time.Millisecond)
 	b.ResetTimer()
 	var pages, tuples, peak int
 	for i := 0; i < b.N; i++ {

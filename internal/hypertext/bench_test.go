@@ -38,7 +38,7 @@ func BenchmarkRenderPage(b *testing.B) {
 	}
 }
 
-// BenchmarkWrapPage measures the wrapper (tokenize + parse + extract).
+// BenchmarkWrapPage measures the wrapper: one pass of lexing and extraction.
 func BenchmarkWrapPage(b *testing.B) {
 	ps, url, html := benchPage(b)
 	b.SetBytes(int64(len(html)))

@@ -118,47 +118,6 @@ func TestTokenizeUppercaseNormalized(t *testing.T) {
 	}
 }
 
-func TestParseTree(t *testing.T) {
-	root, err := Parse(`<html><body><div id="a">x<span>y</span></div><div id="b"></div></body></html>`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := root.Find(func(n *Node) bool { return n.Tag == "body" })
-	if body == nil || len(body.Kids) != 2 {
-		t.Fatalf("body kids = %v", body)
-	}
-	if got := body.Kids[0].InnerText(); got != "xy" {
-		t.Errorf("InnerText = %q", got)
-	}
-	divs := root.FindAll(func(n *Node) bool { return n.Tag == "div" }, nil)
-	if len(divs) != 2 {
-		t.Errorf("FindAll found %d divs", len(divs))
-	}
-	if id, ok := divs[1].Attr("id"); !ok || id != "b" {
-		t.Errorf("second div id = %q", id)
-	}
-	if root.Find(func(n *Node) bool { return n.Tag == "nope" }) != nil {
-		t.Error("Find of absent tag should be nil")
-	}
-}
-
-func TestParseRecoversStrayEndTags(t *testing.T) {
-	root, err := Parse(`<div><p>text</div>`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// <p> never closed but <div> close pops it.
-	if len(root.Kids) != 1 || root.Kids[0].Tag != "div" {
-		t.Errorf("tree = %+v", root.Kids)
-	}
-	if _, err := Parse(`</stray><div>x</div>`); err != nil {
-		t.Errorf("stray end tag should be ignored: %v", err)
-	}
-	if _, err := Parse(`<div><span>`); err == nil {
-		t.Error("unclosed elements should error")
-	}
-}
-
 func profScheme() *adm.PageScheme {
 	return &adm.PageScheme{Name: "ProfPage", Attrs: []nested.Field{
 		{Name: "Name", Type: nested.Text()},

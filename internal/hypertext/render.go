@@ -5,9 +5,10 @@
 // instances of page-schemes.
 //
 // The renderer emits semantic markers (data-attr attributes) so pages remain
-// ordinary HTML while staying mechanically wrappable; the wrapper is a real
-// HTML parser, not a string matcher, and tolerates whitespace, comments and
-// attribute reordering.
+// ordinary HTML while staying mechanically wrappable; the wrapper reads the
+// page's HTML tokens in one pass, guided by the page-scheme, not a string
+// matcher, and tolerates whitespace, comments, foreign markup and attribute
+// reordering.
 package hypertext
 
 import (

@@ -23,7 +23,7 @@ var concurrentPkgs = []string{
 //     guard in sight — fan-out proportional to data size;
 //   - a send inside a loop on an unbuffered channel made in the same
 //     function, outside any select — it blocks forever once the consumer
-//     stops (the exact bug site.Batch's guarded send prevents).
+//     stops.
 //
 // Bounded worker pools (`for w := 0; w < workers; w++ { go … }`) and
 // select-guarded sends pass.

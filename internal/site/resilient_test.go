@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -354,6 +355,53 @@ func TestBatch(t *testing.T) {
 	}
 	if err := Batch(0, 4, func(int) error { return errBadURL }); err != nil {
 		t.Fatalf("empty batch: %v", err)
+	}
+
+	// At most workers calls run at once, and with calls that wait, that
+	// many do.
+	for _, workers := range []int{1, 2, 4} {
+		var running, peak atomic.Int32
+		err := Batch(40, workers, func(int) error {
+			n := running.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			time.Sleep(time.Millisecond)
+			running.Add(-1)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := int(peak.Load()); got > workers {
+			t.Errorf("workers=%d: %d calls ran at once", workers, got)
+		} else if got < workers {
+			t.Logf("workers=%d: at most %d calls ran at once", workers, got)
+		}
+	}
+
+	// After the first error no new index starts. Index 0 fails while every
+	// other started call waits for that failure, and then a little longer,
+	// so only the calls already started can run, not the whole batch (the
+	// bound leaves one more per worker for a slow schedule).
+	for _, workers := range []int{1, 2, 4, 8} {
+		var started atomic.Int32
+		failed := make(chan struct{})
+		err := Batch(1000, workers, func(i int) error {
+			started.Add(1)
+			if i == 0 {
+				close(failed)
+				return errBadURL
+			}
+			<-failed
+			time.Sleep(10 * time.Millisecond)
+			return nil
+		})
+		if !errors.Is(err, errBadURL) {
+			t.Fatalf("workers=%d: err = %v, want the injected failure", workers, err)
+		}
+		if got := int(started.Load()); got > 2*workers {
+			t.Errorf("workers=%d: %d calls started, want at most %d after index 0 failed", workers, got, 2*workers)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ulixes/internal/adm"
@@ -299,12 +300,12 @@ func safeWrap(ps *adm.PageScheme, url, html string) (t nested.Tuple, panicked bo
 	return t, false, err
 }
 
-// Batch calls do(i) for every i in [0, n) on at most workers goroutines and
-// returns the first error, after which no further index is started. Callers
-// write results into slices indexed by i, which is what keeps batches
-// ordered; a caller that degrades instead of aborting records the error
-// itself and returns nil. With one worker the calls run in order on the
-// calling goroutine.
+// Batch calls do(i) for every i in [0, n) on at most workers goroutines,
+// the caller's among them, and returns the first error, after which no
+// further index is started. Callers write results into slices indexed by i,
+// which is what keeps batches ordered; a caller that degrades instead of
+// aborting records the error itself and returns nil. With one worker the
+// calls run in order on the calling goroutine.
 func Batch(n, workers int, do func(i int) error) error {
 	if workers > n {
 		workers = n
@@ -317,37 +318,27 @@ func Batch(n, workers int, do func(i int) error) error {
 		}
 		return nil
 	}
-	jobs := make(chan int)
-	done := make(chan struct{}) // closed on the first error
+	var next atomic.Int64 // the next index to start; n or more once one failed
 	var once sync.Once
 	var firstErr error
+	work := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			if err := do(i); err != nil {
+				once.Do(func() { firstErr = err })
+				next.Store(int64(n))
+				return
+			}
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				if err := do(i); err != nil {
-					once.Do(func() {
-						firstErr = err
-						close(done)
-					})
-					return
-				}
-			}
+			work()
 		}()
 	}
-	// The guarded send keeps the producer from blocking forever when every
-	// worker has exited on an error.
-producing:
-	for i := 0; i < n; i++ {
-		select {
-		case jobs <- i:
-		case <-done:
-			break producing
-		}
-	}
-	close(jobs)
+	work()
 	wg.Wait()
 	return firstErr
 }

@@ -203,6 +203,30 @@ func TestWarmSuiteAllocs(t *testing.T) {
 	}
 }
 
+// rttSuiteAllocCeiling is the navigation path's allocation budget: what one
+// rttSuite pass — ten plan-cache hits, each navigating a fresh page store
+// over a site without latency — may allocate. The pass allocated 32,578
+// objects at GOMAXPROCS 1, 32,613 at 2 and up to 32,740 at 8 when the
+// ceiling was set (84,339 to 84,435 while pages were wrapped through an
+// element tree); the ceiling is under 10 % above that.
+const rttSuiteAllocCeiling = 35500
+
+// TestRTTSuiteAllocs gates the allocations of navigating fresh stores,
+// downloads and wrapping included, at GOMAXPROCS 1, 2 and 8.
+func TestRTTSuiteAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	run := rttSuite(t, 0)
+	for _, procs := range []int{1, 2, 8} {
+		if n := allocsPerRun(procs, 10, func() { run() }); n > rttSuiteAllocCeiling {
+			t.Errorf("GOMAXPROCS=%d: a navigation pass allocates %.0f objects, ceiling %d", procs, n, rttSuiteAllocCeiling)
+		} else {
+			t.Logf("GOMAXPROCS=%d: %.0f allocations a pass", procs, n)
+		}
+	}
+}
+
 // allocsPerRun is testing.AllocsPerRun at a chosen GOMAXPROCS.
 // AllocsPerRun itself pins GOMAXPROCS to 1 while it measures, so it cannot
 // show what a parallel schedule adds.
