@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint verify fuzz-smoke bench bench-json experiments chaos overload serve smoke
+.PHONY: build test race vet lint verify schedules schedules-race fuzz-smoke bench bench-json experiments chaos overload serve
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,18 @@ lint:
 # verify is the full gate: build + vet + lint + race-enabled tests.
 verify:
 	sh scripts/verify.sh
+
+# schedules runs the packages of scripts/schedules.txt (the list, and why
+# each package is on it, is there) many times at several GOMAXPROCS:
+# schedules plain, for fast goroutine turnover, and schedules-race under the
+# race detector. On 2 cores they take about 2 and 10 minutes; the timeouts
+# leave a few times that.
+SCHEDULES := $(shell awk '!/^(\#|$$)/' scripts/schedules.txt)
+schedules:
+	$(GO) test -count=20 -cpu=1,2,8 -timeout 10m $(SCHEDULES)
+
+schedules-race:
+	$(GO) test -race -count=20 -cpu=1,2,8 -timeout 25m $(SCHEDULES)
 
 # fuzz-smoke runs each fuzz target briefly (seed corpus plus a short burst
 # of generated inputs) so a regression in the lexer/tokenizer agreement, the
@@ -64,14 +76,13 @@ experiments:
 
 # chaos runs the fault-injection suite under the race detector: the chaos
 # server's determinism, the resilient access path, the site-health guard
-# (breakers, bulkheads, hedging, stale serving), and the end-to-end
-# degraded/retry acceptance scenarios.
+# (breakers, bulkheads, hedging, stale serving), the end-to-end
+# degraded/retry acceptance scenarios, and the P3 and P5 experiments.
 chaos:
 	$(GO) test -race ./internal/faults/ ./internal/site/ ./internal/pagecache/ -run 'Chaos|Fault|Retry|Degraded|Stall|Singleflight|Backoff|NotFound|Session|Resilience'
 	$(GO) test -race ./internal/guard/
 	$(GO) test -race ./internal/engine/ ./internal/pagecache/ ./internal/matview/ ./cmd/ulixesd/ -run 'Chaos|Breaker|Stale|Shed|Drain'
-	$(GO) run ./cmd/bench -only P3
-	$(GO) run ./cmd/bench -only P5
+	$(GO) test ./internal/exp/ -run 'TestP3toP6/^P[35]$$'
 
 # overload runs the admission/deadline/memory-governance suite under the
 # race detector, then the P8 overload experiment: 10x bursty arrivals on a
@@ -80,12 +91,8 @@ chaos:
 overload:
 	$(GO) test -race ./internal/overload/
 	$(GO) test -race ./cmd/ulixesd/ -run 'Queue|Deadline|Panic|Watch|Drain|Stats'
-	$(GO) run ./cmd/bench -only P8
+	$(GO) test ./internal/exp/ -run '^TestP8OverloadBoundedAndExact$$'
 
 # serve starts the long-running query server over the shared page store.
 serve:
 	$(GO) run ./cmd/ulixesd
-
-# smoke runs the query server's concurrent self-test (ephemeral port).
-smoke:
-	$(GO) run ./cmd/ulixesd -smoke

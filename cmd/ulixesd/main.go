@@ -6,7 +6,9 @@
 // Usage:
 //
 //	ulixesd [-addr 127.0.0.1:8099] [-site university|bibliography]
+//	        [-courses 50] [-profs 20] [-depts 3] [-authors 500]
 //	        [-ttl 30s|forever] [-cache-bytes N] [-page-budget N]
+//	        [-retries N] [-degraded]
 //	        [-max-queries N] [-workers N] [-drain-timeout 10s]
 //	        [-queue N] [-queue-wait 2s] [-capacity-pages N]
 //	        [-deadline 0] [-deadline-max 0]
@@ -98,14 +100,15 @@
 // mutation workload to the university site so the pipeline can be exercised
 // end to end. /stats reports the feed and standing-query ledgers.
 //
-// With -smoke the server starts on an ephemeral port, runs a deterministic
-// multi-client workload against itself, checks every answer and the exact
-// page-access accounting, and exits non-zero on any mismatch (used by
-// scripts/verify.sh and CI).
+// Every flag is one field of config, which parseFlags fills and checks
+// before any work is done; assemble builds the whole server from it, and
+// the package's tests, the end-to-end smoke tests included, build theirs
+// the same way.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -114,7 +117,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -131,110 +133,189 @@ import (
 	"ulixes/internal/vselect"
 )
 
-func main() {
-	addr := flag.String("addr", "127.0.0.1:8099", "listen address")
-	siteName := flag.String("site", "university", "site to serve: university or bibliography")
-	courses := flag.Int("courses", 50, "university: number of courses")
-	profs := flag.Int("profs", 20, "university: number of professors")
-	depts := flag.Int("depts", 3, "university: number of departments")
-	authors := flag.Int("authors", 500, "bibliography: number of authors")
-	workers := flag.Int("workers", 0, "query parallelism: up to N follow tasks of N page accesses each in flight (0 = default; see engine.ExecOptions.Workers)")
-	maxQueries := flag.Int("max-queries", 8, "max in-flight queries; excess requests queue or get 429")
-	queueLen := flag.Int("queue", 0, "admission queue length beyond -max-queries (0 = reject immediately)")
-	queueWait := flag.Duration("queue-wait", 2*time.Second, "max queue sojourn; overdue waiters are dropped with 429")
-	capacityPages := flag.Float64("capacity-pages", 0, "estimated-page capacity across in-flight queries (0 = unlimited)")
-	deadline := flag.Duration("deadline", 0, "default per-query deadline when the client sends none (0 = none)")
-	deadlineMax := flag.Duration("deadline-max", 0, "hard ceiling on any per-query deadline (0 = no ceiling)")
-	pageBudget := flag.Int("page-budget", 0, "max distinct pages one query may access (0 = unlimited)")
-	ttl := flag.String("ttl", "forever", "page TTL: a duration, 0 (revalidate every re-access) or forever")
-	cacheBytes := flag.Int64("cache-bytes", 0, "shared store byte bound (0 = unbounded)")
-	pipelined := flag.Bool("pipelined", true, "use the streaming parallel evaluator")
-	retries := flag.Int("retries", 0, "retries per page fetch in the shared store")
-	degraded := flag.Bool("degraded", false, "partial answers when pages are unreachable")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-drain bound on shutdown")
-	useGuard := flag.Bool("guard", true, "run fetches through the per-host site-health guard")
-	breakerThreshold := flag.Float64("breaker-threshold", guard.DefaultErrorThreshold, "EWMA error rate that opens a host's circuit breaker")
-	breakerOpenFor := flag.Duration("breaker-open-for", guard.DefaultOpenFor, "how long an open breaker fast-fails before probing")
-	hostFetches := flag.Int("host-fetches", 0, "per-host bulkhead: max in-flight fetches per host (0 = unbounded)")
-	hedgeAfter := flag.Duration("hedge-after", 0, "hedge straggler GETs after this delay (0 = no hedging)")
-	planCache := flag.Bool("plan-cache", true, "cache prepared plans by query shape (constants parameterized out)")
-	planCacheEntries := flag.Int("plan-cache-entries", 0, "max cached plan shapes (0 = default)")
-	viewsAuto := flag.Bool("views-auto", false, "record the workload and materialize the most beneficial views automatically")
-	viewsBudget := flag.Int64("views-budget", 0, "storage budget in bytes for materialized view extents (0 = unlimited)")
-	viewsHorizon := flag.Duration("views-horizon", 0, "freshness horizon: views older than this stop answering (0 = never expire)")
-	viewsStale := flag.Bool("views-stale", false, "serve views past the freshness horizon instead of navigating live")
-	viewsEvery := flag.Int("views-every", 50, "re-run view selection every N served queries")
-	feedMode := flag.String("feed", "off", "push feed: off, hook (site mutation hook) or poll (adaptive HEAD sweeps)")
-	feedBudget := flag.Int("feed-budget", 0, "poll feed: max light connections per sweep (0 = unlimited)")
-	feedInterval := flag.Duration("feed-interval", 10*time.Second, "poll feed: sweep period and minimum per-URL check cadence")
-	watchMax := flag.Int("watch-max", standing.DefaultMaxSubs, "max concurrent standing-query subscriptions")
-	ringBytes := flag.Int("ring-bytes", 0, "per-subscription delta-ring byte bound; oldest dropped first (0 = count bound only)")
-	watchWriteTimeout := flag.Duration("watch-write-timeout", defaultWatchWrite, "per-write /watch deadline; slow clients are disconnected (0 = none)")
-	mutateSeed := flag.Int64("mutate-seed", 1, "seed for the /mutate mutation workload")
-	smoke := flag.Bool("smoke", false, "self-test: serve on an ephemeral port, run a concurrent workload, exit")
-	flag.Parse()
+// config holds one field per flag, and the test-only seam no flag sets.
+type config struct {
+	addr                  string
+	site                  string
+	courses, profs, depts int
+	authors               int
+	workers               int
+	maxQueries, queueLen  int
+	queueWait             time.Duration
+	capacityPages         float64
+	deadline, deadlineMax time.Duration
+	pageBudget            int
+	ttl                   string
+	cacheBytes            int64
+	retries               int
+	degraded              bool
+	drainTimeout          time.Duration
+	guard                 bool
+	breakerThreshold      float64
+	breakerOpenFor        time.Duration
+	hostFetches           int
+	hedgeAfter            time.Duration
+	planCache             bool
+	planCacheEntries      int
+	viewsAuto             bool
+	viewsBudget           int64
+	viewsHorizon          time.Duration
+	viewsStale            bool
+	viewsEvery            int
+	feed                  string
+	feedBudget            int
+	feedInterval          time.Duration
+	watchMax, ringBytes   int
+	watchWriteTimeout     time.Duration
+	mutateSeed            int64
 
-	ttlDur, err := parseTTL(*ttl)
-	if err != nil {
-		log.Fatalf("ulixesd: %v", err)
+	seam seam
+}
+
+// seam is what tests substitute under the server; its zero value is what
+// the binary runs.
+type seam struct {
+	// wrap, when non-nil, puts a server between the site and everything
+	// that fetches from it (the guard, the page store, the statistics
+	// crawl and the change feed's sweeps).
+	wrap func(*site.MemSite) site.Server
+	// clock, when non-nil, drives the guard's breakers and the page
+	// store's TTLs instead of their logical clocks.
+	clock site.Clock
+	// sleeper, when non-nil, waits out the page store's retry backoff.
+	sleeper site.Sleeper
+}
+
+// parseFlags parses ulixesd's command line into a config. It rejects a bad
+// -site, -ttl or -feed before anything is built, so a typo does not cost a
+// site generation and a statistics crawl first.
+func parseFlags(args []string) (config, error) {
+	var c config
+	fs := flag.NewFlagSet("ulixesd", flag.ContinueOnError)
+	fs.StringVar(&c.addr, "addr", "127.0.0.1:8099", "listen address")
+	fs.StringVar(&c.site, "site", "university", "site to serve: university or bibliography")
+	fs.IntVar(&c.courses, "courses", 50, "university: number of courses")
+	fs.IntVar(&c.profs, "profs", 20, "university: number of professors")
+	fs.IntVar(&c.depts, "depts", 3, "university: number of departments")
+	fs.IntVar(&c.authors, "authors", 500, "bibliography: number of authors")
+	fs.IntVar(&c.workers, "workers", 0, "query parallelism: up to N follow tasks of N page accesses each in flight (0 = default; see engine.ExecOptions.Workers)")
+	fs.IntVar(&c.maxQueries, "max-queries", 8, "max in-flight queries; excess requests queue or get 429")
+	fs.IntVar(&c.queueLen, "queue", 0, "admission queue length beyond -max-queries (0 = reject immediately)")
+	fs.DurationVar(&c.queueWait, "queue-wait", 2*time.Second, "max queue sojourn; overdue waiters are dropped with 429")
+	fs.Float64Var(&c.capacityPages, "capacity-pages", 0, "estimated-page capacity across in-flight queries (0 = unlimited)")
+	fs.DurationVar(&c.deadline, "deadline", 0, "default per-query deadline when the client sends none (0 = none)")
+	fs.DurationVar(&c.deadlineMax, "deadline-max", 0, "hard ceiling on any per-query deadline (0 = no ceiling)")
+	fs.IntVar(&c.pageBudget, "page-budget", 0, "max distinct pages one query may access (0 = unlimited)")
+	fs.StringVar(&c.ttl, "ttl", "forever", "page TTL: a duration, 0 (revalidate every re-access) or forever")
+	fs.Int64Var(&c.cacheBytes, "cache-bytes", 0, "shared store byte bound (0 = unbounded)")
+	fs.IntVar(&c.retries, "retries", 0, "retries per page fetch in the shared store")
+	fs.BoolVar(&c.degraded, "degraded", false, "partial answers when pages are unreachable")
+	fs.DurationVar(&c.drainTimeout, "drain-timeout", 10*time.Second, "graceful-drain bound on shutdown")
+	fs.BoolVar(&c.guard, "guard", true, "run fetches through the per-host site-health guard")
+	fs.Float64Var(&c.breakerThreshold, "breaker-threshold", guard.DefaultErrorThreshold, "EWMA error rate that opens a host's circuit breaker")
+	fs.DurationVar(&c.breakerOpenFor, "breaker-open-for", guard.DefaultOpenFor, "how long an open breaker fast-fails before probing")
+	fs.IntVar(&c.hostFetches, "host-fetches", 0, "per-host bulkhead: max in-flight fetches per host (0 = unbounded)")
+	fs.DurationVar(&c.hedgeAfter, "hedge-after", 0, "hedge straggler GETs after this delay (0 = no hedging)")
+	fs.BoolVar(&c.planCache, "plan-cache", true, "cache prepared plans by query shape (constants parameterized out)")
+	fs.IntVar(&c.planCacheEntries, "plan-cache-entries", 0, "max cached plan shapes (0 = default)")
+	fs.BoolVar(&c.viewsAuto, "views-auto", false, "record the workload and materialize the most beneficial views automatically")
+	fs.Int64Var(&c.viewsBudget, "views-budget", 0, "storage budget in bytes for materialized view extents (0 = unlimited)")
+	fs.DurationVar(&c.viewsHorizon, "views-horizon", 0, "freshness horizon: views older than this stop answering (0 = never expire)")
+	fs.BoolVar(&c.viewsStale, "views-stale", false, "serve views past the freshness horizon instead of navigating live")
+	fs.IntVar(&c.viewsEvery, "views-every", 50, "re-run view selection every N served queries")
+	fs.StringVar(&c.feed, "feed", "off", "push feed: off, hook (site mutation hook) or poll (adaptive HEAD sweeps)")
+	fs.IntVar(&c.feedBudget, "feed-budget", 0, "poll feed: max light connections per sweep (0 = unlimited)")
+	fs.DurationVar(&c.feedInterval, "feed-interval", 10*time.Second, "poll feed: sweep period and minimum per-URL check cadence")
+	fs.IntVar(&c.watchMax, "watch-max", standing.DefaultMaxSubs, "max concurrent standing-query subscriptions")
+	fs.IntVar(&c.ringBytes, "ring-bytes", 0, "per-subscription delta-ring byte bound; oldest dropped first (0 = count bound only)")
+	fs.DurationVar(&c.watchWriteTimeout, "watch-write-timeout", 10*time.Second, "per-write /watch deadline; slow clients are disconnected (0 = none)")
+	fs.Int64Var(&c.mutateSeed, "mutate-seed", 1, "seed for the /mutate mutation workload")
+	if err := fs.Parse(args); err != nil {
+		return c, err
 	}
+	if c.site != "university" && c.site != "bibliography" {
+		return c, fmt.Errorf("unknown site %q (university or bibliography)", c.site)
+	}
+	if _, err := parseTTL(c.ttl); err != nil {
+		return c, err
+	}
+	if c.feed != "off" && c.feed != "hook" && c.feed != "poll" {
+		return c, fmt.Errorf("bad -feed %q (off, hook or poll)", c.feed)
+	}
+	return c, nil
+}
 
-	ms, ws, views, univ, err := buildSite(*siteName, *courses, *profs, *depts, *authors)
+// assemble builds the server a config describes, in this order: the site,
+// the guard, the byte ledger, the page store, the system (whose statistics
+// crawl runs here), the plan cache, admission, view answering, and the
+// change feed with its sinks, its standing-query registry and its mutator.
+// With -feed poll it starts the sweeper, which stop ends.
+func assemble(cfg config) (*server, error) {
+	ttl, err := parseTTL(cfg.ttl)
 	if err != nil {
-		log.Fatalf("ulixesd: %v", err)
+		return nil, err
+	}
+	ms, ws, views, univ, err := buildSite(cfg.site, cfg.courses, cfg.profs, cfg.depts, cfg.authors)
+	if err != nil {
+		return nil, err
+	}
+	var upstream site.Server = ms
+	if cfg.seam.wrap != nil {
+		upstream = cfg.seam.wrap(ms)
 	}
 	// The guard composes transparently: it is simply the server the store
 	// and the engine fetch through, so breakers, bulkheads and hedges apply
 	// to every page access without further wiring.
-	var server site.Server = ms
 	var g *guard.Guard
-	if *useGuard {
-		g = guard.New(ms, guard.Config{
-			ErrorThreshold: *breakerThreshold,
-			OpenFor:        *breakerOpenFor,
-			MaxPerHost:     *hostFetches,
-			HedgeAfter:     *hedgeAfter,
+	if cfg.guard {
+		g = guard.New(upstream, guard.Config{
+			Clock:          cfg.seam.clock,
+			ErrorThreshold: cfg.breakerThreshold,
+			OpenFor:        cfg.breakerOpenFor,
+			MaxPerHost:     cfg.hostFetches,
+			HedgeAfter:     cfg.hedgeAfter,
 		})
-		server = g
+		upstream = g
+	}
+	clock := cfg.seam.clock
+	if clock == nil {
+		clock = site.LogicalClock()
 	}
 	// One ledger spans every byte-holding subsystem, so /stats can answer
 	// "where is the memory" with a single consistent snapshot.
 	ledger := overload.NewLedger()
-	cache := pagecache.New(server, ws, pagecache.Config{
-		MaxBytes:   *cacheBytes,
-		DefaultTTL: ttlDur,
-		Clock:      site.LogicalClock(),
-		Retry:      site.RetryPolicy{MaxRetries: *retries},
-		Workers:    *workers,
+	cache := pagecache.New(upstream, ws, pagecache.Config{
+		MaxBytes:   cfg.cacheBytes,
+		DefaultTTL: ttl,
+		Clock:      clock,
+		Retry:      site.RetryPolicy{MaxRetries: cfg.retries},
+		Sleeper:    cfg.seam.sleeper,
+		Workers:    cfg.workers,
 		Meter:      ledger.Account("pagecache"),
 	})
-	sys, err := ulixes.Open(server, ws, views)
+	sys, err := ulixes.Open(upstream, ws, views)
 	if err != nil {
-		log.Fatalf("ulixesd: statistics crawl: %v", err)
+		return nil, fmt.Errorf("statistics crawl: %w", err)
 	}
 	sys.SetExec(ulixes.ExecOptions{
-		Workers:    *workers,
-		Pipelined:  *pipelined,
-		Degraded:   *degraded,
+		Workers:    cfg.workers,
+		Pipelined:  true,
+		Degraded:   cfg.degraded,
 		Cache:      cache,
-		PageBudget: *pageBudget,
+		PageBudget: cfg.pageBudget,
 	})
-	if *planCache {
-		sys.EnablePlanCache(ulixes.PlanCacheConfig{MaxEntries: *planCacheEntries})
+	if cfg.planCache {
+		sys.EnablePlanCache(ulixes.PlanCacheConfig{MaxEntries: cfg.planCacheEntries})
 	}
-
-	srv := newServer(sys, cache, *maxQueries)
-	srv.guard = g
-	srv.ledger = ledger
-	srv.queue = overload.NewQueue(overload.QueueConfig{
-		Slots:         *maxQueries,
-		MaxQueue:      *queueLen,
-		MaxWait:       *queueWait,
-		CapacityPages: *capacityPages,
+	queue := overload.NewQueue(overload.QueueConfig{
+		Slots:         cfg.maxQueries,
+		MaxQueue:      cfg.queueLen,
+		MaxWait:       cfg.queueWait,
+		CapacityPages: cfg.capacityPages,
 	})
-	srv.deadlines = overload.DeadlineBudget{Default: *deadline, Max: *deadlineMax}
-	srv.watchWrite = *watchWriteTimeout
-	if *viewsAuto {
+
+	var selector *vselect.Selector
+	if cfg.viewsAuto {
 		// Workload-driven view answering: record every query's shape and
 		// cost, and let the benefit/byte selector re-decide the materialized
 		// view set as the workload drifts. The first selection crawls the
@@ -242,15 +323,14 @@ func main() {
 		// live planner.
 		sys.EnableWorkload(0)
 		sys.EnableViewAnswering(ulixes.ViewManagerConfig{
-			Rewriter: ulixes.ViewRewriterConfig{Horizon: *viewsHorizon, AllowStale: *viewsStale},
-			Budget:   *viewsBudget,
+			Rewriter: ulixes.ViewRewriterConfig{Horizon: cfg.viewsHorizon, AllowStale: cfg.viewsStale},
+			Budget:   cfg.viewsBudget,
 		})
-		srv.selector = vselect.New(vselect.Config{
-			Budget: *viewsBudget,
+		selector = vselect.New(vselect.Config{
+			Budget: cfg.viewsBudget,
 			Views:  views,
 			Model:  &cost.Model{Scheme: ws, Stats: sys.Stats()},
 		})
-		srv.viewsEvery = *viewsEvery
 		// Matview bytes are already tracked by the manager; the ledger polls
 		// them as a gauge instead of double-charging every row mutation.
 		ledger.Gauge("matview", func() int64 {
@@ -267,17 +347,16 @@ func main() {
 	// queries whose footprint it touches. The monitor and the view horizon
 	// share wall time (vanswer stamps verifications with time.Now), unlike the
 	// page store's logical TTL clock — the two ledgers never exchange instants.
-	feedCtx, stopFeed := context.WithCancel(context.Background())
-	defer stopFeed()
-	var feedWG sync.WaitGroup
-	if *feedMode != "off" {
-		if *feedMode != "hook" && *feedMode != "poll" {
-			log.Fatalf("ulixesd: bad -feed %q (off, hook or poll)", *feedMode)
-		}
-		mon := changefeed.New(server, changefeed.Config{
+	var (
+		mon     *changefeed.Monitor
+		reg     *standing.Registry
+		mutator *sitegen.Mutator
+	)
+	if cfg.feed != "off" {
+		mon = changefeed.New(upstream, changefeed.Config{
 			Clock:       time.Now,
-			Budget:      *feedBudget,
-			MinInterval: *feedInterval,
+			Budget:      cfg.feedBudget,
+			MinInterval: cfg.feedInterval,
 		})
 		// Sink 1: targeted page-store invalidation. A touch only bumps the
 		// date, so the entry stays and the next access revalidates; anything
@@ -295,8 +374,8 @@ func main() {
 		// so after applying one the whole extent is consistent through "now"
 		// and the freshness horizon advances with it; in poll mode only a
 		// clean full sweep proves that, via the sweep report below.
-		if *viewsAuto {
-			hooked := *feedMode == "hook"
+		if cfg.viewsAuto {
+			hooked := cfg.feed == "hook"
 			mon.Subscribe(changefeed.SinkFunc(func(ev changefeed.Event) {
 				vm := sys.ViewManager()
 				if vm == nil {
@@ -323,10 +402,10 @@ func main() {
 		}
 		// Sink 3: standing queries, re-answered through the shared system so
 		// deltas price in the plan cache, the page store and view answering.
-		reg := standing.New(standing.Config{
+		reg = standing.New(standing.Config{
 			Views:        views,
-			MaxSubs:      *watchMax,
-			MaxRingBytes: *ringBytes,
+			MaxSubs:      cfg.watchMax,
+			MaxRingBytes: cfg.ringBytes,
 			Meter:        ledger.Account("standingRings"),
 			Clock:        time.Now,
 			Answer: func(q *ulixes.Query) (*ulixes.Relation, error) {
@@ -338,42 +417,65 @@ func main() {
 			},
 		})
 		mon.Subscribe(reg)
-		srv.feed = mon
-		srv.standing = reg
 		if univ != nil {
-			srv.mutator = sitegen.NewMutator(univ, ms, *mutateSeed)
+			mutator = sitegen.NewMutator(univ, ms, cfg.mutateSeed)
 		}
-		if *feedMode == "hook" {
+		if cfg.feed == "hook" {
 			mon.AttachMemSite(ms)
 		} else {
 			mon.WatchMemSite(ms)
-			feedWG.Add(1)
-			go func() {
-				defer feedWG.Done()
-				_ = mon.Run(feedCtx, *feedInterval, nil) // returns on cancel
-			}()
 		}
 	}
 
-	if *smoke {
-		err := runSmoke(srv)
-		stopFeed()
-		feedWG.Wait()
-		if err != nil {
-			log.Fatalf("ulixesd: smoke: %v", err)
-		}
-		fmt.Println("ulixesd: smoke OK")
+	watchCtx, stopWatch := context.WithCancel(context.Background())
+	sweepCtx, stopSweep := context.WithCancel(context.Background())
+	s := &server{
+		sys:        sys,
+		cache:      cache,
+		guard:      g,
+		selector:   selector,
+		viewsEvery: cfg.viewsEvery,
+		feed:       mon,
+		standing:   reg,
+		mutator:    mutator,
+		watchCtx:   watchCtx,
+		stopWatch:  stopWatch,
+		stopSweep:  stopSweep,
+		queue:      queue,
+		deadlines:  overload.DeadlineBudget{Default: cfg.deadline, Max: cfg.deadlineMax},
+		ledger:     ledger,
+		watchWrite: cfg.watchWriteTimeout,
+	}
+	if cfg.feed == "poll" {
+		s.sweeper.Add(1)
+		go func() {
+			defer s.sweeper.Done()
+			_ = mon.Run(sweepCtx, cfg.feedInterval, nil) // returns on cancel
+		}()
+	}
+	return s, nil
+}
+
+func main() {
+	cfg, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
 		return
 	}
-
-	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatalf("ulixesd: %v", err)
+	}
+	srv, err := assemble(cfg)
+	if err != nil {
+		log.Fatalf("ulixesd: %v", err)
+	}
+	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		log.Fatalf("ulixesd: %v", err)
 	}
 	hs := &http.Server{Handler: srv.handler()}
 	go func() {
 		log.Printf("ulixesd: serving %s on http://%s (max %d queries, ttl %s)",
-			*siteName, ln.Addr(), *maxQueries, *ttl)
+			cfg.site, ln.Addr(), cfg.maxQueries, cfg.ttl)
 		if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
 			log.Fatalf("ulixesd: %v", err)
 		}
@@ -382,16 +484,14 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
-	log.Printf("ulixesd: draining (up to %s)", *drainTimeout)
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	log.Printf("ulixesd: draining (up to %s)", cfg.drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
 	defer cancel()
 	srv.drain()
 	if err := hs.Shutdown(ctx); err != nil {
 		log.Fatalf("ulixesd: drain: %v", err)
 	}
-	stopFeed()
-	feedWG.Wait()       // stop the poll-mode sweeper
-	srv.selectWG.Wait() // let an in-flight background view selection settle
+	srv.stop()
 	log.Printf("ulixesd: drained; %d queries served", srv.served.Load())
 }
 

@@ -6,8 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-
-	"ulixes"
 )
 
 // comparable strips the timing fields (the only non-deterministic parts of
@@ -34,9 +32,8 @@ func comparable(t *testing.T, r queryResponse) string {
 // the cached server's queries must be plan-cache hits, and the hit/miss
 // counters must surface on /stats.
 func TestPlanCacheWorkload(t *testing.T) {
-	cachedSrv := newTestServer(t, 4, 0, nil)
-	cachedSrv.sys.EnablePlanCache(ulixes.PlanCacheConfig{})
-	plainSrv := newTestServer(t, 4, 0, nil)
+	cachedSrv := newTestServer(t)
+	plainSrv := newTestServer(t, "-plan-cache=false")
 
 	cachedTS := httptest.NewServer(cachedSrv.handler())
 	defer cachedTS.Close()
@@ -53,13 +50,13 @@ func TestPlanCacheWorkload(t *testing.T) {
 		)
 	}
 	for i, q := range queries {
-		resp, a := doQuery(t, cachedTS, q)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("query %d (cached): status %d", i, resp.StatusCode)
+		code, a := doQuery(t, cachedTS, q)
+		if code != http.StatusOK {
+			t.Fatalf("query %d (cached): status %d", i, code)
 		}
-		resp, b := doQuery(t, plainTS, q)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("query %d (plain): status %d", i, resp.StatusCode)
+		code, b := doQuery(t, plainTS, q)
+		if code != http.StatusOK {
+			t.Fatalf("query %d (plain): status %d", i, code)
 		}
 		if got, want := comparable(t, a), comparable(t, b); got != want {
 			t.Fatalf("query %d: responses differ\ncached: %s\nplain:  %s", i, got, want)
@@ -72,15 +69,8 @@ func TestPlanCacheWorkload(t *testing.T) {
 		}
 	}
 
-	resp, err := cachedTS.Client().Get(cachedTS.URL + "/stats") //lint:allow fetchgate client of our own query API, not a page fetch
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
 	var st storeStats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
+	mustCall(t, cachedTS, "GET", "/stats", "", &st)
 	total := st.PlanHits + st.PlanMisses
 	if total != uint64(len(queries)) {
 		t.Fatalf("plan lookups = %d, want %d", total, len(queries))

@@ -86,6 +86,9 @@ type server struct {
 	// selectWG tracks the in-flight background reselection, so shutdown and
 	// tests can wait for it to settle.
 	selectWG sync.WaitGroup
+	// sweeper runs the poll-mode feed's sweeps until stopSweep.
+	sweeper   sync.WaitGroup
+	stopSweep context.CancelFunc
 
 	mu sync.Mutex
 	// totals accumulates every served query's ExecStats via ExecStats.Add,
@@ -93,27 +96,6 @@ type server struct {
 	// ledger (the paper's C(E) summed over the workload) next to the store's
 	// own counters in memory that does not grow with the queries served.
 	totals engine.ExecStats // guarded by mu
-}
-
-// defaultWatchWrite is the per-write /watch deadline when main does not
-// configure one.
-const defaultWatchWrite = 10 * time.Second
-
-func newServer(sys *ulixes.System, cache *pagecache.Cache, maxQueries int) *server {
-	if maxQueries < 1 {
-		maxQueries = 1
-	}
-	// MaxQueue 0 preserves the historical instant-429 admission; main (and
-	// tests) swap in a configured queue for bounded waiting.
-	s := &server{
-		sys:        sys,
-		cache:      cache,
-		queue:      overload.NewQueue(overload.QueueConfig{Slots: maxQueries}),
-		ledger:     overload.NewLedger(),
-		watchWrite: defaultWatchWrite,
-	}
-	s.watchCtx, s.stopWatch = context.WithCancel(context.Background())
-	return s
 }
 
 func (s *server) handler() http.Handler {
@@ -189,6 +171,14 @@ func (s *server) protect(h http.HandlerFunc) http.HandlerFunc {
 func (s *server) drain() {
 	s.draining.Store(true)
 	s.stopWatch()
+}
+
+// stop ends the work drain leaves running: the poll-mode sweeper, and a
+// background view selection already under way, which it lets settle.
+func (s *server) stop() {
+	s.stopSweep()
+	s.sweeper.Wait()
+	s.selectWG.Wait()
 }
 
 // queryStats is the wire form of an engine.ExecStats: a query's own

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -13,15 +14,9 @@ import (
 	"testing"
 	"time"
 
-	"ulixes"
 	"ulixes/internal/faults"
 	"ulixes/internal/guard"
-	"ulixes/internal/overload"
-	"ulixes/internal/pagecache"
 	"ulixes/internal/site"
-	"ulixes/internal/sitegen"
-	"ulixes/internal/standing"
-	"ulixes/internal/view"
 )
 
 // leakCheck snapshots the goroutine count and returns a check that waits
@@ -49,109 +44,178 @@ func leakCheck(t *testing.T) func() {
 	}
 }
 
-// gateServer wraps a site and, when armed, blocks every GET until released
-// — it lets a test hold a query in flight deterministically.
-type gateServer struct {
-	*site.MemSite
+// gate wraps a site and, when armed, blocks every GET (with heads, every
+// HEAD instead) until released: it lets a test hold a query in flight
+// deterministically. It implements only the plain site.Server surface.
+type gate struct {
+	inner   site.Server
+	heads   bool
 	mu      sync.Mutex
-	gate    chan struct{}
-	blocked chan struct{} // signaled once per blocked GET
+	open    chan struct{}
+	blocked chan struct{} // signaled once per blocked request
 }
 
-func (g *gateServer) arm() {
+func (g *gate) arm() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.gate = make(chan struct{})
+	g.open = make(chan struct{})
 	g.blocked = make(chan struct{}, 64)
 }
 
-func (g *gateServer) release() {
+func (g *gate) release() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.gate != nil {
-		close(g.gate)
-		g.gate = nil
+	if g.open != nil {
+		close(g.open)
+		g.open = nil
 	}
 }
 
-func (g *gateServer) Get(url string) (site.Page, error) {
+// wait blocks while the gate is armed.
+func (g *gate) wait() {
 	g.mu.Lock()
-	gate, blocked := g.gate, g.blocked
+	open, blocked := g.open, g.blocked
 	g.mu.Unlock()
-	if gate != nil {
+	if open != nil {
 		blocked <- struct{}{}
-		<-gate
+		<-open
 	}
-	return g.MemSite.Get(url) //lint:allow fetchgate test double forwarding to the wrapped site
 }
 
-// newTestServer builds a small university system over the given site
-// wrapper with a shared store.
-func newTestServer(t *testing.T, maxQueries, pageBudget int, wrap func(*site.MemSite) site.Server) *server {
+// reached waits until a request is blocked at the gate.
+func (g *gate) reached(t *testing.T) {
 	t.Helper()
-	u, err := sitegen.GenerateUniversity(sitegen.UniversityParams{Courses: 12, Profs: 6, Depts: 2})
+	select {
+	case <-g.blocked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("query never reached the site")
+	}
+}
+
+func (g *gate) Get(url string) (site.Page, error) {
+	if !g.heads {
+		g.wait()
+	}
+	return g.inner.Get(url) //lint:allow fetchgate test double forwarding to the wrapped site
+}
+
+func (g *gate) Head(url string) (site.Meta, error) {
+	if g.heads {
+		g.wait()
+	}
+	return g.inner.Head(url) //lint:allow fetchgate test double forwarding to the wrapped site
+}
+
+// small is the university site every test but the smoke serves.
+var small = []string{"-courses", "12", "-profs", "6", "-depts", "2"}
+
+// testConfig parses flags as main does, after the small site's.
+func testConfig(t *testing.T, args ...string) config {
+	t.Helper()
+	cfg, err := parseFlags(append(append([]string(nil), small...), args...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := site.NewMemSite(u.Instance, nil)
+	return cfg
+}
+
+// start assembles the server cfg describes, and drains and stops it when
+// the test ends.
+func start(t *testing.T, cfg config) *server {
+	t.Helper()
+	srv, err := assemble(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sv site.Server = ms
-	if wrap != nil {
-		sv = wrap(ms)
-	}
-	ledger := overload.NewLedger()
-	cache := pagecache.New(sv, u.Scheme, pagecache.Config{
-		DefaultTTL: pagecache.Forever,
-		Clock:      site.LogicalClock(),
-		Meter:      ledger.Account("pagecache"),
+	t.Cleanup(func() {
+		srv.drain()
+		srv.stop()
 	})
-	sys, err := ulixes.Open(ms, u.Scheme, view.UniversityView(u.Scheme))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.SetExec(ulixes.ExecOptions{Cache: cache, PageBudget: pageBudget})
-	srv := newServer(sys, cache, maxQueries)
-	srv.ledger = ledger
 	return srv
 }
 
-func doQuery(t *testing.T, ts *httptest.Server, q string) (*http.Response, queryResponse) {
+// newTestServer is the server ulixesd runs with these flags over the small
+// site.
+func newTestServer(t *testing.T, args ...string) *server {
 	t.Helper()
-	resp, err := ts.Client().Post(ts.URL+"/query", "text/plain", strings.NewReader(q)) //lint:allow fetchgate client of our own query API, not a page fetch
+	return start(t, testConfig(t, args...))
+}
+
+// gatedServer is newTestServer with a GET gate in front of the site.
+func gatedServer(t *testing.T, args ...string) (*server, *gate) {
+	t.Helper()
+	gs := &gate{}
+	cfg := testConfig(t, args...)
+	cfg.seam.wrap = func(ms *site.MemSite) site.Server {
+		gs.inner = ms
+		return gs
+	}
+	return start(t, cfg), gs
+}
+
+// call sends one request to the server's own API and, for a 200 reply and
+// a non-nil out, decodes its JSON body into out. It reports the status and
+// leaves t alone, so concurrent clients can use it. A request that takes
+// over 30 s fails, so a long-poll whose delta never comes cannot hang the
+// test.
+func call(ts *httptest.Server, method, path, body string, out any) (int, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, method, ts.URL+path, strings.NewReader(body))
+	if err != nil {
+		return 0, err
+	}
+	resp, err := ts.Client().Do(req) //lint:allow fetchgate client of our own query API, not a page fetch
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || out == nil {
+		_, err = io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode, err
+	}
+	return resp.StatusCode, json.NewDecoder(resp.Body).Decode(out)
+}
+
+// mustCall is call that fails the test on anything but a decoded 200.
+func mustCall(t *testing.T, ts *httptest.Server, method, path, body string, out any) {
+	t.Helper()
+	if code, err := call(ts, method, path, body, out); err != nil || code != http.StatusOK {
+		t.Fatalf("%s %s: status %d, %v", method, path, code, err)
+	}
+}
+
+// doQuery posts one query and returns the status and, for a 200, the
+// answer.
+func doQuery(t *testing.T, ts *httptest.Server, q string) (int, queryResponse) {
+	t.Helper()
+	var out queryResponse
+	code, err := call(ts, "POST", "/query", q, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var out queryResponse
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return resp, out
+	return code, out
 }
 
 // TestSharedStoreAcrossQueries: the second query over the same relation
 // costs zero downloads — every access is a cache hit, and the invariant
 // access count matches the cold run.
 func TestSharedStoreAcrossQueries(t *testing.T) {
-	srv := newTestServer(t, 4, 0, nil)
+	srv := newTestServer(t)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
 	const q = "SELECT p.PName FROM Professor p WHERE p.Rank = 'Full'"
-	resp, cold := doQuery(t, ts, q)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cold query status %d", resp.StatusCode)
+	code, cold := doQuery(t, ts, q)
+	if code != http.StatusOK {
+		t.Fatalf("cold query status %d", code)
 	}
 	if cold.Stats.Pages == 0 || cold.Stats.CacheHits != 0 {
 		t.Fatalf("cold stats %+v, want all downloads", cold.Stats)
 	}
-	resp, warm := doQuery(t, ts, q)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("warm query status %d", resp.StatusCode)
+	code, warm := doQuery(t, ts, q)
+	if code != http.StatusOK {
+		t.Fatalf("warm query status %d", code)
 	}
 	if warm.Stats.Pages != 0 {
 		t.Errorf("warm query downloaded %d pages, want 0", warm.Stats.Pages)
@@ -165,9 +229,7 @@ func TestSharedStoreAcrossQueries(t *testing.T) {
 	// The workload totals are the sessions' own counters, and the peak is
 	// the shared store's transport's.
 	var st storeStats
-	if err := getTestJSON(t, ts, "/stats", &st); err != nil {
-		t.Fatal(err)
-	}
+	mustCall(t, ts, "GET", "/stats", "", &st)
 	if st.Totals == nil || st.Totals.Accesses != cold.Stats.Accesses+warm.Stats.Accesses {
 		t.Errorf("queryTotals %+v, want accesses %d", st.Totals, cold.Stats.Accesses+warm.Stats.Accesses)
 	} else if st.Totals.PeakInFlight < 1 || st.Totals.SharedFetches != 0 {
@@ -178,30 +240,21 @@ func TestSharedStoreAcrossQueries(t *testing.T) {
 // TestAdmissionControl: with a single query slot, a second concurrent query
 // is rejected immediately with 429 instead of queueing.
 func TestAdmissionControl(t *testing.T) {
-	var gs *gateServer
-	srv := newTestServer(t, 1, 0, func(ms *site.MemSite) site.Server {
-		gs = &gateServer{MemSite: ms}
-		return gs
-	})
+	srv, gs := gatedServer(t, "-max-queries", "1")
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
 	gs.arm()
 	done := make(chan int, 1)
 	go func() {
-		resp, _ := doQuery(t, ts, "SELECT d.DName FROM Dept d")
-		done <- resp.StatusCode
+		code, _ := call(ts, "POST", "/query", "SELECT d.DName FROM Dept d", nil)
+		done <- code
 	}()
 	// Wait until the in-flight query is provably blocked on a page fetch.
-	select {
-	case <-gs.blocked:
-	case <-time.After(10 * time.Second):
-		t.Fatal("query never reached the site")
-	}
+	gs.reached(t)
 
-	resp, _ := doQuery(t, ts, "SELECT d.DName FROM Dept d")
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("second query status %d, want 429", resp.StatusCode)
+	if code, _ := doQuery(t, ts, "SELECT d.DName FROM Dept d"); code != http.StatusTooManyRequests {
+		t.Fatalf("second query status %d, want 429", code)
 	}
 
 	gs.release()
@@ -209,38 +262,34 @@ func TestAdmissionControl(t *testing.T) {
 		t.Fatalf("gated query finished with %d, want 200", code)
 	}
 	// The slot is free again.
-	resp, _ = doQuery(t, ts, "SELECT d.DName FROM Dept d")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-release query status %d, want 200", resp.StatusCode)
+	if code, _ := doQuery(t, ts, "SELECT d.DName FROM Dept d"); code != http.StatusOK {
+		t.Fatalf("post-release query status %d, want 200", code)
 	}
 }
 
 // TestPageBudgetRejectsQuery: a query whose plan needs more distinct pages
 // than the per-query budget fails with 422 and a structured error.
 func TestPageBudgetRejectsQuery(t *testing.T) {
-	srv := newTestServer(t, 4, 2, nil)
+	srv := newTestServer(t, "-page-budget", "2")
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
-	resp, _ := doQuery(t, ts, "SELECT p.PName, p.Email FROM Professor p")
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("over-budget query status %d, want 422", resp.StatusCode)
+	if code, _ := doQuery(t, ts, "SELECT p.PName, p.Email FROM Professor p"); code != http.StatusUnprocessableEntity {
+		t.Fatalf("over-budget query status %d, want 422", code)
 	}
 }
 
 // TestParseErrorIs400 and friends: client errors are 4xx, not 5xx.
 func TestParseErrorIs400(t *testing.T) {
-	srv := newTestServer(t, 4, 0, nil)
+	srv := newTestServer(t)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
-	resp, _ := doQuery(t, ts, "SELEKT nonsense")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("garbage query status %d, want 400", resp.StatusCode)
+	if code, _ := doQuery(t, ts, "SELEKT nonsense"); code != http.StatusBadRequest {
+		t.Fatalf("garbage query status %d, want 400", code)
 	}
-	resp, _ = doQuery(t, ts, "")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty query status %d, want 400", resp.StatusCode)
+	if code, _ := doQuery(t, ts, ""); code != http.StatusBadRequest {
+		t.Fatalf("empty query status %d, want 400", code)
 	}
 }
 
@@ -248,20 +297,19 @@ func TestParseErrorIs400(t *testing.T) {
 // first MiB is a valid query on its own, so answering the prefix that fits
 // would silently answer a different query (2 rows where the full one has 0).
 func TestOversizedBodyIs413(t *testing.T) {
-	srv, _ := standingFixture(t)
+	srv := newTestServer(t, "-feed", "hook")
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
 	body := "SELECT p.PName FROM Professor p WHERE p.Rank = 'Full'" +
 		strings.Repeat(" ", maxQueryBody) + " AND p.PName = 'nobody'"
 	for _, path := range []string{"/query", "/subscribe"} {
-		resp, err := ts.Client().Post(ts.URL+path, "text/plain", strings.NewReader(body)) //lint:allow fetchgate client of our own query API, not a page fetch
+		code, err := call(ts, "POST", path, body, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusRequestEntityTooLarge {
-			t.Errorf("%s with a %d-byte body: status %d, want 413", path, len(body), resp.StatusCode)
+		if code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body: status %d, want 413", path, len(body), code)
 		}
 	}
 }
@@ -270,38 +318,24 @@ func TestOversizedBodyIs413(t *testing.T) {
 // while in-flight queries run to completion.
 func TestDrainRefusesNewQueries(t *testing.T) {
 	defer leakCheck(t)()
-	var gs *gateServer
-	srv := newTestServer(t, 4, 0, func(ms *site.MemSite) site.Server {
-		gs = &gateServer{MemSite: ms}
-		return gs
-	})
+	srv, gs := gatedServer(t)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
 	gs.arm()
 	done := make(chan int, 1)
 	go func() {
-		resp, _ := doQuery(t, ts, "SELECT d.DName FROM Dept d")
-		done <- resp.StatusCode
+		code, _ := call(ts, "POST", "/query", "SELECT d.DName FROM Dept d", nil)
+		done <- code
 	}()
-	select {
-	case <-gs.blocked:
-	case <-time.After(10 * time.Second):
-		t.Fatal("query never reached the site")
-	}
+	gs.reached(t)
 
 	srv.drain()
-	resp, _ := doQuery(t, ts, "SELECT d.DName FROM Dept d")
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("query while draining: status %d, want 503", resp.StatusCode)
+	if code, _ := doQuery(t, ts, "SELECT d.DName FROM Dept d"); code != http.StatusServiceUnavailable {
+		t.Fatalf("query while draining: status %d, want 503", code)
 	}
-	hresp, err := ts.Client().Get(ts.URL + "/healthz") //lint:allow fetchgate client of our own query API, not a page fetch
-	if err != nil {
-		t.Fatal(err)
-	}
-	hresp.Body.Close()
-	if hresp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("healthz while draining: status %d, want 503", hresp.StatusCode)
+	if code, err := call(ts, "GET", "/healthz", "", nil); err != nil || code != http.StatusServiceUnavailable {
+		t.Fatalf("healthz while draining: status %d, %v, want 503", code, err)
 	}
 
 	// The in-flight query still completes.
@@ -311,106 +345,37 @@ func TestDrainRefusesNewQueries(t *testing.T) {
 	}
 }
 
-// TestSmokeWorkload runs the self-test end to end (ephemeral port). The
-// smoke asserts plan-cache behavior, so the test mirrors the binary's
-// default configuration and enables the cache.
-func TestSmokeWorkload(t *testing.T) {
-	srv := newTestServer(t, 8, 0, nil)
-	srv.sys.EnablePlanCache(ulixes.PlanCacheConfig{})
-	if err := runSmoke(srv); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// headGate blocks every HEAD while armed — it holds a revalidating query in
-// flight deterministically. It deliberately implements only the plain
-// site.Server surface.
-type headGate struct {
-	inner   site.Server
-	mu      sync.Mutex
-	gate    chan struct{}
-	blocked chan struct{}
-}
-
-func (h *headGate) arm() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.gate = make(chan struct{})
-	h.blocked = make(chan struct{}, 64)
-}
-
-func (h *headGate) release() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.gate != nil {
-		close(h.gate)
-		h.gate = nil
-	}
-}
-
-func (h *headGate) Get(url string) (site.Page, error) {
-	return h.inner.Get(url) //lint:allow fetchgate test double forwarding to the wrapped site
-}
-
-func (h *headGate) Head(url string) (site.Meta, error) {
-	h.mu.Lock()
-	gate, blocked := h.gate, h.blocked
-	h.mu.Unlock()
-	if gate != nil {
-		blocked <- struct{}{}
-		<-gate
-	}
-	return h.inner.Head(url) //lint:allow fetchgate test double forwarding to the wrapped site
-}
-
 // guardedFixture builds a university server whose fetches run through
-// chaos → headGate → guard, on a shared manual clock, exactly as ulixesd
-// wires the guard in front of the store and the engine.
-func guardedFixture(t *testing.T) (*server, *faults.Server, *headGate, func(time.Duration)) {
+// chaos → HEAD gate → guard, with the guard and the store on one manual
+// clock and retries that do not sleep.
+func guardedFixture(t *testing.T) (*server, *faults.Server, *gate, func(time.Duration)) {
 	t.Helper()
-	u, err := sitegen.GenerateUniversity(sitegen.UniversityParams{Courses: 12, Profs: 6, Depts: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, err := site.NewMemSite(u.Instance, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var mu sync.Mutex
 	now := time.Date(1998, time.March, 23, 0, 0, 0, 0, time.UTC)
-	clock := func() time.Time {
-		mu.Lock()
-		defer mu.Unlock()
-		return now
-	}
 	advance := func(d time.Duration) {
 		mu.Lock()
 		now = now.Add(d)
 		mu.Unlock()
 	}
-	chaos := faults.New(ms, 7)
-	hg := &headGate{inner: chaos}
-	g := guard.New(hg, guard.Config{
-		Clock: clock,
-		// The statistics crawl and the warm query leave the EWMA near
-		// zero, so exactly two failures (0.5, then 0.75) cross 0.6.
-		ErrorThreshold: 0.6,
-		OpenFor:        30 * time.Second,
-	})
-	cache := pagecache.New(g, u.Scheme, pagecache.Config{
-		DefaultTTL: 10 * time.Second,
-		Clock:      clock,
-		Retry:      site.RetryPolicy{MaxRetries: 3, Seed: 7},
-		Sleeper:    &site.InstantSleeper{},
-	})
-	sys, err := ulixes.Open(g, u.Scheme, view.UniversityView(u.Scheme))
-	if err != nil {
-		t.Fatal(err)
+	// The statistics crawl and the warm query leave the EWMA near zero, so
+	// exactly two failures (0.5, then 0.75) cross 0.6.
+	cfg := testConfig(t, "-max-queries", "4", "-ttl", "10s", "-retries", "3", "-breaker-threshold", "0.6")
+	var chaos *faults.Server
+	hg := &gate{heads: true}
+	cfg.seam = seam{
+		wrap: func(ms *site.MemSite) site.Server {
+			chaos = faults.New(ms, 7)
+			hg.inner = chaos
+			return hg
+		},
+		clock: func() time.Time {
+			mu.Lock()
+			defer mu.Unlock()
+			return now
+		},
+		sleeper: &site.InstantSleeper{},
 	}
-	sys.SetExec(ulixes.ExecOptions{Cache: cache})
-	srv := newServer(sys, cache, 4)
-	srv.guard = g
-	return srv, chaos, hg, advance
+	return start(t, cfg), chaos, hg, advance
 }
 
 // TestDrainCompletesDegradedQueriesAgainstFaultySite: queries in flight
@@ -424,9 +389,9 @@ func TestDrainCompletesDegradedQueriesAgainstFaultySite(t *testing.T) {
 	defer ts.Close()
 
 	const q = "SELECT p.PName FROM Professor p WHERE p.Rank = 'Full'"
-	resp, warm := doQuery(t, ts, q)
-	if resp.StatusCode != http.StatusOK || warm.Degraded {
-		t.Fatalf("warm query: status %d degraded %v", resp.StatusCode, warm.Degraded)
+	code, warm := doQuery(t, ts, q)
+	if code != http.StatusOK || warm.Degraded {
+		t.Fatalf("warm query: status %d degraded %v", code, warm.Degraded)
 	}
 
 	// Every lease expires and the origin goes down; the revalidating HEAD
@@ -440,18 +405,15 @@ func TestDrainCompletesDegradedQueriesAgainstFaultySite(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		resp, body := doQuery(t, ts, q)
-		done <- result{resp.StatusCode, body}
+		var r result
+		r.code, _ = call(ts, "POST", "/query", q, &r.body)
+		done <- r
 	}()
-	select {
-	case <-hg.blocked:
-	case <-time.After(10 * time.Second):
-		t.Fatal("query never reached the site")
-	}
+	hg.reached(t)
 
 	srv.drain()
-	if resp, _ := doQuery(t, ts, q); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("query while draining: status %d, want 503", resp.StatusCode)
+	if code, _ := doQuery(t, ts, q); code != http.StatusServiceUnavailable {
+		t.Fatalf("query while draining: status %d, want 503", code)
 	}
 
 	// The in-flight query must complete within the drain deadline even
@@ -485,26 +447,21 @@ func TestLowPriorityShedWhileBreakerOpen(t *testing.T) {
 	defer ts.Close()
 
 	const q = "SELECT p.PName FROM Professor p WHERE p.Rank = 'Full'"
-	if resp, _ := doQuery(t, ts, q); resp.StatusCode != http.StatusOK {
-		t.Fatalf("warm query status %d", resp.StatusCode)
+	if code, _ := doQuery(t, ts, q); code != http.StatusOK {
+		t.Fatalf("warm query status %d", code)
 	}
 
 	// Low priority is admitted while healthy.
-	resp, err := ts.Client().Get(ts.URL + "/query?priority=low&q=" + url.QueryEscape(q)) //lint:allow fetchgate client of our own query API, not a page fetch
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthy low-priority query status %d, want 200", resp.StatusCode)
+	if code, err := call(ts, "GET", "/query?priority=low&q="+url.QueryEscape(q), "", nil); err != nil || code != http.StatusOK {
+		t.Fatalf("healthy low-priority query status %d, %v, want 200", code, err)
 	}
 
 	// The origin goes down; the next query trips the breaker and degrades.
 	advance(11 * time.Second)
 	chaos.SetRules(faults.Rule{Kind: faults.Transient, Rate: 1})
-	resp2, body := doQuery(t, ts, q)
-	if resp2.StatusCode != http.StatusOK || !body.Degraded {
-		t.Fatalf("sick-host query: status %d degraded %v, want degraded 200", resp2.StatusCode, body.Degraded)
+	code, body := doQuery(t, ts, q)
+	if code != http.StatusOK || !body.Degraded {
+		t.Fatalf("sick-host query: status %d degraded %v, want degraded 200", code, body.Degraded)
 	}
 
 	// Low priority is now shed at admission; normal priority still served.
@@ -513,16 +470,16 @@ func TestLowPriorityShedWhileBreakerOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set("X-Ulixes-Priority", "low")
-	resp3, err := ts.Client().Do(req) //lint:allow fetchgate client of our own query API, not a page fetch
+	resp, err := ts.Client().Do(req) //lint:allow fetchgate client of our own query API, not a page fetch
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp3.Body.Close()
-	if resp3.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("low-priority query with open breaker: status %d, want 503", resp3.StatusCode)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("low-priority query with open breaker: status %d, want 503", resp.StatusCode)
 	}
-	if resp4, _ := doQuery(t, ts, q); resp4.StatusCode != http.StatusOK {
-		t.Fatalf("normal-priority query with open breaker: status %d, want 200", resp4.StatusCode)
+	if code, _ := doQuery(t, ts, q); code != http.StatusOK {
+		t.Fatalf("normal-priority query with open breaker: status %d, want 200", code)
 	}
 	if got := srv.shed.Load(); got != 1 {
 		t.Fatalf("shed counter = %d, want 1", got)
@@ -530,16 +487,12 @@ func TestLowPriorityShedWhileBreakerOpen(t *testing.T) {
 
 	// The open breaker is visible on /healthz and /stats.
 	var health healthResponse
-	if err := getTestJSON(t, ts, "/healthz", &health); err != nil {
-		t.Fatal(err)
-	}
+	mustCall(t, ts, "GET", "/healthz", "", &health)
 	if health.Status != "degraded" || health.BreakersOpen != 1 {
 		t.Fatalf("healthz %+v, want degraded with one open breaker", health)
 	}
 	var st storeStats
-	if err := getTestJSON(t, ts, "/stats", &st); err != nil {
-		t.Fatal(err)
-	}
+	mustCall(t, ts, "GET", "/stats", "", &st)
 	if len(st.Hosts) != 1 || st.Hosts[0].State != guard.Open.String() {
 		t.Fatalf("stats hosts %+v, want one open host", st.Hosts)
 	}
@@ -557,18 +510,18 @@ func TestTotalsKeepNoPerQueryURLs(t *testing.T) {
 	defer ts.Close()
 
 	const q = "SELECT p.PName FROM Professor p WHERE p.Rank = 'Full'"
-	resp, warm := doQuery(t, ts, q)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("warm query status %d", resp.StatusCode)
+	code, warm := doQuery(t, ts, q)
+	if code != http.StatusOK {
+		t.Fatalf("warm query status %d", code)
 	}
 	advance(11 * time.Second)
 	chaos.SetRules(faults.Rule{Kind: faults.Transient, Rate: 1})
 	const n = 20
 	for i := 0; i < n; i++ {
-		resp, body := doQuery(t, ts, q)
-		if resp.StatusCode != http.StatusOK || !body.Degraded || len(body.StalePages) == 0 {
+		code, body := doQuery(t, ts, q)
+		if code != http.StatusOK || !body.Degraded || len(body.StalePages) == 0 {
 			t.Fatalf("query %d: status %d degraded %v, %d stale pages; want a stale answer",
-				i, resp.StatusCode, body.Degraded, len(body.StalePages))
+				i, code, body.Degraded, len(body.StalePages))
 		}
 	}
 	srv.mu.Lock()
@@ -583,50 +536,28 @@ func TestTotalsKeepNoPerQueryURLs(t *testing.T) {
 	}
 }
 
-// getTestJSON fetches one of the server's own JSON endpoints.
-func getTestJSON(t *testing.T, ts *httptest.Server, path string, v any) error {
-	t.Helper()
-	resp, err := ts.Client().Get(ts.URL + path) //lint:allow fetchgate client of our own query API, not a page fetch
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return json.NewDecoder(resp.Body).Decode(v)
-}
-
 // TestQueueAdmissionQueuesThenServes: with a bounded queue configured, a
 // request beyond the slot count waits its turn and is served — not 429'd —
 // while a request beyond the queue bound is still rejected immediately.
 func TestQueueAdmissionQueuesThenServes(t *testing.T) {
 	defer leakCheck(t)()
-	var gs *gateServer
-	srv := newTestServer(t, 1, 0, func(ms *site.MemSite) site.Server {
-		gs = &gateServer{MemSite: ms}
-		return gs
-	})
-	srv.queue = overload.NewQueue(overload.QueueConfig{
-		Slots: 1, MaxQueue: 1, MaxWait: 30 * time.Second,
-	})
+	srv, gs := gatedServer(t, "-max-queries", "1", "-queue", "1", "-queue-wait", "30s")
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
 	gs.arm()
 	first := make(chan int, 1)
 	go func() {
-		resp, _ := doQuery(t, ts, "SELECT d.DName FROM Dept d")
-		first <- resp.StatusCode
+		code, _ := call(ts, "POST", "/query", "SELECT d.DName FROM Dept d", nil)
+		first <- code
 	}()
-	select {
-	case <-gs.blocked:
-	case <-time.After(10 * time.Second):
-		t.Fatal("first query never reached the site")
-	}
+	gs.reached(t)
 
 	// The second query queues instead of failing.
 	second := make(chan int, 1)
 	go func() {
-		resp, _ := doQuery(t, ts, "SELECT d.DName FROM Dept d")
-		second <- resp.StatusCode
+		code, _ := call(ts, "POST", "/query", "SELECT d.DName FROM Dept d", nil)
+		second <- code
 	}()
 	waitQueued := time.Now().Add(10 * time.Second)
 	for srv.queue.Depth() != 1 {
@@ -637,9 +568,8 @@ func TestQueueAdmissionQueuesThenServes(t *testing.T) {
 	}
 
 	// The third finds slot and queue full: immediate 429.
-	resp, _ := doQuery(t, ts, "SELECT d.DName FROM Dept d")
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("third query status %d, want 429", resp.StatusCode)
+	if code, _ := doQuery(t, ts, "SELECT d.DName FROM Dept d"); code != http.StatusTooManyRequests {
+		t.Fatalf("third query status %d, want 429", code)
 	}
 
 	gs.release()
@@ -651,9 +581,7 @@ func TestQueueAdmissionQueuesThenServes(t *testing.T) {
 	}
 
 	var st storeStats
-	if err := getTestJSON(t, ts, "/stats", &st); err != nil {
-		t.Fatal(err)
-	}
+	mustCall(t, ts, "GET", "/stats", "", &st)
 	if st.QueueDepth != 0 || st.QueueDropped != 1 || st.QueueAdmitted != 2 {
 		t.Fatalf("queue stats depth=%d dropped=%d admitted=%d, want 0/1/2",
 			st.QueueDepth, st.QueueDropped, st.QueueAdmitted)
@@ -667,7 +595,7 @@ func TestQueueAdmissionQueuesThenServes(t *testing.T) {
 // partial (degraded-mode) answer marked deadlineExpired rather than an
 // error; a malformed or negative deadline is a 400.
 func TestDeadlineBudget(t *testing.T) {
-	srv := newTestServer(t, 4, 0, nil)
+	srv := newTestServer(t)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
@@ -675,31 +603,16 @@ func TestDeadlineBudget(t *testing.T) {
 	// A negative duration parses, but the budget would read it as "no
 	// deadline asked" and run the query unbounded; it is rejected instead.
 	for _, bad := range []string{"banana", "-1s"} {
-		resp, err := ts.Client().Get(ts.URL + "/query?deadline=" + bad + "&q=" + url.QueryEscape(q)) //lint:allow fetchgate client of our own query API, not a page fetch
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("deadline=%s status %d, want 400", bad, resp.StatusCode)
+		if code, err := call(ts, "GET", "/query?deadline="+bad+"&q="+url.QueryEscape(q), "", nil); err != nil || code != http.StatusBadRequest {
+			t.Fatalf("deadline=%s status %d, %v, want 400", bad, code, err)
 		}
 	}
 
 	// A deadline that has effectively already passed: the query still
 	// answers (degraded execution tolerates the expired context) and the
 	// response says the budget ran out.
-	resp2, err := ts.Client().Get(ts.URL + "/query?deadline=1ns&q=" + url.QueryEscape(q)) //lint:allow fetchgate client of our own query API, not a page fetch
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("expired-deadline query status %d, want 200", resp2.StatusCode)
-	}
 	var out queryResponse
-	if err := json.NewDecoder(resp2.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
+	mustCall(t, ts, "GET", "/query?deadline=1ns&q="+url.QueryEscape(q), "", &out)
 	if !out.DeadlineExpired {
 		t.Fatal("response should be marked deadlineExpired")
 	}
@@ -708,9 +621,9 @@ func TestDeadlineBudget(t *testing.T) {
 	}
 
 	// A generous deadline leaves the answer untouched.
-	resp3, body := doQuery(t, ts, q)
-	if resp3.StatusCode != http.StatusOK || body.DeadlineExpired {
-		t.Fatalf("generous deadline: status %d expired %v", resp3.StatusCode, body.DeadlineExpired)
+	code, body := doQuery(t, ts, q)
+	if code != http.StatusOK || body.DeadlineExpired {
+		t.Fatalf("generous deadline: status %d expired %v", code, body.DeadlineExpired)
 	}
 }
 
@@ -718,7 +631,7 @@ func TestDeadlineBudget(t *testing.T) {
 // counter; a panic after the response was committed is swallowed without a
 // second write. The server keeps serving either way.
 func TestPanicMiddlewareRecovers(t *testing.T) {
-	srv := newTestServer(t, 4, 0, nil)
+	srv := newTestServer(t)
 
 	h := srv.protect(func(w http.ResponseWriter, r *http.Request) {
 		panic("synthetic wrapper failure")
@@ -748,46 +661,9 @@ func TestPanicMiddlewareRecovers(t *testing.T) {
 	// The real handler chain still works after recoveries.
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
-	if resp, _ := doQuery(t, ts, "SELECT d.DName FROM Dept d"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-panic query status %d, want 200", resp.StatusCode)
+	if code, _ := doQuery(t, ts, "SELECT d.DName FROM Dept d"); code != http.StatusOK {
+		t.Fatalf("post-panic query status %d, want 200", code)
 	}
-}
-
-// standingFixture wires a standing-query registry into a test server the
-// way main does with -feed, answering through the shared system.
-func standingFixture(t *testing.T) (*server, *standing.Registry) {
-	t.Helper()
-	u, err := sitegen.GenerateUniversity(sitegen.UniversityParams{Courses: 12, Profs: 6, Depts: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, err := site.NewMemSite(u.Instance, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	views := view.UniversityView(u.Scheme)
-	cache := pagecache.New(ms, u.Scheme, pagecache.Config{
-		DefaultTTL: pagecache.Forever,
-		Clock:      site.LogicalClock(),
-	})
-	sys, err := ulixes.Open(ms, u.Scheme, views)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.SetExec(ulixes.ExecOptions{Cache: cache})
-	srv := newServer(sys, cache, 4)
-	reg := standing.New(standing.Config{
-		Views: views,
-		Answer: func(q *ulixes.Query) (*ulixes.Relation, error) {
-			ans, err := sys.QueryCQ(q)
-			if err != nil {
-				return nil, err
-			}
-			return ans.Result, nil
-		},
-	})
-	srv.standing = reg
-	return srv, reg
 }
 
 // TestWatchSlowClientDisconnected: a /watch SSE write that cannot complete
@@ -795,25 +671,20 @@ func standingFixture(t *testing.T) (*server, *standing.Registry) {
 // stalled subscriber cannot pin its goroutine and buffers forever.
 func TestWatchSlowClientDisconnected(t *testing.T) {
 	defer leakCheck(t)()
-	srv, reg := standingFixture(t)
 	// A deadline that is already past when armed: every write fails the
 	// way a stalled client's writes do, without needing to fill socket
 	// buffers in a test.
-	srv.watchWrite = time.Nanosecond
+	srv := newTestServer(t, "-feed", "hook", "-watch-write-timeout", "1ns")
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
-	id, err := reg.Subscribe("SELECT d.DName FROM Dept d")
+	id, err := srv.standing.Subscribe("SELECT d.DName FROM Dept d")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The initial snapshot delta is waiting, so the stream tries to write
 	// immediately and hits the expired deadline.
-	resp, err := ts.Client().Get(ts.URL + "/watch?sse=1&after=0&id=" + strconv.Itoa(id)) //lint:allow fetchgate client of our own query API, not a page fetch
-	if err == nil {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
+	_, _ = call(ts, "GET", "/watch?sse=1&after=0&id="+strconv.Itoa(id), "", nil)
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.watchDropped.Load() == 0 {
 		if time.Now().After(deadline) {
@@ -831,17 +702,15 @@ func TestWatchSlowClientDisconnected(t *testing.T) {
 // TestStatsExposesOverloadSurface: /stats reports the admission queue, the
 // deadline/panic counters and the per-subsystem memory ledger.
 func TestStatsExposesOverloadSurface(t *testing.T) {
-	srv := newTestServer(t, 4, 0, nil)
+	srv := newTestServer(t)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
-	if resp, _ := doQuery(t, ts, "SELECT p.PName FROM Professor p"); resp.StatusCode != http.StatusOK {
+	if code, _ := doQuery(t, ts, "SELECT p.PName FROM Professor p"); code != http.StatusOK {
 		t.Fatal("query failed")
 	}
 	var st storeStats
-	if err := getTestJSON(t, ts, "/stats", &st); err != nil {
-		t.Fatal(err)
-	}
+	mustCall(t, ts, "GET", "/stats", "", &st)
 	if st.QueueDepth != 0 || st.QueueAdmitted == 0 {
 		t.Fatalf("queue stats %+v, want admitted > 0, depth 0", st)
 	}

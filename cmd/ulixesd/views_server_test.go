@@ -1,65 +1,28 @@
 package main
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
-
-	"ulixes"
-	"ulixes/internal/pagecache"
-	"ulixes/internal/site"
-	"ulixes/internal/sitegen"
-	"ulixes/internal/view"
-	"ulixes/internal/vselect"
 )
-
-// newViewsServer builds a test server with -views-auto semantics: workload
-// recording, view answering, and a selector re-deciding every N queries.
-func newViewsServer(t *testing.T, every int) *server {
-	t.Helper()
-	u, err := sitegen.GenerateUniversity(sitegen.UniversityParams{Courses: 12, Profs: 6, Depts: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, err := site.NewMemSite(u.Instance, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	views := view.UniversityView(u.Scheme)
-	cache := pagecache.New(ms, u.Scheme, pagecache.Config{
-		DefaultTTL: 0, // revalidate on every re-access, so live queries keep costing
-		Clock:      site.LogicalClock(),
-	})
-	sys, err := ulixes.Open(ms, u.Scheme, views)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.SetExec(ulixes.ExecOptions{Cache: cache})
-	sys.EnableWorkload(0)
-	sys.EnableViewAnswering(ulixes.ViewManagerConfig{})
-	srv := newServer(sys, cache, 4)
-	srv.selector = vselect.New(vselect.Config{Views: views})
-	srv.viewsEvery = every
-	return srv
-}
 
 // TestViewAnsweringEndToEnd drives the full -views-auto loop over HTTP: the
 // early queries run live, the selector kicks in at the configured multiple,
 // and later identical queries are answered from the materialized view with
 // byte-identical rows, zero page accesses, and the new /stats counters.
 func TestViewAnsweringEndToEnd(t *testing.T) {
-	srv := newViewsServer(t, 3)
+	// -ttl 0 revalidates every re-access, so live queries keep costing.
+	srv := newTestServer(t, "-ttl", "0", "-views-auto", "-views-every", "3")
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
 	const q = "SELECT p.PName FROM Professor p WHERE p.Rank = 'Full'"
 	var first, last queryResponse
 	for i := 0; i < 6; i++ {
-		resp, out := doQuery(t, ts, q)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("query %d: status %d", i, resp.StatusCode)
+		code, out := doQuery(t, ts, q)
+		if code != http.StatusOK {
+			t.Fatalf("query %d: status %d", i, code)
 		}
 		if i == 0 {
 			first = out
@@ -90,15 +53,8 @@ func TestViewAnsweringEndToEnd(t *testing.T) {
 			first.Columns, first.Rows, last.Columns, last.Rows)
 	}
 
-	res, err := ts.Client().Get(ts.URL + "/stats") //lint:allow fetchgate client of our own stats API, not a page fetch
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Body.Close()
 	var st storeStats
-	if err := json.NewDecoder(res.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
+	mustCall(t, ts, "GET", "/stats", "", &st)
 	if st.ViewHits == 0 || st.ViewMisses == 0 {
 		t.Errorf("viewHits=%d viewMisses=%d, want both > 0", st.ViewHits, st.ViewMisses)
 	}

@@ -1,117 +1,12 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
 	"testing"
-	"time"
-
-	"ulixes"
-	"ulixes/internal/changefeed"
-	"ulixes/internal/guard"
-	"ulixes/internal/overload"
-	"ulixes/internal/pagecache"
-	"ulixes/internal/site"
-	"ulixes/internal/sitegen"
-	"ulixes/internal/standing"
-	"ulixes/internal/view"
-	"ulixes/internal/vselect"
 )
-
-// wireFixture wires a server the way main does with -guard, -plan-cache,
-// -views-auto -views-every 3, -feed hook and -ttl 0: every counter block of
-// /stats is live.
-func wireFixture(t *testing.T) *server {
-	t.Helper()
-	u, err := sitegen.GenerateUniversity(sitegen.UniversityParams{Courses: 12, Profs: 6, Depts: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, err := site.NewMemSite(u.Instance, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	views := view.UniversityView(u.Scheme)
-	g := guard.New(ms, guard.Config{})
-	ledger := overload.NewLedger()
-	cache := pagecache.New(g, u.Scheme, pagecache.Config{
-		DefaultTTL: 0,
-		Clock:      site.LogicalClock(),
-		Meter:      ledger.Account("pagecache"),
-	})
-	sys, err := ulixes.Open(g, u.Scheme, views)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.SetExec(ulixes.ExecOptions{Cache: cache})
-	sys.EnablePlanCache(ulixes.PlanCacheConfig{})
-	sys.EnableWorkload(0)
-	sys.EnableViewAnswering(ulixes.ViewManagerConfig{})
-	srv := newServer(sys, cache, 4)
-	srv.guard, srv.ledger = g, ledger
-	srv.selector = vselect.New(vselect.Config{Views: views})
-	srv.viewsEvery = 3
-
-	mon := changefeed.New(g, changefeed.Config{Clock: time.Now})
-	mon.Subscribe(changefeed.SinkFunc(func(ev changefeed.Event) {
-		if ev.Kind == site.ChangeTouched {
-			cache.MarkStale(ev.URL)
-			return
-		}
-		cache.Invalidate(ev.URL)
-	}))
-	mon.Subscribe(changefeed.SinkFunc(func(ev changefeed.Event) {
-		if vm := sys.ViewManager(); vm != nil {
-			if _, err := vm.ApplyChange(ev.URL, ev.Scheme, ev.Kind == site.ChangeRemoved); err != nil {
-				t.Errorf("view refresh of %s: %v", ev.URL, err)
-			}
-		}
-	}))
-	reg := standing.New(standing.Config{
-		Views: views,
-		Meter: ledger.Account("standingRings"),
-		Clock: time.Now,
-		Answer: func(q *ulixes.Query) (*ulixes.Relation, error) {
-			ans, err := sys.QueryCQ(q)
-			if err != nil {
-				return nil, err
-			}
-			return ans.Result, nil
-		},
-	})
-	mon.Subscribe(reg)
-	mon.AttachMemSite(ms)
-	srv.feed, srv.standing = mon, reg
-	srv.mutator = sitegen.NewMutator(u, ms, 1)
-	return srv
-}
-
-// wireCall sends one request to the server and decodes its JSON reply
-// generically, so the test sees exactly the keys on the wire.
-func wireCall(t *testing.T, ts *httptest.Server, method, path, body string) any {
-	t.Helper()
-	req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := ts.Client().Do(req) //lint:allow fetchgate client of our own query API, not a page fetch
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("%s %s: status %d", method, path, resp.StatusCode)
-	}
-	var v any
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		t.Fatal(err)
-	}
-	return v
-}
 
 // wireFlatten turns a decoded JSON value into dotted key paths (array
 // elements by index) mapped to their scalar values.
@@ -166,12 +61,23 @@ func checkWire(t *testing.T, what string, v any, want map[string]any) {
 	}
 }
 
+// wireCall sends one request to the server and decodes its JSON reply
+// generically, so the test sees exactly the keys on the wire.
+func wireCall(t *testing.T, ts *httptest.Server, method, path, body string) any {
+	t.Helper()
+	var v any
+	mustCall(t, ts, method, path, body, &v)
+	return v
+}
+
 // TestWireSurface pins the JSON keys and deterministic values /query and
 // /stats emit over a fixed request sequence: a cold query, a warm one, the
 // third triggering view selection, a view-answered fourth, a standing query
-// re-answered after a hook-fed mutation.
+// re-answered after a hook-fed mutation. Every counter block of /stats is
+// live on this server: the guard, the plan cache, view answering and the
+// hook feed.
 func TestWireSurface(t *testing.T) {
-	srv := wireFixture(t)
+	srv := newTestServer(t, "-ttl", "0", "-views-auto", "-views-every", "3", "-feed", "hook")
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 

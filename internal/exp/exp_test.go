@@ -270,6 +270,37 @@ func TestX1PartialMaterialization(t *testing.T) {
 	}
 }
 
+// TestP3toP6 runs each of P3-P6 twice on the paper's university. Each
+// returns an error when one of its own invariant checks fails, and each
+// must print the same table both times: the chaos server, the shared store,
+// the guard's manual clock and view selection are all deterministic.
+func TestP3toP6(t *testing.T) {
+	params := sitegen.PaperUniversityParams()
+	for _, tc := range []struct {
+		name string
+		run  func() (*Table, error)
+	}{
+		{"P3", func() (*Table, error) { return P3(params, nil, 1998) }},
+		{"P4", func() (*Table, error) { return P4(params) }},
+		{"P5", func() (*Table, error) { return P5(params) }},
+		{"P6", func() (*Table, error) { return P6(params) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var tables [2]string
+			for i := range tables {
+				tab, err := tc.run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				tables[i] = tab.String()
+			}
+			if tables[0] != tables[1] {
+				t.Errorf("two runs differ:\n%s\n%s", tables[0], tables[1])
+			}
+		})
+	}
+}
+
 func TestP7PushDominatesPull(t *testing.T) {
 	tab, err := P7(sitegen.PaperUniversityParams())
 	if err != nil {
