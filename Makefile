@@ -61,7 +61,8 @@ bench:
 # and inline-hits-parent / inline-hits-change, store hits resolved without a
 # fetch task; BENCH=CollectSite is crawl-parent / crawl-change, the
 # statistics crawl; BENCH=RTTSuite is wrap-parent / wrap-change, pages
-# wrapped in one pass with no element tree).
+# wrapped in one pass with no element tree; BENCH='OptimizeCold|WarmSuite'
+# is arena-parent / arena-change, planning in a recycled arena).
 BENCH_LABEL ?= after
 BENCH_NOTE ?=
 BENCH ?= .

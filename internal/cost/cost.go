@@ -14,6 +14,7 @@ package cost
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"ulixes/internal/adm"
@@ -196,12 +197,15 @@ func (m *Model) Estimate(e nalg.Expr) (Estimate, error) {
 // Estimator is a cost model bound to a plan memo: it reads schemas from
 // the memo and keeps one estimate per interned node, so a subexpression
 // shared by many candidate plans is costed once. Algorithm 1 binds the
-// model to the memo its rewriters intern into. An Estimator is no more
+// model to the memo its rewriters intern into, and rebinds the same
+// Estimator, through Reset, for its next search. An Estimator is no more
 // safe for concurrent use than its memo.
 type Estimator struct {
 	m    *Model
 	memo *nalg.Memo
-	ests [][]nodeEstimate // by node ID, in chunks of estChunk
+	// ests holds the estimates by node ID, in chunks of estChunk; the
+	// chunks past its length, kept from an earlier search, are zero.
+	ests [][]nodeEstimate
 	nums nalg.Slab[float64]
 
 	// Statistics looked up once per page-scheme and per unnested list
@@ -227,7 +231,28 @@ type listStats struct {
 
 // On binds the model to a plan memo.
 func (m *Model) On(memo *nalg.Memo) *Estimator {
-	return &Estimator{m: m, memo: memo, pages: make(map[string][]float64), lists: make(map[*nalg.Col]listStats)}
+	s := new(Estimator)
+	s.Reset(m, memo)
+	return s
+}
+
+// Reset binds the estimator to a model and a memo for a new search,
+// keeping the memory its tables have grown. Every estimate is dropped,
+// since node IDs name other expressions in the new search, and so are the
+// statistics looked up: they belong to the old model, and the list
+// statistics are keyed by columns the memo no longer has.
+func (s *Estimator) Reset(m *Model, memo *nalg.Memo) {
+	s.m, s.memo = m, memo
+	for _, c := range s.ests {
+		clear(c)
+	}
+	s.ests = s.ests[:0]
+	s.nums.Reset()
+	if s.pages == nil {
+		s.pages, s.lists = make(map[string][]float64), make(map[*nalg.Col]listStats)
+	}
+	clear(s.pages)
+	clear(s.lists)
 }
 
 // Estimate computes the full property set of an expression, interning it
@@ -239,7 +264,10 @@ func (s *Estimator) Estimate(e nalg.Expr) (Estimate, error) {
 func (s *Estimator) estimate(n *nalg.Node) (Estimate, error) {
 	id := n.ID()
 	for id/estChunk >= len(s.ests) {
-		s.ests = append(s.ests, make([]nodeEstimate, estChunk))
+		s.ests = slices.Grow(s.ests, 1)[:len(s.ests)+1]
+		if last := &s.ests[len(s.ests)-1]; *last == nil {
+			*last = make([]nodeEstimate, estChunk)
+		}
 	}
 	c := &s.ests[id/estChunk][id%estChunk]
 	if !c.done {
@@ -255,7 +283,7 @@ func (s *Estimator) pageDistinct(ps *adm.PageScheme) []float64 {
 	if d, ok := s.pages[ps.Name]; ok {
 		return d
 	}
-	d := make([]float64, len(ps.Attrs))
+	d := s.nums.Take(len(ps.Attrs))
 	for i, f := range ps.Attrs {
 		d[i] = s.m.Stats.DistinctOf(adm.AttrRef{Scheme: ps.Name, Path: adm.Path{f.Name}})
 	}
@@ -424,7 +452,7 @@ func (s *Estimator) listStats(col *nalg.Col) listStats {
 	if ls, ok := s.lists[col]; ok {
 		return ls
 	}
-	ls := listStats{fanout: s.m.Stats.FanoutOf(col.Ref()), distinct: make([]float64, len(col.Type.Elem))}
+	ls := listStats{fanout: s.m.Stats.FanoutOf(col.Ref()), distinct: s.nums.Take(len(col.Type.Elem))}
 	for i, f := range col.Type.Elem {
 		ref := adm.AttrRef{Scheme: col.Scheme, Path: append(append(adm.Path(nil), col.Path...), f.Name)}
 		ls.distinct[i] = s.m.Stats.DistinctOf(ref)

@@ -106,13 +106,22 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		f, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("lint: no export data for %q", path)
-		}
-		return os.Open(f)
-	})
+	// importerFor resolves imports to the variant compiled with the given
+	// suffix, " [p.test]", where there is one, and to the plain package
+	// otherwise.
+	importerFor := func(variant string) types.Importer {
+		return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+			f, ok := exports[path+variant]
+			if !ok {
+				f, ok = exports[path]
+			}
+			if !ok {
+				return nil, fmt.Errorf("lint: no export data for %q", path)
+			}
+			return os.Open(f)
+		})
+	}
+	imp := importerFor("")
 
 	var pkgs []*Package
 	for _, r := range roots {
@@ -127,9 +136,12 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			append(append([]string{}, r.GoFiles...), r.TestGoFiles...),
 			len(r.GoFiles))
 		pkgs = append(pkgs, pkg)
-		// Unit 2: the external test package, if any.
+		// Unit 2: the external test package, if any. It imports the package
+		// as compiled with its in-package test files (which may export
+		// helpers to it), and so does every dependency that imports it.
 		if len(r.XTestGoFiles) > 0 {
-			pkgs = append(pkgs, typecheckUnit(fset, imp, r.ImportPath+"_test", r.Dir, r.XTestGoFiles, 0))
+			ximp := importerFor(" [" + r.ImportPath + ".test]")
+			pkgs = append(pkgs, typecheckUnit(fset, ximp, r.ImportPath+"_test", r.Dir, r.XTestGoFiles, 0))
 		}
 	}
 	return pkgs, nil

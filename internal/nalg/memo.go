@@ -22,8 +22,10 @@ import (
 //
 // Nodes carry a dense ID so that other layers (the cost model's estimates,
 // the rewriter's per-phase variants) keep what they memoise in slices
-// indexed by it. Interned expressions are ordinary immutable Expr trees
-// that do not refer back to the memo. A Memo is not safe for concurrent
+// indexed by it. Interned expressions are ordinary immutable Expr trees,
+// but they are carved out of the memo's memory: they are valid until the
+// memo is Reset for another search, and Detach copies one out to the heap
+// for a caller that keeps it longer. A Memo is not safe for concurrent
 // use.
 type Memo struct {
 	ws   *adm.Scheme
@@ -39,17 +41,32 @@ type Memo struct {
 	blocks   *colBlocks
 	inferred int
 
+	textBuf []byte // scratch for Text
+
 	// Canonical-key interning (see Key).
 	keys    [][]byte
 	keySet  ordinalSet
 	keyBuf  []byte
 	atomBuf []string
 
-	// What the memo allocates per node lives exactly as long as the memo,
-	// so it is carved out of slabs rather than allocated piecemeal.
+	// detached holds, by node ID, the heap copies Detach has made.
+	detached []Expr
+
+	// What the memo allocates per node lives exactly as long as one search,
+	// so it is carved out of slabs rather than allocated piecemeal: the
+	// interned expressions too, one slab per operator kind.
 	nodes    Slab[Node]
+	payloads Slab[payload]
 	atoms    Slab[string]
 	keyBytes Slab[byte]
+	texts    Slab[byte]
+	scans    Slab[EntryScan]
+	unnests  Slab[Unnest]
+	follows  Slab[Follow]
+	selects  Slab[Select]
+	projects Slab[Project]
+	renames  Slab[Rename]
+	joins    Slab[Join]
 }
 
 // memoRef marks an expression node as allocated by a memo, under an ID. A
@@ -86,24 +103,82 @@ func NewMemo(ws *adm.Scheme) *Memo {
 	}
 }
 
+// Reset empties the memo for a new search over ws, keeping the memory it
+// has grown: its slabs, tables and slices are rewound, not reallocated.
+// The memo takes a fresh tag, so an expression interned by an earlier
+// search, which a caller may still hold, is never taken for one of its own
+// nodes; and every cache keyed by a pointer is cleared, since the memory
+// behind an old key may now hold something else. Nothing obtained from
+// the memo before Reset may be used after it.
+func (m *Memo) Reset(ws *adm.Scheme) {
+	m.ws = ws
+	m.tag = memoTags.Add(1)
+	m.byID = m.byID[:0]
+	m.nodeSet.reset()
+	m.payload = m.payload[:0]
+	m.payloadSet.reset()
+	clear(m.opaque)
+	m.blocks.reset()
+	m.inferred = 0
+	m.keys = m.keys[:0]
+	m.keySet.reset()
+	clear(m.detached)
+	m.detached = m.detached[:0]
+	m.nodes.Reset()
+	m.payloads.Reset()
+	m.atoms.Reset()
+	m.keyBytes.Reset()
+	m.texts.Reset()
+	m.scans.Reset()
+	m.unnests.Reset()
+	m.follows.Reset()
+	m.selects.Reset()
+	m.projects.Reset()
+	m.renames.Reset()
+	m.joins.Reset()
+}
+
 // Slab hands out pieces of large chunks, for values that all die together:
 // what a memo, and the layers that key their own results by its node IDs,
-// record per node lives exactly as long as the memo.
+// record per node lives exactly as long as one plan search. Reset hands the
+// same chunks out again, so a slab that has grown to the size of the
+// searches it serves allocates nothing more.
 type Slab[T any] struct {
-	free  []T
-	chunk int
+	chunks [][]T // every chunk the slab owns, in the order they are used
+	used   int   // chunks[:used] have been handed out from since Reset
+	free   []T   // the rest of chunks[used-1]
+	chunk  int
 }
 
 // Take returns a zeroed slice of length n with no spare capacity.
 func (s *Slab[T]) Take(n int) []T {
 	if n > len(s.free) {
-		// Chunks double up to a cap, so a small plan search stays small.
-		s.chunk = min(max(64, 2*s.chunk), 8192)
-		s.free = make([]T, max(n, s.chunk))
+		s.next(n)
 	}
 	out := s.free[:n:n]
 	s.free = s.free[n:]
 	return out
+}
+
+// next moves on to a chunk of at least n values: the next one kept from an
+// earlier search when it is large enough, and a new one otherwise.
+func (s *Slab[T]) next(n int) {
+	if s.used == len(s.chunks) || len(s.chunks[s.used]) < n {
+		// Chunks double up to a cap, so a small plan search stays small.
+		s.chunk = min(max(64, 2*s.chunk), 8192)
+		s.chunks = slices.Insert(s.chunks, s.used, make([]T, max(n, s.chunk)))
+	}
+	s.free = s.chunks[s.used]
+	s.used++
+}
+
+// Reset zeroes what the slab has handed out and makes it available again.
+// Nothing taken before must be used after.
+func (s *Slab[T]) Reset() {
+	for _, c := range s.chunks[:s.used] {
+		clear(c)
+	}
+	s.used, s.free = 0, nil
 }
 
 // ordinalSet is an open-addressed hash set of ordinals — indices into a
@@ -113,6 +188,8 @@ func (s *Slab[T]) Take(n int) []T {
 type ordinalSet struct {
 	slots []uint64
 	n     int
+	// spare holds the entries while the table grows within its capacity.
+	spare []uint64
 }
 
 // find returns the ordinal stored under hash h that same accepts, or -1.
@@ -132,8 +209,18 @@ func (s *ordinalSet) find(h uint64, same func(ord int) bool) int {
 // add stores an ordinal that find did not return under hash h.
 func (s *ordinalSet) add(h uint64, ord int) {
 	if s.n++; 2*s.n > len(s.slots) {
+		size := max(64, 2*len(s.slots))
 		old := s.slots
-		s.slots = make([]uint64, max(64, 2*len(old)))
+		if size <= cap(s.slots) {
+			// The table an earlier search grew has room: move the entries
+			// aside and spread them over more of it.
+			s.spare = append(s.spare[:0], old...)
+			old = s.spare
+			s.slots = s.slots[:size]
+			clear(s.slots)
+		} else {
+			s.slots = make([]uint64, size)
+		}
 		for _, slot := range old {
 			if slot != 0 {
 				s.put(slot)
@@ -141,6 +228,15 @@ func (s *ordinalSet) add(h uint64, ord int) {
 		}
 	}
 	s.put(h>>32<<32 | uint64(ord+1))
+}
+
+// reset empties the set, keeping its table's memory. The table starts
+// small again, so that emptying it and a small search in it cost what the
+// search needs rather than what the largest one before it did.
+func (s *ordinalSet) reset() {
+	s.slots = s.slots[:min(64, cap(s.slots))]
+	clear(s.slots)
+	s.n = 0
 }
 
 func (s *ordinalSet) put(slot uint64) {
@@ -167,6 +263,7 @@ type Node struct {
 	own    Schema  // backing store of schema when the operator changes it
 	err    error
 	atoms  []string // distinct alias atoms in order of first appearance
+	text   []byte   // the rendering, once Text has written it
 }
 
 // Expr returns the interned expression: the one representative of its
@@ -178,6 +275,19 @@ func (n *Node) ID() int { return int(n.id) }
 
 // Kids returns the nodes of the expression's children.
 func (n *Node) Kids() []*Node { return n.kids[:n.nk] }
+
+// Text returns the rendering of a node's expression, byte for byte what
+// its String returns, written into the memo's memory once per node instead
+// of allocated as a string. It is valid until Reset. A search that orders
+// plans by their renderings, to be deterministic, compares these.
+func (m *Memo) Text(n *Node) []byte {
+	if n.text == nil {
+		m.textBuf = render(m.textBuf[:0], n.expr)
+		n.text = m.texts.Take(len(m.textBuf))
+		copy(n.text, m.textBuf)
+	}
+	return n.text
+}
 
 // Len returns the number of distinct expressions interned so far.
 func (m *Memo) Len() int { return len(m.byID) }
@@ -249,7 +359,13 @@ func (m *Memo) intern(e Expr, payload int32, kids [2]*Node) *Node {
 	}); at >= 0 {
 		return m.byID[at]
 	}
-	n := m.newNode(cloneOver(e, kids, memoRef{memo: m.tag, id: int32(len(m.byID))}), payload, kids)
+	var in [2]Expr
+	for i, k := range kids {
+		if k != nil {
+			in[i] = k.expr
+		}
+	}
+	n := m.newNode(m.cloneOver(e, in, memoRef{memo: m.tag, id: int32(len(m.byID))}), payload, kids)
 	m.nodeSet.add(h, int(n.id))
 	return n
 }
@@ -273,31 +389,85 @@ func (m *Memo) payloadOf(e Expr) int32 {
 	if at < 0 {
 		at = len(m.payload)
 		m.payloadSet.add(h, at)
-		m.payload = append(m.payload, &payload{expr: e})
+		p := &m.payloads.Take(1)[0]
+		p.expr = e
+		m.payload = append(m.payload, p)
 	}
 	return int32(at)
 }
 
-// cloneOver allocates e's operator over the given children, marked as the
-// memo's.
-func cloneOver(e Expr, kids [2]*Node, ref memoRef) Expr {
+// cloneOver makes e's operator over the given operands: carved from the
+// memo's per-kind slabs and marked with ref, or, for ref zero, a plain
+// expression node on the heap.
+func (m *Memo) cloneOver(e Expr, in [2]Expr, ref memoRef) Expr {
 	switch x := e.(type) {
 	case *EntryScan:
-		return &EntryScan{Scheme: x.Scheme, URL: x.URL, Alias: x.Alias, meta: nodeMeta{ref: ref}}
+		c := take(&m.scans, ref)
+		c.Scheme, c.URL, c.Alias, c.meta.ref = x.Scheme, x.URL, x.Alias, ref
+		return c
 	case *Unnest:
-		return &Unnest{In: kids[0].expr, Attr: x.Attr, meta: nodeMeta{ref: ref}}
+		c := take(&m.unnests, ref)
+		c.In, c.Attr, c.meta.ref = in[0], x.Attr, ref
+		return c
 	case *Follow:
-		return &Follow{In: kids[0].expr, Link: x.Link, Target: x.Target, Alias: x.Alias, meta: nodeMeta{ref: ref}}
+		c := take(&m.follows, ref)
+		c.In, c.Link, c.Target, c.Alias, c.meta.ref = in[0], x.Link, x.Target, x.Alias, ref
+		return c
 	case *Select:
-		return &Select{In: kids[0].expr, Pred: x.Pred, meta: nodeMeta{ref: ref}}
+		c := take(&m.selects, ref)
+		c.In, c.Pred, c.meta.ref = in[0], x.Pred, ref
+		return c
 	case *Project:
-		return &Project{In: kids[0].expr, Cols: x.Cols, meta: nodeMeta{ref: ref}}
+		c := take(&m.projects, ref)
+		c.In, c.Cols, c.meta.ref = in[0], x.Cols, ref
+		return c
 	case *Rename:
-		return &Rename{In: kids[0].expr, Map: x.Map, meta: nodeMeta{ref: ref}}
+		c := take(&m.renames, ref)
+		c.In, c.Map, c.meta.ref = in[0], x.Map, ref
+		return c
 	case *Join:
-		return &Join{L: kids[0].expr, R: kids[1].expr, Conds: x.Conds, meta: nodeMeta{ref: ref}}
+		c := take(&m.joins, ref)
+		c.L, c.R, c.Conds, c.meta.ref = in[0], in[1], x.Conds, ref
+		return c
 	}
 	panic("nalg: cloneOver of a node type the memo does not intern")
+}
+
+// take returns a zeroed T: from the slab for a memo's node, from the heap
+// for ref zero.
+func take[T any](s *Slab[T], ref memoRef) *T {
+	if ref.memo == 0 {
+		return new(T)
+	}
+	return &s.Take(1)[0]
+}
+
+// Detach returns a copy of an interned plan made of plain expression nodes
+// on the heap, carrying no memo mark, so that it stays valid when the
+// memo's memory is rewound for another search. The operator payloads
+// (column lists, predicates, maps) are shared, not copied: the memo never
+// allocates them. Subexpressions shared by the plans detached since the
+// last Reset are copied once and stay shared. An expression the memo did
+// not allocate is returned as it is.
+func (m *Memo) Detach(e Expr) Expr {
+	meta := metaOf(e)
+	if meta == nil || meta.ref.memo != m.tag {
+		return e
+	}
+	id := int(meta.ref.id)
+	if id >= len(m.detached) {
+		m.detached = slices.Grow(m.detached, len(m.byID)-len(m.detached))[:len(m.byID)]
+	}
+	if d := m.detached[id]; d != nil {
+		return d
+	}
+	var in [2]Expr
+	for i, k := range m.byID[id].Kids() {
+		in[i] = m.Detach(k.expr)
+	}
+	d := m.cloneOver(e, in, memoRef{})
+	m.detached[id] = d
+	return d
 }
 
 // hashPayload hashes a node's kind and operator payload.

@@ -2,6 +2,7 @@ package nalg
 
 import (
 	"math/rand"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -173,23 +174,139 @@ func TestMemoKeyLeavesConstantsAlone(t *testing.T) {
 }
 
 // TestOrdinalSetGrows: ordinals stay findable through growth, including
-// under a hash whose upper half collides for all of them.
+// under a hash whose upper half collides for all of them, and through the
+// growth of a reset set within the table it kept.
 func TestOrdinalSetGrows(t *testing.T) {
 	for _, hash := range []func(int) uint64{
 		func(i int) uint64 { return uint64(i) * 0x9e3779b97f4a7c15 },
 		func(i int) uint64 { return 7<<32 | uint64(i) },
 	} {
 		var s ordinalSet
-		for i := 0; i < 1000; i++ {
-			if got := s.find(hash(i), func(ord int) bool { return ord == i }); got != -1 {
-				t.Fatalf("found %d before it was added (as %d)", i, got)
+		for _, n := range []int{1000, 300, 2000} {
+			s.reset()
+			// Every round stores other hashes under the same ordinals.
+			h := func(i int) uint64 { return hash(i + 10000*n) }
+			for i := 0; i < n; i++ {
+				if got := s.find(h(i), func(ord int) bool { return ord == i }); got != -1 {
+					t.Fatalf("found %d before it was added (as %d)", i, got)
+				}
+				s.add(h(i), i)
 			}
-			s.add(hash(i), i)
-		}
-		for i := 0; i < 1000; i++ {
-			if got := s.find(hash(i), func(ord int) bool { return ord == i }); got != i {
-				t.Fatalf("find(%d) = %d", i, got)
+			for i := 0; i < n; i++ {
+				if got := s.find(h(i), func(ord int) bool { return ord == i }); got != i {
+					t.Fatalf("find(%d) = %d", i, got)
+				}
 			}
 		}
+	}
+}
+
+// TestResetMemoIsFresh: a memo that has served one search and been Reset
+// interns, keys, types and renders a second search exactly as a new memo
+// does, node for node, though the second search's scheme gives a page the
+// first one scanned an attribute more.
+func TestResetMemoIsFresh(t *testing.T) {
+	first := sitegen.UniversityScheme()
+	ws := sitegen.UniversityScheme()
+	prof := ws.Page(sitegen.ProfPage)
+	prof.Attrs = append(prof.Attrs, nested.Field{Name: "Office", Type: nested.Text()})
+	rng := rand.New(rand.NewSource(38))
+	var before, second []Expr
+	for i := 0; i < 600; i++ {
+		before = append(before, randomPlan(rng, rng.Intn(4)))
+		second = append(second, randomPlan(rng, rng.Intn(4)))
+	}
+	reused := NewMemo(first)
+	for _, p := range before {
+		n := reused.Node(p)
+		reused.Key(n)
+		reused.SchemaOf(n)
+		reused.Text(n)
+	}
+	reused.Reset(ws)
+	fresh := NewMemo(ws)
+	for _, p := range second {
+		a, b := reused.Node(p), fresh.Node(p)
+		if a.ID() != b.ID() || reused.Key(a) != fresh.Key(b) {
+			t.Fatalf("%s: node %d key %d after Reset, node %d key %d in a new memo", p, a.ID(), reused.Key(a), b.ID(), fresh.Key(b))
+		}
+		sa, errA := reused.SchemaOf(a)
+		sb, errB := fresh.SchemaOf(b)
+		if (errA == nil) != (errB == nil) || errA == nil && !reflect.DeepEqual(sa.Cols, sb.Cols) {
+			t.Fatalf("%s: schema %v (%v) after Reset, %v (%v) in a new memo", p, sa, errA, sb, errB)
+		}
+		if got := string(reused.Text(a)); got != p.String() {
+			t.Fatalf("Text after Reset is %s, String %s", got, p)
+		}
+	}
+	if reused.Len() != fresh.Len() || reused.Inferred() != fresh.Inferred() {
+		t.Errorf("%d nodes and %d inferences after Reset, %d and %d in a new memo", reused.Len(), reused.Inferred(), fresh.Len(), fresh.Inferred())
+	}
+}
+
+// TestDetachOutlivesReset: a detached plan is plain heap nodes with no memo
+// mark, shares the subtrees it has in common with the other plans detached
+// beside it, and still renders the same once the memo has been Reset and
+// has interned other plans over the memory it came from.
+func TestDetachOutlivesReset(t *testing.T) {
+	ws := sitegen.UniversityScheme()
+	m := NewMemo(ws)
+	shared := profNav("p")
+	a := m.Detach(m.Node(&Select{In: shared, Pred: nested.Eq("p$ProfPage.Rank", "Full")}).Expr())
+	b := m.Detach(m.Node(&Project{In: shared, Cols: []string{"p$ProfPage.Name"}}).Expr())
+	if a.(*Select).In != b.(*Project).In {
+		t.Error("plans detached together must share their common operand")
+	}
+	want := a.String() + " " + b.String()
+	Walk(a, func(e Expr) {
+		if metaOf(e).ref != (memoRef{}) {
+			t.Errorf("%s: a detached node carries a memo mark", e)
+		}
+	})
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 3; round++ {
+		m.Reset(ws)
+		for i := 0; i < 300; i++ {
+			m.Text(m.Node(randomPlan(rng, 3)))
+		}
+	}
+	if got := a.String() + " " + b.String(); got != want {
+		t.Errorf("detached plans changed when their memo was reused:\n%s\n%s", got, want)
+	}
+	if n := m.Node(a); n.Expr() == a {
+		t.Error("a detached plan must be interned as a stranger")
+	}
+}
+
+// TestTextIsString: the memo's rendering of a plan is its String.
+func TestTextIsString(t *testing.T) {
+	m := NewMemo(sitegen.UniversityScheme())
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		p := randomPlan(rng, rng.Intn(5))
+		if got, want := string(m.Text(m.Node(p))), p.String(); got != want {
+			t.Fatalf("Text %s, String %s", got, want)
+		}
+	}
+}
+
+// TestSlabReuse: after Reset a slab hands out the memory it already has,
+// zeroed, and allocates nothing.
+func TestSlabReuse(t *testing.T) {
+	var s Slab[int]
+	fill := func() {
+		for _, n := range []int{3, 100, 5000, 20000, 1} {
+			for i, p := 0, s.Take(n); i < n; i++ {
+				if p[i] != 0 {
+					t.Fatalf("Take(%d)[%d] = %d, want zeroed", n, i, p[i])
+				}
+				p[i] = i + 1
+			}
+		}
+	}
+	fill()
+	s.Reset()
+	if allocs := testing.AllocsPerRun(5, func() { fill(); s.Reset() }); allocs != 0 {
+		t.Errorf("a reused slab allocated %.0f times a round", allocs)
 	}
 }

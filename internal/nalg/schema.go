@@ -132,6 +132,16 @@ func newColBlocks() *colBlocks {
 	}
 }
 
+// reset empties the blocks for a new search. The maps are keyed by column
+// pointers and by scheme names, neither of which means the same thing in
+// the next search, so they are cleared, not kept.
+func (b *colBlocks) reset() {
+	clear(b.pages)
+	clear(b.promoted)
+	clear(b.renamed)
+	b.cols.Reset()
+}
+
 // pageCols returns the columns of a page-scheme scanned under an alias.
 func (b *colBlocks) pageCols(scheme *adm.PageScheme, alias string) []*Col {
 	if b != nil {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -247,7 +248,9 @@ func TestPlanGolden(t *testing.T) {
 
 // TestConcurrentOptimizeMatchesGolden: one Optimizer shared by sixteen
 // goroutines planning different shapes gives each the plans the golden
-// records. The memo is made per call; nothing the search mutates is shared.
+// records. Each call takes an arena of its own from the pool and returns
+// it when done, so nothing the search mutates is shared; run under -race,
+// this is the check that the pool hands an arena to one search at a time.
 func TestConcurrentOptimizeMatchesGolden(t *testing.T) {
 	mk := goldenViews(t)
 	want := readGolden(t)
@@ -287,22 +290,94 @@ func TestConcurrentOptimizeMatchesGolden(t *testing.T) {
 	wg.Wait()
 }
 
+// TestRecycledArenaMatchesGolden: one arena serves the whole corpus, both
+// sites and all options, forwards and then backwards, and every result is
+// the golden one. A cache keyed by a node, a column or an expression's
+// identity that outlived the search it was filled in would hand a later
+// search another search's facts, and move its plans.
+func TestRecycledArenaMatchesGolden(t *testing.T) {
+	if race.Enabled {
+		t.Skip("one goroutine: nothing for the race detector to check, at eight times the time")
+	}
+	mk := goldenViews(t)
+	want := readGolden(t)
+	forwards := goldenCorpus()
+	backwards := slices.Clone(forwards)
+	slices.Reverse(backwards)
+	a := new(optimizer.Arena)
+	for _, c := range append(forwards, backwards...) {
+		q, err := cq.Parse(c.query)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		res, err := mk[c.site](c.opts).OptimizeIn(q, a)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := goldenEntry(c, res); got != want[c.name] {
+			t.Fatalf("plan drift in a recycled arena\n--- got\n%s--- want\n%s", got, want[c.name])
+		}
+	}
+}
+
+// TestHeldResultOutlivesItsArena holds Example 7.2's result while the same
+// arena plans 64 other shapes, then renders it: it must still be the
+// golden one, so nothing it refers to was in the memory those searches
+// rewound and wrote over.
+func TestHeldResultOutlivesItsArena(t *testing.T) {
+	if race.Enabled {
+		t.Skip("one goroutine: nothing for the race detector to check, at eight times the time")
+	}
+	mk := goldenViews(t)
+	want := readGolden(t)
+	opt := mk["univ"](optimizer.Options{})
+	a := new(optimizer.Arena)
+	plan := func(c goldenCase) *optimizer.Result {
+		q, err := cq.Parse(c.query)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		res, err := opt.OptimizeIn(q, a)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		return res
+	}
+	held := goldenCase{name: "suite Q8 example 7.2", site: "univ", query: exp.Example72Query}
+	res := plan(held)
+	for _, c := range chainQueries("univ", univChain)[:64] {
+		plan(c)
+	}
+	if got := goldenEntry(held, res); got != want[held.name] {
+		t.Errorf("a held result changed while its arena planned other shapes\n--- got\n%s--- want\n%s", got, want[held.name])
+	}
+}
+
 // TestCachedPlansDoNotPinTheirMemo plans 64 shapes into a plan cache and
-// checks what stays on the heap afterwards: the cached results — plain
-// expression trees — and not the memos they were searched in, which are
-// two orders of magnitude larger.
+// checks what stays on the heap afterwards: the cached results, plain
+// expression trees, and not the arenas they were searched in. The heap is
+// read once sync.Pool has let go of the arenas, which takes two collections,
+// and what the cache retains is bounded per cached shape, which does not
+// grow with how much the searches allocated. The bound is far below one
+// arena: the test checks that too, against an arena that has planned
+// Example 7.2.
 func TestCachedPlansDoNotPinTheirMemo(t *testing.T) {
 	if race.Enabled {
 		t.Skip("heap accounting is inflated under the race detector")
 	}
+	const perShape = 96 << 10 // bytes
 	mk := goldenViews(t)
 	opt := mk["univ"](optimizer.Options{})
 	cache := plancache.New(plancache.Config{})
 	shapes := chainQueries("univ", univChain)[:64]
 
 	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
+	drain := func(ms *runtime.MemStats) {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(ms)
+	}
+	drain(&before)
 	for _, c := range shapes {
 		q, err := cq.Parse(c.query)
 		if err != nil {
@@ -312,16 +387,35 @@ func TestCachedPlansDoNotPinTheirMemo(t *testing.T) {
 			t.Fatalf("%s: cached=%v err=%v", c.name, cached, err)
 		}
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
+	drain(&after)
+	runtime.KeepAlive(cache)
 
 	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	searched := int64(after.TotalAlloc - before.TotalAlloc)
-	t.Logf("%d shapes: %d KB retained by the cache, %d KB allocated while planning", len(shapes), retained>>10, searched>>10)
+	t.Logf("%d shapes: %d KB retained by the cache (%d KB a shape), %d KB allocated while planning",
+		len(shapes), retained>>10, retained/int64(len(shapes))>>10, (after.TotalAlloc-before.TotalAlloc)>>10)
 	if cache.Counters().Entries != len(shapes) {
 		t.Fatalf("%d entries cached, want %d", cache.Counters().Entries, len(shapes))
 	}
-	if retained > searched/20 {
-		t.Errorf("the cache retains %d KB of the %d KB its searches allocated: results are holding on to their memos", retained>>10, searched>>10)
+	if retained > perShape*int64(len(shapes)) {
+		t.Errorf("the cache retains %d KB for %d shapes, over %d KB a shape: results are holding on to their arenas",
+			retained>>10, len(shapes), perShape>>10)
+	}
+
+	// One arena that has planned Example 7.2 outweighs the whole bound.
+	q, err := cq.Parse(exp.Example72Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain(&before)
+	a := new(optimizer.Arena)
+	if _, err := opt.OptimizeIn(q, a); err != nil {
+		t.Fatal(err)
+	}
+	drain(&after)
+	arena := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	runtime.KeepAlive(a)
+	t.Logf("an arena that has planned Example 7.2 holds %d KB", arena>>10)
+	if arena <= perShape*int64(len(shapes)) {
+		t.Errorf("an Example 7.2 arena holds %d KB, within the %d KB bound: retaining one would go unseen", arena>>10, perShape*int64(len(shapes))>>10)
 	}
 }

@@ -19,10 +19,12 @@
 package optimizer
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
 	"strings"
+	"sync"
 
 	"ulixes/internal/cost"
 	"ulixes/internal/cq"
@@ -56,7 +58,7 @@ const DefaultBeamWidth = 256
 
 // trimToBeam keeps the `beam` cheapest plans (ties broken by rendering for
 // determinism). Plans that fail to cost are dropped.
-func trimToBeam(plans []nalg.Expr, model *cost.Estimator, beam int) []nalg.Expr {
+func trimToBeam(plans []nalg.Expr, model *cost.Estimator, memo *nalg.Memo, beam int) []nalg.Expr {
 	if len(plans) <= beam {
 		return plans
 	}
@@ -68,7 +70,7 @@ func trimToBeam(plans []nalg.Expr, model *cost.Estimator, beam int) []nalg.Expr 
 		}
 		scored = append(scored, Plan{Expr: p, Cost: est.Cost})
 	}
-	slices.SortStableFunc(scored, ComparePlans)
+	slices.SortStableFunc(scored, planOrder(memo))
 	if len(scored) > beam {
 		scored = scored[:beam]
 	}
@@ -99,13 +101,31 @@ type Plan struct {
 // ComparePlans is the order of Result.Candidates: cheapest first, plans of
 // equal cost by their rendering.
 func ComparePlans(a, b Plan) int {
+	if c := compareCosts(a, b); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Expr.String(), b.Expr.String())
+}
+
+// planOrder is ComparePlans for plans interned in memo: a tie compares the
+// memo's renderings (Memo.Text), which cost no allocation.
+func planOrder(memo *nalg.Memo) func(a, b Plan) int {
+	return func(a, b Plan) int {
+		if c := compareCosts(a, b); c != 0 {
+			return c
+		}
+		return bytes.Compare(memo.Text(memo.Node(a.Expr)), memo.Text(memo.Node(b.Expr)))
+	}
+}
+
+func compareCosts(a, b Plan) int {
 	switch {
 	case a.Cost < b.Cost:
 		return -1
 	case a.Cost > b.Cost:
 		return 1
 	}
-	return strings.Compare(a.Expr.String(), b.Expr.String())
+	return 0
 }
 
 // Result is the outcome of optimization: the chosen plan and every
@@ -137,15 +157,44 @@ func (o *Optimizer) Model() *cost.Model {
 
 // Optimize runs Algorithm 1 on a conjunctive query.
 func (o *Optimizer) Optimize(q *cq.Query) (*Result, error) {
-	return o.optimize(q, nalg.NewMemo(o.Views.Scheme))
+	a := arenas.Get().(*arena)
+	defer arenas.Put(a)
+	return o.optimize(q, a)
 }
 
-// optimize runs Algorithm 1 over one plan memo: translation, every
-// rewriting phase, the beam trims and the final costing intern into it and
+// arena is what one run of Algorithm 1 keeps its bookkeeping in: the plan
+// memo, the cost model bound to it and the rewriter that interns into it.
+// A run takes an arena from the pool and rewinds it, so the slabs, tables
+// and variant lists the last run grew are handed out again instead of
+// being allocated anew and left to the garbage collector.
+type arena struct {
+	memo *nalg.Memo
+	est  *cost.Estimator
+	rw   rewrite.Rewriter
+}
+
+var arenas = sync.Pool{New: func() any { return new(arena) }}
+
+// reset rewinds the arena for a run of o.
+func (a *arena) reset(o *Optimizer) {
+	ws := o.Views.Scheme
+	if a.memo == nil {
+		a.memo = nalg.NewMemo(ws)
+		a.est = o.Model().On(a.memo)
+	} else {
+		a.memo.Reset(ws)
+		a.est.Reset(o.Model(), a.memo)
+	}
+	a.rw.Reset(ws, a.memo)
+}
+
+// optimize runs Algorithm 1 in an arena: translation, every rewriting
+// phase, the beam trims and the final costing intern into its memo and
 // read from it, so each distinct subexpression of the search is typed,
-// keyed and costed once. The memo dies with the call; the Result's plans
-// are plain expression trees.
-func (o *Optimizer) optimize(q *cq.Query, memo *nalg.Memo) (*Result, error) {
+// keyed and costed once. What the arena holds is rewound by the next run
+// that takes it, so the Result's plans are copied out of it (Memo.Detach)
+// as plain expression trees on the heap.
+func (o *Optimizer) optimize(q *cq.Query, a *arena) (*Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -153,11 +202,12 @@ func (o *Optimizer) optimize(q *cq.Query, memo *nalg.Memo) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	a.reset(o)
+	memo := a.memo
 	seeds, err := o.translate(q, memo)
 	if err != nil {
 		return nil, err
 	}
-	ws := o.Views.Scheme
 	rules := o.Opts.rules()
 	maxPlans := o.Opts.MaxPlans
 	if maxPlans <= 0 {
@@ -175,14 +225,14 @@ func (o *Optimizer) optimize(q *cq.Query, memo *nalg.Memo) (*Result, error) {
 		rules & rewrite.Rule7,
 		rules & (rewrite.Rule3 | rewrite.Rule5),
 	}
-	model := o.Model().On(memo)
+	model := a.est
 	beam := o.Opts.BeamWidth
 	if beam <= 0 {
 		beam = DefaultBeamWidth
 	}
 	plans := seeds
 	considered := len(seeds)
-	rw := &rewrite.Rewriter{WS: ws, Memo: memo}
+	rw := &a.rw
 	for _, phase := range phases {
 		if phase == 0 {
 			continue
@@ -190,7 +240,7 @@ func (o *Optimizer) optimize(q *cq.Query, memo *nalg.Memo) (*Result, error) {
 		rw.Rules = phase
 		plans = rw.Expand(plans, maxPlans)
 		considered += len(plans)
-		plans = trimToBeam(plans, model, beam)
+		plans = trimToBeam(plans, model, memo, beam)
 	}
 	var cands []Plan
 	for _, p := range plans {
@@ -206,7 +256,12 @@ func (o *Optimizer) optimize(q *cq.Query, memo *nalg.Memo) (*Result, error) {
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("optimizer: no computable plan for query %s", q)
 	}
-	slices.SortStableFunc(cands, ComparePlans)
+	slices.SortStableFunc(cands, planOrder(memo))
+	// The plans live in the arena, which the next run rewinds: the result
+	// gets heap copies.
+	for i := range cands {
+		cands[i].Expr = memo.Detach(cands[i].Expr)
+	}
 	return &Result{Best: cands[0], Candidates: cands, PlansConsidered: considered}, nil
 }
 

@@ -1,9 +1,10 @@
 package rewrite
 
 import (
+	"bytes"
 	"slices"
-	"strings"
 
+	"ulixes/internal/adm"
 	"ulixes/internal/nalg"
 )
 
@@ -11,6 +12,23 @@ import (
 // Conjunctive queries over a handful of external relations stay well under
 // it; the bound is a safety valve against rule interactions.
 const DefaultMaxPlans = 4096
+
+// Reset readies the rewriter for a new search over ws that interns in
+// memo, which has just been reset, keeping the memory its caches have
+// grown. Everything it has cached is dropped: the variant lists and the
+// covering decisions are keyed by node, and the join matchPointer last
+// matched by identity, and the new search's nodes and expressions may sit
+// where the old ones did.
+func (rw *Rewriter) Reset(ws *adm.Scheme, memo *nalg.Memo) {
+	rw.WS, rw.Memo = ws, memo
+	clear(rw.variantsOf)
+	rw.variantsOf = rw.variantsOf[:0]
+	rw.variantRules = 0
+	rw.lists.Reset()
+	clear(rw.covering)
+	rw.pointersAt, rw.pointers = nil, nil
+	rw.audit = nil
+}
 
 // memo returns the plan memo rewrites are interned in: the one the caller
 // shares with the other phases and the cost model, or a private one.
@@ -47,10 +65,10 @@ func (rw *Rewriter) variants(n *nalg.Node) []variant {
 	id := n.ID()
 	if id >= len(rw.variantsOf) {
 		// Room for every node interned so far: a node's variants are asked
-		// for after it, and everything below it, was interned.
-		grown := make([][]variant, max(m.Len(), 2*len(rw.variantsOf)))
-		copy(grown, rw.variantsOf)
-		rw.variantsOf = grown
+		// for after it, and everything below it, was interned. Entries past
+		// the length, kept from an earlier search, are nil.
+		n := max(m.Len(), 2*len(rw.variantsOf))
+		rw.variantsOf = slices.Grow(rw.variantsOf, n-len(rw.variantsOf))[:n]
 	}
 	if list := rw.variantsOf[id]; list != nil {
 		return list
@@ -96,9 +114,8 @@ func (rw *Rewriter) Expand(seeds []nalg.Expr, maxPlans int) []nalg.Expr {
 		maxPlans = DefaultMaxPlans
 	}
 	m := rw.memo()
-	var seen []bool // by canonical key
-	var all []rendered
-	var queue []*nalg.Node
+	// Every plan kept is queued once, so the queue is also the result.
+	seen, queue := rw.seen[:0], rw.queue[:0]
 	push := func(n *nalg.Node) {
 		if _, err := m.SchemaOf(n); err != nil {
 			return
@@ -111,36 +128,26 @@ func (rw *Rewriter) Expand(seeds []nalg.Expr, maxPlans int) []nalg.Expr {
 			return
 		}
 		seen[k] = true
-		all = append(all, rendered{e: n.Expr()})
 		queue = append(queue, n)
 	}
 	for _, s := range seeds {
 		push(m.Node(s))
 	}
-	for len(queue) > 0 && len(all) < maxPlans {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, v := range rw.variants(cur) {
-			if len(all) >= maxPlans {
+	for next := 0; next < len(queue) && len(queue) < maxPlans; next++ {
+		for _, v := range rw.variants(queue[next]) {
+			if len(queue) >= maxPlans {
 				break
 			}
 			push(v.n)
 		}
 	}
-	for i := range all {
-		all[i].s = all[i].e.String()
+	slices.SortFunc(queue, func(a, b *nalg.Node) int { return bytes.Compare(m.Text(a), m.Text(b)) })
+	plans := make([]nalg.Expr, len(queue))
+	for i, n := range queue {
+		plans[i] = n.Expr()
 	}
-	slices.SortFunc(all, func(a, b rendered) int { return strings.Compare(a.s, b.s) })
-	plans := make([]nalg.Expr, len(all))
-	for i, r := range all {
-		plans[i] = r.e
-	}
+	clear(seen)
+	clear(queue)
+	rw.seen, rw.queue = seen[:0], queue[:0]
 	return plans
-}
-
-// rendered is a plan beside its rendering, the order Expand returns plans
-// in.
-type rendered struct {
-	e nalg.Expr
-	s string
 }

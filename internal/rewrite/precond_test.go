@@ -1,6 +1,7 @@
 package rewrite
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -238,5 +239,58 @@ func TestPreconditionValidate(t *testing.T) {
 	}
 	if restricted.Validate(full) == nil {
 		t.Error("selection inside the covering navigation should fail validation")
+	}
+}
+
+// TestResetForgetsTheLastSearch runs one rewriter, interning into one
+// memo, over the same plans under schemes that disagree on facts the rules
+// rely on, resetting both between searches, and requires every search to
+// decide what a new rewriter decides. Each search interns the same
+// expressions in the same order into the memory the last one used, so a
+// cache that survived Reset would answer for a node or a join at the same
+// address with the last scheme's facts.
+func TestResetForgetsTheLastSearch(t *testing.T) {
+	full := sitegen.UniversityScheme()
+	// Without ProfPage.ToDept ⊆ DeptListPage.DeptList.ToDept the department
+	// list no longer reaches every DeptPage: it stops being a covering
+	// navigation.
+	noCover := sitegen.UniversityScheme()
+	dropInclusion(noCover, ref(sitegen.ProfPage, "ToDept"), ref(sitegen.DeptListPage, "DeptList.ToDept"))
+	// Without this link constraint Rule 8 finds no pointer column.
+	noAnchor := sitegen.UniversityScheme()
+	dropLinkConstraint(noAnchor, ref(sitegen.ProfPage, "CourseList.ToCourse"))
+
+	depts := func(ws *adm.Scheme) nalg.Expr {
+		return nalg.From(ws, sitegen.DeptListPage).Unnest("DeptList").Follow("ToDept").MustBuild()
+	}
+	seeds := func(ws *adm.Scheme) []nalg.Expr {
+		profs := nalg.From(ws, sitegen.ProfListPage).Unnest("ProfList").Follow("ToProf").Unnest("CourseList").MustBuild()
+		sessions := nalg.From(ws, sitegen.SessionListPage).Unnest("SesList").Follow("ToSes").Unnest("CourseList").Follow("ToCourse").MustBuild()
+		return []nalg.Expr{&nalg.Join{L: profs, R: sessions, Conds: []nested.EqCond{{Left: "ProfPage.CourseList.CName", Right: "CoursePage.CName"}}}}
+	}
+	expand := func(rw *Rewriter, ws *adm.Scheme) []string {
+		var out []string
+		for _, p := range rw.Expand(seeds(ws), 256) {
+			out = append(out, p.String())
+		}
+		return out
+	}
+	fresh := func(ws *adm.Scheme) []string { return expand(&Rewriter{WS: ws, Rules: AllRules}, ws) }
+	if coveringChain(full, depts(full)) == coveringChain(noCover, depts(noCover)) || slices.Equal(fresh(full), fresh(noAnchor)) {
+		t.Fatal("the weakened schemes must change what the rules decide")
+	}
+
+	memo := nalg.NewMemo(full)
+	rw := &Rewriter{Rules: AllRules}
+	names := map[*adm.Scheme]string{full: "full", noCover: "noCover", noAnchor: "noAnchor"}
+	for _, ws := range []*adm.Scheme{full, noCover, full, noAnchor, full, noCover, noAnchor} {
+		memo.Reset(ws)
+		rw.Reset(ws, memo)
+		if got, want := rw.coveringNav(depts(ws)), coveringChain(ws, depts(ws)); got != want {
+			t.Errorf("%s scheme after Reset: the department list covering is %v, want %v", names[ws], got, want)
+		}
+		if got, want := expand(rw, ws), fresh(ws); !slices.Equal(got, want) {
+			t.Errorf("%s scheme after Reset: %d plans, a new rewriter %d", names[ws], len(got), len(want))
+		}
 	}
 }

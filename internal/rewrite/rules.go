@@ -72,7 +72,9 @@ type Rewriter struct {
 	// Memo is the plan memo the rewriter interns expressions in and reads
 	// their schemas from. Algorithm 1 hands every phase's rewriter, and the
 	// cost model, the same one; left nil, the rewriter makes its own on
-	// first use. It must not change once the rewriter has been used.
+	// first use. Once the rewriter has been used it changes only through
+	// Reset, which drops what the rewriter cached about the old memo's
+	// nodes.
 	Memo *nalg.Memo
 
 	// variantsOf caches variants by node ID, for the rule set variantRules;
@@ -85,6 +87,9 @@ type Rewriter struct {
 	// pointers is matchPointer's result at the join pointersAt.
 	pointersAt nalg.Expr
 	pointers   []pointerPattern
+	// Expand's working sets, kept between calls for their capacity.
+	seen  []bool
+	queue []*nalg.Node
 	// audit is the recorded rule applications (RecordAudit only).
 	audit []Application
 }

@@ -7,6 +7,8 @@ import (
 
 	"ulixes"
 	"ulixes/internal/cost"
+	"ulixes/internal/exp"
+	"ulixes/internal/optimizer"
 	"ulixes/internal/race"
 	"ulixes/internal/rewrite"
 	"ulixes/internal/site"
@@ -195,10 +197,10 @@ func TestWarmSuiteAllocs(t *testing.T) {
 	}
 	run := warmSuite(t)
 	for _, procs := range []int{1, 2, 8} {
-		if n := allocsPerRun(procs, 10, func() { run() }); n > warmSuiteAllocCeiling {
-			t.Errorf("GOMAXPROCS=%d: a warm pass allocates %.0f objects, ceiling %d", procs, n, warmSuiteAllocCeiling)
+		if n, _ := allocsPerRun(procs, 10, func() { run() }); n.objects > warmSuiteAllocCeiling {
+			t.Errorf("GOMAXPROCS=%d: a warm pass allocates %.0f objects, ceiling %d", procs, n.objects, warmSuiteAllocCeiling)
 		} else {
-			t.Logf("GOMAXPROCS=%d: %.0f allocations a pass", procs, n)
+			t.Logf("GOMAXPROCS=%d: %.0f allocations a pass", procs, n.objects)
 		}
 	}
 }
@@ -219,25 +221,83 @@ func TestRTTSuiteAllocs(t *testing.T) {
 	}
 	run := rttSuite(t, 0)
 	for _, procs := range []int{1, 2, 8} {
-		if n := allocsPerRun(procs, 10, func() { run() }); n > rttSuiteAllocCeiling {
-			t.Errorf("GOMAXPROCS=%d: a navigation pass allocates %.0f objects, ceiling %d", procs, n, rttSuiteAllocCeiling)
+		if n, _ := allocsPerRun(procs, 10, func() { run() }); n.objects > rttSuiteAllocCeiling {
+			t.Errorf("GOMAXPROCS=%d: a navigation pass allocates %.0f objects, ceiling %d", procs, n.objects, rttSuiteAllocCeiling)
 		} else {
-			t.Logf("GOMAXPROCS=%d: %.0f allocations a pass", procs, n)
+			t.Logf("GOMAXPROCS=%d: %.0f allocations a pass", procs, n.objects)
 		}
 	}
 }
 
-// allocsPerRun is testing.AllocsPerRun at a chosen GOMAXPROCS.
-// AllocsPerRun itself pins GOMAXPROCS to 1 while it measures, so it cannot
-// show what a parallel schedule adds.
-func allocsPerRun(procs, runs int, f func()) float64 {
+// allocCount is what a run allocated: objects and bytes (TotalAlloc).
+type allocCount struct{ objects, bytes float64 }
+
+// allocsPerRun is testing.AllocsPerRun at a chosen GOMAXPROCS, counting
+// bytes beside objects: it returns the mean per run and the least any one
+// run allocated. AllocsPerRun itself pins GOMAXPROCS to 1 while it
+// measures, so it cannot show what a parallel schedule adds. The least run
+// is the measure for code that recycles memory through a sync.Pool: a
+// collection may empty the pool, and the run after it pays to refill it.
+func allocsPerRun(procs, runs int, f func()) (mean, least allocCount) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	f()
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	var objects, bytes uint64
 	for i := 0; i < runs; i++ {
+		runtime.ReadMemStats(&before)
 		f()
+		runtime.ReadMemStats(&after)
+		o, b := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+		objects, bytes = objects+o, bytes+b
+		if i == 0 || float64(o) < least.objects {
+			least.objects = float64(o)
+		}
+		if i == 0 || float64(b) < least.bytes {
+			least.bytes = float64(b)
+		}
 	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+	return allocCount{float64(objects) / float64(runs), float64(bytes) / float64(runs)}, least
+}
+
+// coldPlanningAllocCeiling and coldPlanningByteCeiling are cold planning's
+// budget: what one run of Algorithm 1 on Example 7.2 may allocate once the
+// planning arena has been recycled. The run allocated 48,645 objects and
+// 3,841,928 bytes at GOMAXPROCS 1, 2 and 8 when the ceilings were set,
+// against about 102,000 objects and 51.5 MB before the arena; the ceilings
+// are 10 % above that.
+const (
+	coldPlanningAllocCeiling = 53_500
+	coldPlanningByteCeiling  = 4_225_000
+)
+
+// TestColdPlanningAllocBudget gates the allocations of planning a new
+// shape, Example 7.2, at GOMAXPROCS 1, 2 and 8. It reads the least run of
+// a few, so a collection that empties the arena pool once is not charged
+// to the planner; an allocation every run makes is.
+func TestColdPlanningAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	u, err := sitegen.GenerateUniversity(sitegen.PaperUniversityParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := optimizer.New(view.UniversityView(u.Scheme), stats.CollectInstance(u.Instance))
+	q, err := ulixes.ParseQuery(exp.Example72Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 2, 8} {
+		_, least := allocsPerRun(procs, 3, func() {
+			if _, err := opt.Optimize(q); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if least.objects > coldPlanningAllocCeiling || least.bytes > coldPlanningByteCeiling {
+			t.Errorf("GOMAXPROCS=%d: planning Example 7.2 allocates %.0f objects and %.0f bytes, ceilings %d and %d",
+				procs, least.objects, least.bytes, coldPlanningAllocCeiling, coldPlanningByteCeiling)
+		} else {
+			t.Logf("GOMAXPROCS=%d: %.0f allocations, %.0f bytes a plan", procs, least.objects, least.bytes)
+		}
+	}
 }
