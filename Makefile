@@ -62,7 +62,9 @@ bench:
 # fetch task; BENCH=CollectSite is crawl-parent / crawl-change, the
 # statistics crawl; BENCH=RTTSuite is wrap-parent / wrap-change, pages
 # wrapped in one pass with no element tree; BENCH='OptimizeCold|WarmSuite'
-# is arena-parent / arena-change, planning in a recycled arena).
+# is arena-parent / arena-change, planning in a recycled arena;
+# BENCH=OptimizeCold is beam-parent / beam-change, plans ranked only at the
+# beam and arenas rewound in proportion to the next search).
 BENCH_LABEL ?= after
 BENCH_NOTE ?=
 BENCH ?= .

@@ -203,8 +203,9 @@ func (m *Model) Estimate(e nalg.Expr) (Estimate, error) {
 type Estimator struct {
 	m    *Model
 	memo *nalg.Memo
-	// ests holds the estimates by node ID, in chunks of estChunk; the
-	// chunks past its length, kept from an earlier search, are zero.
+	// ests holds the estimates by node ID, in chunks of estChunk. The
+	// chunks past its length are kept from an earlier search and cleared
+	// when this one first reaches them.
 	ests [][]nodeEstimate
 	nums nalg.Slab[float64]
 
@@ -243,9 +244,6 @@ func (m *Model) On(memo *nalg.Memo) *Estimator {
 // statistics are keyed by columns the memo no longer has.
 func (s *Estimator) Reset(m *Model, memo *nalg.Memo) {
 	s.m, s.memo = m, memo
-	for _, c := range s.ests {
-		clear(c)
-	}
 	s.ests = s.ests[:0]
 	s.nums.Reset()
 	if s.pages == nil {
@@ -267,6 +265,8 @@ func (s *Estimator) estimate(n *nalg.Node) (Estimate, error) {
 		s.ests = slices.Grow(s.ests, 1)[:len(s.ests)+1]
 		if last := &s.ests[len(s.ests)-1]; *last == nil {
 			*last = make([]nodeEstimate, estChunk)
+		} else {
+			clear(*last)
 		}
 	}
 	c := &s.ests[id/estChunk][id%estChunk]

@@ -40,6 +40,7 @@ type Memo struct {
 
 	blocks   *colBlocks
 	inferred int
+	rendered int
 
 	textBuf []byte // scratch for Text
 
@@ -119,10 +120,9 @@ func (m *Memo) Reset(ws *adm.Scheme) {
 	m.payloadSet.reset()
 	clear(m.opaque)
 	m.blocks.reset()
-	m.inferred = 0
+	m.inferred, m.rendered = 0, 0
 	m.keys = m.keys[:0]
 	m.keySet.reset()
-	clear(m.detached)
 	m.detached = m.detached[:0]
 	m.nodes.Reset()
 	m.payloads.Reset()
@@ -142,7 +142,11 @@ func (m *Memo) Reset(ws *adm.Scheme) {
 // what a memo, and the layers that key their own results by its node IDs,
 // record per node lives exactly as long as one plan search. Reset hands the
 // same chunks out again, so a slab that has grown to the size of the
-// searches it serves allocates nothing more.
+// searches it serves allocates nothing more. A kept chunk is zeroed when a
+// search first reaches it, not when the slab is Reset, so rewinding costs
+// nothing and a search zeroes only the chunks it uses; what an earlier
+// search left in the others stays reachable until a later search reaches
+// them or the slab is dropped.
 type Slab[T any] struct {
 	chunks [][]T // every chunk the slab owns, in the order they are used
 	used   int   // chunks[:used] have been handed out from since Reset
@@ -167,17 +171,16 @@ func (s *Slab[T]) next(n int) {
 		// Chunks double up to a cap, so a small plan search stays small.
 		s.chunk = min(max(64, 2*s.chunk), 8192)
 		s.chunks = slices.Insert(s.chunks, s.used, make([]T, max(n, s.chunk)))
+	} else {
+		clear(s.chunks[s.used])
 	}
 	s.free = s.chunks[s.used]
 	s.used++
 }
 
-// Reset zeroes what the slab has handed out and makes it available again.
-// Nothing taken before must be used after.
+// Reset makes what the slab has handed out available again. Nothing taken
+// before must be used after.
 func (s *Slab[T]) Reset() {
-	for _, c := range s.chunks[:s.used] {
-		clear(c)
-	}
 	s.used, s.free = 0, nil
 }
 
@@ -282,6 +285,7 @@ func (n *Node) Kids() []*Node { return n.kids[:n.nk] }
 // plans by their renderings, to be deterministic, compares these.
 func (m *Memo) Text(n *Node) []byte {
 	if n.text == nil {
+		m.rendered++
 		m.textBuf = render(m.textBuf[:0], n.expr)
 		n.text = m.texts.Take(len(m.textBuf))
 		copy(n.text, m.textBuf)
@@ -295,6 +299,10 @@ func (m *Memo) Len() int { return len(m.byID) }
 // Inferred returns how many schema inferences the memo has run; never more
 // than Len, since each node is inferred at most once.
 func (m *Memo) Inferred() int { return m.inferred }
+
+// Rendered returns how many nodes Text has written the rendering of; never
+// more than Len, since each node is rendered at most once.
+func (m *Memo) Rendered() int { return m.rendered }
 
 // Node interns e, and its subexpressions, and returns its node.
 func (m *Memo) Node(e Expr) *Node {
@@ -455,8 +463,10 @@ func (m *Memo) Detach(e Expr) Expr {
 		return e
 	}
 	id := int(meta.ref.id)
-	if id >= len(m.detached) {
-		m.detached = slices.Grow(m.detached, len(m.byID)-len(m.detached))[:len(m.byID)]
+	if old := len(m.detached); id >= old {
+		// Entries past the length may be an earlier search's copies.
+		m.detached = slices.Grow(m.detached, len(m.byID)-old)[:len(m.byID)]
+		clear(m.detached[old:])
 	}
 	if d := m.detached[id]; d != nil {
 		return d

@@ -56,10 +56,17 @@ type Options struct {
 // rewriting phase to the next.
 const DefaultBeamWidth = 256
 
-// trimToBeam keeps the `beam` cheapest plans (ties broken by rendering for
-// determinism). Plans that fail to cost are dropped.
+// trimToBeam orders one phase's plans for the next and keeps the beam
+// cheapest. A phase of at most beam plans is kept whole, plans that fail
+// to cost included, in rendering order: that is where the next phase's
+// breadth-first expansion, and its MaxPlans cut, start from. A larger one
+// is estimated, plans that fail to cost are dropped, and cheapest keeps
+// the beam of the rest.
 func trimToBeam(plans []nalg.Expr, model *cost.Estimator, memo *nalg.Memo, beam int) []nalg.Expr {
 	if len(plans) <= beam {
+		slices.SortFunc(plans, func(a, b nalg.Expr) int {
+			return bytes.Compare(memo.Text(memo.Node(a)), memo.Text(memo.Node(b)))
+		})
 		return plans
 	}
 	scored := make([]Plan, 0, len(plans))
@@ -70,15 +77,32 @@ func trimToBeam(plans []nalg.Expr, model *cost.Estimator, memo *nalg.Memo, beam 
 		}
 		scored = append(scored, Plan{Expr: p, Cost: est.Cost})
 	}
-	slices.SortStableFunc(scored, planOrder(memo))
-	if len(scored) > beam {
-		scored = scored[:beam]
-	}
+	scored = cheapest(scored, memo, beam)
 	trimmed := make([]nalg.Expr, len(scored))
 	for i, s := range scored {
 		trimmed[i] = s.Expr
 	}
 	return trimmed
+}
+
+// cheapest orders costed plans interned in memo by cost, plans of equal
+// cost by rendering, and keeps the first beam. Only the plans that cost
+// at most what the plan at the cut does are rendered: the plans are first
+// ordered by cost alone, and the ones past the cut's cost dropped. No two
+// plans a phase keeps render alike (Expand keeps one per canonical key),
+// so the order is total, and the beam is the one a full sort by cost and
+// rendering would keep.
+func cheapest(scored []Plan, memo *nalg.Memo, beam int) []Plan {
+	if len(scored) > beam {
+		slices.SortFunc(scored, compareCosts)
+		n := beam
+		for n < len(scored) && scored[n].Cost == scored[beam-1].Cost {
+			n++
+		}
+		scored = scored[:n]
+	}
+	slices.SortFunc(scored, planOrder(memo))
+	return scored[:min(len(scored), beam)]
 }
 
 func (o Options) rules() rewrite.Rule {
@@ -218,13 +242,6 @@ func (o *Optimizer) optimize(q *cq.Query, a *arena) (*Result, error) {
 	// group of rules; between phases the set is trimmed to the cheapest
 	// plans (a beam), since the expansion is otherwise exponential in the
 	// number of rule application sites.
-	phases := []rewrite.Rule{
-		rules & rewrite.Rule4,
-		rules & (rewrite.Rule8 | rewrite.Rule9 | rewrite.RulePushJoin),
-		rules & rewrite.Rule6,
-		rules & rewrite.Rule7,
-		rules & (rewrite.Rule3 | rewrite.Rule5),
-	}
 	model := a.est
 	beam := o.Opts.BeamWidth
 	if beam <= 0 {
@@ -233,10 +250,7 @@ func (o *Optimizer) optimize(q *cq.Query, a *arena) (*Result, error) {
 	plans := seeds
 	considered := len(seeds)
 	rw := &a.rw
-	for _, phase := range phases {
-		if phase == 0 {
-			continue
-		}
+	for _, phase := range phases(rules) {
 		rw.Rules = phase
 		plans = rw.Expand(plans, maxPlans)
 		considered += len(plans)
@@ -263,6 +277,24 @@ func (o *Optimizer) optimize(q *cq.Query, a *arena) (*Result, error) {
 		cands[i].Expr = memo.Detach(cands[i].Expr)
 	}
 	return &Result{Best: cands[0], Candidates: cands, PlansConsidered: considered}, nil
+}
+
+// phases returns the rule groups of phases 3–7 of Algorithm 1, in order,
+// leaving out the groups the enabled rules make empty.
+func phases(rules rewrite.Rule) []rewrite.Rule {
+	var out []rewrite.Rule
+	for _, phase := range []rewrite.Rule{
+		rewrite.Rule4,
+		rewrite.Rule8 | rewrite.Rule9 | rewrite.RulePushJoin,
+		rewrite.Rule6,
+		rewrite.Rule7,
+		rewrite.Rule3 | rewrite.Rule5,
+	} {
+		if phase&rules != 0 {
+			out = append(out, phase&rules)
+		}
+	}
+	return out
 }
 
 // instNav is a default navigation instantiated for one query atom.

@@ -13,7 +13,7 @@ import (
 	"ulixes/internal/view"
 )
 
-func univOptimizer(t *testing.T) (*sitegen.University, *Optimizer) {
+func univOptimizer(t testing.TB) (*sitegen.University, *Optimizer) {
 	t.Helper()
 	u, err := sitegen.GenerateUniversity(sitegen.PaperUniversityParams())
 	if err != nil {
@@ -23,7 +23,7 @@ func univOptimizer(t *testing.T) (*sitegen.University, *Optimizer) {
 	return u, New(views, stats.CollectInstance(u.Instance))
 }
 
-func mustParse(t *testing.T, src string) *cq.Query {
+func mustParse(t testing.TB, src string) *cq.Query {
 	t.Helper()
 	q, err := cq.Parse(src)
 	if err != nil {

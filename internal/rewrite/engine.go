@@ -1,7 +1,6 @@
 package rewrite
 
 import (
-	"bytes"
 	"slices"
 
 	"ulixes/internal/adm"
@@ -21,7 +20,6 @@ const DefaultMaxPlans = 4096
 // where the old ones did.
 func (rw *Rewriter) Reset(ws *adm.Scheme, memo *nalg.Memo) {
 	rw.WS, rw.Memo = ws, memo
-	clear(rw.variantsOf)
 	rw.variantsOf = rw.variantsOf[:0]
 	rw.variantRules = 0
 	rw.lists.Reset()
@@ -63,12 +61,13 @@ func (rw *Rewriter) variants(n *nalg.Node) []variant {
 	}
 	m := rw.memo()
 	id := n.ID()
-	if id >= len(rw.variantsOf) {
+	if old := len(rw.variantsOf); id >= old {
 		// Room for every node interned so far: a node's variants are asked
 		// for after it, and everything below it, was interned. Entries past
-		// the length, kept from an earlier search, are nil.
-		n := max(m.Len(), 2*len(rw.variantsOf))
-		rw.variantsOf = slices.Grow(rw.variantsOf, n-len(rw.variantsOf))[:n]
+		// the length may be an earlier search's, so they are cleared.
+		n := max(m.Len(), 2*old)
+		rw.variantsOf = slices.Grow(rw.variantsOf, n-old)[:n]
+		clear(rw.variantsOf[old:])
 	}
 	if list := rw.variantsOf[id]; list != nil {
 		return list
@@ -106,9 +105,12 @@ func (rw *Rewriter) variants(n *nalg.Node) []variant {
 
 // Expand computes the closure of the seed expressions under the enabled
 // rules, keeping only candidates that still type-check against the scheme
-// and one plan per canonical key (see nalg.Memo.Key). The result is
-// deterministic (sorted by rendering) and bounded by maxPlans; the plans
-// returned are interned in the rewriter's memo.
+// and one plan per canonical key (see nalg.Memo.Key). The result is in
+// discovery order: the seeds in the order given, then, breadth first, each
+// plan's variants in rule order (see variants). It is bounded by maxPlans,
+// which cuts the search where the breadth-first order reaches it, so the
+// order of the seeds decides which plans a capped expansion keeps. The
+// plans returned are interned in the rewriter's memo.
 func (rw *Rewriter) Expand(seeds []nalg.Expr, maxPlans int) []nalg.Expr {
 	if maxPlans <= 0 {
 		maxPlans = DefaultMaxPlans
@@ -141,7 +143,6 @@ func (rw *Rewriter) Expand(seeds []nalg.Expr, maxPlans int) []nalg.Expr {
 			push(v.n)
 		}
 	}
-	slices.SortFunc(queue, func(a, b *nalg.Node) int { return bytes.Compare(m.Text(a), m.Text(b)) })
 	plans := make([]nalg.Expr, len(queue))
 	for i, n := range queue {
 		plans[i] = n.Expr()
