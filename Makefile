@@ -84,7 +84,7 @@ experiments:
 chaos:
 	$(GO) test -race ./internal/faults/ ./internal/site/ ./internal/pagecache/ -run 'Chaos|Fault|Retry|Degraded|Stall|Singleflight|Backoff|NotFound|Session|Resilience'
 	$(GO) test -race ./internal/guard/
-	$(GO) test -race ./internal/engine/ ./internal/pagecache/ ./internal/matview/ ./cmd/ulixesd/ -run 'Chaos|Breaker|Stale|Shed|Drain'
+	$(GO) test -race ./internal/engine/ ./internal/pagecache/ ./cmd/ulixesd/ -run 'Chaos|Breaker|Stale|Shed|Drain'
 	$(GO) test ./internal/exp/ -run 'TestP3toP6/^P[35]$$'
 
 # overload runs the admission/deadline/memory-governance suite under the

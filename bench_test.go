@@ -582,7 +582,7 @@ func BenchmarkMaterializedQuery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if ans.Downloads != 0 {
+		if ans.Exec.Pages != 0 {
 			b.Fatal("unexpected downloads on a quiet site")
 		}
 	}

@@ -16,6 +16,7 @@ import (
 
 	"ulixes/internal/adm"
 	"ulixes/internal/discover"
+	"ulixes/internal/pagecache"
 	"ulixes/internal/site"
 	"ulixes/internal/sitegen"
 	"ulixes/internal/stats"
@@ -97,7 +98,7 @@ func crawl(name string) (*adm.Instance, error) {
 	default:
 		return nil, fmt.Errorf("unknown site %q", name)
 	}
-	inst, _, err := stats.CrawlWithSizes(ms, ws)
+	inst, _, err := stats.CrawlWithSizes(pagecache.New(ms, ws, pagecache.Config{DefaultTTL: pagecache.Forever}), ws)
 	return inst, err
 }
 

@@ -31,9 +31,9 @@
 //
 // /stats serializes each subsystem's own counter struct under the wire
 // names its JSON tags declare: pagecache.Stats at top level next to the
-// server's admission and memory ledger, matview.Counters, changefeed.Counters
-// and standing.Counters under matview, feed and standing, and one
-// guard.HostHealth per host under hosts. queryTotals sums every served
+// server's admission and memory ledger, pagecache.Maintenance,
+// changefeed.Counters and standing.Counters under matview, feed and
+// standing, and one guard.HostHealth per host under hosts. queryTotals sums every served
 // query's stats in the same wire type as a /query response's stats, and
 // keeps counters only: the per-URL lists stay in each response.
 //
@@ -84,8 +84,10 @@
 // bytes. Queries a materialized view answers soundly (its binding pattern
 // implied by the query's constants, within -views-horizon) skip navigation
 // entirely and report fromView; anything else falls back to the live plan.
-// /stats reports viewHits/viewMisses/viewBytes/selectorRuns and the backing
-// store's maintenance counters.
+// The views are built from the server's own page store: the first
+// selection crawls the site into it, which warms it for every query. /stats
+// reports viewHits/viewMisses/viewBytes/selectorRuns and the store's
+// maintenance counters.
 //
 // With -feed the server runs a push-based consistency pipeline (see
 // internal/changefeed): page mutations become feed events that invalidate
@@ -319,19 +321,20 @@ func assemble(cfg config) (*server, error) {
 		// Workload-driven view answering: record every query's shape and
 		// cost, and let the benefit/byte selector re-decide the materialized
 		// view set as the workload drifts. The first selection crawls the
-		// site into the backing store; until then every query misses to the
-		// live planner.
+		// site into the server's page store, the one queries read; until
+		// then every query misses to the live planner.
 		sys.EnableWorkload(0)
 		sys.EnableViewAnswering(ulixes.ViewManagerConfig{
 			Rewriter: ulixes.ViewRewriterConfig{Horizon: cfg.viewsHorizon, AllowStale: cfg.viewsStale},
 			Budget:   cfg.viewsBudget,
+			Store:    cache,
 		})
 		selector = vselect.New(vselect.Config{
 			Budget: cfg.viewsBudget,
 			Views:  views,
 			Model:  &cost.Model{Scheme: ws, Stats: sys.Stats()},
 		})
-		// Matview bytes are already tracked by the manager; the ledger polls
+		// Extent bytes are already tracked by the manager; the ledger polls
 		// them as a gauge instead of double-charging every row mutation.
 		ledger.Gauge("matview", func() int64 {
 			if vm := sys.ViewManager(); vm != nil {
@@ -368,9 +371,10 @@ func assemble(cfg config) (*server, error) {
 			}
 			cache.Invalidate(ev.URL)
 		}))
-		// Sink 2: incremental view maintenance. Each event re-wraps (or
-		// drops) one page in the materialized store and rebuilds the applied
-		// extents — no full crawl. In hook mode every mutation is observed,
+		// Sink 2: incremental view maintenance. Once views are materialized,
+		// each event brings the page sink 1 just invalidated or expired back
+		// into the store (or drops it) and rebuilds the applied extents — no
+		// full crawl. In hook mode every mutation is observed,
 		// so after applying one the whole extent is consistent through "now"
 		// and the freshness horizon advances with it; in poll mode only a
 		// clean full sweep proves that, via the sweep report below.

@@ -18,7 +18,6 @@ import (
 	"ulixes/internal/changefeed"
 	"ulixes/internal/engine"
 	"ulixes/internal/guard"
-	"ulixes/internal/matview"
 	"ulixes/internal/overload"
 	"ulixes/internal/pagecache"
 	"ulixes/internal/sitegen"
@@ -480,9 +479,7 @@ func (s *server) reselect(rec *ulixes.WorkloadRecorder, vm *ulixes.ViewManager) 
 	// store's last verification time, so without this pass a reselection
 	// would re-serve the original crawl until it ages past -views-horizon.
 	// The first selection has no store yet — its crawl is fresh by itself.
-	if _, _, stale, err := vm.RefreshStore(); err != nil {
-		log.Printf("ulixesd: view refresh: %v", err)
-	} else if len(stale) > 0 {
+	if _, _, stale := vm.RefreshStore(); len(stale) > 0 {
 		log.Printf("ulixesd: view refresh: %d pages unreachable, freshness horizon not renewed", len(stale))
 	}
 	d := s.selector.Decide(sums)
@@ -758,29 +755,29 @@ type storeStats struct {
 	// drop totals, expired per-query deadline budgets, recovered handler
 	// panics, dropped slow /watch clients, and the shared memory ledger by
 	// subsystem.
-	QueueDepth        int                  `json:"queueDepth"`
-	QueueDropped      int                  `json:"queueDropped"`
-	QueueAdmitted     int                  `json:"queueAdmitted,omitempty"`
-	QueueSojournDrops int                  `json:"queueSojournDropped,omitempty"`
-	QueueCostRejected int                  `json:"queueCostRejected,omitempty"`
-	QueuePeakDepth    int                  `json:"queuePeakDepth,omitempty"`
-	DeadlineExpired   int64                `json:"deadlineExpired"`
-	PanicsRecovered   int64                `json:"panicsRecovered"`
-	WatchDropped      int64                `json:"watchDropped,omitempty"`
-	MemLedger         map[string]int64     `json:"memLedger,omitempty"`
-	MemBytes          int64                `json:"memBytes,omitempty"`
-	PlanHits          uint64               `json:"planHits"`
-	PlanMisses        uint64               `json:"planMisses"`
-	PlanEntries       int                  `json:"planEntries"`
-	ViewHits          int                  `json:"viewHits,omitempty"`
-	ViewMisses        int                  `json:"viewMisses,omitempty"`
-	ViewBytes         int64                `json:"viewBytes,omitempty"`
-	SelectorRuns      int                  `json:"selectorRuns,omitempty"`
-	Matview           *matview.Counters    `json:"matview,omitempty"`
-	Feed              *changefeed.Counters `json:"feed,omitempty"`
-	Standing          *standing.Counters   `json:"standing,omitempty"`
-	Totals            *queryStats          `json:"queryTotals,omitempty"`
-	Hosts             []guard.HostHealth   `json:"hosts,omitempty"`
+	QueueDepth        int                    `json:"queueDepth"`
+	QueueDropped      int                    `json:"queueDropped"`
+	QueueAdmitted     int                    `json:"queueAdmitted,omitempty"`
+	QueueSojournDrops int                    `json:"queueSojournDropped,omitempty"`
+	QueueCostRejected int                    `json:"queueCostRejected,omitempty"`
+	QueuePeakDepth    int                    `json:"queuePeakDepth,omitempty"`
+	DeadlineExpired   int64                  `json:"deadlineExpired"`
+	PanicsRecovered   int64                  `json:"panicsRecovered"`
+	WatchDropped      int64                  `json:"watchDropped,omitempty"`
+	MemLedger         map[string]int64       `json:"memLedger,omitempty"`
+	MemBytes          int64                  `json:"memBytes,omitempty"`
+	PlanHits          uint64                 `json:"planHits"`
+	PlanMisses        uint64                 `json:"planMisses"`
+	PlanEntries       int                    `json:"planEntries"`
+	ViewHits          int                    `json:"viewHits,omitempty"`
+	ViewMisses        int                    `json:"viewMisses,omitempty"`
+	ViewBytes         int64                  `json:"viewBytes,omitempty"`
+	SelectorRuns      int                    `json:"selectorRuns,omitempty"`
+	Matview           *pagecache.Maintenance `json:"matview,omitempty"`
+	Feed              *changefeed.Counters   `json:"feed,omitempty"`
+	Standing          *standing.Counters     `json:"standing,omitempty"`
+	Totals            *queryStats            `json:"queryTotals,omitempty"`
+	Hosts             []guard.HostHealth     `json:"hosts,omitempty"`
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -835,8 +832,8 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		out.ViewHits = vc.Hits
 		out.ViewMisses = vc.Misses
 		out.ViewBytes = vm.Bytes()
-		if vm.Store() != nil {
-			mc := vm.StoreCounters()
+		if st := vm.Store(); st != nil {
+			mc := st.Maintenance()
 			out.Matview = &mc
 		}
 	}

@@ -68,3 +68,36 @@ func TestViewAnsweringEndToEnd(t *testing.T) {
 		t.Errorf("matview counters %+v, want the materialization crawl visible", st.Matview)
 	}
 }
+
+// TestViewsShareTheQueryStore: under -views-auto there is one page store.
+// The view-selection crawl fills the server's own store, so after it a
+// query of a shape no view answers is served from the store with no
+// download.
+func TestViewsShareTheQueryStore(t *testing.T) {
+	srv := newTestServer(t, "-views-auto", "-views-every", "3")
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+
+	for i := 0; i < 3; i++ {
+		if code, _ := doQuery(t, ts, "SELECT p.PName FROM Professor p WHERE p.Rank = 'Full'"); code != http.StatusOK {
+			t.Fatalf("query %d: status %d", i, code)
+		}
+	}
+	srv.selectWG.Wait()
+	code, out := doQuery(t, ts, "SELECT c.CName FROM Course c WHERE c.Session = 'Fall'")
+	if code != http.StatusOK {
+		t.Fatalf("course query: status %d", code)
+	}
+	if out.Stats.FromView || out.Stats.Accesses == 0 {
+		t.Fatalf("course query: fromView %v, %d accesses; want a live plan", out.Stats.FromView, out.Stats.Accesses)
+	}
+	if out.Stats.Pages != 0 || out.Stats.CacheHits != out.Stats.Accesses {
+		t.Errorf("course query after the crawl: %d downloads, %d hits of %d accesses; want every access a hit",
+			out.Stats.Pages, out.Stats.CacheHits, out.Stats.Accesses)
+	}
+	var st storeStats
+	mustCall(t, ts, "GET", "/stats", "", &st)
+	if st.Matview == nil || st.Matview.Downloads != st.Fetches {
+		t.Errorf("matview ledger %+v, store fetches %d: want one store", st.Matview, st.Fetches)
+	}
+}

@@ -135,18 +135,18 @@ func TestWireSurface(t *testing.T) {
 	// rendered length varies, so only their presence is pinned.
 	stats := wireCall(t, ts, "GET", "/stats", "")
 	checkWire(t, "/stats", stats, map[string]any{
-		"fetches": 7.0, "hits": 0.0, "revalidations": 14.0, "lightConnections": 14.0,
-		"retries": 0.0, "evictions": 0.0, "bytesFetched": 5611.0,
-		"invalidations": 1.0, "pushStale": 1.0,
-		"entryCount": 6.0, "entryBytes": 4713.0,
+		"fetches": 34.0, "hits": 0.0, "revalidations": 21.0, "lightConnections": 25.0,
+		"retries": 0.0, "evictions": 0.0, "bytesFetched": 20705.0,
+		"invalidations": 3.0, "pushStale": 4.0,
+		"entryCount": 27.0, "entryBytes": 16972.0,
 		"inflight": 0.0, "served": 4.0, "rejected": 0.0,
 		"queueDepth": 0.0, "queueDropped": 0.0, "queueAdmitted": 4.0,
 		"deadlineExpired": 0.0, "panicsRecovered": 0.0,
-		"memLedger.pagecache": 4713.0, "memLedger.standingRings": present{}, "memBytes": present{},
+		"memLedger.pagecache": 16972.0, "memLedger.standingRings": present{}, "memBytes": present{},
 		"planHits": 2.0, "planMisses": 1.0, "planEntries": 1.0,
 		"viewHits": 4.0, "viewMisses": 3.0, "viewBytes": 417.0, "selectorRuns": 1.0,
-		"matview.lightConnections": 7.0, "matview.downloads": 34.0,
-		"matview.updatesApplied": 7.0, "matview.deletionsApplied": 0.0,
+		"matview.lightConnections": 25.0, "matview.downloads": 34.0,
+		"matview.updatesApplied": 4.0, "matview.deletionsApplied": 0.0,
 		"feed.events": 7.0, "feed.updates": 3.0, "feed.touches": 4.0,
 		"standing.live": 1.0, "standing.subscribes": 1.0, "standing.events": 7.0,
 		"standing.reanswers": 3.0, "standing.deltas": 2.0,

@@ -167,7 +167,7 @@ func main() {
 			fail(err)
 		}
 		fmt.Printf("-- materialized view: %d light connections, %d downloads, %d updates applied\n",
-			ans.LightConnections, ans.Downloads, ans.UpdatesApplied)
+			ans.Exec.LightConnections, ans.Exec.Pages, ans.Exec.Updates)
 		printRelation(ans.Result)
 		return
 	}

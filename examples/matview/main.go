@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -41,13 +42,13 @@ func main() {
 	fmt.Printf("materialized %d pages\n\n", mv.Store().Len())
 
 	const query = "SELECT p.PName, p.Rank FROM Professor p WHERE p.Rank = 'Full'"
-	run := func(label string) *ulixes.MatAnswer {
+	run := func(label string) *ulixes.Answer {
 		ans, err := mv.Query(query)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-28s %2d rows, %2d light connections, %2d downloads, %d updates applied\n",
-			label, ans.Result.Len(), ans.LightConnections, ans.Downloads, ans.UpdatesApplied)
+			label, ans.Result.Len(), ans.Exec.LightConnections, ans.Exec.Pages, ans.Exec.Updates)
 		return ans
 	}
 
@@ -91,7 +92,7 @@ func main() {
 	fmt.Printf("\nsite deletion: %s removed\n", goneURL)
 	run("after deletion:")
 	fmt.Printf("CheckMissing queue: %v\n", mv.Store().MissingQueue())
-	deleted, err := mv.Store().ProcessMissing()
+	deleted, err := mv.Store().ProcessMissing(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ulixes/internal/adm"
 	"ulixes/internal/cq"
 	"ulixes/internal/nalg"
 	"ulixes/internal/nested"
@@ -135,6 +136,10 @@ type ExecStats struct {
 	// BreakerFastFails is the number of access attempts an open circuit
 	// breaker rejected without touching the network.
 	BreakerFastFails int
+	// Updates ⊆ Pages is the number of downloads that replaced a stored
+	// page the site had changed: on a materialized view (Materialize), the
+	// §8 maintenance the query applied as a side effect.
+	Updates int
 	// PlanCached reports that the plan came from the prepared-plan cache:
 	// parse, typecheck, rewriting and costing were skipped and the cached
 	// plan was specialized with this query's constants. Always false
@@ -177,6 +182,7 @@ func (s *ExecStats) Add(o ExecStats) {
 	s.Hedges += o.Hedges
 	s.HedgeWins += o.HedgeWins
 	s.BreakerFastFails += o.BreakerFastFails
+	s.Updates += o.Updates
 	s.PlanCached = s.PlanCached || o.PlanCached
 	s.PlanWall += o.PlanWall
 	s.AnsweredFromView = s.AnsweredFromView || o.AnsweredFromView
@@ -475,7 +481,29 @@ func (e *Engine) run(ctx context.Context, expr nalg.Expr, prep *nalg.Prepared, o
 		Hedges:           st.Hedges,
 		HedgeWins:        st.HedgeWins,
 		BreakerFastFails: st.BreakerFastFails,
+		Updates:          st.Updates,
 	}, nil
+}
+
+// Materialize crawls the site into a materialized view (§8): a page store
+// with DefaultTTL 0 that keeps the pages of the retained page-schemes (all
+// of them when retain is empty). An engine whose ExecOptions.Cache is the
+// store runs Algorithm 3: a query costs C(E) light connections plus one
+// download per page the site changed, and maintains the view as it goes.
+// The crawl still visits every page, since links must be followed to reach
+// the portion kept. A dangling link is skipped; a missing entry point fails
+// the materialization.
+func Materialize(server site.Server, ws *adm.Scheme, retain ...string) (*pagecache.Cache, error) {
+	for _, name := range retain {
+		if ws.Page(name) == nil {
+			return nil, fmt.Errorf("engine: materialize: unknown page-scheme %q", name)
+		}
+	}
+	store := pagecache.New(server, ws, pagecache.Config{Retain: retain})
+	if _, _, err := stats.CrawlWithSizes(store, ws); err != nil {
+		return nil, fmt.Errorf("engine: materialize: %w", err)
+	}
+	return store, nil
 }
 
 // cardEstimator exposes the optimizer's cost model to the pipelined hash

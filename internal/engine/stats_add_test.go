@@ -44,6 +44,7 @@ func TestExecStatsAdd(t *testing.T) {
 		Hedges:           2,
 		HedgeWins:        1,
 		BreakerFastFails: 1,
+		Updates:          1,
 		PlanCached:       true,
 		PlanWall:         time.Millisecond,
 		AnsweredFromView: true,
@@ -65,6 +66,7 @@ func TestExecStatsAdd(t *testing.T) {
 		Hedges:           2,
 		HedgeWins:        1,
 		BreakerFastFails: 1,
+		Updates:          1,
 		PlanCached:       true,
 		PlanWall:         6 * time.Millisecond,
 		AnsweredFromView: true,

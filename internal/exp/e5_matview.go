@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"ulixes/internal/adm"
-	"ulixes/internal/matview"
+	"ulixes/internal/engine"
 	"ulixes/internal/sitegen"
 	"ulixes/internal/stats"
 	"ulixes/internal/view"
@@ -21,11 +21,12 @@ func E5(params sitegen.UniversityParams) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	store, err := matview.Materialize(ms, u.Scheme)
+	store, err := engine.Materialize(ms, u.Scheme)
 	if err != nil {
 		return nil, err
 	}
-	mv := matview.New(view.UniversityView(u.Scheme), store, stats.CollectInstance(u.Instance))
+	mv := engine.New(view.UniversityView(u.Scheme), ms, stats.CollectInstance(u.Instance))
+	mv.Exec.Cache = store
 
 	const query = "SELECT p.PName, p.Email FROM Professor p WHERE p.Rank = 'Full'"
 	// Virtual baseline: full downloads every time.
@@ -60,8 +61,8 @@ func E5(params sitegen.UniversityParams) (*Table, error) {
 		}
 		t.AddRow(
 			fmt.Sprintf("%d (%.0f%%)", n, rate*100),
-			d(ans.LightConnections),
-			d(ans.Downloads),
+			d(ans.Exec.LightConnections),
+			d(ans.Exec.Pages),
 			d(vAns.PagesFetched),
 			d(ans.Result.Len()),
 		)

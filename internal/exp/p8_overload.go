@@ -166,12 +166,17 @@ func P8(params sitegen.UniversityParams) (*Table, error) {
 		p99                        time.Duration
 		counters                   overload.Counters
 	}
-	runLoad := func(q *overload.Queue) (loadOut, error) {
+	// runLoad offers the bursts to q. With holdBurst, an admitted client
+	// keeps its slot until every client of its burst has tried Acquire, so
+	// a fast query cannot free a slot for a late arrival and each burst
+	// answers exactly the slots.
+	runLoad := func(q *overload.Queue, holdBurst bool) (loadOut, error) {
 		var out loadOut
 		results := make([]p8Result, 0, p8Bursts*p8Clients)
 		var mu sync.Mutex
 		for burst := 0; burst < p8Bursts; burst++ {
-			var wg sync.WaitGroup
+			var wg, tried sync.WaitGroup
+			tried.Add(p8Clients)
 			for c := 0; c < p8Clients; c++ {
 				wg.Add(1)
 				go func(idx int) {
@@ -181,9 +186,13 @@ func P8(params sitegen.UniversityParams) (*Table, error) {
 					sh := plancache.ShapeOf(queries[shape])
 					est, _ := eng.EstimatedPages(sh)
 					ticket, err := q.Acquire(context.Background(), overload.Normal, est)
+					tried.Done()
 					if err != nil {
 						r.dropped = true
 					} else {
+						if holdBurst {
+							tried.Wait()
+						}
 						r.sojourn = ticket.Sojourn()
 						ans, err := eng.QueryShapeOptsCtx(context.Background(), sh, eng.Exec)
 						ticket.Release()
@@ -261,7 +270,7 @@ func P8(params sitegen.UniversityParams) (*Table, error) {
 
 	// Policy 1: the historical instant reject — no queue, excess arrivals
 	// bounce off the slot count.
-	instant, err := runLoad(overload.NewQueue(overload.QueueConfig{Slots: p8Slots}))
+	instant, err := runLoad(overload.NewQueue(overload.QueueConfig{Slots: p8Slots}), true)
 	if err != nil {
 		return nil, err
 	}
@@ -270,7 +279,7 @@ func P8(params sitegen.UniversityParams) (*Table, error) {
 	// Policy 2: the bounded cost-aware queue.
 	queued, err := runLoad(overload.NewQueue(overload.QueueConfig{
 		Slots: p8Slots, MaxQueue: p8Queue, MaxWait: p8MaxWait,
-	}))
+	}), false)
 	if err != nil {
 		return nil, err
 	}

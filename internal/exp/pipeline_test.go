@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"ulixes/internal/engine"
-	"ulixes/internal/matview"
 	"ulixes/internal/nalg"
 	"ulixes/internal/site"
 	"ulixes/internal/sitegen"
@@ -108,11 +107,11 @@ func TestPipelinedEquivalenceMatview(t *testing.T) {
 	st := stats.CollectInstance(u.Instance)
 	views := view.UniversityView(u.Scheme)
 
-	storeSeq, err := matview.Materialize(ms, u.Scheme)
+	storeSeq, err := engine.Materialize(ms, u.Scheme)
 	if err != nil {
 		t.Fatal(err)
 	}
-	storePipe, err := matview.Materialize(ms, u.Scheme)
+	storePipe, err := engine.Materialize(ms, u.Scheme)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,10 +124,10 @@ func TestPipelinedEquivalenceMatview(t *testing.T) {
 		}
 	}
 
-	seq := matview.New(views, storeSeq, st)
-	pipe := matview.New(views, storePipe, st)
-	pipe.Exec = nalg.EvalOptions{Pipelined: true, Workers: 8}
-	storePipe.SetWorkers(8)
+	seq := engine.New(views, ms, st)
+	seq.Exec = engine.ExecOptions{Workers: 1, Cache: storeSeq}
+	pipe := engine.New(views, ms, st)
+	pipe.Exec = engine.ExecOptions{Pipelined: true, Workers: 8, Cache: storePipe}
 
 	const query = "SELECT p.PName, p.Email FROM Professor p WHERE p.Rank = 'Full'"
 	wantAns, err := seq.Query(query)
@@ -142,13 +141,13 @@ func TestPipelinedEquivalenceMatview(t *testing.T) {
 	if gotAns.Result.String() != wantAns.Result.String() {
 		t.Error("pipelined matview answer differs from sequential")
 	}
-	if gotAns.LightConnections != wantAns.LightConnections {
+	if gotAns.Exec.LightConnections != wantAns.Exec.LightConnections {
 		t.Errorf("light connections: pipelined %d, sequential %d",
-			gotAns.LightConnections, wantAns.LightConnections)
+			gotAns.Exec.LightConnections, wantAns.Exec.LightConnections)
 	}
-	if gotAns.Downloads != wantAns.Downloads {
+	if gotAns.Exec.Pages != wantAns.Exec.Pages {
 		t.Errorf("downloads: pipelined %d, sequential %d",
-			gotAns.Downloads, wantAns.Downloads)
+			gotAns.Exec.Pages, wantAns.Exec.Pages)
 	}
 }
 

@@ -1,7 +1,7 @@
 package exp
 
 import (
-	"ulixes/internal/matview"
+	"ulixes/internal/engine"
 	"ulixes/internal/sitegen"
 	"ulixes/internal/stats"
 	"ulixes/internal/view"
@@ -25,18 +25,18 @@ func X1(params sitegen.UniversityParams) (*Table, error) {
 	st := stats.CollectInstance(u.Instance)
 	views := view.UniversityView(u.Scheme)
 
-	full, err := matview.Materialize(ms, u.Scheme)
+	full, err := engine.Materialize(ms, u.Scheme)
 	if err != nil {
 		return nil, err
 	}
-	partial, err := matview.MaterializeSchemes(ms, u.Scheme, []string{
-		sitegen.ProfListPage, sitegen.ProfPage,
-	})
+	partial, err := engine.Materialize(ms, u.Scheme, sitegen.ProfListPage, sitegen.ProfPage)
 	if err != nil {
 		return nil, err
 	}
-	fullEng := matview.New(views, full, st)
-	partialEng := matview.New(views, partial, st)
+	fullEng := engine.New(views, ms, st)
+	fullEng.Exec.Cache = full
+	partialEng := engine.New(views, ms, st)
+	partialEng.Exec.Cache = partial
 
 	t := &Table{
 		ID:     "X1",
@@ -53,12 +53,12 @@ func X1(params sitegen.UniversityParams) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow("", "full view", d(fAns.LightConnections), d(fAns.Downloads), d(full.Len()))
+		t.AddRow("", "full view", d(fAns.Exec.LightConnections), d(fAns.Exec.Pages), d(full.Len()))
 		pAns, err := partialEng.Query(q.src)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow("", "prof portion", d(pAns.LightConnections), d(pAns.Downloads), d(partial.Len()))
+		t.AddRow("", "prof portion", d(pAns.Exec.LightConnections), d(pAns.Exec.Pages), d(partial.Len()))
 	}
 	t.AddNote("inside the portion: light connections only; outside it: live downloads, like the virtual engine, with no maintenance obligation")
 	return t, nil

@@ -171,7 +171,7 @@ type hostState struct {
 // Guard wraps a site.Server with per-host breakers, bulkheads and hedging.
 // It implements site.Server, site.ContextServer, site.ContextHeadServer and
 // site.OutcomeServer, so it can stand in for the origin anywhere in the
-// stack (under any site.Transport: page stores, matview) — wrapping the server
+// stack (under any site.Transport: page stores, the change feed) — wrapping the server
 // at construction time is all it takes to guard every downstream layer.
 type Guard struct {
 	inner site.Server
@@ -509,8 +509,8 @@ func (g *Guard) HeadContext(ctx context.Context, url string) (site.Meta, error) 
 	return m, err
 }
 
-// Get implements site.Server for context-free callers (matview's live
-// fallback and compatibility paths).
+// Get implements site.Server for context-free callers (compatibility
+// paths).
 func (g *Guard) Get(url string) (site.Page, error) {
 	return g.GetContext(context.Background(), url) //lint:allow noctxbg context-free site.Server compatibility
 }

@@ -12,7 +12,7 @@ var concurrentPkgs = []string{
 	"ulixes/internal/faults",
 	"ulixes/internal/guard",
 	"ulixes/internal/nalg",
-	"ulixes/internal/matview",
+	"ulixes/internal/pagecache",
 	"ulixes/internal/site",
 }
 
@@ -29,10 +29,10 @@ var concurrentPkgs = []string{
 // select-guarded sends pass.
 var ChanHygiene = &Analyzer{
 	Name: "chanhygiene",
-	Doc: "concurrent evaluation packages (internal/faults, internal/nalg,\n" +
-		"internal/matview, internal/site) must bound goroutine fan-out with\n" +
-		"worker pools or semaphores and guard loop sends on unbuffered\n" +
-		"channels with select",
+	Doc: "concurrent evaluation packages (internal/faults, internal/guard,\n" +
+		"internal/nalg, internal/pagecache, internal/site) must bound goroutine\n" +
+		"fan-out with worker pools or semaphores and guard loop sends on\n" +
+		"unbuffered channels with select",
 	Run: runChanHygiene,
 }
 

@@ -9,14 +9,13 @@ import (
 
 // guardedPkgs are the packages whose shared state carries "guarded by"
 // annotations: the cross-query page store, the site-health guard, the
-// prepared-plan cache, the materialized-view store, the ADM layer, the
+// prepared-plan cache, the ADM layer, the
 // view-answering layer (rewriter, workload recorder, selector), and the
 // query server's aggregate counters.
 var guardedPkgs = []string{
 	"ulixes/internal/pagecache",
 	"ulixes/internal/guard",
 	"ulixes/internal/plancache",
-	"ulixes/internal/matview",
 	"ulixes/internal/adm",
 	"ulixes/internal/vanswer",
 	"ulixes/internal/workload",

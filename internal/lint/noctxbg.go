@@ -16,7 +16,6 @@ var requestPathPkgs = []string{
 	"ulixes/internal/engine",
 	"ulixes/internal/faults",
 	"ulixes/internal/guard",
-	"ulixes/internal/matview",
 	"ulixes/internal/nalg",
 	"ulixes/internal/overload",
 	"ulixes/internal/pagecache",

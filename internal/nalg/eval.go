@@ -10,9 +10,9 @@ import (
 	"ulixes/internal/site"
 )
 
-// Source supplies pages during evaluation. The virtual-view engine backs it
-// with a page-store session; the materialized-view engine backs it with the
-// local store plus the URLCheck protocol of §8.
+// Source supplies pages during evaluation. The engine backs it with a
+// page-store session (a materialized view's too); view answering backs it
+// with a store snapshot.
 //
 // The pipelined evaluator (EvalWithOptions) calls EntryPage and FollowPages
 // from concurrent goroutines; implementations must be safe for concurrent

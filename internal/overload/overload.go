@@ -407,7 +407,7 @@ type Usage struct {
 
 // Ledger is the process-wide byte ledger: named accounts charged
 // incrementally (Account.Add) plus gauges polled at snapshot time for
-// subsystems that already know their own size (matview's measured extent
+// subsystems that already know their own size (the view extents' measured
 // bytes).
 type Ledger struct {
 	mu       sync.Mutex

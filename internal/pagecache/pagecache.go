@@ -25,6 +25,12 @@
 // cached, so a chaos-injected truncated page disappears with the query that
 // saw it.
 //
+// A store with DefaultTTL 0 filled by a crawl is the paper's materialized
+// view: every access of a query is Function 2 (a light connection, and a
+// download only if the page changed), the query's Session keeps
+// Algorithm 3's per-query flags, and the store keeps the deferred
+// CheckMissing queue and the off-line passes (see maintain.go).
+//
 // The package reads no ambient wall clock (the nowallclock lint enforces
 // it): time comes from an injectable Clock, so TTL behaviour is exactly
 // reproducible in tests and experiments.
@@ -61,9 +67,15 @@ type Config struct {
 	MaxBytes int64
 	// DefaultTTL is the freshness lease of a cached page: within it the
 	// page is served with no network access. 0 means entries expire
-	// immediately — every re-access revalidates with a light connection,
-	// the strict §8 behaviour. Forever disables expiry.
+	// immediately — every re-access revalidates with a light connection —
+	// and runs Algorithm 3 (§8): a re-download that changes a page's links
+	// flags them for the query, and a page the site no longer has leaves
+	// the answer instead of failing the query. Forever disables expiry.
 	DefaultTTL time.Duration
+	// Retain, when non-empty, names the only page-schemes the store keeps:
+	// a page of any other scheme is downloaded on every access and never
+	// stored (§8's materialized view over a portion of the Web).
+	Retain []string
 	// Clock supplies the store's notion of time (nil means a deterministic
 	// logical clock advancing one second per reading; servers inject
 	// time.Now, tests a manual clock).
@@ -148,11 +160,18 @@ type Stats struct {
 	// PeakInFlight is the maximum number of simultaneous network accesses
 	// the store's transport has observed — a high-water mark, not a sum.
 	PeakInFlight int `json:"peakInFlight"`
+	// UpdatesApplied is the number of stored pages a download replaced
+	// because the site changed them; DeletionsApplied is the number of
+	// stored pages dropped because the site no longer has them (§8's
+	// maintenance, whether a query, a pass or a push event did it).
+	UpdatesApplied   int `json:"updatesApplied,omitempty"`
+	DeletionsApplied int `json:"deletionsApplied,omitempty"`
 }
 
 // entry is one cached page.
 type entry struct {
 	url     string
+	scheme  string
 	tuple   nested.Tuple
 	size    int
 	lastMod time.Time // site-reported Last-Modified at fetch time
@@ -183,6 +202,11 @@ type access struct {
 	// joined reports the access waited on a store fill another query led:
 	// its outcome and traffic are that fill's, attributed to both queries.
 	joined bool
+	// replaced reports the download replaced a stored copy of the page.
+	replaced bool
+	// diff is the change in the page's outlinks the download found, on a
+	// DefaultTTL 0 store only (nil when nothing changed).
+	diff *linkDiff
 	// size is the HTML byte size of the page (only when fetched).
 	size int
 	// net is what resolving the access cost the network beyond the page.
@@ -193,8 +217,14 @@ type access struct {
 // once.
 type Cache struct {
 	net   *site.Transport
+	ws    *adm.Scheme
 	clock site.Clock
 	cfg   Config
+	// alg3 is DefaultTTL == 0: the store runs Algorithm 3. retain is
+	// Config.Retain as a set (nil: every scheme is kept). Both are fixed at
+	// construction.
+	alg3   bool
+	retain map[string]bool
 
 	mu      sync.Mutex
 	entries map[string]*entry  // guarded by mu
@@ -202,6 +232,10 @@ type Cache struct {
 	bytes   int64              // guarded by mu
 	flights map[string]*flight // guarded by mu
 	stats   Stats              // guarded by mu
+	// missing is Algorithm 3's CheckMissing queue: links that disappeared
+	// from a re-downloaded page, for ProcessMissing to probe off-line; nil
+	// until the first. guarded by mu
+	missing map[string]bool
 }
 
 // New creates a shared page store over a server and web scheme.
@@ -213,14 +247,28 @@ func New(server site.Server, scheme *adm.Scheme, cfg Config) *Cache {
 	if cfg.Workers <= 0 {
 		cfg.Workers = site.DefaultFetchWorkers
 	}
-	return &Cache{
+	c := &Cache{
 		net:     site.NewTransport(server, scheme, cfg.Retry, cfg.Sleeper, cfg.MaxInFlight),
+		ws:      scheme,
 		clock:   clk,
 		cfg:     cfg,
+		alg3:    cfg.DefaultTTL == 0,
 		entries: make(map[string]*entry),
 		lru:     list.New(),
 		flights: make(map[string]*flight),
 	}
+	if len(cfg.Retain) > 0 {
+		c.retain = make(map[string]bool, len(cfg.Retain))
+		for _, name := range cfg.Retain {
+			c.retain[name] = true
+		}
+	}
+	return c
+}
+
+// Retained reports whether the store keeps pages of the page-scheme.
+func (c *Cache) Retained(scheme string) bool {
+	return c.retain == nil || c.retain[scheme]
 }
 
 // Stats returns a snapshot of the cache-wide counters.
@@ -287,14 +335,20 @@ func (c *Cache) MarkStale(url string) bool {
 	return true
 }
 
+// expired is the lease of a DefaultTTL 0 entry: over at every instant, even
+// one a concurrent access read before the entry was stamped.
+var expired = time.Time{}.Add(1)
+
 // leaseLocked stamps the expiry of an entry from DefaultTTL.
 func (c *Cache) leaseLocked(e *entry, now time.Time) {
-	ttl := c.cfg.DefaultTTL
-	if ttl == Forever {
+	switch ttl := c.cfg.DefaultTTL; ttl {
+	case Forever:
 		e.expires = time.Time{}
-		return
+	case 0:
+		e.expires = expired
+	default:
+		e.expires = now.Add(ttl)
 	}
-	e.expires = now.Add(ttl)
 }
 
 // fresh reports whether an entry is inside its freshness lease at time now.
@@ -327,9 +381,24 @@ func (c *Cache) at(now *instant) time.Time {
 // if the page changed), a miss is fetched. Concurrent accesses of the same
 // URL share one store fill and adopt its outcome.
 func (c *Cache) Access(ctx context.Context, schemeName, url string) (nested.Tuple, error) {
-	res, err := c.access(ctx, schemeName, url, &instant{})
+	res, err := c.access(ctx, schemeName, url, &instant{}, byLease)
 	return res.tuple, err
 }
+
+// how is what an access asks of the store.
+type how uint8
+
+const (
+	// byLease serves a fresh entry, revalidates an expired one and fetches
+	// a missing one.
+	byLease how = iota
+	// download fetches the page without a light connection: Function 2 on
+	// a link Algorithm 3 flagged new.
+	download
+	// verify revalidates a stored page whatever its lease: a maintenance
+	// pass.
+	verify
+)
 
 // hit is the network-free half of an access: a fresh entry is served,
 // touched in the LRU and counted; anything else reports false and leaves
@@ -351,11 +420,13 @@ func (c *Cache) hitLocked(url string, now *instant) (access, bool) {
 	return access{tuple: e.tuple}, true
 }
 
-func (c *Cache) access(ctx context.Context, schemeName, url string, now *instant) (access, error) {
+func (c *Cache) access(ctx context.Context, schemeName, url string, now *instant, h how) (access, error) {
 	c.mu.Lock()
-	if res, ok := c.hitLocked(url, now); ok {
-		c.mu.Unlock()
-		return res, nil
+	if h == byLease {
+		if res, ok := c.hitLocked(url, now); ok {
+			c.mu.Unlock()
+			return res, nil
+		}
 	}
 	if fl, ok := c.flights[url]; ok {
 		// Another query is filling this URL: wait and adopt its outcome —
@@ -375,6 +446,9 @@ func (c *Cache) access(ctx context.Context, schemeName, url string, now *instant
 	fl := &flight{done: make(chan struct{})}
 	c.flights[url] = fl
 	stale := c.entries[url] // non-nil: expired entry to revalidate
+	if h == download {
+		stale = nil
+	}
 	c.mu.Unlock()
 
 	res, err := c.fill(ctx, schemeName, url, stale)
@@ -409,6 +483,7 @@ func (c *Cache) fill(ctx context.Context, schemeName, url string, stale *entry) 
 			c.mu.Lock()
 			if cur, ok := c.entries[url]; ok && cur == stale {
 				c.removeLocked(cur)
+				c.stats.DeletionsApplied++
 			}
 			c.mu.Unlock()
 			return access{net: n}, err
@@ -470,16 +545,28 @@ func (c *Cache) fetch(ctx context.Context, schemeName, url string) (access, erro
 		// body that outlived the retries) is an error for the asking
 		// queries, never a cache entry.
 		if !errors.Is(err, site.ErrBreakerOpen) {
-			c.drop(url)
+			c.drop(url, errors.Is(err, site.ErrNotFound))
 		}
 		return access{net: n}, err
 	}
+	res := access{tuple: page.Tuple, fetched: true, size: page.Size, net: n}
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.stats.Fetches++
+	c.stats.BytesFetched += int64(page.Size)
+	if !c.Retained(schemeName) {
+		return res, nil
+	}
 	now := c.clock()
 	if old, ok := c.entries[url]; ok {
 		c.removeLocked(old) // replacement, not a capacity eviction
+		c.stats.UpdatesApplied++
+		res.replaced = true
+		if c.alg3 {
+			res.diff = c.diffLocked(schemeName, old.tuple, page.Tuple)
+		}
 	}
-	e := &entry{url: url, tuple: page.Tuple, size: page.Size, lastMod: page.LastModified}
+	e := &entry{url: url, scheme: schemeName, tuple: page.Tuple, size: page.Size, lastMod: page.LastModified}
 	c.leaseLocked(e, now)
 	e.elem = c.lru.PushFront(e)
 	c.entries[url] = e
@@ -487,11 +574,8 @@ func (c *Cache) fetch(ctx context.Context, schemeName, url string) (access, erro
 	if c.cfg.Meter != nil {
 		c.cfg.Meter.Add(int64(e.size))
 	}
-	c.stats.Fetches++
-	c.stats.BytesFetched += int64(e.size)
 	c.evictLocked()
-	c.mu.Unlock()
-	return access{tuple: page.Tuple, fetched: true, size: e.size, net: n}, nil
+	return res, nil
 }
 
 // noteTraffic folds one network operation's traffic into the cache-wide
@@ -510,12 +594,16 @@ func (c *Cache) noteTraffic(n site.Traffic) {
 	c.mu.Unlock()
 }
 
-// drop removes any entry for url.
-func (c *Cache) drop(url string) {
+// drop removes any entry for url, counting a deletion when the site no
+// longer has the page.
+func (c *Cache) drop(url string, gone bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[url]; ok {
 		c.removeLocked(e)
+		if gone {
+			c.stats.DeletionsApplied++
+		}
 	}
 }
 

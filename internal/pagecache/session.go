@@ -72,6 +72,10 @@ type SessionStats struct {
 	// BreakerFastFails is the number of access attempts an open breaker
 	// rejected without touching the network for this query.
 	BreakerFastFails int
+	// Updates ⊆ Fetches is the number of those downloads that replaced a
+	// stored copy the site had changed: §8's maintenance, applied as a side
+	// effect of the query.
+	Updates int
 }
 
 // Session is one query's handle on a page store and the single resolve-once
@@ -99,7 +103,26 @@ type Session struct {
 	pages  map[string]*resolution // every URL the query asked for; guarded by mu
 	failed map[string]error       // URLs degraded batches left out; guarded by mu
 	stats  SessionStats           // guarded by mu
+	// flags are Algorithm 3's per-query link flags, on a DefaultTTL 0 store
+	// only: nil until one of the query's downloads changes a stored page's
+	// links. guarded by mu
+	flags map[string]linkFlag
 }
+
+// linkFlag is Algorithm 3's flag on a link a re-downloaded page changed.
+type linkFlag uint8
+
+const (
+	// flagNew marks a link that appeared: its page is downloaded without a
+	// light connection (Function 2, lines 1-2).
+	flagNew linkFlag = iota + 1
+	// flagMissing marks a link that disappeared: its page is left out of
+	// the query and waits in CheckMissing for the off-line pass.
+	flagMissing
+)
+
+// errMissing is the outcome of a link Algorithm 3 flagged missing.
+var errMissing = fmt.Errorf("%w: link flagged missing", site.ErrNotFound)
 
 // resolution is one URL's answer within a session. The fields are written
 // once, under Session.mu, before done is closed.
@@ -220,11 +243,38 @@ func (s *Session) wait(ctx context.Context, r *resolution) (nested.Tuple, error)
 	return r.tuple, r.err
 }
 
+// howLocked is how the query's access of url asks the store: a link
+// Algorithm 3 flagged new is downloaded without a light connection. The
+// caller holds s.mu.
+func (s *Session) howLocked(url string) how {
+	if s.flags != nil && s.flags[url] == flagNew {
+		return download
+	}
+	return byLease
+}
+
+// flagLocked records the link flags of one download's diff; the caller
+// holds s.mu.
+func (s *Session) flagLocked(d *linkDiff) {
+	if s.flags == nil {
+		s.flags = make(map[string]linkFlag)
+	}
+	for _, u := range d.added {
+		s.flags[u] = flagNew
+	}
+	for _, u := range d.removed {
+		s.flags[u] = flagMissing
+	}
+}
+
 // resolve accesses the store for a URL the caller leads and settles its
 // resolution.
-func (s *Session) resolve(ctx context.Context, schemeName, url string, r *resolution, now *instant) (nested.Tuple, error) {
-	res, err := s.c.access(ctx, schemeName, url, now)
+func (s *Session) resolve(ctx context.Context, schemeName, url string, r *resolution, now *instant, h how) (nested.Tuple, error) {
+	res, err := s.c.access(ctx, schemeName, url, now, h)
 	s.mu.Lock()
+	if res.diff != nil {
+		s.flagLocked(res.diff)
+	}
 	s.recordLocked(res, err)
 	r.tuple, r.stale, r.err = res.tuple, res.stale, err
 	s.mu.Unlock()
@@ -252,6 +302,9 @@ func (s *Session) recordLocked(res access, err error) {
 		if res.joined {
 			s.stats.SharedFetches++
 		}
+		if res.replaced {
+			s.stats.Updates++
+		}
 	case res.revalidated:
 		s.stats.Revalidations++
 	default:
@@ -265,15 +318,16 @@ func (s *Session) FetchCtx(ctx context.Context, schemeName, url string) (nested.
 	s.mu.Lock()
 	r, err := s.askLocked(url)
 	lead := err == nil && r == nil
+	h := byLease
 	if lead {
-		r = s.leadLocked(url)
+		r, h = s.leadLocked(url), s.howLocked(url)
 	}
 	s.mu.Unlock()
 	switch {
 	case err != nil:
 		return nested.Tuple{}, err
 	case lead:
-		return s.resolve(ctx, schemeName, url, r, &instant{})
+		return s.resolve(ctx, schemeName, url, r, &instant{}, h)
 	}
 	return s.wait(ctx, r)
 }
@@ -345,6 +399,7 @@ func (s *Session) ready(urls []string, pages []nested.Tuple, nows []instant) (in
 type pending struct {
 	i int // index in the batch
 	r *resolution
+	h how // how a lead asks the store
 }
 
 // FetchAllCtx implements site.PageSource: a batch of accesses preserving
@@ -354,7 +409,10 @@ type pending struct {
 // most Workers goroutines, and URLs another branch of the query is
 // resolving are waited on. In strict mode the first error aborts the batch;
 // in degraded mode unreachable pages are left out and reported in a
-// *site.PartialError — except a budget overrun, which always aborts.
+// *site.PartialError — except a budget overrun, which always aborts. On a
+// DefaultTTL 0 store a page the site no longer has, and a link Algorithm 3
+// flagged missing, leave the batch without an error: Algorithm 3 drops a
+// deleted page from the answer.
 func (s *Session) FetchAllCtx(ctx context.Context, schemeName string, urls []string) ([]nested.Tuple, error) {
 	out := make([]nested.Tuple, len(urls))
 	nows := make([]instant, len(urls))
@@ -362,12 +420,13 @@ func (s *Session) FetchAllCtx(ctx context.Context, schemeName string, urls []str
 	if err != nil {
 		return nil, err
 	}
-	var errs []error // the pages degraded mode leaves out
-	if s.opts.Degraded {
+	var errs []error // the pages degraded mode and Algorithm 3 leave out
+	if s.opts.Degraded || s.c.alg3 {
 		errs = make([]error, len(urls))
 	}
 	keep := func(i int, t nested.Tuple, err error) error {
-		if err != nil && s.opts.Degraded && !errors.Is(err, ErrBudgetExceeded) {
+		if err != nil && (s.c.alg3 && errors.Is(err, site.ErrNotFound) ||
+			s.opts.Degraded && !errors.Is(err, ErrBudgetExceeded)) {
 			// Leave the page out and keep going: the batch degrades
 			// instead of aborting.
 			errs[i] = err
@@ -382,12 +441,17 @@ func (s *Session) FetchAllCtx(ctx context.Context, schemeName string, urls []str
 			continue // resolved inline: a page always has its URL attribute
 		}
 		s.mu.Lock()
+		if s.flags != nil && s.flags[u] == flagMissing && s.pages[u] == nil {
+			s.mu.Unlock()
+			errs[i] = errMissing
+			continue
+		}
 		r, err := s.askLocked(u)
 		if err == nil && r == nil {
 			if leads == nil {
 				leads = make([]pending, 0, len(urls)-n)
 			}
-			leads = append(leads, pending{i: i, r: s.leadLocked(u)})
+			leads = append(leads, pending{i: i, r: s.leadLocked(u), h: s.howLocked(u)})
 		}
 		s.mu.Unlock()
 		if r != nil {
@@ -406,7 +470,7 @@ func (s *Session) FetchAllCtx(ctx context.Context, schemeName string, urls []str
 	if len(leads) > 0 {
 		err := site.Batch(len(leads), s.opts.Workers, func(k int) error {
 			l := leads[k]
-			t, err := s.resolve(ctx, schemeName, urls[l.i], l.r, &nows[l.i])
+			t, err := s.resolve(ctx, schemeName, urls[l.i], l.r, &nows[l.i], l.h)
 			return keep(l.i, t, err)
 		})
 		if err != nil {
@@ -449,6 +513,9 @@ func (s *Session) finish(urls []string, out []nested.Tuple, errs []error) ([]nes
 	s.mu.Lock()
 	for i, u := range urls {
 		if errs != nil && errs[i] != nil {
+			if s.c.alg3 && errors.Is(errs[i], site.ErrNotFound) {
+				continue // deleted on the site: Algorithm 3 drops it
+			}
 			s.failed[u] = errs[i]
 			failures = append(failures, site.FetchFailure{URL: u, Err: errs[i], Retries: s.c.RetriesFor(u)})
 			continue

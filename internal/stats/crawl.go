@@ -12,31 +12,32 @@ import (
 )
 
 // CrawlWithSizes walks the whole site breadth-first from its entry points,
-// downloading and wrapping every reachable page, and returns the
-// reconstructed ADM instance with the average HTML page size per
+// downloading and wrapping every reachable page into the page store c, and
+// returns the reconstructed ADM instance with the average HTML page size per
 // page-scheme (for the byte-weighted cost model). It substitutes for the
-// WebSQL exploration the paper assumes for statistics gathering.
+// WebSQL exploration the paper assumes for statistics gathering, and it is
+// the initial crawl of a materialized view (§8).
 //
 // Pages are classified by the scheme of the link that reaches them: entry
 // points have declared schemes, and every link attribute declares its
 // target page-scheme.
 //
 // Each breadth-first level is fetched as one batch per page-scheme through
-// a private page store, so up to site.DefaultFetchWorkers GETs are in
-// flight at once, and its pages are added to the instance in the walk's
-// order: the instance, and so the statistics, are the ones a crawl of one
-// page at a time builds. A page the site does not have is a dangling link,
-// as navigation treats it: absent from the instance, with no links to
+// one session of c, so up to the store's Workers GETs are in flight at
+// once, and its pages are added to the instance in the walk's order: the
+// instance, and so the statistics, are the ones a crawl of one page at a
+// time builds. The sizes count the bytes this crawl downloaded, so they are
+// exact over an empty store. A page the site does not have is a dangling
+// link, as navigation treats it: absent from the instance, with no links to
 // follow. A missing entry point, or any other failure, fails the crawl.
-func CrawlWithSizes(server site.Server, ws *adm.Scheme) (*adm.Instance, map[string]float64, error) {
+func CrawlWithSizes(c *pagecache.Cache, ws *adm.Scheme) (*adm.Instance, map[string]float64, error) {
 	ctx := context.Background()
-	sess := pagecache.New(server, ws, pagecache.Config{DefaultTTL: pagecache.Forever}).NewSession(pagecache.SessionOptions{Degraded: true})
+	sess := c.NewSession(pagecache.SessionOptions{Degraded: true})
 	inst := adm.NewInstance(ws)
 	bytesBy := make(map[string]float64)
 	countBy := make(map[string]float64)
 	err := ws.Walk(func(level []adm.PageRef) ([]nested.Tuple, error) {
 		tuples := make([]nested.Tuple, len(level))
-		found := make([]bool, len(level))
 		for _, b := range byScheme(level) {
 			urls := make([]string, len(b.idx))
 			for k, i := range b.idx {
@@ -46,20 +47,21 @@ func CrawlWithSizes(server site.Server, ws *adm.Scheme) (*adm.Instance, map[stri
 			// scheme's pages.
 			before := sess.Stats().Bytes
 			got, err := sess.FetchAllCtx(ctx, b.scheme, urls)
-			missing, err := dangling(err, ws, b.scheme)
-			if err != nil {
+			if err := dangling(err, ws, b.scheme); err != nil {
 				return nil, fmt.Errorf("stats: crawl of %d %s pages: %w", len(urls), b.scheme, err)
 			}
 			bytesBy[b.scheme] += float64(sess.Stats().Bytes - before)
+			// got holds the pages found, in order.
 			for k, i := range b.idx {
-				if !missing[urls[k]] { // got holds the pages found, in order
-					tuples[i], found[i] = got[0], true
-					got = got[1:]
+				if len(got) > 0 && got[0].MustGet(adm.URLAttr).String() == urls[k] {
+					tuples[i], got = got[0], got[1:]
+				} else if ws.IsEntry(level[i]) {
+					return nil, fmt.Errorf("stats: entry point %s: %w", urls[k], site.ErrNotFound)
 				}
 			}
 		}
 		for i, p := range level {
-			if !found[i] {
+			if tuples[i].Arity() == 0 {
 				continue
 			}
 			if err := inst.AddPage(p.Scheme, tuples[i]); err != nil {
@@ -104,24 +106,19 @@ func byScheme(level []adm.PageRef) []schemeBatch {
 }
 
 // dangling accepts a degraded batch's error when every page it left out is
-// a dangling link — not found on the site and not an entry point — and
-// returns those URLs. Any other error is returned as it is.
-func dangling(err error, ws *adm.Scheme, scheme string) (map[string]bool, error) {
-	if err == nil {
-		return nil, nil
-	}
+// a dangling link — not found on the site and not an entry point. Any other
+// error is returned as it is.
+func dangling(err error, ws *adm.Scheme, scheme string) error {
 	var pe *site.PartialError
-	if !errors.As(err, &pe) {
-		return nil, err
+	if err == nil || !errors.As(err, &pe) {
+		return err
 	}
-	missing := make(map[string]bool, len(pe.Failures))
 	for _, f := range pe.Failures {
 		if !errors.Is(f.Err, site.ErrNotFound) || ws.IsEntry(adm.PageRef{Scheme: scheme, URL: f.URL}) {
-			return nil, err
+			return err
 		}
-		missing[f.URL] = true
 	}
-	return missing, nil
+	return nil
 }
 
 // CollectSite crawls the site and derives its statistics in one step,
@@ -129,7 +126,7 @@ func dangling(err error, ws *adm.Scheme, scheme string) (map[string]bool, error)
 // cost of the exploration, which the paper amortizes by updating statistics
 // "on a regular basis").
 func CollectSite(server site.Server, ws *adm.Scheme) (*Stats, int, error) {
-	inst, sizes, err := CrawlWithSizes(server, ws)
+	inst, sizes, err := CrawlWithSizes(pagecache.New(server, ws, pagecache.Config{DefaultTTL: pagecache.Forever}), ws)
 	if err != nil {
 		return nil, 0, err
 	}

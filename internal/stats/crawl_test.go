@@ -8,9 +8,15 @@ import (
 	"time"
 
 	"ulixes/internal/adm"
+	"ulixes/internal/pagecache"
 	"ulixes/internal/site"
 	"ulixes/internal/sitegen"
 )
+
+// freshStore is the empty page store CollectSite crawls into.
+func freshStore(server site.Server, ws *adm.Scheme) *pagecache.Cache {
+	return pagecache.New(server, ws, pagecache.Config{DefaultTTL: pagecache.Forever})
+}
 
 func memSite(t *testing.T, inst *adm.Instance) *site.MemSite {
 	t.Helper()
@@ -27,7 +33,7 @@ func TestCrawlReconstructsInstance(t *testing.T) {
 		t.Fatal(err)
 	}
 	ms := memSite(t, u.Instance)
-	inst, _, err := CrawlWithSizes(ms, u.Scheme)
+	inst, _, err := CrawlWithSizes(freshStore(ms, u.Scheme), u.Scheme)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +171,11 @@ func TestCrawlFailsOnBrokenSite(t *testing.T) {
 			break
 		}
 	}
-	if _, _, err := CrawlWithSizes(brokenServer{ms, profURL}, u.Scheme); !errors.Is(err, errReset) {
+	if _, _, err := CrawlWithSizes(freshStore(brokenServer{ms, profURL}, u.Scheme), u.Scheme); !errors.Is(err, errReset) {
 		t.Errorf("crawl over a failing page: err = %v, want %v", err, errReset)
 	}
 	ms.RemovePage(sitegen.UnivProfListURL)
-	if _, _, err := CrawlWithSizes(ms, u.Scheme); !errors.Is(err, site.ErrNotFound) {
+	if _, _, err := CrawlWithSizes(freshStore(ms, u.Scheme), u.Scheme); !errors.Is(err, site.ErrNotFound) {
 		t.Errorf("crawl from a missing entry point: err = %v, want not found", err)
 	}
 }
@@ -182,7 +188,7 @@ func TestCrawlBibliography(t *testing.T) {
 		t.Fatal(err)
 	}
 	ms := memSite(t, b.Instance)
-	inst, _, err := CrawlWithSizes(ms, b.Scheme)
+	inst, _, err := CrawlWithSizes(freshStore(ms, b.Scheme), b.Scheme)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package vanswer
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -8,10 +10,11 @@ import (
 
 	"ulixes/internal/adm"
 	"ulixes/internal/cq"
-	"ulixes/internal/matview"
 	"ulixes/internal/nalg"
 	"ulixes/internal/nested"
+	"ulixes/internal/pagecache"
 	"ulixes/internal/site"
+	"ulixes/internal/stats"
 	"ulixes/internal/view"
 )
 
@@ -24,13 +27,18 @@ type ManagerConfig struct {
 	// unlimited. Apply keeps the given order (callers pass candidates best
 	// first) and skips views that would exceed the budget.
 	Budget int64
+	// Store is the page store the site is crawled into and extents are
+	// built from: a server's shared store, so the crawl warms the query
+	// path too. Nil means a private store with DefaultTTL 0, a §8
+	// materialized view.
+	Store *pagecache.Cache
 }
 
-// Manager owns the machinery behind view answering: a lazily created
-// matview.Store (the §8 materialization, crawled on first use), the extents
-// it derives from store snapshots — one per applied view definition — and
-// the Rewriter serving queries from them. It executes the selector's
-// materialize/drop decisions and the refresh path.
+// Manager owns the machinery behind view answering: a page store (the §8
+// materialization, crawled on first use), the extents it derives from store
+// snapshots — one per applied view definition — and the Rewriter serving
+// queries from them. It executes the selector's materialize/drop decisions
+// and the refresh path.
 type Manager struct {
 	server site.Server
 	scheme *adm.Scheme
@@ -44,8 +52,8 @@ type Manager struct {
 	applyMu sync.Mutex
 
 	mu      sync.Mutex
-	store   *matview.Store // created on first Apply; guarded by mu
-	applied []Def          // current view definitions, in benefit order; guarded by mu
+	store   *pagecache.Cache // set by the first Apply's crawl; guarded by mu
+	applied []Def            // current view definitions, in benefit order; guarded by mu
 	// verifiedAt is the last instant every stored page is known to have been
 	// verified against the live site: the initial materialization crawl, then
 	// each fully successful Refresh. Extents are stamped with it, so merely
@@ -83,24 +91,12 @@ func (m *Manager) Applied() []Def {
 	return append([]Def(nil), m.applied...)
 }
 
-// Store exposes the backing matview store (nil before the first Apply), for
+// Store exposes the backing page store (nil before the first Apply), for
 // maintenance counters and tests.
-func (m *Manager) Store() *matview.Store {
+func (m *Manager) Store() *pagecache.Cache {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.store
-}
-
-// StoreCounters returns the backing store's maintenance counters (zero
-// before the first Apply).
-func (m *Manager) StoreCounters() matview.Counters {
-	m.mu.Lock()
-	st := m.store
-	m.mu.Unlock()
-	if st == nil {
-		return matview.Counters{}
-	}
-	return st.Counters()
 }
 
 func (m *Manager) now() time.Time {
@@ -110,17 +106,19 @@ func (m *Manager) now() time.Time {
 	return time.Now()
 }
 
-// ensureStore crawls the site into the backing store on first use.
-func (m *Manager) ensureStore() (*matview.Store, error) {
-	m.mu.Lock()
-	st := m.store
-	m.mu.Unlock()
-	if st != nil {
+// ensureStore crawls the site into the backing store on first use. Over a
+// store that already holds pages, those the store's lease calls fresh are
+// taken as they are.
+func (m *Manager) ensureStore() (*pagecache.Cache, error) {
+	if st := m.Store(); st != nil {
 		return st, nil
 	}
+	st := m.cfg.Store
+	if st == nil {
+		st = pagecache.New(m.server, m.scheme, pagecache.Config{})
+	}
 	at := m.now()
-	st, err := matview.Materialize(m.server, m.scheme)
-	if err != nil {
+	if _, _, err := stats.CrawlWithSizes(st, m.scheme); err != nil {
 		return nil, fmt.Errorf("vanswer: materialization crawl: %w", err)
 	}
 	m.mu.Lock()
@@ -159,14 +157,14 @@ func (m *Manager) normalize(d Def) (Def, error) {
 // buildExtent computes one view's extent from a store snapshot: the
 // relation's first default navigation evaluated purely locally, projected
 // and renamed to the external attributes, then filtered by the binding
-// pattern. No network is touched; an *matview.ErrNotMaterialized error
-// means the snapshot does not cover the navigation. refreshedAt is the
+// pattern. No network is touched; a pagecache.ErrNotStored error means
+// the snapshot does not cover the navigation. refreshedAt is the
 // snapshot's verification bound, NOT the build time: rebuilding an extent
 // from unrevalidated pages must not renew the freshness horizon.
-func (m *Manager) buildExtent(sn *matview.Snapshot, d Def, refreshedAt time.Time) (*View, error) {
+func (m *Manager) buildExtent(sn *pagecache.Snapshot, d Def, refreshedAt time.Time) (*View, error) {
 	rel := m.views.Relation(d.Relation)
 	nav := rel.Navs[0]
-	ext, err := nalg.EvalWithOptions(nav.Expr, m.scheme, sn.Source(), nalg.EvalOptions{Pipelined: true})
+	ext, err := nalg.EvalWithOptions(nav.Expr, m.scheme, sn, nalg.EvalOptions{Pipelined: true})
 	if err != nil {
 		return nil, fmt.Errorf("vanswer: extent of %s: %w", d.Key(), err)
 	}
@@ -200,7 +198,9 @@ func (m *Manager) buildExtent(sn *matview.Snapshot, d Def, refreshedAt time.Time
 // the site is crawled into the backing store if this is the first call,
 // each definition's extent is built from one consistent snapshot, and
 // definitions whose ACTUAL extent bytes would exceed the budget are
-// skipped — the budget is enforced on measured bytes, not estimates.
+// skipped — the budget is enforced on measured bytes, not estimates — as
+// are definitions whose extent reaches a page the store does not hold (its
+// byte bound evicted it).
 // Previously applied views not in the new set are dropped. It returns the
 // definitions actually materialized.
 //
@@ -233,6 +233,9 @@ func (m *Manager) applyLocked(defs []Def) ([]Def, error) {
 			return nil, err
 		}
 		v, err := m.buildExtent(sn, nd, refreshedAt)
+		if errors.Is(err, pagecache.ErrNotStored) {
+			continue
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -253,7 +256,8 @@ func (m *Manager) applyLocked(defs []Def) ([]Def, error) {
 // ApplyChange applies one push-feed event to the materialization: the
 // touched page alone is re-verified (or its row dropped, for removals), and
 // when the local row actually changed the applied extents are rebuilt from
-// the new snapshot. The freshness horizon is deliberately NOT renewed — one
+// the new snapshot. A removal always rebuilds: on a shared store the page
+// store's own invalidation may have dropped the row already. The freshness horizon is deliberately NOT renewed — one
 // page being fresh says nothing about the rest; only a clean full sweep
 // (AdvanceHorizon) or a full Refresh moves it. A nil store (nothing
 // materialized yet) is a no-op. It reports whether the materialization
@@ -268,12 +272,12 @@ func (m *Manager) ApplyChange(url, scheme string, removed bool) (bool, error) {
 	if st == nil {
 		return false, nil
 	}
-	var changed bool
+	changed := true
 	var err error
 	if removed {
-		changed = st.RemoveURL(url)
+		st.RemoveURL(url)
 	} else {
-		changed, err = st.RefreshURL(url, scheme)
+		changed, err = st.RefreshURL(context.Background(), url, scheme)
 	}
 	if err != nil || !changed {
 		return changed, err
@@ -305,32 +309,30 @@ func (m *Manager) AdvanceHorizon(at time.Time) {
 // WITHOUT rebuilding extents — callers about to Apply a new view set use it
 // to revalidate first, so the extents they build count as fresh. The
 // verification clock advances only when every page was actually verified
-// (no error, no stale leftovers); a partial pass keeps the old bound, since
+// (no stale leftovers); a partial pass keeps the old bound, since
 // the unverified pages are only as fresh as the previous one. A nil store
 // (nothing materialized yet) is a no-op.
-func (m *Manager) RefreshStore() (updated, deleted int, stale []string, err error) {
+func (m *Manager) RefreshStore() (updated, deleted int, stale []string) {
 	m.applyMu.Lock()
 	defer m.applyMu.Unlock()
 	return m.refreshStoreLocked()
 }
 
 // refreshStoreLocked is RefreshStore's body; callers hold applyMu.
-func (m *Manager) refreshStoreLocked() (updated, deleted int, stale []string, err error) {
-	m.mu.Lock()
-	st := m.store
-	m.mu.Unlock()
+func (m *Manager) refreshStoreLocked() (updated, deleted int, stale []string) {
+	st := m.Store()
 	if st == nil {
-		return 0, 0, nil, nil // nothing materialized yet
+		return 0, 0, nil // nothing materialized yet
 	}
 	at := m.now() // every page is verified no earlier than the pass's start
-	updated, deleted, stale, err = st.Refresh()
-	if err != nil || len(stale) > 0 {
-		return updated, deleted, stale, err
+	updated, deleted, stale = st.Refresh(context.Background())
+	if len(stale) > 0 {
+		return updated, deleted, stale
 	}
 	m.mu.Lock()
 	m.verifiedAt = at
 	m.mu.Unlock()
-	return updated, deleted, stale, nil
+	return updated, deleted, stale
 }
 
 // Refresh revalidates the store (RefreshStore) and rebuilds every applied
@@ -346,10 +348,7 @@ func (m *Manager) Refresh() (updated, deleted int, stale []string, err error) {
 	if st == nil {
 		return 0, 0, nil, nil // nothing materialized yet
 	}
-	updated, deleted, stale, err = m.refreshStoreLocked()
-	if err != nil {
-		return updated, deleted, stale, err
-	}
+	updated, deleted, stale = m.refreshStoreLocked()
 	_, err = m.applyLocked(defs)
 	return updated, deleted, stale, err
 }

@@ -64,7 +64,7 @@ func TestApplyChangeRefreshesOnlyTouchedRow(t *testing.T) {
 	if err := ms.UpdatePage(sitegen.ProfPage, tup.With("Rank", nested.TextValue("Emeritus"))); err != nil {
 		t.Fatal(err)
 	}
-	before := m.StoreCounters()
+	before := m.Store().Maintenance()
 	changed, err := m.ApplyChange(url, sitegen.ProfPage, false)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestApplyChangeRefreshesOnlyTouchedRow(t *testing.T) {
 	if !changed {
 		t.Fatal("ApplyChange reported no change for a mutated page")
 	}
-	after := m.StoreCounters()
+	after := m.Store().Maintenance()
 	if d := after.Downloads - before.Downloads; d != 1 {
 		t.Fatalf("ApplyChange cost %d downloads, want 1", d)
 	}
@@ -172,7 +172,7 @@ func TestApplyChangeRemovalDropsTuples(t *testing.T) {
 	if rel.Len() != before-1 {
 		t.Fatalf("post-removal answer has %d tuples, want %d", rel.Len(), before-1)
 	}
-	if _, ok := m.Store().Page(url); ok {
+	if _, ok := m.Store().Snapshot().Page(url); ok {
 		t.Fatal("removed page still materialized")
 	}
 }

@@ -27,10 +27,10 @@ import (
 	"ulixes/internal/adm"
 	"ulixes/internal/cq"
 	"ulixes/internal/engine"
-	"ulixes/internal/matview"
 	"ulixes/internal/nalg"
 	"ulixes/internal/nested"
 	"ulixes/internal/optimizer"
+	"ulixes/internal/pagecache"
 	"ulixes/internal/plancache"
 	"ulixes/internal/site"
 	"ulixes/internal/stats"
@@ -53,8 +53,6 @@ type (
 	Stats = stats.Stats
 	// Answer is the result of a virtual-view query.
 	Answer = engine.Answer
-	// MatAnswer is the result of a materialized-view query.
-	MatAnswer = matview.Answer
 	// Plan is a costed candidate execution plan.
 	Plan = optimizer.Plan
 	// Options tunes the optimizer (rule ablations, search bounds).
@@ -282,37 +280,36 @@ func (s *System) ExecuteOpts(plan nalg.Expr, opts ExecOptions) (*Relation, ExecS
 // Materialize crawls the site into a local materialized view (§8) and
 // returns a system answering queries from it with lazy maintenance.
 func (s *System) Materialize() (*MatSystem, error) {
-	store, err := matview.Materialize(s.eng.Server, s.eng.Views.Scheme)
+	store, err := engine.Materialize(s.eng.Server, s.eng.Views.Scheme)
 	if err != nil {
 		return nil, err
 	}
-	return &MatSystem{
-		eng:   matview.New(s.eng.Views, store, s.eng.Opt.Stats),
-		store: store,
-	}, nil
+	eng := engine.New(s.eng.Views, s.eng.Server, s.eng.Opt.Stats)
+	eng.Exec.Cache = store
+	return &MatSystem{eng: eng}, nil
 }
 
 // MatSystem answers queries from a materialized view, maintaining it as a
-// side effect (§8).
+// side effect (§8): the virtual engine over the view's page store. An
+// answer's Exec.LightConnections and Exec.Pages are the query's light
+// connections and downloads, and Exec.Updates the changed pages it
+// re-downloaded.
 type MatSystem struct {
-	eng   *matview.Engine
-	store *matview.Store
+	eng *engine.Engine
 }
 
 // Query evaluates a conjunctive query on the materialized view, verifying
 // involved pages with light connections and downloading only changed pages.
-func (m *MatSystem) Query(src string) (*MatAnswer, error) { return m.eng.Query(src) }
+func (m *MatSystem) Query(src string) (*Answer, error) { return m.eng.Query(src) }
 
-// SetExec replaces the execution options (pipelining, worker bound). The
-// store's per-URL singleflight keeps light connections and downloads
-// identical under any setting.
+// SetExec replaces the execution options (pipelining, worker bound); the
+// view's store stays the one queries run on. The query's session keeps
+// light connections and downloads identical under any setting.
 func (m *MatSystem) SetExec(opts ExecOptions) {
-	m.eng.Exec = nalg.EvalOptions{Pipelined: opts.Pipelined, Workers: opts.Workers}
-	if opts.Workers > 0 {
-		m.store.SetWorkers(opts.Workers)
-	}
+	opts.Cache = m.eng.Exec.Cache
+	m.eng.Exec = opts
 }
 
-// Store exposes the underlying materialized store (for maintenance
-// operations like ProcessMissing and Refresh).
-func (m *MatSystem) Store() *matview.Store { return m.store }
+// Store exposes the view's page store (for maintenance operations like
+// ProcessMissing and Refresh).
+func (m *MatSystem) Store() *pagecache.Cache { return m.eng.Exec.Cache }

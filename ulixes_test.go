@@ -108,8 +108,8 @@ func TestFacadeMaterialize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ans.Downloads != 0 {
-		t.Errorf("fresh view should not download, got %d", ans.Downloads)
+	if ans.Exec.Pages != 0 {
+		t.Errorf("fresh view should not download, got %d", ans.Exec.Pages)
 	}
 }
 
