@@ -478,7 +478,8 @@ func (s *server) reselect(rec *ulixes.WorkloadRecorder, vm *ulixes.ViewManager) 
 	// Revalidate before re-deciding: extents built by Apply inherit the
 	// store's last verification time, so without this pass a reselection
 	// would re-serve the original crawl until it ages past -views-horizon.
-	// The first selection has no store yet — its crawl is fresh by itself.
+	// The first selection has no store yet: its crawl verifies every page
+	// itself.
 	if _, _, stale := vm.RefreshStore(); len(stale) > 0 {
 		log.Printf("ulixesd: view refresh: %d pages unreachable, freshness horizon not renewed", len(stale))
 	}

@@ -724,3 +724,52 @@ func TestStatsExposesOverloadSurface(t *testing.T) {
 		t.Fatalf("ledger pagecache %d != store bytes %d", st.MemLedger["pagecache"], st.EntryBytes)
 	}
 }
+
+// TestTTLZeroStoreReportsDanglingLinks: under -ttl 0 the server's store
+// revalidates every access but is not a materialized view, so a page the
+// site no longer has is never dropped from an answer in silence: it fails
+// a strict query and is listed in a degraded query's failures.
+func TestTTLZeroStoreReportsDanglingLinks(t *testing.T) {
+	for _, degraded := range []bool{false, true} {
+		args := []string{"-ttl", "0", "-views-auto"}
+		if degraded {
+			args = append(args, "-degraded")
+		}
+		cfg := testConfig(t, args...)
+		var ms *site.MemSite
+		cfg.seam.wrap = func(m *site.MemSite) site.Server {
+			ms = m
+			return m
+		}
+		srv := start(t, cfg)
+		ts := httptest.NewServer(srv.handler())
+
+		const q = "SELECT p.PName, p.Email FROM Professor p"
+		code, warm := doQuery(t, ts, q)
+		if code != http.StatusOK {
+			t.Fatalf("degraded=%v: warm query status %d", degraded, code)
+		}
+		var victim string
+		for _, u := range ms.URLs() {
+			if scheme, _ := ms.SchemeOf(u); scheme == "ProfPage" {
+				victim = u
+				break
+			}
+		}
+		if !ms.RemovePage(victim) {
+			t.Fatalf("no professor page to remove")
+		}
+		code, out := doQuery(t, ts, q)
+		switch {
+		case !degraded && code != http.StatusInternalServerError:
+			t.Errorf("strict query over a dangling link: status %d, want 500", code)
+		case degraded && code != http.StatusOK:
+			t.Errorf("degraded query over a dangling link: status %d, want 200", code)
+		case degraded && (!out.Degraded || len(out.Failures) != 1 || out.Failures[0].URL != victim):
+			t.Errorf("degraded answer: degraded %v, failures %+v; want %s listed", out.Degraded, out.Failures, victim)
+		case degraded && len(out.Rows) != len(warm.Rows)-1:
+			t.Errorf("degraded answer has %d rows, want %d", len(out.Rows), len(warm.Rows)-1)
+		}
+		ts.Close()
+	}
+}

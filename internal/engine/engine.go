@@ -486,7 +486,7 @@ func (e *Engine) run(ctx context.Context, expr nalg.Expr, prep *nalg.Prepared, o
 }
 
 // Materialize crawls the site into a materialized view (§8): a page store
-// with DefaultTTL 0 that keeps the pages of the retained page-schemes (all
+// built by pagecache.NewView that keeps the pages of the retained page-schemes (all
 // of them when retain is empty). An engine whose ExecOptions.Cache is the
 // store runs Algorithm 3: a query costs C(E) light connections plus one
 // download per page the site changed, and maintains the view as it goes.
@@ -499,7 +499,7 @@ func Materialize(server site.Server, ws *adm.Scheme, retain ...string) (*pagecac
 			return nil, fmt.Errorf("engine: materialize: unknown page-scheme %q", name)
 		}
 	}
-	store := pagecache.New(server, ws, pagecache.Config{Retain: retain})
+	store := pagecache.NewView(server, ws, pagecache.Config{Retain: retain})
 	if _, _, err := stats.CrawlWithSizes(store, ws); err != nil {
 		return nil, fmt.Errorf("engine: materialize: %w", err)
 	}

@@ -166,11 +166,13 @@ func P8(params sitegen.UniversityParams) (*Table, error) {
 		p99                        time.Duration
 		counters                   overload.Counters
 	}
-	// runLoad offers the bursts to q. With holdBurst, an admitted client
-	// keeps its slot until every client of its burst has tried Acquire, so
-	// a fast query cannot free a slot for a late arrival and each burst
-	// answers exactly the slots.
-	runLoad := func(q *overload.Queue, holdBurst bool) (loadOut, error) {
+	// runLoad offers the bursts to a queue built from cfg. With no waiting
+	// room, an admitted client keeps its slot until every client of its
+	// burst has tried Acquire, so a fast query cannot free a slot for a late
+	// arrival and each burst answers exactly the slots. (A queued client
+	// tries only once a slot frees, so holding there would deadlock.)
+	runLoad := func(cfg overload.QueueConfig) (loadOut, error) {
+		q := overload.NewQueue(cfg)
 		var out loadOut
 		results := make([]p8Result, 0, p8Bursts*p8Clients)
 		var mu sync.Mutex
@@ -190,7 +192,7 @@ func P8(params sitegen.UniversityParams) (*Table, error) {
 					if err != nil {
 						r.dropped = true
 					} else {
-						if holdBurst {
+						if cfg.MaxQueue == 0 {
 							tried.Wait()
 						}
 						r.sojourn = ticket.Sojourn()
@@ -270,16 +272,16 @@ func P8(params sitegen.UniversityParams) (*Table, error) {
 
 	// Policy 1: the historical instant reject — no queue, excess arrivals
 	// bounce off the slot count.
-	instant, err := runLoad(overload.NewQueue(overload.QueueConfig{Slots: p8Slots}), true)
+	instant, err := runLoad(overload.QueueConfig{Slots: p8Slots})
 	if err != nil {
 		return nil, err
 	}
 	row("instant 429", instant)
 
 	// Policy 2: the bounded cost-aware queue.
-	queued, err := runLoad(overload.NewQueue(overload.QueueConfig{
+	queued, err := runLoad(overload.QueueConfig{
 		Slots: p8Slots, MaxQueue: p8Queue, MaxWait: p8MaxWait,
-	}), false)
+	})
 	if err != nil {
 		return nil, err
 	}

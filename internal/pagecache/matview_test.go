@@ -1,6 +1,6 @@
 package pagecache_test
 
-// The materialized view of §8: a page store with DefaultTTL 0 filled by a
+// The materialized view of §8: a page store built by NewView and filled by a
 // crawl (engine.Materialize), queried by the engine through a Session per
 // query (Algorithm 3), and maintained by the store's off-line passes.
 
@@ -399,6 +399,85 @@ func TestStatusLifecycle(t *testing.T) {
 	}
 	if ans.Exec.Pages != 0 || ans.Exec.LightConnections != u.Params.Profs+1 {
 		t.Errorf("next query: downloads %d, light connections %d; want 0 and %d", ans.Exec.Pages, ans.Exec.LightConnections, u.Params.Profs+1)
+	}
+}
+
+// TestOnlyViewsRunAlgorithm3: Algorithm 3 is a property of a store built
+// as a view, not of its TTL. A store New builds with DefaultTTL 0 (ulixesd
+// -ttl 0) revalidates every access as a view does, but a link that
+// disappeared from a re-downloaded page is not flagged: another path of
+// the same query still reaches the live page, and nothing is queued in
+// CheckMissing. A view drops that page from the query and queues it.
+func TestOnlyViewsRunAlgorithm3(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mk     func(site.Server, *adm.Scheme) *pagecache.Cache
+		pages  int
+		queued int
+	}{
+		{"ttl0", func(s site.Server, ws *adm.Scheme) *pagecache.Cache {
+			return pagecache.New(s, ws, pagecache.Config{DefaultTTL: 0})
+		}, 1, 0},
+		{"view", func(s site.Server, ws *adm.Scheme) *pagecache.Cache {
+			return pagecache.NewView(s, ws, pagecache.Config{})
+		}, 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			u, ms := siteParts(t)
+			store := tc.mk(ms, u.Scheme)
+			live := profPageURL(t, u, 2)
+			warm := store.NewSession(pagecache.SessionOptions{})
+			if _, err := warm.FetchCtx(bg, sitegen.ProfListPage, sitegen.UnivProfListURL); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := warm.FetchCtx(bg, sitegen.ProfPage, live); err != nil {
+				t.Fatal(err)
+			}
+			editProfList(t, u, ms, func(url string) bool { return url != live })
+			sess := store.NewSession(pagecache.SessionOptions{})
+			if _, err := sess.FetchCtx(bg, sitegen.ProfListPage, sitegen.UnivProfListURL); err != nil {
+				t.Fatal(err)
+			}
+			got, err := sess.FetchAllCtx(bg, sitegen.ProfPage, []string{live})
+			if err != nil || len(got) != tc.pages {
+				t.Errorf("live page after its link went: %d pages, %v; want %d", len(got), err, tc.pages)
+			}
+			if q := store.MissingQueue(); len(q) != tc.queued {
+				t.Errorf("CheckMissing queue %v, want %d URLs", q, tc.queued)
+			}
+		})
+	}
+}
+
+// TestTTLZeroStoreReportsDanglingLinks: on a store New builds with
+// DefaultTTL 0, a page the site no longer has fails a strict query and is
+// listed in a degraded query's FailedPages; only a view drops it silently.
+func TestTTLZeroStoreReportsDanglingLinks(t *testing.T) {
+	u, ms := siteParts(t)
+	store := pagecache.New(ms, u.Scheme, pagecache.Config{DefaultTTL: 0})
+	eng := viewEngine(u, ms, store)
+	const all = "SELECT p.PName, p.Email FROM Professor p"
+	if _, err := eng.Query(all); err != nil {
+		t.Fatal(err)
+	}
+	victim := profPageURL(t, u, 1)
+	ms.RemovePage(victim)
+	if _, err := eng.Query(all); !errors.Is(err, site.ErrNotFound) {
+		t.Errorf("strict query over a dangling link: %v, want ErrNotFound", err)
+	}
+	eng.Exec.Degraded = true
+	ans, err := eng.Query(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ans.Exec.Degraded || len(ans.Exec.FailedPages) != 1 || ans.Exec.FailedPages[0] != victim {
+		t.Errorf("degraded query: degraded %v, failed %v; want [%s]", ans.Exec.Degraded, ans.Exec.FailedPages, victim)
+	}
+	if ans.Result.Len() != u.Params.Profs-1 {
+		t.Errorf("degraded answer has %d rows, want %d", ans.Result.Len(), u.Params.Profs-1)
+	}
+	if q := store.MissingQueue(); len(q) != 0 {
+		t.Errorf("CheckMissing queue %v on a TTL-0 store, want none", q)
 	}
 }
 

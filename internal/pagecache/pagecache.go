@@ -25,11 +25,12 @@
 // cached, so a chaos-injected truncated page disappears with the query that
 // saw it.
 //
-// A store with DefaultTTL 0 filled by a crawl is the paper's materialized
+// A store built by NewView and filled by a crawl is the paper's materialized
 // view: every access of a query is Function 2 (a light connection, and a
 // download only if the page changed), the query's Session keeps
 // Algorithm 3's per-query flags, and the store keeps the deferred
-// CheckMissing queue and the off-line passes (see maintain.go).
+// CheckMissing queue and the off-line passes (see maintain.go). A store
+// built by New never runs Algorithm 3, whatever its TTL.
 //
 // The package reads no ambient wall clock (the nowallclock lint enforces
 // it): time comes from an injectable Clock, so TTL behaviour is exactly
@@ -67,10 +68,8 @@ type Config struct {
 	MaxBytes int64
 	// DefaultTTL is the freshness lease of a cached page: within it the
 	// page is served with no network access. 0 means entries expire
-	// immediately — every re-access revalidates with a light connection —
-	// and runs Algorithm 3 (§8): a re-download that changes a page's links
-	// flags them for the query, and a page the site no longer has leaves
-	// the answer instead of failing the query. Forever disables expiry.
+	// immediately: every re-access revalidates with a light connection.
+	// Forever disables expiry. NewView forces 0.
 	DefaultTTL time.Duration
 	// Retain, when non-empty, names the only page-schemes the store keeps:
 	// a page of any other scheme is downloaded on every access and never
@@ -205,7 +204,7 @@ type access struct {
 	// replaced reports the download replaced a stored copy of the page.
 	replaced bool
 	// diff is the change in the page's outlinks the download found, on a
-	// DefaultTTL 0 store only (nil when nothing changed).
+	// view store (NewView) only; nil when nothing changed.
 	diff *linkDiff
 	// size is the HTML byte size of the page (only when fetched).
 	size int
@@ -220,9 +219,9 @@ type Cache struct {
 	ws    *adm.Scheme
 	clock site.Clock
 	cfg   Config
-	// alg3 is DefaultTTL == 0: the store runs Algorithm 3. retain is
-	// Config.Retain as a set (nil: every scheme is kept). Both are fixed at
-	// construction.
+	// alg3 reports the store was built by NewView: it runs Algorithm 3.
+	// retain is Config.Retain as a set (nil: every scheme is kept). Both are
+	// fixed at construction.
 	alg3   bool
 	retain map[string]bool
 
@@ -252,7 +251,6 @@ func New(server site.Server, scheme *adm.Scheme, cfg Config) *Cache {
 		ws:      scheme,
 		clock:   clk,
 		cfg:     cfg,
-		alg3:    cfg.DefaultTTL == 0,
 		entries: make(map[string]*entry),
 		lru:     list.New(),
 		flights: make(map[string]*flight),
@@ -263,6 +261,20 @@ func New(server site.Server, scheme *adm.Scheme, cfg Config) *Cache {
 			c.retain[name] = true
 		}
 	}
+	return c
+}
+
+// NewView creates an empty materialized view (§8) over a server: a store
+// whose entries hold no lease (cfg.DefaultTTL is forced to 0), so every
+// access is Function 2, and which runs Algorithm 3. A re-download that
+// changes a page's links flags them for the asking query and queues the
+// links that disappeared in CheckMissing; a page the site no longer has
+// leaves the query's answer instead of failing it. engine.Materialize
+// fills one by a crawl.
+func NewView(server site.Server, scheme *adm.Scheme, cfg Config) *Cache {
+	cfg.DefaultTTL = 0
+	c := New(server, scheme, cfg)
+	c.alg3 = true
 	return c
 }
 

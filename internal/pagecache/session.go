@@ -103,9 +103,9 @@ type Session struct {
 	pages  map[string]*resolution // every URL the query asked for; guarded by mu
 	failed map[string]error       // URLs degraded batches left out; guarded by mu
 	stats  SessionStats           // guarded by mu
-	// flags are Algorithm 3's per-query link flags, on a DefaultTTL 0 store
-	// only: nil until one of the query's downloads changes a stored page's
-	// links. guarded by mu
+	// flags are Algorithm 3's per-query link flags, on a view store
+	// (NewView) only: nil until one of the query's downloads changes a
+	// stored page's links. guarded by mu
 	flags map[string]linkFlag
 }
 
@@ -410,7 +410,7 @@ type pending struct {
 // resolving are waited on. In strict mode the first error aborts the batch;
 // in degraded mode unreachable pages are left out and reported in a
 // *site.PartialError — except a budget overrun, which always aborts. On a
-// DefaultTTL 0 store a page the site no longer has, and a link Algorithm 3
+// view store (NewView) a page the site no longer has, and a link Algorithm 3
 // flagged missing, leave the batch without an error: Algorithm 3 drops a
 // deleted page from the answer.
 func (s *Session) FetchAllCtx(ctx context.Context, schemeName string, urls []string) ([]nested.Tuple, error) {

@@ -29,8 +29,8 @@ type ManagerConfig struct {
 	Budget int64
 	// Store is the page store the site is crawled into and extents are
 	// built from: a server's shared store, so the crawl warms the query
-	// path too. Nil means a private store with DefaultTTL 0, a §8
-	// materialized view.
+	// path too. Nil means a private §8 materialized view
+	// (pagecache.NewView).
 	Store *pagecache.Cache
 }
 
@@ -106,26 +106,34 @@ func (m *Manager) now() time.Time {
 	return time.Now()
 }
 
-// ensureStore crawls the site into the backing store on first use. Over a
-// store that already holds pages, those the store's lease calls fresh are
-// taken as they are.
+// ensureStore crawls the site into the backing store on first use. If the
+// crawl took any page from the store without asking the site (a hit or a
+// stale serve), every stored page is then verified (Refresh), so none older
+// than the crawl's start is stamped as verified at it; a page that pass
+// cannot verify leaves the store with no verification time until a clean
+// Refresh. Other queries on a shared store count too: at most a needless
+// pass.
 func (m *Manager) ensureStore() (*pagecache.Cache, error) {
 	if st := m.Store(); st != nil {
 		return st, nil
 	}
 	st := m.cfg.Store
 	if st == nil {
-		st = pagecache.New(m.server, m.scheme, pagecache.Config{})
+		st = pagecache.NewView(m.server, m.scheme, pagecache.Config{})
 	}
 	at := m.now()
+	before := st.Stats()
 	if _, _, err := stats.CrawlWithSizes(st, m.scheme); err != nil {
 		return nil, fmt.Errorf("vanswer: materialization crawl: %w", err)
+	}
+	if after := st.Stats(); after.Hits > before.Hits || after.Stale > before.Stale {
+		if _, _, stale := st.Refresh(context.Background()); len(stale) > 0 {
+			at = time.Time{}
+		}
 	}
 	m.mu.Lock()
 	if m.store == nil {
 		m.store = st
-		// Every page was just downloaded: verified no earlier than the
-		// instant the crawl started.
 		m.verifiedAt = at
 	}
 	st = m.store

@@ -7,6 +7,7 @@ import (
 	"ulixes/internal/adm"
 	"ulixes/internal/engine"
 	"ulixes/internal/nested"
+	"ulixes/internal/pagecache"
 	"ulixes/internal/site"
 	"ulixes/internal/sitegen"
 	"ulixes/internal/stats"
@@ -187,5 +188,66 @@ func TestAdvanceHorizonBeforeApplyIsSafe(t *testing.T) {
 	m.AdvanceHorizon(clock.Now())
 	if changed, err := m.ApplyChange("http://univ.example.edu/x.html", sitegen.ProfPage, false); changed || err != nil {
 		t.Fatalf("ApplyChange before Apply: changed=%v err=%v, want a no-op", changed, err)
+	}
+}
+
+// TestFirstApplyVerifiesWarmStore: a manager handed a warm shared store
+// (no expiry) must not take the pages the store already holds as verified
+// at the first Apply. A page changed on the site since it was stored is
+// re-downloaded before the extents are built, and when a stored page
+// cannot be verified the extents are not served within the horizon.
+func TestFirstApplyVerifiesWarmStore(t *testing.T) {
+	for _, broken := range []bool{false, true} {
+		clock := newManualClock()
+		u, err := sitegen.GenerateUniversity(sitegen.PaperUniversityParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms, err := site.NewMemSite(u.Instance, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fh := &flakyHead{Server: ms}
+		views := view.UniversityView(u.Scheme)
+		live := engine.New(views, ms, stats.CollectInstance(u.Instance))
+		store := pagecache.New(fh, u.Scheme, pagecache.Config{DefaultTTL: pagecache.Forever, Clock: clock.Now})
+		warm := engine.New(views, fh, stats.CollectInstance(u.Instance))
+		warm.Exec.Cache = store
+		src := "SELECT p.PName, p.Rank FROM Professor p WHERE p.Rank = 'Emeritus'"
+		if _, err := warm.QueryCQ(parse(t, src)); err != nil {
+			t.Fatal(err)
+		}
+
+		// A day later professor 0 is promoted on the site; the store still
+		// holds the old page.
+		clock.Advance(24 * time.Hour)
+		url, tup := profPage(t, u, 0)
+		if err := ms.UpdatePage(sitegen.ProfPage, tup.With("Rank", nested.TextValue("Emeritus"))); err != nil {
+			t.Fatal(err)
+		}
+		if broken {
+			fh.setFail(url, true)
+		}
+		m := NewManager(fh, views, ManagerConfig{
+			Rewriter: Config{Horizon: time.Hour, Clock: clock.Now},
+			Store:    store,
+		})
+		if _, err := m.Apply([]Def{{Relation: "Professor"}}); err != nil {
+			t.Fatal(err)
+		}
+		rel, ok, err := m.TryAnswer(parse(t, src))
+		if broken {
+			if ok || err != nil {
+				t.Errorf("unverifiable page: view answered %v (err %v), want a decline", rel, err)
+			}
+			continue
+		}
+		want, err := live.QueryCQ(parse(t, src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok || err != nil || rel.String() != want.Result.String() {
+			t.Errorf("first Apply over a warm store: ok=%v err=%v\nview %v\nlive %s", ok, err, rel, want.Result)
+		}
 	}
 }
